@@ -1,11 +1,11 @@
 """Exact construction and certification of bipartite Ramanujan multigraphs."""
 
 from .exact_algebra import (
+    InvariantViolation,
     NonzeroRemainder,
     QuadNum,
     RadicandMismatch,
     Rational,
-    TriPoly,
     UniPoly,
     poly_div_exact,
     poly_shift_by_sqrt,
@@ -14,15 +14,13 @@ from .exact_algebra import (
 )
 from .exact_linalg import (
     BlockSpec,
-    BlockTooSmall,
+    CTensor,
     Matrix,
     RationalityViolation,
     charpoly,
-    householder_block_reduce,
     trivariate_detpoly,
 )
 from .expectation_engine import (
-    CTensor,
     NodePoly,
     add_random_matching,
     fixed_plus_random_block_expected,

@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exact_algebra import NonzeroRemainder, UniPoly
+from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly
 from .exact_linalg import RationalityViolation
 from .expectation_engine import node_polynomial_debug
 from .matching_family import (
@@ -78,6 +78,8 @@ def _read_node_argument(text: str):
 
 def cmd_build(args) -> int:
     params = _load_params(args)
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     started = time.monotonic()
     try:
         result = walk(params, jobs=args.jobs, canonical_first=args.canonical_first_matching)
@@ -87,7 +89,7 @@ def cmd_build(args) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         _dump_failed_walk(args.out, exc)
         return EXIT_INTERNAL
-    except (RationalityViolation, NonzeroRemainder, AssertionError) as exc:
+    except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     elapsed = time.monotonic() - started
@@ -179,7 +181,7 @@ def cmd_node_poly(args) -> int:
         return _usage_error(f"malformed node: {exc}")
     try:
         npoly, tensor = node_polynomial_debug(node, params)
-    except (RationalityViolation, NonzeroRemainder, AssertionError) as exc:
+    except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.ctensor:

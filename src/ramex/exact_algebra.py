@@ -2,10 +2,9 @@
 
 Scalars are arbitrary-precision rationals (``fractions.Fraction``) and
 quadratic-field numbers a + b*sqrt(m) with rational a, b over a fixed
-nonnegative integer radicand m.  Polynomials are dense: univariate over
-either scalar kind, trivariate over the rationals.  Nothing here ever
-rounds; every operation is exact, and exactness is what makes the root
-tests downstream trustworthy.
+nonnegative integer radicand m.  Polynomials are dense and univariate over
+either scalar kind.  Nothing here ever rounds; every operation is exact,
+and exactness is what makes the root tests downstream trustworthy.
 
 Rationals serialize as decimal strings "numerator/denominator", with the
 denominator omitted when it is 1 (this is exactly ``str(Fraction)``).
@@ -28,6 +27,11 @@ class RadicandMismatch(ValueError):
 
 class NonzeroRemainder(ArithmeticError):
     """A division that must be exact left a remainder; signals a pipeline bug."""
+
+
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: always an implementation bug, never
+    bad input.  Raised explicitly, so the checks also run under -O."""
 
 
 def rational_to_str(value: Fraction | int) -> str:
@@ -365,106 +369,3 @@ def poly_div_exact(p: UniPoly, divisor: UniPoly) -> UniPoly:
     if any(rem[:dd]):
         raise NonzeroRemainder(f"remainder {rem[:dd]} dividing by {divisor}")
     return UniPoly(tuple(quot))
-
-
-@dataclass(frozen=True)
-class TriPoly:
-    """Dense trivariate polynomial in (lam, t_r, t_c) over the rationals.
-
-    coeffs[i][p][q] is the coefficient of lam**i * t_r**p * t_c**q.  The
-    shape is fixed at construction: (lam_degree+1) x (t_r_degree+1) x
-    (t_c_degree+1).
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(tuple(tuple(row) for row in plane) for plane in self.coeffs),
-        )
-
-    @property
-    def lam_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def t_degrees(self) -> tuple[int, int]:
-        plane = self.coeffs[0]
-        return len(plane) - 1, len(plane[0]) - 1
-
-    def coefficient(self, i: int, p: int, q: int):
-        if 0 <= i < len(self.coeffs):
-            plane = self.coeffs[i]
-            if 0 <= p < len(plane) and 0 <= q < len(plane[p]):
-                return plane[p][q]
-        return Fraction(0)
-
-    def eval_t(self, t_r, t_c) -> UniPoly:
-        """Fix t_r and t_c, leaving a univariate polynomial in lam."""
-        out = []
-        for plane in self.coeffs:
-            acc = Fraction(0)
-            rp = Fraction(1)
-            for row in plane:
-                cp = rp
-                for c in row:
-                    if c:
-                        acc += c * cp
-                    cp = cp * t_c
-                rp = rp * t_r
-            out.append(acc)
-        return UniPoly(tuple(out))
-
-    def _padded(self, shape):
-        li, lp, lq = shape
-        return [
-            [
-                [self.coefficient(i, p, q) for q in range(lq)]
-                for p in range(lp)
-            ]
-            for i in range(li)
-        ]
-
-    def __add__(self, other):
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        shape = tuple(
-            max(a, b) + 1
-            for a, b in zip(
-                (self.lam_degree, *self.t_degrees),
-                (other.lam_degree, *other.t_degrees),
-            )
-        )
-        mine, theirs = self._padded(shape), other._padded(shape)
-        return TriPoly(
-            tuple(
-                tuple(
-                    tuple(mine[i][p][q] + theirs[i][p][q] for q in range(shape[2]))
-                    for p in range(shape[1])
-                )
-                for i in range(shape[0])
-            )
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, TriPoly):
-            return NotImplemented
-        di = self.lam_degree + other.lam_degree
-        dp = self.t_degrees[0] + other.t_degrees[0]
-        dq = self.t_degrees[1] + other.t_degrees[1]
-        out = [
-            [[Fraction(0)] * (dq + 1) for _ in range(dp + 1)] for _ in range(di + 1)
-        ]
-        for i, plane in enumerate(self.coeffs):
-            for p, row in enumerate(plane):
-                for q, c in enumerate(row):
-                    if not c:
-                        continue
-                    for i2, plane2 in enumerate(other.coeffs):
-                        for p2, row2 in enumerate(plane2):
-                            for q2, c2 in enumerate(row2):
-                                if c2:
-                                    out[i + i2][p + p2][q + q2] += c * c2
-        return TriPoly(tuple(tuple(tuple(row) for row in plane) for plane in out))

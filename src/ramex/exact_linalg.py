@@ -1,29 +1,26 @@
-"""Exact dense linear algebra over rationals and quadratic-field numbers.
+"""Exact dense linear algebra over the integers and rationals.
 
-Provides the Berkowitz (division-free) characteristic polynomial, the
-Householder block reduction that rotates a block's all-ones direction onto
-its smallest index, and the trivariate determinant polynomial computed by
-exact evaluation/interpolation on the integer grid {0..l_hat}^2.
+Provides the Berkowitz (division-free) characteristic polynomial and the
+squared-minor tensor of a fixed integer matrix plus a random block
+permutation, computed by integer evaluation on the grid {0..l_hat}^2 and
+integer interpolation, with one rational division per coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import QuadNum, TriPoly, UniPoly
-
-
-class BlockTooSmall(ValueError):
-    """Householder reduction needs a block of size at least 2."""
+from .exact_algebra import UniPoly
 
 
 class RationalityViolation(ArithmeticError):
-    """A coefficient that must be rational and nonnegative was not.
+    """A squared-minor sum that must be a nonnegative rational was not.
 
-    The sqrt(l) parts of the trivariate determinant polynomial must cancel
-    exactly and leave nonnegative rationals (they are sums of squared
-    minors); anything else is a hard implementation error.
+    The coefficients of the trivariate determinant polynomial are sums of
+    squared minors, so each must come out nonnegative, and the constant
+    term must be exactly 1; anything else is a hard implementation error.
     """
 
 
@@ -91,9 +88,6 @@ class Matrix:
             )
         )
 
-    def __neg__(self):
-        return Matrix(tuple(tuple(-x for x in row) for row in self.entries))
-
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -106,9 +100,6 @@ class Matrix:
                 for row in self.entries
             )
         )
-
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(tuple(tuple(fn(x) for x in row) for row in self.entries))
 
 
 def _dot(xs, ys):
@@ -176,156 +167,150 @@ def charpoly(matrix: Matrix) -> UniPoly:
     return UniPoly(tuple(reversed(coeffs)))
 
 
-def _householder(size: int, radicand: int) -> list[list[QuadNum]]:
-    """The size x size reflector H mapping the all-ones direction to e_0.
+@dataclass(frozen=True)
+class CTensor:
+    """Squared-minor sums C[k'][p][q] of the block-reduced matrix, indexed
+    by minor size k' and row/column overlap (p, q) with the reduced block.
 
-    H = I - 2 v v^T / (v^T v) with v = u - e_0 and u the unit all-ones
-    vector; entries live in Q[sqrt(size)] (radicand is always the block
-    size here).  H is exactly orthogonal and symmetric.
+    All entries are exact nonnegative rationals; C[0][0][0] == 1.
     """
-    inv_root = Fraction(1, size)  # 1/sqrt(l) == sqrt(l)/l
-    u = [QuadNum(0, inv_root, radicand) for _ in range(size)]
-    v = list(u)
-    v[0] = v[0] - 1
-    vtv = QuadNum(2, -2 * inv_root, radicand)  # 2 - 2/sqrt(l), nonzero for l >= 2
-    h = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            val = (v[i] * v[j] * 2) / vtv
-            row.append((QuadNum(1, 0, radicand) - val) if i == j else -val)
-        h.append(row)
-    return h
+
+    m: int
+    lhat: int
+    values: tuple
+
+    def __post_init__(self):
+        if self.values[0][0][0] != 1:
+            raise _violation(f"C[0][0][0] = {self.values[0][0][0]}, expected 1")
+
+    def get(self, kprime: int, p: int, q: int) -> Fraction:
+        return self.values[kprime][p][q]
+
+    def to_json(self) -> dict:
+        return {
+            "m": self.m,
+            "lhat": self.lhat,
+            "values": [
+                [[str(c) for c in row] for row in plane] for plane in self.values
+            ],
+        }
 
 
-def householder_block_reduce(a_aug: Matrix, block: BlockSpec) -> tuple[Matrix, BlockSpec]:
-    """Rotate the block's all-ones row and column directions onto its
-    smallest row/column index.
-
-    a_aug must already carry the block mean (1/l on every block cell).
-    Returns (H_r . a_aug . H_c^T, block minus the two pivot indices); the
-    result lives in Q[sqrt(l)].  Entries outside the block rows/columns
-    are untouched by the corresponding transform.
-    """
-    l = block.size
-    if l < 2:
-        raise BlockTooSmall(f"block size {l} < 2")
-    m = a_aug.nrows
-    radicand = l
-    hblock = _householder(l, radicand)
-
-    def embed(indices) -> Matrix:
-        h = [[QuadNum(1 if i == j else 0, 0, radicand) for j in range(m)] for i in range(m)]
-        for bi, i in enumerate(indices):
-            for bj, j in enumerate(indices):
-                h[i][j] = hblock[bi][bj]
-        return Matrix.from_rows(h)
-
-    h_rows = embed(block.rows)
-    h_cols = embed(block.cols)
-    aq = a_aug.map_entries(lambda x: QuadNum(Fraction(x), 0, radicand))
-    ahat = h_rows @ aq @ h_cols.transpose()
-    # Orthogonal invariance: the reduction must preserve singular values.
-    assert charpoly(ahat.transpose() @ ahat) == charpoly(
-        a_aug.transpose() @ a_aug
-    ), "Householder reduction changed the singular values"
-    reduced = BlockSpec(block.rows[1:], block.cols[1:])
-    return ahat, reduced
-
-
-def _div_by_int(x, k: int):
-    # ints must widen to Fraction, never fall into float division
-    return Fraction(x, k) if isinstance(x, int) else x / k
-
-
-def _interp_integer_nodes(values: list) -> list:
-    """Coefficients (ascending, untrimmed) of the polynomial taking
-    values[i] at the node i, for i = 0..len-1.  Newton divided differences;
-    all divisions are by integers, so this stays inside the scalar ring
-    extended by rationals."""
-    count = len(values)
-    table = list(values)
-    dd = [table[0]]
-    for step in range(1, count):
-        table = [_div_by_int(table[i + 1] - table[i], step) for i in range(len(table) - 1)]
-        dd.append(table[0])
-    coeffs = [0] * count
-    basis = [1]  # product (t - 0)(t - 1)... built incrementally
-    for j, c in enumerate(dd):
-        for i, b in enumerate(basis):
-            if b:
-                coeffs[i] = coeffs[i] + c * b
-        if j < count - 1:
-            nxt = [0] * (len(basis) + 1)
-            for i, b in enumerate(basis):
-                nxt[i] = nxt[i] - j * b
-                nxt[i + 1] = nxt[i + 1] + b
-            basis = nxt
-    return coeffs
-
-
-def _scaled_product(ahat: Matrix, reduced: BlockSpec, t_r: int, t_c: int) -> Matrix:
-    """ahat^T . R . ahat . C with R, C the diagonal selectors carrying t_r
-    on the reduced block rows and t_c on the reduced block columns."""
-    rows = set(reduced.rows)
-    cols = set(reduced.cols)
-    scaled = Matrix(
-        tuple(
-            tuple(x * t_r for x in row) if i in rows else row
-            for i, row in enumerate(ahat.entries)
-        )
-    )
-    prod = ahat.transpose() @ scaled
+def _centering(indices: tuple, l: int, m: int) -> Matrix:
+    """l D - J on the given indices and zero elsewhere: l times the
+    projector that removes their all-ones direction, as an m x m matrix."""
+    inside = set(indices)
     return Matrix(
         tuple(
-            tuple(x * t_c if j in cols else x for j, x in enumerate(row))
-            for row in prod.entries
+            tuple(
+                (l if i == j else 0) - 1 if i in inside and j in inside else 0
+                for j in range(m)
+            )
+            for i in range(m)
         )
     )
 
 
-def _as_rational(value, context: str) -> Fraction:
-    if isinstance(value, QuadNum):
-        r = value.rational_value()
-        if r is None:
-            raise _violation(f"irrational residue {value} in {context}")
-        return r
-    return Fraction(value)
+def _interp_matrix(lhat: int) -> list[list[int]]:
+    """Integer M with lhat! * f_k = sum_t M[k][t] f(t) for every polynomial
+    f = sum_k f_k t^k of degree <= lhat.
 
-
-def trivariate_detpoly(ahat: Matrix, reduced_block: BlockSpec) -> TriPoly:
-    """det(ahat^T ((I-D_r) + t_r D_r) ahat ((I-D_c) + t_c D_c) + lam I)
-    as an exact trivariate polynomial.
-
-    Computed by evaluation at every integer pair (t_r, t_c) in
-    {0..l_hat}^2 followed by exact Lagrange/Newton interpolation.  The
-    coefficient of lam**(m-k') t_r**p t_c**q is the squared-minor sum
-    C_{k',p,q}; each must come out rational (the sqrt parts cancel) and
-    nonnegative, which is asserted here.
+    Newton's forward form f(t) = sum_j (Delta^j f)(0) falling(t, j) / j!,
+    with (Delta^j f)(0) = sum_t (-1)^(j-t) C(j, t) f(t); every lhat!/j! is
+    an integer, and so are the falling-factorial coefficients.
     """
-    if not ahat.is_square:
+    size = lhat + 1
+    out = [[0] * size for _ in range(size)]
+    falling = [1]  # ascending coefficients of t (t-1) ... (t-j+1)
+    for j in range(size):
+        scale = math.factorial(lhat) // math.factorial(j)
+        for t in range(j + 1):
+            weight = scale * (-1) ** (j - t) * math.comb(j, t)
+            for k, s in enumerate(falling):
+                out[k][t] += weight * s
+        falling = [0] + falling
+        for k in range(len(falling) - 1):
+            falling[k] -= j * falling[k + 1]
+    return out
+
+
+def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
+    """Squared-minor sums of a + J_B/l after the block's all-ones row and
+    column directions are split off, J_B the all-ones block of size l.
+
+    C[k'][p][q] is the coefficient of lam**(m-k') t_r**p t_c**q in
+    det(lam I + X) with X = Abar^T R Abar S, Abar = a + J_B/l,
+    R = I + (t_r-1)(D_r - J_r/l) and S = I + (t_c-1)(D_c - J_c/l), where
+    D and J are the identity and all-ones on the block rows (r) and
+    columns (c).  A reflector H sending the all-ones direction to a
+    coordinate satisfies H (D - e e^T) H = D - J/l, so this is the
+    polynomial of the reflected matrix with t_r, t_c on the l_hat = l - 1
+    reduced block rows and columns; no reflection is needed to get it.
+
+    Scaled by l, everything is integral: with Ahat = l a + J_B and
+    P = l D - J, l^4 X = l^2 G0 + l (t_c-1) G0 P_c + l (t_r-1) G1
+    + (t_r-1)(t_c-1) G1 P_c for G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat.
+    Integer Berkowitz runs at every (t_r, t_c) in {0..l_hat}^2, integer
+    interpolation recovers l_hat!^2 times each coefficient, and one exact
+    division per coefficient by l^(4k') l_hat!^2 yields C.  An empty block
+    gives the plain Gram's sums at l_hat = 0.
+    """
+    if not a.is_square:
         raise ValueError("square matrix required")
-    m = ahat.nrows
-    lhat = reduced_block.size
-    grid = [
-        [charpoly(-_scaled_product(ahat, reduced_block, tr, tc)) for tc in range(lhat + 1)]
-        for tr in range(lhat + 1)
+    if any(not isinstance(x, int) for row in a.entries for x in row):
+        raise ValueError("trivariate_detpoly needs an integer matrix")
+    m = a.nrows
+    l = max(block.size, 1)
+    lhat = l - 1
+    rows, cols = set(block.rows), set(block.cols)
+    ahat = Matrix(
+        tuple(
+            tuple(
+                l * x + (1 if i in rows and j in cols else 0) for j, x in enumerate(row)
+            )
+            for i, row in enumerate(a.entries)
+        )
+    )
+    ahat_t = ahat.transpose()
+    p_cols = _centering(block.cols, l, m)
+    g0 = ahat_t @ ahat
+    g1 = ahat_t @ _centering(block.rows, l, m) @ ahat
+    terms = [
+        [cell for row in g.entries for cell in row]
+        for g in (g0, g0 @ p_cols, g1, g1 @ p_cols)
     ]
-    planes = []
-    for i in range(m + 1):
-        # interpolate this lam-coefficient over t_c (per row), then t_r
-        rows_tc = [
-            _interp_integer_nodes([grid[tr][tc].coeff(i) for tc in range(lhat + 1)])
-            for tr in range(lhat + 1)
+
+    grid = {}
+    for tr in range(lhat + 1):
+        for tc in range(lhat + 1):
+            # -(l^4 X), so that charpoly yields det(lam I + l^4 X)
+            weights = (-l * l, -l * (tc - 1), -l * (tr - 1), -(tr - 1) * (tc - 1))
+            flat = [sum(w * x for w, x in zip(weights, cells)) for cells in zip(*terms)]
+            neg = Matrix(tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(m)))
+            grid[tr, tc] = charpoly(neg)
+
+    interp = _interp_matrix(lhat)
+    span = range(lhat + 1)
+    fact_sq = math.factorial(lhat) ** 2
+    values = []
+    for kprime in range(m + 1):
+        i = m - kprime
+        # lhat!^2 coefficients = M V M^T, V the grid of lam**i coefficients
+        mv = [
+            [sum(interp[p][tr] * grid[tr, tc].coeff(i) for tr in span) for tc in span]
+            for p in span
         ]
-        plane = [[None] * (lhat + 1) for _ in range(lhat + 1)]
-        for q in range(lhat + 1):
-            col = _interp_integer_nodes([rows_tc[tr][q] for tr in range(lhat + 1)])
-            for p in range(lhat + 1):
-                kprime = m - i
-                c = _as_rational(col[p], f"C[k'={kprime}][p={p}][q={q}]")
+        denom = l ** (4 * kprime) * fact_sq
+        plane = []
+        for p in span:
+            row = []
+            for q in span:
+                c = Fraction(sum(mv[p][tc] * interp[q][tc] for tc in span), denom)
                 if c < 0:
-                    raise _violation(f"negative squared-minor sum C[{kprime}][{p}][{q}] = {c}")
-                plane[p][q] = c
-        planes.append(tuple(tuple(row) for row in plane))
-    return TriPoly(tuple(planes))
+                    raise _violation(
+                        f"negative squared-minor sum C[{kprime}][{p}][{q}] = {c}"
+                    )
+                row.append(c)
+            plane.append(tuple(row))
+        values.append(tuple(plane))
+    return CTensor(m, lhat, tuple(values))

@@ -1,11 +1,13 @@
 """Exact expected characteristic polynomials for matching-tree nodes.
 
 The pipeline per node: build the fixed half-adjacency matrix, average the
-in-progress matching over its block by quadrature (Householder reduction
-plus the trivariate determinant's squared-minor sums), convert the Gram
-polynomial to the adjacency polynomial via y -> x^2, fold in each still
-unplaced uniformly random matching with the linear convolution step, and
-finally divide out the trivial eigenvalue factor x^2 - d^2.
+in-progress matching over its block by quadrature (the squared-minor sums
+of the trivariate determinant, taken from an integer similarity of the
+fixed matrix plus the block mean, weighted by counting binomials), convert
+the Gram polynomial to the adjacency polynomial via y -> x^2, fold in each
+still unplaced uniformly random matching with the linear convolution step,
+and finally divide out the trivial eigenvalue factor x^2 - d^2.  Nothing
+leaves the rationals.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import UniPoly, poly_div_exact, poly_substitute_square
-from .exact_linalg import (
-    BlockSpec,
-    Matrix,
-    RationalityViolation,
-    charpoly,
-    householder_block_reduce,
-    trivariate_detpoly,
+from .exact_algebra import (
+    InvariantViolation,
+    UniPoly,
+    poly_div_exact,
+    poly_substitute_square,
 )
+from .exact_linalg import BlockSpec, CTensor, Matrix, charpoly, trivariate_detpoly
 from .matching_family import NodeState, Params, half_adjacency
 
 
@@ -45,44 +45,6 @@ def g_weight(lhat: int, k: int, kprime: int, p: int, q: int) -> Fraction:
     if denom == 0:
         return Fraction(0)
     return Fraction(_comb0(lhat - p, k - kprime) * _comb0(lhat - q, k - kprime), denom)
-
-
-@dataclass(frozen=True)
-class CTensor:
-    """Squared-minor sums C[k'][p][q] of the reduced matrix, indexed by
-    minor size k' and row/column overlap (p, q) with the reduced block.
-
-    All entries are exact nonnegative rationals; C[0][0][0] == 1.
-    """
-
-    m: int
-    lhat: int
-    values: tuple
-
-    @classmethod
-    def from_tripoly(cls, tri, m: int, lhat: int) -> "CTensor":
-        values = tuple(
-            tuple(
-                tuple(tri.coefficient(m - kp, p, q) for q in range(lhat + 1))
-                for p in range(lhat + 1)
-            )
-            for kp in range(m + 1)
-        )
-        if values[0][0][0] != 1:
-            raise RationalityViolation(f"C[0][0][0] = {values[0][0][0]}, expected 1")
-        return cls(m, lhat, values)
-
-    def get(self, kprime: int, p: int, q: int) -> Fraction:
-        return self.values[kprime][p][q]
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "lhat": self.lhat,
-            "values": [
-                [[str(c) for c in row] for row in plane] for plane in self.values
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -112,23 +74,8 @@ def _expected_gram_charpoly(
         bumped[block.rows[0]][block.cols[0]] += 1
         return _gram_charpoly(Matrix.from_rows(bumped)), None
 
-    mean = Fraction(1, l)
-    in_rows = set(block.rows)
-    in_cols = set(block.cols)
-    aug = Matrix.from_rows(
-        [
-            [
-                Fraction(x) + mean if i in in_rows and j in in_cols else Fraction(x)
-                for j, x in enumerate(row)
-            ]
-            for i, row in enumerate(a.entries)
-        ]
-    )
-    ahat, reduced = householder_block_reduce(aug, block)
-    tri = trivariate_detpoly(ahat, reduced)
-    lhat = l - 1
-    tensor = CTensor.from_tripoly(tri, m, lhat)
-
+    tensor = trivariate_detpoly(a, block)
+    lhat = tensor.lhat
     coeffs = [Fraction(0)] * (m + 1)
     for k in range(m + 1):
         total = Fraction(0)
@@ -202,10 +149,10 @@ def _node_polynomial_full(
         p_adj = add_random_matching(p_adj, params, c)
     d = params.d
     body = poly_div_exact(p_adj, UniPoly((Fraction(-(d * d)), Fraction(0), Fraction(1))))
-    assert body.degree == params.n - 2 and body.is_monic, "degree bookkeeping broken"
-    assert not any(body.coeff(i) for i in range(1, body.degree + 1, 2)), (
-        "node polynomial must be even"
-    )
+    if body.degree != params.n - 2 or not body.is_monic:
+        raise InvariantViolation("degree bookkeeping broken")
+    if any(body.coeff(i) for i in range(1, body.degree + 1, 2)):
+        raise InvariantViolation("node polynomial must be even")
     return NodePoly(body), tensor
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exact_algebra import InvariantViolation
 from .exact_linalg import BlockSpec, Matrix
 
 
@@ -154,7 +155,8 @@ def half_adjacency(node: NodeState, params: Params) -> tuple[Matrix, BlockSpec]:
     t = len(node.partial) if node.partial is not None else 0
     base = len(node.complete)
     for i in range(m):
-        assert sum(counts[i]) == base + (1 if i < t else 0), "row sum invariant broken"
+        if sum(counts[i]) != base + (1 if i < t else 0):
+            raise InvariantViolation(f"row sum invariant broken at left vertex {i + 1}")
     return Matrix.from_rows(counts), block
 
 
@@ -178,12 +180,23 @@ def node_to_json(node: NodeState) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer, strictly: no bool, float or string is coerced."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def node_from_json(data: dict, params: Params) -> NodeState:
     if not isinstance(data, dict) or "complete" not in data:
         raise ValueError("node JSON must be an object with a 'complete' key")
-    complete = tuple(tuple(int(j) - 1 for j in match) for match in data["complete"])
-    raw_partial = data.get("partial") or []
-    partial = tuple(int(j) - 1 for j in raw_partial) or None
+    try:
+        complete = tuple(
+            tuple(_json_int(j) - 1 for j in match) for match in data["complete"]
+        )
+        partial = tuple(_json_int(j) - 1 for j in data.get("partial") or []) or None
+    except TypeError as exc:
+        raise ValueError(f"malformed node JSON: {exc}") from exc
     node = NodeState(complete, partial)
     node.validate(params)
     return node
@@ -201,8 +214,8 @@ def multigraph_from_json(data: dict) -> Multigraph:
     if not isinstance(data, dict):
         raise ValueError("multigraph JSON must be an object")
     try:
-        params = Params(int(data["n"]), int(data["d"]))
-        rows = tuple(tuple(int(x) for x in row) for row in data["multiplicity"])
+        params = Params(_json_int(data["n"]), _json_int(data["d"]))
+        rows = tuple(tuple(_json_int(x) for x in row) for row in data["multiplicity"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed multigraph JSON: {exc}") from exc
     return Multigraph(params, rows)

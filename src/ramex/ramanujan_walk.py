@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact_algebra import (
+    InvariantViolation,
     NonzeroRemainder,
     QuadNum,
     UniPoly,
@@ -204,9 +205,10 @@ def walk(params: Params, jobs: int = 1, canonical_first: bool = False) -> WalkRe
                 polys = list(pool.map(_child_poly_task, tasks))
             else:
                 polys = [_child_poly_task(t) for t in tasks]
-            assert _average(polys) == current_poly, (
-                "parent polynomial is not the average of its children"
-            )
+            if _average(polys) != current_poly:
+                raise InvariantViolation(
+                    f"polynomial of {current} is not the average of its children"
+                )
             passed = [max_root_leq_sqrt(p, q) for p in polys]
             try:
                 idx = passed.index(True)

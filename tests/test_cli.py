@@ -1,9 +1,15 @@
 """Command-line surface: subcommands, exit codes, JSON files."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import ramex
 from ramex.cli import main
 
 
@@ -86,6 +92,31 @@ def test_certify_truncated_json(tmp_path, capsys):
     assert "cannot read" in stderr
 
 
+def test_certify_rejects_non_integer_multiplicity(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    path.write_text('{"n": 4, "d": 3, "multiplicity": [[2.9, 1], [1, 2]]}')
+    code, stdout, stderr = run(capsys, "certify", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert "JSON integer" in stderr
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        '{"n": 4, "d": 3, "multiplicity": [[true, 2], [2, 1]]}',
+        '{"n": "4", "d": 3, "multiplicity": [[2, 1], [1, 2]]}',
+        '{"n": 4.0, "d": 3, "multiplicity": [[2, 1], [1, 2]]}',
+    ],
+)
+def test_certify_rejects_non_integer_fields(tmp_path, capsys, graph):
+    path = tmp_path / "bad.json"
+    path.write_text(graph)
+    code, _, stderr = run(capsys, "certify", str(path))
+    assert code == 2
+    assert "JSON integer" in stderr
+
+
 def test_certify_irregular_graph(tmp_path, capsys):
     path = tmp_path / "irr.json"
     path.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": [[2, 1], [2, 1]]}))
@@ -120,6 +151,71 @@ def test_node_poly_malformed(capsys):
     )
     assert code == 2
     assert "malformed node" in stderr
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        '{"complete": [[1.5, 2]], "partial": []}',
+        '{"complete": [[true, 2]], "partial": []}',
+        '{"complete": [], "partial": [1.0]}',
+        '{"complete": [["1", 2]], "partial": []}',
+        '{"complete": 5}',
+    ],
+)
+def test_node_poly_rejects_non_integer_entries(capsys, node):
+    code, stdout, stderr = run(capsys, "node-poly", node, "--n", "4", "--d", "3")
+    assert code == 2
+    assert stdout == ""
+    assert "malformed node" in stderr
+
+
+def test_build_rejects_nonpositive_jobs(tmp_path, capsys):
+    for jobs in ("0", "-2"):
+        code, _, stderr = run(
+            capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path), "--jobs", jobs
+        )
+        assert code == 2
+        assert "--jobs" in stderr
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_invariant_violation_survives_optimize(tmp_path):
+    """Invariant checks are real checks: under python -O a forced violation
+    still raises InvariantViolation, and build maps it to exit code 3."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from ramex import cli, ramanujan_walk
+        from ramex.exact_algebra import InvariantViolation, UniPoly
+        from ramex.matching_family import NodeState, Params, half_adjacency
+
+        if __debug__:
+            sys.exit("not running under -O")
+        try:
+            half_adjacency(NodeState(((0,),)), Params(4, 3))  # short matching
+        except InvariantViolation:
+            pass
+        else:
+            sys.exit("row-sum check did not run")
+        # skew every child so that the parent is no longer their average
+        real = ramanujan_walk._child_poly_task
+        ramanujan_walk._child_poly_task = lambda task: real(task) + UniPoly((1,))
+        sys.exit(cli.main(["build", "--n", "4", "--d", "3", "--out", sys.argv[1]]))
+        """
+    )
+    src = str(Path(ramex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "not the average of its children" in proc.stderr
+    assert not (tmp_path / "graph.json").exists()
 
 
 def test_oracle_root(capsys):

@@ -10,7 +10,6 @@ from ramex.exact_algebra import (
     NonzeroRemainder,
     QuadNum,
     RadicandMismatch,
-    TriPoly,
     UniPoly,
     poly_div_exact,
     poly_shift_by_sqrt,
@@ -180,24 +179,6 @@ def test_unipoly_ring_basics():
     assert UniPoly((0, 0, 0)).is_zero  # trailing zeros trim to the zero poly
     assert p.is_monic and p.degree == 2
     assert 2 * p == UniPoly((-2, 0, 2))
-
-
-def test_tripoly_partial_evaluation():
-    # lam + t_r * t_c  ->  at (2, 3): lam + 6
-    tri = TriPoly((((0, 0), (0, 1)), ((1, 0), (0, 0))))
-    assert tri.eval_t(2, 3) == UniPoly((6, 1))
-    assert tri.coefficient(0, 1, 1) == 1
-    assert tri.coefficient(5, 5, 5) == 0
-
-
-def test_tripoly_add_mul():
-    lam = TriPoly((((0,),), ((1,),)))
-    trc = TriPoly((((0, 0), (0, 1)),))  # t_r * t_c
-    s = lam + trc
-    assert s.coefficient(1, 0, 0) == 1 and s.coefficient(0, 1, 1) == 1
-    prod = lam * trc
-    assert prod.coefficient(1, 1, 1) == 1
-    assert prod.lam_degree == 1 and prod.t_degrees == (1, 1)
 
 
 def test_rational_canonical_and_serialization():

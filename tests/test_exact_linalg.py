@@ -1,4 +1,4 @@
-"""Matrices, Berkowitz charpoly, Householder reduction, trivariate determinant."""
+"""Matrices, Berkowitz charpoly, the integer trivariate determinant grid."""
 
 import itertools
 import random
@@ -7,14 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ramex.exact_algebra import QuadNum, UniPoly
-from ramex.exact_linalg import (
-    BlockSpec,
-    BlockTooSmall,
-    Matrix,
-    charpoly,
-    householder_block_reduce,
-    trivariate_detpoly,
-)
+from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
 
 
 def naive_charpoly(mat: Matrix) -> UniPoly:
@@ -72,102 +65,55 @@ def test_charpoly_over_quadratic_entries():
     assert charpoly(mat) == UniPoly((-3, 0, 1))
 
 
-def test_householder_all_ones_block():
-    a = Matrix.from_rows([[Fraction(1, 2)] * 2] * 2)
-    block = BlockSpec((0, 1), (0, 1))
-    ahat, reduced = householder_block_reduce(a, block)
-    assert ahat.entries[0][0] == 1
-    assert not any(
-        ahat.entries[i][j] for i, j in [(0, 1), (1, 0), (1, 1)]
-    )
-    assert reduced == BlockSpec((1,), (1,))
-
-
-def test_householder_identity_plus_mean():
-    a = Matrix.from_rows(
-        [[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(3, 2)]]
-    )
-    ahat, _ = householder_block_reduce(a, BlockSpec((0, 1), (0, 1)))
-    assert ahat.entries[0][0] == 2 and ahat.entries[1][1] == 1
-    assert not ahat.entries[0][1] and not ahat.entries[1][0]
-
-
-def test_householder_dimension_bookkeeping():
-    a = Matrix.from_rows(
-        [
-            [Fraction(1), Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(1, 2), Fraction(1, 2)],
-            [Fraction(0), Fraction(1, 2), Fraction(1, 2)],
-        ]
-    )
-    _, reduced = householder_block_reduce(a, BlockSpec((1, 2), (1, 2)))
-    assert reduced.size == 1
-    assert reduced.rows == (2,) and reduced.cols == (2,)
-
-
-def test_householder_rejects_small_blocks():
-    a = Matrix.from_rows([[Fraction(1)]])
-    with pytest.raises(BlockTooSmall):
-        householder_block_reduce(a, BlockSpec((0,), (0,)))
-    with pytest.raises(BlockTooSmall):
-        householder_block_reduce(a, BlockSpec((), ()))
-
-
-def test_householder_preserves_singular_values_randomized():
-    rng = random.Random(99)
-    for _ in range(8):
-        m = rng.randint(2, 4)
-        a = Matrix.from_rows(
-            [[Fraction(rng.randint(0, 3)) for _ in range(m)] for _ in range(m)]
-        )
-        l = rng.randint(2, m)
-        rows = tuple(sorted(rng.sample(range(m), l)))
-        cols = tuple(sorted(rng.sample(range(m), l)))
-        mean = Fraction(1, l)
-        aug = Matrix.from_rows(
-            [
-                [
-                    x + mean if i in rows and j in cols else x
-                    for j, x in enumerate(row)
-                ]
-                for i, row in enumerate(a.entries)
-            ]
-        )
-        ahat, _ = householder_block_reduce(aug, BlockSpec(rows, cols))
-        assert charpoly(ahat.transpose() @ ahat) == charpoly(aug.transpose() @ aug)
-
-
-def _quad(mat: Matrix, radicand: int) -> Matrix:
-    return mat.map_entries(lambda x: QuadNum(Fraction(x), 0, radicand))
+def _e_k(poly: UniPoly, m: int) -> list:
+    """Elementary symmetric functions of the roots of monic degree-m poly."""
+    return [(-1) ** k * poly.coeff(m - k) for k in range(m + 1)]
 
 
 def test_trivariate_identity_example():
-    tri = trivariate_detpoly(_quad(Matrix.identity(2), 2), BlockSpec((1,), (1,)))
-    # det(diag(1, t_r t_c) + lam I) = lam^2 + (1 + t_r t_c) lam + t_r t_c
-    assert tri.coefficient(2, 0, 0) == 1
-    assert tri.coefficient(1, 0, 0) == 1
-    assert tri.coefficient(1, 1, 1) == 1
-    assert tri.coefficient(0, 1, 1) == 1
-    assert tri.coefficient(0, 0, 0) == 0
-    assert tri.lam_degree == 2 and tri.t_degrees == (1, 1)
+    # block {1} x {1} of I_2: the block mean is 1, so Abar = diag(1, 2); the
+    # reduced block is empty and det(lam I + Abar^T Abar) = lam^2 + 5 lam + 4
+    tensor = trivariate_detpoly(Matrix.identity(2), BlockSpec((1,), (1,)))
+    assert tensor.m == 2 and tensor.lhat == 0
+    assert tensor.values == (((1,),), ((5,),), ((4,),))
+    # full block of I_2: Abar = I + J/2; the reduced block is {1} x {1}
+    tensor = trivariate_detpoly(Matrix.identity(2), BlockSpec((0, 1), (0, 1)))
+    # the reflected matrix is diag(2, 1), so det = (lam + 4)(lam + t_r t_c)
+    assert tensor.lhat == 1
+    assert tensor.get(0, 0, 0) == 1
+    assert tensor.get(1, 0, 0) == 4 and tensor.get(1, 1, 1) == 1
+    assert tensor.get(2, 1, 1) == 4
+    assert tensor.get(2, 0, 0) == 0 and tensor.get(1, 1, 0) == 0
 
 
 def test_trivariate_zero_matrix():
+    # Abar = J_B / l, a rank-one matrix along the all-ones direction that
+    # the reduction splits off: only C[1][0][0] = ||J_B / l||^2 = 1 survives
     for m in (2, 3):
-        tri = trivariate_detpoly(_quad(Matrix.zeros(m, m), 2), BlockSpec((1,), (1,)))
-        assert tri.coefficient(m, 0, 0) == 1
-        for i in range(m):
+        tensor = trivariate_detpoly(Matrix.zeros(m, m), BlockSpec((0, 1), (0, 1)))
+        assert tensor.get(0, 0, 0) == 1
+        for kp in range(1, m + 1):
             for p in range(2):
                 for q in range(2):
-                    assert tri.coefficient(i, p, q) == 0
+                    expected = 1 if (kp, p, q) == (1, 0, 0) else 0
+                    assert tensor.get(kp, p, q) == expected
 
 
 def test_trivariate_empty_reduced_block():
-    mat = _quad(Matrix.from_rows([[1, 2], [0, 1]]), 3)
-    tri = trivariate_detpoly(mat, BlockSpec((), ()))
-    assert tri.t_degrees == (0, 0)
-    gram = charpoly(-(mat.transpose() @ mat))  # det(A^T A + lam I)
-    assert tri.eval_t(0, 0) == gram
+    a = Matrix.from_rows([[1, 2], [0, 1]])
+    gram = charpoly(a.transpose() @ a)
+    tensor = trivariate_detpoly(a, BlockSpec((), ()))
+    assert tensor.lhat == 0
+    assert [plane[0][0] for plane in tensor.values] == _e_k(gram, 2)
+    # a single-cell block leaves an empty reduced block: the bumped Gram
+    tensor = trivariate_detpoly(a, BlockSpec((1,), (0,)))
+    bumped = Matrix.from_rows([[1, 2], [1, 1]])
+    assert tensor.lhat == 0
+    assert [plane[0][0] for plane in tensor.values] == _e_k(
+        charpoly(bumped.transpose() @ bumped), 2
+    )
+    with pytest.raises(ValueError):
+        trivariate_detpoly(Matrix.from_rows([[Fraction(1, 2)]]), BlockSpec((), ()))
 
 
 def test_trivariate_at_ones_is_full_gram():
@@ -175,9 +121,7 @@ def test_trivariate_at_ones_is_full_gram():
     for _ in range(6):
         m = rng.randint(2, 4)
         l = rng.randint(2, m)
-        base = Matrix.from_rows(
-            [[Fraction(rng.randint(0, 2)) for _ in range(m)] for _ in range(m)]
-        )
+        base = Matrix.from_rows([[rng.randint(-1, 2) for _ in range(m)] for _ in range(m)])
         rows = tuple(sorted(rng.sample(range(m), l)))
         cols = tuple(sorted(rng.sample(range(m), l)))
         mean = Fraction(1, l)
@@ -187,10 +131,9 @@ def test_trivariate_at_ones_is_full_gram():
                 for i, r in enumerate(base.entries)
             ]
         )
-        ahat, reduced = householder_block_reduce(aug, BlockSpec(rows, cols))
-        tri = trivariate_detpoly(ahat, reduced)
-        assert tri.eval_t(1, 1) == charpoly(-(ahat.transpose() @ ahat))
-        # every extracted coefficient is rational and nonnegative by
-        # construction (trivariate_detpoly raises otherwise); degrees bound
-        assert tri.lam_degree == m
-        assert tri.t_degrees == (l - 1, l - 1)
+        tensor = trivariate_detpoly(base, BlockSpec(rows, cols))
+        # at t_r = t_c = 1 the polynomial is det(lam I + Abar^T Abar)
+        sums = [sum(c for row in plane for c in row) for plane in tensor.values]
+        assert sums == _e_k(charpoly(aug.transpose() @ aug), m)
+        assert tensor.m == m and tensor.lhat == l - 1
+        assert all(c >= 0 for plane in tensor.values for row in plane for c in row)

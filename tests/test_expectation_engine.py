@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramex.exact_algebra import NonzeroRemainder, UniPoly
 from ramex.exact_linalg import BlockSpec, Matrix
@@ -64,6 +66,30 @@ def test_expected_block_matches_permutation_average():
             assert fixed_plus_random_block_expected(a, block) == (
                 brute_fixed_plus_permutation(a, block)
             )
+
+
+@st.composite
+def _matrix_and_block(draw):
+    m = draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    a = Matrix.from_rows(draw(st.lists(entries, min_size=m, max_size=m)))
+    l = draw(st.integers(0, m))
+    indices = st.lists(st.integers(0, m - 1), min_size=l, max_size=l, unique=True)
+    rows, cols = draw(indices), draw(indices)
+    return a, BlockSpec(tuple(sorted(rows)), tuple(sorted(cols)))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_matrix_and_block())
+@example((Matrix.from_rows([[-2, 1], [3, -1]]), BlockSpec((), ())))
+@example((Matrix.from_rows([[-2, 1], [3, -1]]), BlockSpec((0,), (1,))))
+@example((Matrix.from_rows([[-3, 0, 2], [1, -1, 0], [0, 2, -2]]), BlockSpec((0, 2), (1, 2))))
+def test_expected_block_matches_permutation_average_signed(case):
+    """Signed entries and every block size 0..m, degenerate ones included."""
+    a, block = case
+    assert fixed_plus_random_block_expected(a, block) == brute_fixed_plus_permutation(
+        a, block
+    )
 
 
 def test_add_random_matching_examples():
