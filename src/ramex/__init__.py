@@ -3,8 +3,6 @@
 from .exact_algebra import (
     InvariantViolation,
     NonzeroRemainder,
-    QuadNum,
-    RadicandMismatch,
     Rational,
     UniPoly,
     poly_div_exact,

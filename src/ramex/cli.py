@@ -1,8 +1,9 @@
-"""Command-line front end: build, certify, node-poly, oracle.
+"""Command-line front end: build, certify, verify, node-poly, oracle.
 
 Exit codes are fixed for scripting: 0 = certificate passed, 1 = certificate
-failed, 2 = usage / bad input, 3 = internal invariant violation.  All JSON
-output uses exact "num/den" strings for any value that may be non-integral.
+failed (or, for verify, does not match its graph), 2 = usage / bad input,
+3 = internal invariant violation.  All JSON output uses exact "num/den"
+strings for any value that may be non-integral.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ def cmd_build(args) -> int:
         result = walk(params, jobs=args.jobs, canonical_first=args.canonical_first_matching)
         graph = leaf_graph(result.leaf, params)
         cert = certify(graph)
+        if result.leaf_poly != cert.nontrivial_poly:
+            raise InvariantViolation(
+                "the walk's leaf polynomial differs from the certified nontrivial polynomial"
+            )
     except NoPassingChild as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         _dump_failed_walk(args.out, exc)
@@ -158,18 +163,87 @@ def _dump_failed_walk(out_dir: str, exc: NoPassingChild) -> None:
         pass
 
 
-def cmd_certify(args) -> int:
+def _read_json(path: str, what: str):
     try:
-        with open(args.graph) as fh:
-            data = json.load(fh)
-        graph = multigraph_from_json(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _usage_error(f"cannot read multigraph: {exc}")
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit(_usage_error(f"cannot read {what}: {exc}"))
+
+
+def _certify_file(path: str):
+    """Read a multigraph file strictly and certify it; bad input exits 2."""
     try:
-        cert = certify(graph)
+        graph = multigraph_from_json(_read_json(path, "multigraph"))
+    except ValueError as exc:
+        raise SystemExit(_usage_error(f"cannot read multigraph: {exc}"))
+    try:
+        return certify(graph)
     except NotRegular as exc:
-        return _usage_error(str(exc))
+        raise SystemExit(_usage_error(str(exc)))
+
+
+def cmd_certify(args) -> int:
+    cert = _certify_file(args.graph)
     print(json.dumps(certificate_to_json(cert), indent=2))
+    return EXIT_PASS if cert.passed else EXIT_FAIL
+
+
+_ABSENT = object()  # a key or list item that one side lacks
+
+
+def _first_mismatch(expected, found, path: str = ""):
+    """(path, expected, found) at the first difference, or None.
+
+    Objects compare their expected keys in order, then any extra keys;
+    lists compare item by item.  Scalars must agree in type as well as
+    value, so true never matches 1.
+    """
+    if isinstance(expected, dict) and isinstance(found, dict):
+        keys = list(expected) + [k for k in found if k not in expected]
+        items = [
+            (f"{path}.{k}" if path else k, expected.get(k, _ABSENT), found.get(k, _ABSENT))
+            for k in keys
+        ]
+    elif isinstance(expected, list) and isinstance(found, list):
+        items = [
+            (
+                f"{path}[{i}]",
+                expected[i] if i < len(expected) else _ABSENT,
+                found[i] if i < len(found) else _ABSENT,
+            )
+            for i in range(max(len(expected), len(found)))
+        ]
+    elif type(expected) is type(found) and expected == found:
+        return None
+    else:
+        return path, expected, found
+    for sub, want, got in items:
+        hit = _first_mismatch(want, got, sub)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _show(value) -> str:
+    return "nothing" if value is _ABSENT else json.dumps(value)
+
+
+def cmd_verify(args) -> int:
+    cert = _certify_file(args.graph)
+    found = _read_json(args.certificate, "certificate")
+    if not isinstance(found, dict):
+        return _usage_error("certificate must be a JSON object")
+    hit = _first_mismatch(certificate_to_json(cert), found)
+    if hit is not None:
+        path, want, got = hit
+        print(
+            f"mismatch at {path}: expected {_show(want)}, found {_show(got)}",
+            file=sys.stderr,
+        )
+        return EXIT_FAIL
+    status = "passed" if cert.passed else "FAILED"
+    print(f"certificate matches {args.graph}: {status} (q={cert.bound_q})")
     return EXIT_PASS if cert.passed else EXIT_FAIL
 
 
@@ -235,6 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certify a multigraph JSON file")
     p_cert.add_argument("graph", help="path to multigraph JSON")
     p_cert.set_defaults(func=cmd_certify)
+
+    p_ver = sub.add_parser(
+        "verify", help="recompute a multigraph's certificate and compare it with a file"
+    )
+    p_ver.add_argument("graph", help="path to multigraph JSON")
+    p_ver.add_argument("certificate", help="path to certificate JSON")
+    p_ver.set_defaults(func=cmd_verify)
 
     p_np = sub.add_parser("node-poly", help="print a node's exact polynomial")
     p_np.add_argument("node", help="node JSON (inline or a file path)")

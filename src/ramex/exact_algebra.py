@@ -1,10 +1,13 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``) and
-quadratic-field numbers a + b*sqrt(m) with rational a, b over a fixed
-nonnegative integer radicand m.  Polynomials are dense and univariate over
-either scalar kind.  Nothing here ever rounds; every operation is exact,
-and exactness is what makes the root tests downstream trustworthy.
+Scalars are Python ints and arbitrary-precision rationals
+(``fractions.Fraction``); polynomials are dense and univariate over them.
+The one irrational number the pipeline meets, sqrt(q) with q = 4(d-1), is
+carried as a pair (a, b) of rationals denoting a + b*sqrt(q): the shift
+p(x + sqrt(q)) is computed as such pairs on integers, and their signs are
+decided by integer comparison.  Nothing here ever rounds; every operation
+is exact, and exactness is what makes the root tests downstream
+trustworthy.
 
 Rationals serialize as decimal strings "numerator/denominator", with the
 denominator omitted when it is 1 (this is exactly ``str(Fraction)``).
@@ -18,11 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 Rational = Fraction
-Scalar = Union[int, Fraction, "QuadNum"]
-
-
-class RadicandMismatch(ValueError):
-    """Combining quadratic numbers over incompatible radicands."""
+Scalar = Union[int, Fraction]
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -44,161 +43,24 @@ def rational_from_str(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _split_square(m: int) -> tuple[int, int]:
-    """Write m = s**2 * core with core squarefree; return (s, core)."""
-    if m <= 1:
-        return 1, m
-    s, core, rem, p = 1, 1, m, 2
-    while p * p <= rem:
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            s *= p ** (e // 2)
-            core *= p ** (e % 2)
-        p += 1 if p == 2 else 2
-    return s, core * rem
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class QuadNum:
-    """An exact number a + b*sqrt(m), a and b rational, m a fixed integer >= 0.
-
-    The radicand is not required to be squarefree.  Values whose sqrt part
-    is actually rational (b = 0, or m a perfect square) compare and hash
-    equal to the rational they denote, so e.g. QuadNum(0, 1, 4) == 2.
-    """
-
-    a: Fraction
-    b: Fraction
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.m < 0:
-            raise ValueError("radicand must be nonnegative")
-
-    def _canonical(self):
-        """Fraction if the value is rational, else (a, b*s, core) with core squarefree."""
-        if self.b == 0 or self.m == 0:
-            return self.a
-        s, core = _split_square(self.m)
-        if core == 1:
-            return self.a + self.b * s
-        return (self.a, self.b * s, core)
-
-    def rational_value(self) -> Fraction | None:
-        """The value as a Fraction when it is rational, else None."""
-        c = self._canonical()
-        return c if isinstance(c, Fraction) else None
-
-    def __bool__(self) -> bool:
-        c = self._canonical()
-        return c != 0 if isinstance(c, Fraction) else True
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QuadNum):
-            return self._canonical() == other._canonical()
-        if isinstance(other, (int, Fraction)):
-            return self._canonical() == Fraction(other)
-        return NotImplemented
-
-    def __hash__(self):
-        c = self._canonical()
-        return hash(c)
-
-    def _align(self, other: "QuadNum") -> tuple["QuadNum", "QuadNum"]:
-        if self.m == other.m:
-            return self, other
-        if other.b == 0:
-            return self, QuadNum(other.a, 0, self.m)
-        if self.b == 0:
-            return QuadNum(self.a, 0, other.m), other
-        raise RadicandMismatch(f"cannot combine sqrt({self.m}) with sqrt({other.m})")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(self.a + other, self.b, self.m)
-        if isinstance(other, QuadNum):
-            x, y = self._align(other)
-            return QuadNum(x.a + y.a, x.b + y.b, x.m)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadNum(-self.a, -self.b, self.m)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QuadNum)):
-            return self + (-other if isinstance(other, QuadNum) else -Fraction(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(self.a * other, self.b * other, self.m)
-        if isinstance(other, QuadNum):
-            x, y = self._align(other)
-            return QuadNum(x.a * y.a + x.b * y.b * x.m, x.a * y.b + x.b * y.a, x.m)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadNum(self.a / other, self.b / other, self.m)
-        if isinstance(other, QuadNum):
-            r = other.rational_value()
-            if r is not None:
-                return QuadNum(self.a / r, self.b / r, self.m)
-            x, y = self._align(other)
-            denom = y.a * y.a - y.b * y.b * y.m  # nonzero: sqrt(m) irrational here
-            return (x * QuadNum(y.a, -y.b, y.m)) / denom
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers not supported")
-        out = QuadNum(1, 0, self.m)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def __str__(self):
-        return f"{self.a} + {self.b}*sqrt({self.m})"
-
-
-def quad_sign(v: Scalar) -> int:
-    """Exact sign of a + b*sqrt(m): -1, 0 or +1, via integer arithmetic only.
+def quad_sign(a, b, q: int) -> int:
+    """Exact sign of a + b*sqrt(q) for rational a, b and integer q >= 0.
 
     Same-sign a and b are immediate; opposite signs are resolved by
-    comparing a**2 against b**2 * m (squaring the inequality a >= -b*sqrt(m)
+    comparing a**2 against b**2 * q (squaring the inequality a >= -b*sqrt(q)
     is valid because both sides are then nonnegative).  Correct whether or
-    not m is a perfect square.
+    not q is a perfect square.
     """
-    if isinstance(v, (int, Fraction)):
-        return _sign(v)
-    a, b, m = v.a, v.b, v.m
-    if b == 0 or m == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    sa, sb = _sign(a), _sign(b)
-    if sa == sb:
-        return sa
+    sa = _sign(a)
+    sb = _sign(b) if q else 0
+    if sa == 0 or sb == 0 or sa == sb:
+        return sa or sb
     lhs = a * a
-    rhs = b * b * m
+    rhs = b * b * q
     if lhs == rhs:
         return 0
     return sa if lhs > rhs else sb
@@ -209,8 +71,7 @@ class UniPoly:
     """Dense univariate polynomial; coeffs[i] belongs to x**i.
 
     The zero polynomial is the empty tuple; otherwise the trailing
-    coefficient is nonzero.  Coefficients may be ints, Fractions or
-    QuadNums sharing one radicand.
+    coefficient is nonzero.  Coefficients are ints or Fractions.
     """
 
     coeffs: tuple = ()
@@ -286,7 +147,7 @@ class UniPoly:
         return UniPoly(tuple(other * c for c in self.coeffs))
 
     def evaluate(self, point):
-        """Exact Horner evaluation at a rational or quadratic point."""
+        """Exact Horner evaluation at an integer or rational point."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -308,30 +169,33 @@ class UniPoly:
         return " + ".join(parts)
 
 
-def poly_shift_by_sqrt(p: UniPoly, q: int) -> UniPoly:
-    """Return p(x + sqrt(q)) with coefficients in Q[sqrt(q)].
+def poly_shift_by_sqrt(p: UniPoly, q: int) -> tuple:
+    """Return p(x + sqrt(q)) as pairs (a_j, b_j) with
+    p(x + sqrt(q)) = sum_j (a_j + b_j sqrt(q)) x**j, a_j and b_j rational.
 
-    Binomial expansion: the x**j coefficient is
-    sum_{i >= j} C(i, j) * p_i * sqrt(q)**(i - j).
+    Binomial expansion splits by the parity of i - j:
+    a_j = sum_{i-j even} C(i, j) p_i q**((i-j)/2) and
+    b_j = sum_{i-j odd} C(i, j) p_i q**((i-j-1)/2).  The sums run on
+    integers after clearing p's common denominator once.  At q = 0 every
+    b_j is 0 and a_j = p_j.
     """
-    if q <= 0:
-        raise ValueError("q must be a positive integer")
+    if q < 0:
+        raise ValueError("q must be a nonnegative integer")
     if p.is_zero:
         raise ValueError("p must be nonzero")
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     deg = p.degree
-    root = QuadNum(0, 1, q)
-    powers = [QuadNum(1, 0, q)]
-    for _ in range(deg):
-        powers.append(powers[-1] * root)
-    out = []
-    for j in range(deg + 1):
-        acc = QuadNum(0, 0, q)
-        for i in range(j, deg + 1):
-            c = p.coeffs[i]
-            if c:
-                acc = acc + powers[i - j] * (math.comb(i, j) * Fraction(c))
-        out.append(acc)
-    return UniPoly(tuple(out))
+    q_pow = [q**k for k in range(deg // 2 + 1)]
+
+    def part(j: int, start: int) -> Fraction:
+        # i - j has the parity of start - j; (i - j) // 2 is the power of q
+        total = sum(
+            math.comb(i, j) * ints[i] * q_pow[(i - j) // 2] for i in range(start, deg + 1, 2)
+        )
+        return Fraction(total, den)
+
+    return tuple((part(j, j), part(j, j + 1) if q else Fraction(0)) for j in range(deg + 1))
 
 
 def poly_substitute_square(p: UniPoly) -> UniPoly:

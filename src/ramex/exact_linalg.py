@@ -136,8 +136,8 @@ class BlockSpec:
 def charpoly(matrix: Matrix) -> UniPoly:
     """det(xI - M) by the division-free Berkowitz algorithm; exact, monic.
 
-    Works over any exact commutative ring (here: ints, Fractions,
-    QuadNums), which is why a division-free method is used.
+    Works over any exact commutative ring (here: ints and Fractions); being
+    division-free, it keeps integer matrices on Python ints throughout.
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")

@@ -2,11 +2,13 @@
 
 The walk starts at the root, evaluates every child's polynomial, and
 descends into the first child (ascending partner order) whose max root is
-at most sqrt(q) with q = 4(d-1), tested exactly over Q[sqrt(q)].  At a
-leaf the matchings combine into a d-regular bipartite multigraph whose
-nontrivial spectrum is certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]:
-bipartite spectra are symmetric about zero, so bounding the max root
-bounds the min root as well.
+at most sqrt(q) with q = 4(d-1), tested exactly on the rational pairs
+(a, b) of the shifted coefficients a + b sqrt(q).  At a leaf the matchings
+combine into a d-regular bipartite multigraph whose nontrivial spectrum is
+certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
+symmetric about zero, so bounding the max root bounds the min root as
+well.  The adjacency polynomial comes from the m x m Gram of the
+multiplicity matrix, not the n x n adjacency.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from fractions import Fraction
 from .exact_algebra import (
     InvariantViolation,
     NonzeroRemainder,
-    QuadNum,
     UniPoly,
     poly_div_exact,
     poly_shift_by_sqrt,
+    poly_substitute_square,
     quad_sign,
 )
 from .exact_linalg import Matrix, charpoly
@@ -52,19 +54,12 @@ class NoPassingChild(RuntimeError):
 def max_root_leq_sqrt(p: UniPoly, q: int) -> bool:
     """Exact test whether the max root of real-rooted p is <= sqrt(q).
 
-    Shifts to p(x + sqrt(q)) over Q[sqrt(q)]; nonpositive roots of the
-    shifted polynomial are equivalent to all its coefficients being
-    nonnegative, decided by exact quadratic signs.  q = 0 degenerates to
-    testing p's own coefficients.
+    Shifts to p(x + sqrt(q)), whose coefficients are pairs a + b sqrt(q);
+    nonpositive roots of the shifted polynomial are equivalent to all its
+    coefficients being nonnegative, decided by exact signs of the pairs.
+    q = 0 degenerates to testing p's own coefficients.
     """
-    if p.is_zero:
-        raise ValueError("p must be nonzero")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    if q == 0:
-        return all(quad_sign(c) >= 0 for c in p.coeffs)
-    shifted = poly_shift_by_sqrt(p, q)
-    return all(quad_sign(c) >= 0 for c in shifted.coeffs)
+    return all(quad_sign(a, b, q) >= 0 for a, b in poly_shift_by_sqrt(p, q))
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class Certificate:
     bound_q: int
     adjacency_charpoly: UniPoly
     nontrivial_poly: UniPoly | None
-    shifted_coeffs: tuple  # QuadNum coefficients of nontrivial(x + sqrt(q))
+    shifted_coeffs: tuple  # pairs (a, b): nontrivial(x + sqrt(q)) = sum (a + b sqrt(q)) x^j
     shifted_nonneg: tuple  # per-coefficient sign transcript
     passed: bool
     reason: str | None = None
@@ -84,11 +79,13 @@ class Certificate:
 def certify(graph: Multigraph) -> Certificate:
     """Certify a d-regular bipartite multigraph exactly.
 
-    Builds the n x n adjacency, takes its exact characteristic polynomial,
-    divides out the trivial factor x^2 - d^2 once, and runs the sqrt-q
-    root test with q = 4(d-1).  A non-dividing trivial factor (extra +/- d
-    eigenvalue pairs that x^2 - d^2 cannot absorb) is reported as a failed
-    certificate rather than an error.
+    With B the multiplicity matrix, the adjacency is [[0, B], [B^T, 0]], so
+    det(xI - A) = det(x^2 I - B^T B): the exact characteristic polynomial
+    of the m x m Gram, with y -> x^2.  The trivial factor x^2 - d^2 is
+    divided out once, and the sqrt-q root test runs with q = 4(d-1).  A
+    non-dividing trivial factor (extra +/- d eigenvalue pairs that
+    x^2 - d^2 cannot absorb) is reported as a failed certificate rather
+    than an error.
     """
     params = graph.params
     m, d = params.m, params.d
@@ -101,13 +98,8 @@ def certify(graph: Multigraph) -> Certificate:
         if colsum != d:
             raise NotRegular(f"right vertex {j + 1} has degree {colsum} != {d}")
 
-    n = params.n
-    adj = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            adj[i][m + j] = mult[i][j]
-            adj[m + j][i] = mult[i][j]
-    adj_poly = charpoly(Matrix.from_rows(adj))
+    half = Matrix.from_rows(mult)
+    adj_poly = poly_substitute_square(charpoly(half.transpose() @ half))
     q = 4 * (d - 1)
     try:
         nontrivial = poly_div_exact(
@@ -124,11 +116,8 @@ def certify(graph: Multigraph) -> Certificate:
             passed=False,
             reason="trivial factor x^2 - d^2 does not divide the adjacency polynomial",
         )
-    if q == 0:
-        shifted = tuple(QuadNum(Fraction(c), 0, 0) for c in nontrivial.coeffs)
-    else:
-        shifted = poly_shift_by_sqrt(nontrivial, q).coeffs
-    signs = tuple(quad_sign(c) >= 0 for c in shifted)
+    shifted = poly_shift_by_sqrt(nontrivial, q)
+    signs = tuple(quad_sign(a, b, q) >= 0 for a, b in shifted)
     return Certificate(
         graph=graph,
         bound_q=q,
@@ -261,7 +250,7 @@ def certificate_to_json(cert: Certificate) -> dict:
             else None
         ),
         "shifted_coeffs": [
-            {"a": str(c.a), "b": str(c.b)} for c in cert.shifted_coeffs
+            {"a": str(a), "b": str(b)} for a, b in cert.shifted_coeffs
         ],
         "passed": cert.passed,
     }

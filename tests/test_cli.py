@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, JSON files."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import ramex
+from ramex import cli
 from ramex.cli import main
+from ramex.exact_algebra import UniPoly
 
 
 def run(capsys, *argv):
@@ -123,6 +126,100 @@ def test_certify_irregular_graph(tmp_path, capsys):
     code, _, stderr = run(capsys, "certify", str(path))
     assert code == 2
     assert "degree" in stderr
+
+
+@pytest.fixture(scope="module")
+def built_6_3(tmp_path_factory):
+    out = tmp_path_factory.mktemp("built_6_3")
+    assert main(["build", "--n", "6", "--d", "3", "--out", str(out)]) == 0
+    return out
+
+
+def test_verify_build_output(built_6_3, capsys):
+    code, stdout, stderr = run(
+        capsys, "verify", str(built_6_3 / "graph.json"), str(built_6_3 / "certificate.json")
+    )
+    assert code == 0, stderr
+    assert "matches" in stdout and "passed" in stdout
+
+
+def _tamper_b(cert):
+    cert["shifted_coeffs"][3]["b"] = "1/2"
+
+
+def _flip_passed(cert):
+    cert["passed"] = not cert["passed"]
+
+
+def _add_key(cert):
+    cert["note"] = "hand-edited"
+
+
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        (_tamper_b, "shifted_coeffs[3].b"),
+        (_flip_passed, "passed"),
+        (_add_key, "note"),
+    ],
+)
+def test_verify_names_first_mismatch(built_6_3, tmp_path, capsys, tamper, field):
+    cert = json.loads((built_6_3 / "certificate.json").read_text())
+    tamper(cert)
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(cert))
+    code, stdout, stderr = run(capsys, "verify", str(built_6_3 / "graph.json"), str(path))
+    assert code == 1
+    assert stdout == ""
+    assert f"mismatch at {field}:" in stderr
+
+
+def test_verify_matching_failed_certificate(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": [[3, 0], [0, 3]]}))
+    code, stdout, _ = run(capsys, "certify", str(graph))
+    assert code == 1
+    cert = tmp_path / "certificate.json"
+    cert.write_text(stdout)
+    code, stdout, stderr = run(capsys, "verify", str(graph), str(cert))
+    assert code == 1
+    assert "mismatch" not in stderr
+    assert "FAILED" in stdout
+
+
+def test_verify_rejects_malformed_input(built_6_3, tmp_path, capsys):
+    graph = str(built_6_3 / "graph.json")
+    listed = tmp_path / "list.json"
+    listed.write_text("[]")
+    code, _, stderr = run(capsys, "verify", graph, str(listed))
+    assert code == 2
+    assert "JSON object" in stderr
+    code, _, stderr = run(capsys, "verify", graph, str(tmp_path / "absent.json"))
+    assert code == 2
+    assert "cannot read certificate" in stderr
+    irregular = tmp_path / "irr.json"
+    irregular.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": [[2, 1], [2, 1]]}))
+    code, _, stderr = run(
+        capsys, "verify", str(irregular), str(built_6_3 / "certificate.json")
+    )
+    assert code == 2
+    assert "degree" in stderr
+
+
+def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypatch):
+    real = cli.certify
+
+    def skewed(graph):
+        cert = real(graph)
+        return dataclasses.replace(
+            cert, nontrivial_poly=cert.nontrivial_poly + UniPoly((1,))
+        )
+
+    monkeypatch.setattr(cli, "certify", skewed)
+    code, _, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    assert code == 3
+    assert "leaf polynomial" in stderr
+    assert not (tmp_path / "graph.json").exists()
 
 
 def test_node_poly_root(capsys):

@@ -8,8 +8,6 @@ import pytest
 
 from ramex.exact_algebra import (
     NonzeroRemainder,
-    QuadNum,
-    RadicandMismatch,
     UniPoly,
     poly_div_exact,
     poly_shift_by_sqrt,
@@ -21,24 +19,24 @@ from ramex.exact_algebra import (
 
 
 def test_quad_sign_opposite_sign_examples():
-    assert quad_sign(QuadNum(3, -2, 2)) == 1  # 9 > 8
-    assert quad_sign(QuadNum(1, -1, 1)) == 0  # sqrt(1) = 1
-    assert quad_sign(QuadNum(-2, 1, 3)) == -1  # sqrt(3) < 2
+    assert quad_sign(3, -2, 2) == 1  # 9 > 8
+    assert quad_sign(1, -1, 1) == 0  # sqrt(1) = 1
+    assert quad_sign(-2, 1, 3) == -1  # sqrt(3) < 2
 
 
 def test_quad_sign_easy_cases():
-    assert quad_sign(QuadNum(1, 2, 5)) == 1
-    assert quad_sign(QuadNum(-1, -2, 5)) == -1
-    assert quad_sign(QuadNum(0, 0, 7)) == 0
-    assert quad_sign(QuadNum(Fraction(3, 2), 0, 7)) == 1
-    assert quad_sign(QuadNum(0, -1, 7)) == -1
-    assert quad_sign(QuadNum(-5, 3, 0)) == -1  # sqrt(0) contributes nothing
-    assert quad_sign(Fraction(-2, 3)) == -1
-    assert quad_sign(0) == 0
+    assert quad_sign(1, 2, 5) == 1
+    assert quad_sign(-1, -2, 5) == -1
+    assert quad_sign(0, 0, 7) == 0
+    assert quad_sign(Fraction(3, 2), 0, 7) == 1
+    assert quad_sign(0, -1, 7) == -1
+    assert quad_sign(-5, 3, 0) == -1  # sqrt(0) contributes nothing
+    assert quad_sign(Fraction(-2, 3), 0, 0) == -1
+    assert quad_sign(0, 0, 0) == 0
 
 
 def test_quad_sign_against_high_precision_float():
-    """1000 random quadratic numbers; mpmath at 50 digits as a sanity
+    """1000 random pairs a + b sqrt(m); mpmath at 50 digits as a sanity
     witness (the exact path is authoritative, so near-zero values where
     the witness cannot resolve the sign are skipped)."""
     rng = random.Random(20240831)
@@ -48,68 +46,41 @@ def test_quad_sign_against_high_precision_float():
         a = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
         b = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
         m = rng.randint(0, 40)
-        v = QuadNum(a, b, m)
         witness = mpmath.mpf(a.numerator) / a.denominator + (
             mpmath.mpf(b.numerator) / b.denominator
         ) * mpmath.sqrt(m)
         if abs(witness) < mpmath.mpf("1e-30"):
-            assert quad_sign(v) == 0
+            assert quad_sign(a, b, m) == 0
             continue
-        assert quad_sign(v) == (1 if witness > 0 else -1)
+        assert quad_sign(a, b, m) == (1 if witness > 0 else -1)
         checked += 1
     assert checked > 900
 
 
-def test_quadnum_ring_arithmetic():
-    one_plus = QuadNum(1, 1, 2)
-    one_minus = QuadNum(1, -1, 2)
-    assert one_plus * one_minus == -1
-    assert one_plus + one_minus == 2
-    assert (one_plus - one_minus) == QuadNum(0, 2, 2)
-    # division round-trips
-    x = QuadNum(Fraction(3, 4), Fraction(-2, 5), 3)
-    y = QuadNum(Fraction(1, 2), Fraction(7, 3), 3)
-    assert (x / y) * y == x
-    # dividing by a perfect-square radicand value that the conjugate trick
-    # cannot handle: 2 + sqrt(4) == 4
-    z = QuadNum(2, 1, 4)
-    assert z == 4
-    assert QuadNum(1, 0, 4) / z == Fraction(1, 4)
-
-
-def test_quadnum_radicand_rules():
-    with pytest.raises(RadicandMismatch):
-        QuadNum(1, 1, 2) * QuadNum(1, 1, 3)
-    # pure rationals combine with anything
-    assert QuadNum(2, 0, 5) + QuadNum(1, 1, 3) == QuadNum(3, 1, 3)
-    assert QuadNum(0, 2, 9) == 6  # perfect square folds
-
-
-def test_quadnum_negative_radicand_rejected():
-    with pytest.raises(ValueError):
-        QuadNum(1, 1, -1)
-
-
 def test_poly_shift_by_sqrt_examples():
+    # (x + sqrt(2))^2 - 2 = x^2 + 2 sqrt(2) x
     sh = poly_shift_by_sqrt(UniPoly((Fraction(-2), 0, Fraction(1))), 2)
-    assert sh.coeffs == (QuadNum(0, 0, 2), QuadNum(0, 2, 2), QuadNum(1, 0, 2))
+    assert sh == ((0, 0), (0, 2), (1, 0))
 
     sh = poly_shift_by_sqrt(UniPoly((0, Fraction(1))), 4)
-    assert sh.coeffs[0] == 2  # sign logic must treat sqrt(4) as 2
-    assert quad_sign(sh.coeffs[0]) == 1
+    assert sh[0] == (0, 1)  # sqrt(4) is kept as b = 1, not folded into a
+    assert quad_sign(*sh[0], 4) == 1
 
+    # (x + sqrt(3))^3 = x^3 + 3 sqrt(3) x^2 + 9 x + 3 sqrt(3)
     sh = poly_shift_by_sqrt(UniPoly((0, 0, 0, Fraction(1))), 3)
-    assert sh.coeffs == (
-        QuadNum(0, 3, 3),
-        QuadNum(9, 0, 3),
-        QuadNum(0, 3, 3),
-        QuadNum(1, 0, 3),
-    )
+    assert sh == ((0, 3), (9, 0), (0, 3), (1, 0))
+    assert all(isinstance(c, Fraction) for pair in sh for c in pair)
+
+
+def _mp(value: Fraction):
+    return mpmath.mpf(value.numerator) / value.denominator
 
 
 def test_poly_shift_evaluation_property():
-    """p(x + sqrt(q)) evaluated at r - sqrt(q) recovers p(r)."""
+    """A(x) + sqrt(q) B(x), from the pairs, equals p(x + sqrt(q)) at
+    rational points, checked at 60 digits."""
     rng = random.Random(7)
+    mpmath.mp.dps = 60
     for _ in range(40):
         deg = rng.randint(1, 6)
         coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg))
@@ -117,14 +88,49 @@ def test_poly_shift_evaluation_property():
         q = rng.randint(1, 12)
         r = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         shifted = poly_shift_by_sqrt(p, q)
-        assert shifted.evaluate(QuadNum(r, -1, q)) == p.evaluate(r)
+        assert len(shifted) == p.degree + 1
+        root = mpmath.sqrt(q)
+        lhs = sum((_mp(a) + root * _mp(b)) * _mp(r) ** j for j, (a, b) in enumerate(shifted))
+        rhs = sum(_mp(c) * (_mp(r) + root) ** i for i, c in enumerate(p.coeffs))
+        assert abs(lhs - rhs) <= mpmath.mpf("1e-50") * (1 + abs(rhs)), (p, q, r)
+
+
+def _taylor_shift(p: UniPoly, s: int) -> UniPoly:
+    """p(x + s) by composing with the linear polynomial x + s."""
+    out = UniPoly()
+    power = UniPoly((1,))
+    for c in p.coeffs:
+        out = out + c * power
+        power = power * UniPoly((s, 1))
+    return out
+
+
+def test_poly_shift_perfect_square_matches_rational_taylor_shift():
+    """For q = s^2 the pairs fold to the rational shift: a_j + s b_j is
+    the x**j coefficient of p(x + s)."""
+    rng = random.Random(17)
+    for _ in range(40):
+        deg = rng.randint(0, 8)
+        p = UniPoly(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg))
+            + (Fraction(rng.randint(1, 4), rng.randint(1, 3)),)
+        )
+        s = rng.randint(1, 6)
+        folded = UniPoly(tuple(a + s * b for a, b in poly_shift_by_sqrt(p, s * s)))
+        assert folded == _taylor_shift(p, s), (p, s)
 
 
 def test_poly_shift_rejects_bad_input():
     with pytest.raises(ValueError):
         poly_shift_by_sqrt(UniPoly(), 2)
     with pytest.raises(ValueError):
-        poly_shift_by_sqrt(UniPoly((1,)), 0)
+        poly_shift_by_sqrt(UniPoly((1,)), -1)
+    # q = 0 is the trivial shift: a_j = p_j, b_j = 0
+    assert poly_shift_by_sqrt(UniPoly((Fraction(-1, 2), 3, 1)), 0) == (
+        (Fraction(-1, 2), 0),
+        (3, 0),
+        (1, 0),
+    )
 
 
 def test_poly_substitute_square_examples():

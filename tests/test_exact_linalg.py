@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramex.exact_algebra import QuadNum, UniPoly
+from ramex.exact_algebra import UniPoly
 from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
 
 
@@ -56,13 +56,6 @@ def test_charpoly_matches_minor_sums_on_random_matrices():
 def test_charpoly_requires_square():
     with pytest.raises(ValueError):
         charpoly(Matrix.zeros(2, 3))
-
-
-def test_charpoly_over_quadratic_entries():
-    root2 = QuadNum(0, 1, 2)
-    mat = Matrix.from_rows([[root2, QuadNum(1, 0, 2)], [QuadNum(1, 0, 2), -root2]])
-    # eigenvalues +-sqrt(3): x^2 - (trace)x + det = x^2 + (-2 - 1) = x^2 - 3
-    assert charpoly(mat) == UniPoly((-3, 0, 1))
 
 
 def _e_k(poly: UniPoly, m: int) -> list:

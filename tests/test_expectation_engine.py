@@ -18,7 +18,12 @@ from ramex.expectation_engine import (
     node_polynomial_debug,
 )
 from ramex.matching_family import NodeState, Params, children
-from ramex.oracle import _det_xid_minus, brute_fixed_plus_permutation
+from ramex.oracle import (
+    TooLarge,
+    _det_xid_minus,
+    brute_expected_charpoly,
+    brute_fixed_plus_permutation,
+)
 
 
 def test_g_weight_examples():
@@ -79,7 +84,7 @@ def _matrix_and_block(draw):
     return a, BlockSpec(tuple(sorted(rows)), tuple(sorted(cols)))
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_matrix_and_block())
 @example((Matrix.from_rows([[-2, 1], [3, -1]]), BlockSpec((), ())))
 @example((Matrix.from_rows([[-2, 1], [3, -1]]), BlockSpec((0,), (1,))))
@@ -90,6 +95,36 @@ def test_expected_block_matches_permutation_average_signed(case):
     assert fixed_plus_random_block_expected(a, block) == brute_fixed_plus_permutation(
         a, block
     )
+
+
+@st.composite
+def _valid_node(draw):
+    m = draw(st.sampled_from((2, 3, 4)))
+    d = draw(st.sampled_from((2, 3, 4)))
+    complete = draw(st.lists(st.permutations(range(m)), max_size=d))
+    partial = None
+    if len(complete) < d and draw(st.booleans()):
+        t = draw(st.integers(1, m - 1))
+        partial = draw(st.permutations(range(m)))[:t]
+    return Params(2 * m, d), NodeState(tuple(complete), partial)
+
+
+@settings(max_examples=250)
+@given(_valid_node())
+@example((Params(4, 3), NodeState()))
+@example((Params(6, 2), NodeState(((0, 1, 2),), (1,))))
+@example((Params(8, 4), NodeState(((3, 2, 1, 0), (0, 1, 2, 3)), (2, 0, 3))))
+def test_node_polynomial_matches_oracle_on_random_nodes(case):
+    """Engine vs exhaustive enumeration on random valid nodes, n <= 8;
+    nodes with more completions than the cap are skipped."""
+    params, node = case
+    node.validate(params)
+    try:
+        brute = brute_expected_charpoly(node, params, cap=300)
+    except TooLarge:
+        return
+    trivial = UniPoly((-(params.d**2), 0, 1))
+    assert node_polynomial(node, params).poly * trivial == brute
 
 
 def test_add_random_matching_examples():

@@ -7,6 +7,7 @@ import pytest
 
 from ramex.exact_algebra import UniPoly
 from ramex.matching_family import Multigraph, NodeState, Params, leaf_graph
+from ramex.oracle import _adjacency, _det_xid_minus
 from ramex.ramanujan_walk import (
     Certificate,
     NoPassingChild,
@@ -122,6 +123,29 @@ def test_certify_rejects_irregular():
         certify(Multigraph(Params(4, 3), ((2, 1), (2, 1))))
     with pytest.raises(NotRegular):
         certify(Multigraph(Params(4, 3), ((3, 0), (1, 2))))
+
+
+def _random_regular(rng, m: int, d: int) -> tuple:
+    """Multiplicity matrix of a union of d uniformly random perfect matchings."""
+    mult = [[0] * m for _ in range(m)]
+    for _ in range(d):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            mult[i][j] += 1
+    return tuple(tuple(row) for row in mult)
+
+
+def test_certify_charpoly_matches_adjacency_cofactor():
+    """det(x^2 I - B^T B) from the m x m Gram equals det(xI - A) of the
+    full 2m x 2m adjacency by the oracle's cofactor expansion, which
+    shares no code with Berkowitz; n runs up to 16."""
+    rng = random.Random(2026)
+    for m in list(range(1, 9)) * 3:
+        d = rng.randint(1, 5)
+        mult = _random_regular(rng, m, d)
+        cert = certify(Multigraph(Params(2 * m, d), mult))
+        assert cert.adjacency_charpoly == UniPoly(tuple(_det_xid_minus(_adjacency(mult, m)))), mult
 
 
 def test_certificate_consistency_invariant():
