@@ -3,7 +3,6 @@
 from .exact_algebra import (
     InvariantViolation,
     NonzeroRemainder,
-    Rational,
     UniPoly,
     poly_div_exact,
     poly_shift_by_sqrt,
@@ -19,7 +18,6 @@ from .exact_linalg import (
     trivariate_detpoly,
 )
 from .expectation_engine import (
-    NodePoly,
     add_random_matching,
     fixed_plus_random_block_expected,
     g_weight,
@@ -41,7 +39,6 @@ from .ramanujan_walk import (
     NoPassingChild,
     NotRegular,
     certify,
-    find_leaf,
     max_root_leq_sqrt,
     walk,
 )

@@ -14,13 +14,13 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
-from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly
-from .exact_linalg import RationalityViolation
-from .expectation_engine import node_polynomial_debug
+from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly, rational_to_str
+from .exact_linalg import RationalityViolation, trivariate_detpoly
+from .expectation_engine import node_polynomial
 from .matching_family import (
     Params,
+    half_adjacency,
     leaf_graph,
     multigraph_from_json,
     multigraph_to_json,
@@ -43,11 +43,11 @@ EXIT_INTERNAL = 3
 
 
 def _poly_strings(poly: UniPoly) -> list[str]:
-    return [str(Fraction(c)) for c in poly.coeffs]
+    return [rational_to_str(c) for c in poly.coeffs]
 
 
 def _poly_sha256(poly: UniPoly) -> str:
-    blob = ",".join(str(Fraction(c)) for c in poly.coeffs).encode()
+    blob = ",".join(_poly_strings(poly)).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -72,8 +72,7 @@ def _usage_error(message: str) -> int:
 def _read_node_argument(text: str):
     """A node argument is inline JSON, or a path to a JSON file."""
     if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+        return _read_json(text, "node")
     return json.loads(text)
 
 
@@ -81,6 +80,10 @@ def cmd_build(args) -> int:
     params = _load_params(args)
     if args.jobs < 1:
         return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _usage_error(f"cannot create output directory: {exc}")
     started = time.monotonic()
     try:
         result = walk(params, jobs=args.jobs, canonical_first=args.canonical_first_matching)
@@ -99,7 +102,6 @@ def cmd_build(args) -> int:
         return EXIT_INTERNAL
     elapsed = time.monotonic() - started
 
-    os.makedirs(args.out, exist_ok=True)
     graph_path = os.path.join(args.out, "graph.json")
     cert_path = os.path.join(args.out, "certificate.json")
     _write_json(graph_path, multigraph_to_json(graph))
@@ -149,7 +151,6 @@ def _transcript_json(result, cert, args, elapsed: float) -> dict:
 
 def _dump_failed_walk(out_dir: str, exc: NoPassingChild) -> None:
     try:
-        os.makedirs(out_dir, exist_ok=True)
         data = {
             "error": str(exc),
             "node": node_to_json(exc.node) if exc.node is not None else None,
@@ -254,18 +255,16 @@ def cmd_node_poly(args) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         return _usage_error(f"malformed node: {exc}")
     try:
-        npoly, tensor = node_polynomial_debug(node, params)
+        poly = node_polynomial(node, params)
+        tensor = trivariate_detpoly(*half_adjacency(node, params)) if args.ctensor else None
     except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.ctensor:
-        payload = {
-            "node_poly": _poly_strings(npoly.poly),
-            "ctensor": tensor.to_json() if tensor is not None else None,
-        }
+        payload = {"node_poly": _poly_strings(poly), "ctensor": tensor.to_json()}
         print(json.dumps(payload, indent=2))
     else:
-        print(json.dumps(_poly_strings(npoly.poly)))
+        print(json.dumps(_poly_strings(poly)))
     return EXIT_PASS
 
 

@@ -10,7 +10,8 @@ is exact, and exactness is what makes the root tests downstream
 trustworthy.
 
 Rationals serialize as decimal strings "numerator/denominator", with the
-denominator omitted when it is 1 (this is exactly ``str(Fraction)``).
+denominator omitted when it is 1 (this is exactly ``str(Fraction)``);
+``rational_to_str`` is the one serializer behind every JSON output.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Rational = Fraction
-Scalar = Union[int, Fraction]
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -36,11 +33,6 @@ class InvariantViolation(RuntimeError):
 def rational_to_str(value: Fraction | int) -> str:
     """Serialize an exact rational as "num/den" ("num" when den == 1)."""
     return str(Fraction(value))
-
-
-def rational_from_str(text: str) -> Fraction:
-    """Parse the "num/den" wire format back into a Fraction."""
-    return Fraction(text)
 
 
 def _sign(x) -> int:
@@ -82,14 +74,6 @@ class UniPoly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff=1) -> "UniPoly":
-        return cls((0,) * power + (coeff,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -97,12 +81,6 @@ class UniPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     @property
     def is_monic(self) -> bool:
@@ -122,14 +100,6 @@ class UniPoly:
             out[i] = out[i] + c
         return UniPoly(tuple(out))
 
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             if self.is_zero or other.is_zero:
@@ -145,16 +115,6 @@ class UniPoly:
 
     def __rmul__(self, other):
         return UniPoly(tuple(other * c for c in self.coeffs))
-
-    def evaluate(self, point):
-        """Exact Horner evaluation at an integer or rational point."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
-    def map_coeffs(self, fn) -> "UniPoly":
-        return UniPoly(tuple(fn(c) for c in self.coeffs))
 
     def __str__(self):
         if self.is_zero:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import UniPoly
+from .exact_algebra import UniPoly, rational_to_str
 
 
 class RationalityViolation(ArithmeticError):
@@ -77,16 +77,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return Matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -191,7 +181,7 @@ class CTensor:
             "m": self.m,
             "lhat": self.lhat,
             "values": [
-                [[str(c) for c in row] for row in plane] for plane in self.values
+                [[rational_to_str(c) for c in row] for row in plane] for plane in self.values
             ],
         }
 

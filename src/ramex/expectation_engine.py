@@ -8,12 +8,16 @@ the Gram polynomial to the adjacency polynomial via y -> x^2, fold in each
 still unplaced uniformly random matching with the linear convolution step,
 and finally divide out the trivial eigenvalue factor x^2 - d^2.  Nothing
 leaves the rationals.
+
+Every node takes this one path: a leaf's empty block and a single open
+cell run through the same grid at l_hat = 0.  The two entry points,
+``fixed_plus_random_block_expected`` and ``node_polynomial``, return plain
+``UniPoly`` values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_algebra import (
@@ -22,7 +26,7 @@ from .exact_algebra import (
     poly_div_exact,
     poly_substitute_square,
 )
-from .exact_linalg import BlockSpec, CTensor, Matrix, charpoly, trivariate_detpoly
+from .exact_linalg import BlockSpec, Matrix, trivariate_detpoly
 from .matching_family import NodeState, Params, half_adjacency
 
 
@@ -47,33 +51,15 @@ def g_weight(lhat: int, k: int, kprime: int, p: int, q: int) -> Fraction:
     return Fraction(_comb0(lhat - p, k - kprime) * _comb0(lhat - q, k - kprime), denom)
 
 
-@dataclass(frozen=True)
-class NodePoly:
-    """A node's polynomial: monic, even, degree n - 2, rational coefficients."""
-
-    poly: UniPoly
-
-
-def _gram_charpoly(a: Matrix) -> UniPoly:
-    """det(yI - A^T A)."""
-    return charpoly(a.transpose() @ a)
-
-
-def _expected_gram_charpoly(
-    a: Matrix, block: BlockSpec
-) -> tuple[UniPoly, CTensor | None]:
+def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     """E[det(yI - (A + P_B)^T (A + P_B))] over a uniformly random
-    permutation P_B on the block, plus the extracted squared-minor tensor
-    (None on the degenerate block sizes 0 and 1 that bypass quadrature)."""
-    m = a.nrows
-    l = block.size
-    if l == 0:
-        return _gram_charpoly(a), None
-    if l == 1:
-        bumped = [list(row) for row in a.entries]
-        bumped[block.rows[0]][block.cols[0]] += 1
-        return _gram_charpoly(Matrix.from_rows(bumped)), None
+    permutation P_B on the block.
 
+    Every block size takes the grid: an empty block gives the plain Gram's
+    sums at l_hat = 0, a single cell gives the bumped Gram's, and there
+    g_weight(0, k, k', 0, 0) = [k == k'] reads off its coefficients.
+    """
+    m = a.nrows
     tensor = trivariate_detpoly(a, block)
     lhat = tensor.lhat
     coeffs = [Fraction(0)] * (m + 1)
@@ -88,13 +74,7 @@ def _expected_gram_charpoly(
                         if w:
                             total += w * c
         coeffs[m - k] = total if k % 2 == 0 else -total
-    return UniPoly(tuple(coeffs)), tensor
-
-
-def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
-    """Expected Gram characteristic polynomial of the fixed matrix plus a
-    uniformly random permutation on the given block."""
-    return _expected_gram_charpoly(a, block)[0]
+    return UniPoly(tuple(coeffs))
 
 
 def add_random_matching(p_adj: UniPoly, params: Params, c: int) -> UniPoly:
@@ -138,11 +118,10 @@ def add_random_matching(p_adj: UniPoly, params: Params, c: int) -> UniPoly:
     return poly_substitute_square(lifted)
 
 
-def _node_polynomial_full(
-    node: NodeState, params: Params
-) -> tuple[NodePoly, CTensor | None]:
-    a, block = half_adjacency(node, params)
-    gram, tensor = _expected_gram_charpoly(a, block)
+def node_polynomial(node: NodeState, params: Params) -> UniPoly:
+    """The node's expected characteristic polynomial after removing the
+    trivial eigenvalue factor: monic, even, degree n - 2, exact."""
+    gram = fixed_plus_random_block_expected(*half_adjacency(node, params))
     p_adj = poly_substitute_square(gram)
     placed = len(node.complete) if node.is_leaf(params) else len(node.complete) + 1
     for c in range(placed, params.d):
@@ -153,18 +132,4 @@ def _node_polynomial_full(
         raise InvariantViolation("degree bookkeeping broken")
     if any(body.coeff(i) for i in range(1, body.degree + 1, 2)):
         raise InvariantViolation("node polynomial must be even")
-    return NodePoly(body), tensor
-
-
-def node_polynomial(node: NodeState, params: Params) -> NodePoly:
-    """The node's expected characteristic polynomial after removing the
-    trivial eigenvalue factor: monic, even, degree n - 2, exact."""
-    return _node_polynomial_full(node, params)[0]
-
-
-def node_polynomial_debug(
-    node: NodeState, params: Params
-) -> tuple[NodePoly, CTensor | None]:
-    """node_polynomial plus the squared-minor tensor of the quadrature
-    step, for the JSON debug surface (None when the block was degenerate)."""
-    return _node_polynomial_full(node, params)
+    return body

@@ -25,6 +25,7 @@ from .exact_algebra import (
     poly_shift_by_sqrt,
     poly_substitute_square,
     quad_sign,
+    rational_to_str,
 )
 from .exact_linalg import Matrix, charpoly
 from .expectation_engine import node_polynomial
@@ -71,7 +72,6 @@ class Certificate:
     adjacency_charpoly: UniPoly
     nontrivial_poly: UniPoly | None
     shifted_coeffs: tuple  # pairs (a, b): nontrivial(x + sqrt(q)) = sum (a + b sqrt(q)) x^j
-    shifted_nonneg: tuple  # per-coefficient sign transcript
     passed: bool
     reason: str | None = None
 
@@ -112,20 +112,17 @@ def certify(graph: Multigraph) -> Certificate:
             adjacency_charpoly=adj_poly,
             nontrivial_poly=None,
             shifted_coeffs=(),
-            shifted_nonneg=(),
             passed=False,
             reason="trivial factor x^2 - d^2 does not divide the adjacency polynomial",
         )
     shifted = poly_shift_by_sqrt(nontrivial, q)
-    signs = tuple(quad_sign(a, b, q) >= 0 for a, b in shifted)
     return Certificate(
         graph=graph,
         bound_q=q,
         adjacency_charpoly=adj_poly,
         nontrivial_poly=nontrivial,
         shifted_coeffs=shifted,
-        shifted_nonneg=signs,
-        passed=all(signs),
+        passed=all(quad_sign(a, b, q) >= 0 for a, b in shifted),
     )
 
 
@@ -152,7 +149,7 @@ class WalkResult:
 
 def _child_poly_task(args) -> UniPoly:
     node, params = args
-    return node_polynomial(node, params).poly
+    return node_polynomial(node, params)
 
 
 def _average(polys) -> UniPoly:
@@ -176,7 +173,7 @@ def walk(params: Params, jobs: int = 1, canonical_first: bool = False) -> WalkRe
         current = NodeState((tuple(range(params.m)),), None)
     else:
         current = NodeState((), None)
-    current_poly = node_polynomial(current, params).poly
+    current_poly = node_polynomial(current, params)
     if not max_root_leq_sqrt(current_poly, q):
         raise NoPassingChild(
             f"start node polynomial {current_poly} already violates the bound "
@@ -232,25 +229,20 @@ def walk(params: Params, jobs: int = 1, canonical_first: bool = False) -> WalkRe
     )
 
 
-def find_leaf(params: Params, jobs: int = 1, canonical_first: bool = False) -> NodeState:
-    """The leaf reached by the first-passing-child descent."""
-    return walk(params, jobs=jobs, canonical_first=canonical_first).leaf
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     """Wire format: exact strings only, no floating point anywhere."""
     data = {
         "n": cert.graph.params.n,
         "d": cert.graph.params.d,
         "q": cert.bound_q,
-        "adjacency_charpoly": [str(Fraction(c)) for c in cert.adjacency_charpoly.coeffs],
+        "adjacency_charpoly": [rational_to_str(c) for c in cert.adjacency_charpoly.coeffs],
         "nontrivial_charpoly": (
-            [str(Fraction(c)) for c in cert.nontrivial_poly.coeffs]
+            [rational_to_str(c) for c in cert.nontrivial_poly.coeffs]
             if cert.nontrivial_poly is not None
             else None
         ),
         "shifted_coeffs": [
-            {"a": str(a), "b": str(b)} for a, b in cert.shifted_coeffs
+            {"a": rational_to_str(a), "b": rational_to_str(b)} for a, b in cert.shifted_coeffs
         ],
         "passed": cert.passed,
     }

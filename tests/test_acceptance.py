@@ -15,7 +15,7 @@ from ramex.exact_linalg import BlockSpec, Matrix, rationality_violation_count
 from ramex.expectation_engine import fixed_plus_random_block_expected, node_polynomial
 from ramex.matching_family import NodeState, Params, children, leaf_graph
 from ramex.oracle import brute_expected_charpoly, brute_fixed_plus_permutation
-from ramex.ramanujan_walk import certify, find_leaf, max_root_leq_sqrt, walk
+from ramex.ramanujan_walk import certify, max_root_leq_sqrt, walk
 
 
 def _report(number: int, description: str, check) -> None:
@@ -51,7 +51,7 @@ def test_criterion_1_oracle_equivalence_full_trees():
             params = Params(n, d)
             trivial = UniPoly((Fraction(-d * d), Fraction(0), Fraction(1)))
             for node in _all_nodes(params):
-                engine = node_polynomial(node, params).poly * trivial
+                engine = node_polynomial(node, params) * trivial
                 oracle = brute_expected_charpoly(node, params)
                 assert engine == oracle, (n, d, node)
                 total += 1
@@ -91,8 +91,8 @@ def test_criterion_2_quadrature_validation():
 def test_criterion_3_worked_values():
     def check():
         params = Params(4, 3)
-        assert node_polynomial(NodeState(), params).poly == UniPoly((-3, 0, 1))
-        leaf = find_leaf(params)
+        assert node_polynomial(NodeState(), params) == UniPoly((-3, 0, 1))
+        leaf = walk(params).leaf
         assert leaf == NodeState(((0, 1), (0, 1), (1, 0)))  # [identity, identity, swap]
         cert = certify(leaf_graph(leaf, params))
         assert cert.nontrivial_poly == UniPoly((-1, 0, 1))

@@ -242,6 +242,37 @@ def test_node_poly_from_file_with_ctensor(tmp_path, capsys):
     assert data["ctensor"]["values"][0][0][0] == "1"
 
 
+def test_node_poly_ctensor_on_leaf(capsys):
+    # the empty block of a leaf gives the l_hat = 0 tensor of the plain
+    # Gram [[5, 4], [4, 5]]: trace 10, determinant 9
+    leaf = {"complete": [[1, 2], [1, 2], [2, 1]], "partial": []}
+    code, stdout, _ = run(
+        capsys, "node-poly", json.dumps(leaf), "--n", "4", "--d", "3", "--ctensor"
+    )
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["node_poly"] == ["-1", "0", "1"]
+    assert data["ctensor"] == {"m": 2, "lhat": 0, "values": [[["1"]], [["10"]], [["9"]]]}
+
+
+@pytest.mark.parametrize("command", ["node-poly", "oracle"])
+def test_node_argument_naming_a_directory(tmp_path, capsys, command):
+    code, stdout, stderr = run(capsys, command, str(tmp_path), "--n", "4", "--d", "3")
+    assert code == 2
+    assert stdout == ""
+    assert "cannot read node" in stderr
+
+
+def test_build_out_naming_a_regular_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "cannot create output directory" in stderr
+    assert out.read_text() == "keep me\n"
+
+
 def test_node_poly_malformed(capsys):
     code, _, stderr = run(
         capsys, "node-poly", '{"complete": [[1, 1]]}', "--n", "4", "--d", "3"

@@ -13,7 +13,6 @@ from ramex.exact_algebra import (
     poly_shift_by_sqrt,
     poly_substitute_square,
     quad_sign,
-    rational_from_str,
     rational_to_str,
 )
 
@@ -178,8 +177,6 @@ def test_poly_div_requires_monic_divisor():
 
 def test_unipoly_ring_basics():
     p = UniPoly((-1, 0, 1))  # x^2 - 1
-    assert p.evaluate(3) == 8
-    assert p.evaluate(Fraction(1, 2)) == Fraction(-3, 4)
     assert (p + UniPoly((1, 0, -1))).is_zero
     assert p * UniPoly() == UniPoly()
     assert UniPoly((0, 0, 0)).is_zero  # trailing zeros trim to the zero poly
@@ -194,5 +191,3 @@ def test_rational_canonical_and_serialization():
     assert rational_to_str(Fraction(3, 2)) == "3/2"
     assert rational_to_str(Fraction(-7)) == "-7"
     assert rational_to_str(5) == "5"
-    assert rational_from_str("22/7") == Fraction(22, 7)
-    assert rational_from_str("-3") == Fraction(-3)

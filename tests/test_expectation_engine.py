@@ -9,15 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramex.exact_algebra import NonzeroRemainder, UniPoly
-from ramex.exact_linalg import BlockSpec, Matrix
+from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
     add_random_matching,
     fixed_plus_random_block_expected,
     g_weight,
     node_polynomial,
-    node_polynomial_debug,
 )
-from ramex.matching_family import NodeState, Params, children
+from ramex.matching_family import NodeState, Params, children, half_adjacency
 from ramex.oracle import (
     TooLarge,
     _det_xid_minus,
@@ -124,7 +123,7 @@ def test_node_polynomial_matches_oracle_on_random_nodes(case):
     except TooLarge:
         return
     trivial = UniPoly((-(params.d**2), 0, 1))
-    assert node_polynomial(node, params).poly * trivial == brute
+    assert node_polynomial(node, params) * trivial == brute
 
 
 def test_add_random_matching_examples():
@@ -190,9 +189,9 @@ def test_add_random_matching_point_mass_average():
 
 def test_node_polynomial_examples():
     params = Params(4, 3)
-    assert node_polynomial(NodeState(), params).poly == UniPoly((-3, 0, 1))
-    assert node_polynomial(NodeState(((0, 1), (0, 1))), params).poly == UniPoly((-5, 0, 1))
-    assert node_polynomial(NodeState(((0, 1), (0, 1), (1, 0))), params).poly == UniPoly(
+    assert node_polynomial(NodeState(), params) == UniPoly((-3, 0, 1))
+    assert node_polynomial(NodeState(((0, 1), (0, 1))), params) == UniPoly((-5, 0, 1))
+    assert node_polynomial(NodeState(((0, 1), (0, 1), (1, 0))), params) == UniPoly(
         (-1, 0, 1)
     )
 
@@ -200,7 +199,7 @@ def test_node_polynomial_examples():
 def test_node_polynomial_shape():
     for n, d in [(4, 3), (6, 3), (6, 2), (8, 3)]:
         params = Params(n, d)
-        poly = node_polynomial(NodeState(), params).poly
+        poly = node_polynomial(NodeState(), params)
         assert poly.degree == n - 2
         assert poly.is_monic
         assert all(poly.coeff(i) == 0 for i in range(1, poly.degree + 1, 2))
@@ -218,18 +217,16 @@ def test_parent_is_average_of_children():
             kids = children(node, params)
             total = UniPoly()
             for child in kids:
-                total = total + node_polynomial(child, params).poly
+                total = total + node_polynomial(child, params)
             avg = Fraction(1, len(kids)) * total
-            assert avg == node_polynomial(node, params).poly
+            assert avg == node_polynomial(node, params)
             frontier.extend(kids)
             seen += 1
 
 
 def test_ctensor_debug_surface():
     params = Params(6, 3)
-    npoly, tensor = node_polynomial_debug(NodeState(), params)
-    assert npoly.poly.degree == 4
-    assert tensor is not None
+    tensor = trivariate_detpoly(*half_adjacency(NodeState(), params))
     assert tensor.m == 3 and tensor.lhat == 2
     assert tensor.get(0, 0, 0) == 1
     assert all(
@@ -239,8 +236,19 @@ def test_ctensor_debug_surface():
     assert data["m"] == 3 and data["lhat"] == 2
     assert data["values"][0][0][0] == "1"
 
-    # degenerate blocks skip quadrature and carry no tensor
-    _, none_tensor = node_polynomial_debug(
-        NodeState(((0, 1), (0, 1), (1, 0))), Params(4, 3)
-    )
-    assert none_tensor is None
+    # A leaf (l = 0) and a single open cell (l = 1) take the grid too.  At
+    # l_hat = 0, C[k'][0][0] is e_k' of the Gram of the fixed matrix, with
+    # the open cell bumped to 1: both nodes below end at [[2, 1], [1, 2]].
+    params = Params(4, 3)
+    bumped = Matrix.from_rows([[2, 1], [1, 2]])
+    gram_poly = charpoly(bumped.transpose() @ bumped)
+    e_k = [(-1) ** k * gram_poly.coeff(2 - k) for k in range(3)]
+    for node, l in [
+        (NodeState(((0, 1), (0, 1), (1, 0))), 0),
+        (NodeState(((0, 1), (0, 1)), (1,)), 1),
+    ]:
+        a, block = half_adjacency(node, params)
+        assert block.size == l
+        tensor = trivariate_detpoly(a, block)
+        assert tensor.m == 2 and tensor.lhat == 0
+        assert [tensor.get(k, 0, 0) for k in range(3)] == e_k

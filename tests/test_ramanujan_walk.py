@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramex.exact_algebra import UniPoly
+from ramex.exact_algebra import UniPoly, quad_sign
 from ramex.matching_family import Multigraph, NodeState, Params, leaf_graph
 from ramex.oracle import _adjacency, _det_xid_minus
 from ramex.ramanujan_walk import (
@@ -14,7 +14,6 @@ from ramex.ramanujan_walk import (
     NotRegular,
     certificate_to_json,
     certify,
-    find_leaf,
     max_root_leq_sqrt,
     walk,
 )
@@ -53,17 +52,17 @@ def test_max_root_against_known_roots_randomized():
 
 
 def test_find_leaf_worked_case():
-    leaf = find_leaf(Params(4, 3))
+    leaf = walk(Params(4, 3)).leaf
     assert leaf == NodeState(((0, 1), (0, 1), (1, 0)))
 
 
 def test_find_leaf_forced_case():
-    assert find_leaf(Params(2, 3)) == NodeState(((0,), (0,), (0,)))
+    assert walk(Params(2, 3)).leaf == NodeState(((0,), (0,), (0,)))
 
 
 def test_find_leaf_n6_certifies():
     params = Params(6, 3)
-    leaf = find_leaf(params)
+    leaf = walk(params).leaf
     cert = certify(leaf_graph(leaf, params))
     assert cert.passed
 
@@ -97,7 +96,7 @@ def test_walk_canonical_first_matching():
 
 def test_walk_degenerate_d1():
     # n=2, d=1 is the only d=1 case that can pass (bound q = 0)
-    assert find_leaf(Params(2, 1)) == NodeState(((0,),))
+    assert walk(Params(2, 1)).leaf == NodeState(((0,),))
     with pytest.raises(NoPassingChild):
         walk(Params(4, 1))
 
@@ -150,8 +149,8 @@ def test_certify_charpoly_matches_adjacency_cofactor():
 
 def test_certificate_consistency_invariant():
     cert = certify(Multigraph(Params(4, 3), ((2, 1), (1, 2))))
-    assert cert.passed == all(cert.shifted_nonneg)
-    assert len(cert.shifted_coeffs) == len(cert.shifted_nonneg)
+    assert cert.passed == all(quad_sign(a, b, cert.bound_q) >= 0 for a, b in cert.shifted_coeffs)
+    assert len(cert.shifted_coeffs) == cert.nontrivial_poly.degree + 1
 
 
 def test_certificate_json_schema():
