@@ -104,13 +104,16 @@ def cmd_build(args) -> int:
 
     graph_path = os.path.join(args.out, "graph.json")
     cert_path = os.path.join(args.out, "certificate.json")
-    _write_json(graph_path, multigraph_to_json(graph))
-    _write_json(cert_path, certificate_to_json(cert))
-    if args.trace:
-        _write_json(
-            os.path.join(args.out, "transcript.json"),
-            _transcript_json(result, cert, args, elapsed),
-        )
+    try:
+        _write_json(graph_path, multigraph_to_json(graph))
+        _write_json(cert_path, certificate_to_json(cert))
+        if args.trace:
+            _write_json(
+                os.path.join(args.out, "transcript.json"),
+                _transcript_json(result, cert, args, elapsed),
+            )
+    except OSError as exc:
+        return _usage_error(f"cannot write output: {exc}")
     status = "passed" if cert.passed else "FAILED"
     print(
         f"built n={params.n} d={params.d}: certificate {status} "
@@ -150,18 +153,18 @@ def _transcript_json(result, cert, args, elapsed: float) -> dict:
 
 
 def _dump_failed_walk(out_dir: str, exc: NoPassingChild) -> None:
+    data = {
+        "error": str(exc),
+        "node": node_to_json(exc.node) if exc.node is not None else None,
+        "children": [
+            {"node": node_to_json(c), "poly": _poly_strings(p)}
+            for c, p in zip(exc.child_nodes, exc.child_polys)
+        ],
+    }
     try:
-        data = {
-            "error": str(exc),
-            "node": node_to_json(exc.node) if exc.node is not None else None,
-            "children": [
-                {"node": node_to_json(c), "poly": _poly_strings(p)}
-                for c, p in zip(exc.child_nodes, exc.child_polys)
-            ],
-        }
         _write_json(os.path.join(out_dir, "failure.json"), data)
-    except OSError:
-        pass
+    except OSError as err:
+        print(f"warning: cannot write failure.json: {err}", file=sys.stderr)
 
 
 def _read_json(path: str, what: str):

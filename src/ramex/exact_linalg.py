@@ -186,21 +186,6 @@ class CTensor:
         }
 
 
-def _centering(indices: tuple, l: int, m: int) -> Matrix:
-    """l D - J on the given indices and zero elsewhere: l times the
-    projector that removes their all-ones direction, as an m x m matrix."""
-    inside = set(indices)
-    return Matrix(
-        tuple(
-            tuple(
-                (l if i == j else 0) - 1 if i in inside and j in inside else 0
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-    )
-
-
 def _interp_matrix(lhat: int) -> list[list[int]]:
     """Integer M with lhat! * f_k = sum_t M[k][t] f(t) for every polynomial
     f = sum_k f_k t^k of degree <= lhat.
@@ -239,7 +224,11 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
 
     Scaled by l, everything is integral: with Ahat = l a + J_B and
     P = l D - J, l^4 X = l^2 G0 + l (t_c-1) G0 P_c + l (t_r-1) G1
-    + (t_r-1)(t_c-1) G1 P_c for G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat.
+    + (t_r-1)(t_c-1) G1 P_c for G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat
+    = l Ahat_r^T Ahat_r - s^T s, where Ahat_r is Ahat's block rows and s
+    their sum.  Right multiplication by P_c is l times the block columns
+    minus each row's sum over them, so the only matrix products are the
+    two Grams.
     Integer Berkowitz runs at every (t_r, t_c) in {0..l_hat}^2, integer
     interpolation recovers l_hat!^2 times each coefficient, and one exact
     division per coefficient by l^(4k') l_hat!^2 yields C.  An empty block
@@ -261,14 +250,24 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
             for i, row in enumerate(a.entries)
         )
     )
-    ahat_t = ahat.transpose()
-    p_cols = _centering(block.cols, l, m)
-    g0 = ahat_t @ ahat
-    g1 = ahat_t @ _centering(block.rows, l, m) @ ahat
-    terms = [
-        [cell for row in g.entries for cell in row]
-        for g in (g0, g0 @ p_cols, g1, g1 @ p_cols)
+    g0 = (ahat.transpose() @ ahat).entries
+    # G1 = l Ahat_r^T Ahat_r - s^T s, Ahat_r the block rows and s their sum
+    ahat_r_cols = [[ahat.entries[i][j] for i in block.rows] for j in range(m)]
+    s = [sum(col) for col in ahat_r_cols]
+    g1 = [
+        [l * _dot(ahat_r_cols[i], ahat_r_cols[j]) - s[i] * s[j] for j in range(m)]
+        for i in range(m)
     ]
+
+    def centered(g):
+        # g (l D_c - J_c): l g on the block columns minus the row's sum over them
+        out = []
+        for row in g:
+            total = sum(row[j] for j in block.cols)
+            out.append([l * x - total if j in cols else 0 for j, x in enumerate(row)])
+        return out
+
+    terms = [[cell for row in g for cell in row] for g in (g0, centered(g0), g1, centered(g1))]
 
     grid = {}
     for tr in range(lhat + 1):

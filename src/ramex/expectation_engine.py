@@ -1,13 +1,13 @@
 """Exact expected characteristic polynomials for matching-tree nodes.
 
-The pipeline per node: build the fixed half-adjacency matrix, average the
-in-progress matching over its block by quadrature (the squared-minor sums
-of the trivariate determinant, taken from an integer similarity of the
-fixed matrix plus the block mean, weighted by counting binomials), convert
-the Gram polynomial to the adjacency polynomial via y -> x^2, fold in each
-still unplaced uniformly random matching with the linear convolution step,
-and finally divide out the trivial eigenvalue factor x^2 - d^2.  Nothing
-leaves the rationals.
+The pipeline per node runs in y = x^2 until its last step: build the
+fixed half-adjacency matrix, average the in-progress matching over its
+block by quadrature (the squared-minor sums of the trivariate determinant,
+taken from an integer similarity of the fixed matrix plus the block mean,
+weighted by counting binomials), divide the resulting Gram polynomial once
+by the all-ones singular value factor (y - placed^2), fold in each still
+unplaced uniformly random matching with the linear convolution step, and
+substitute y -> x^2.  Nothing leaves the rationals.
 
 Every node takes this one path: a leaf's empty block and a single open
 cell run through the same grid at l_hat = 0.  The two entry points,
@@ -77,59 +77,40 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     return UniPoly(tuple(coeffs))
 
 
-def add_random_matching(p_adj: UniPoly, params: Params, c: int) -> UniPoly:
-    """Expected adjacency characteristic polynomial after adding one
-    uniformly random perfect matching to a (random) c-regular bipartite
-    multigraph whose expected adjacency polynomial is p_adj.
+def add_random_matching(reduced: UniPoly) -> UniPoly:
+    """Fold one uniformly random perfect matching into a reduced Gram
+    polynomial, in y = x^2.
 
-    Route: recover the Gram polynomial from the even coefficients, peel
-    off the aligned singular value factor (y - c^2), apply the full-block
-    overlap specialization of the quadrature weights on the reduced
-    (m-1)-dimensional polynomial, re-attach (y - (c+1)^2), and substitute
-    y -> x^2.  The aligned singular value moving from c^2 to (c+1)^2 is
-    forced by regularity: the all-ones vector is always a singular vector.
+    ``reduced`` is the expected Gram polynomial of a regular bipartite
+    multigraph with its all-ones singular value factor (y - c^2) divided
+    out.  That singular vector stays aligned under any added matching (c^2
+    just becomes (c+1)^2), so the fold is the full-block overlap
+    specialization of the quadrature weights on the remaining (m-1)
+    dimensions, and it does not depend on c.
     """
-    m, n = params.m, params.n
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    if p_adj.degree != n or not p_adj.is_monic:
-        raise ValueError(f"expected a monic degree-{n} adjacency polynomial")
-    if any(p_adj.coeff(i) for i in range(1, n + 1, 2)):
-        raise ValueError("adjacency polynomial of a bipartite graph must be even")
-
-    gram = UniPoly(p_adj.coeffs[0::2])
-    reduced = poly_div_exact(gram, UniPoly((Fraction(-(c * c)), Fraction(1))))
-
-    s_old = [
-        (1 if k % 2 == 0 else -1) * Fraction(reduced.coeff(m - 1 - k))
-        for k in range(m)
-    ]
-    s_new = [
-        sum(
-            (g_weight(m - 1, k, kp, kp, kp) * s_old[kp] for kp in range(k + 1)),
-            Fraction(0),
-        )
-        for k in range(m)
-    ]
-    out = [Fraction(0)] * m
-    for k in range(m):
-        out[m - 1 - k] = s_new[k] if k % 2 == 0 else -s_new[k]
-    lifted = UniPoly(tuple(out)) * UniPoly((Fraction(-((c + 1) ** 2)), Fraction(1)))
-    return poly_substitute_square(lifted)
+    if not reduced.is_monic:
+        raise ValueError("expected a monic reduced Gram polynomial")
+    r = reduced.degree
+    # signed coefficients s_k = (-1)^k [y^(r-k)], mixed by the weights
+    s = [(-1) ** k * reduced.coeff(r - k) for k in range(r + 1)]
+    mixed = [sum(g_weight(r, k, kp, kp, kp) * s[kp] for kp in range(k + 1)) for k in range(r + 1)]
+    return UniPoly(tuple((-1) ** k * mixed[k] for k in range(r, -1, -1)))
 
 
 def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     """The node's expected characteristic polynomial after removing the
-    trivial eigenvalue factor: monic, even, degree n - 2, exact."""
+    trivial eigenvalue factor x^2 - d^2: monic, even, degree n - 2, exact.
+
+    The trivial factor is split off the Gram polynomial once, as
+    (y - placed^2) for the placed matchings, each unplaced matching is
+    folded in y, and y -> x^2 comes last.
+    """
     gram = fixed_plus_random_block_expected(*half_adjacency(node, params))
-    p_adj = poly_substitute_square(gram)
     placed = len(node.complete) if node.is_leaf(params) else len(node.complete) + 1
-    for c in range(placed, params.d):
-        p_adj = add_random_matching(p_adj, params, c)
-    d = params.d
-    body = poly_div_exact(p_adj, UniPoly((Fraction(-(d * d)), Fraction(0), Fraction(1))))
+    reduced = poly_div_exact(gram, UniPoly((-(placed * placed), 1)))
+    for _ in range(placed, params.d):
+        reduced = add_random_matching(reduced)
+    body = poly_substitute_square(reduced)
     if body.degree != params.n - 2 or not body.is_monic:
         raise InvariantViolation("degree bookkeeping broken")
-    if any(body.coeff(i) for i in range(1, body.degree + 1, 2)):
-        raise InvariantViolation("node polynomial must be even")
     return body

@@ -273,6 +273,33 @@ def test_build_out_naming_a_regular_file(tmp_path, capsys):
     assert out.read_text() == "keep me\n"
 
 
+def test_build_output_not_writable(tmp_path, capsys):
+    (tmp_path / "graph.json").mkdir()
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    assert "cannot write output:" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_build_failure_dump(tmp_path, capsys):
+    # d = 1 has bound sqrt(0): the start node already fails, and the walk stops.
+    code, _, stderr = run(capsys, "build", "--n", "4", "--d", "1", "--out", str(tmp_path))
+    assert code == 3
+    assert "warning" not in stderr
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert set(failure) == {"error", "node", "children"}
+    assert failure["node"] == {"complete": [], "partial": []}
+    assert failure["children"] == []
+
+
+def test_build_failure_dump_not_writable(tmp_path, capsys):
+    (tmp_path / "failure.json").mkdir()
+    code, _, stderr = run(capsys, "build", "--n", "4", "--d", "1", "--out", str(tmp_path))
+    assert code == 3
+    assert "warning: cannot write failure.json:" in stderr
+
+
 def test_node_poly_malformed(capsys):
     code, _, stderr = run(
         capsys, "node-poly", '{"complete": [[1, 1]]}', "--n", "4", "--d", "3"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramex.exact_algebra import NonzeroRemainder, UniPoly
+from ramex import expectation_engine
+from ramex.exact_algebra import NonzeroRemainder, UniPoly, poly_div_exact
 from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
     add_random_matching,
@@ -127,27 +128,30 @@ def test_node_polynomial_matches_oracle_on_random_nodes(case):
 
 
 def test_add_random_matching_examples():
-    p4 = Params(4, 3)
-    assert add_random_matching(UniPoly((0, 0, 0, 0, Fraction(1))), p4, 0) == UniPoly(
-        (1, 0, -2, 0, 1)
-    )
-    assert add_random_matching(UniPoly((1, 0, -2, 0, 1)), p4, 1) == UniPoly(
-        (8, 0, -6, 0, 1)
-    )
-    assert add_random_matching(UniPoly((-4, 0, 1)), Params(2, 3), 2) == UniPoly(
-        (-9, 0, 1)
-    )
+    # Reduced Gram polynomials: the all-ones factor (y - c^2) is divided out.
+    assert add_random_matching(UniPoly((0, Fraction(1)))) == UniPoly((-1, 1))
+    assert add_random_matching(UniPoly((-1, 1))) == UniPoly((-2, 1))
+    assert add_random_matching(UniPoly((1,))) == UniPoly((1,))
 
 
 def test_add_random_matching_rejects_bad_polys():
-    p4 = Params(4, 3)
     with pytest.raises(ValueError):
-        add_random_matching(UniPoly((1, 1, 1)), p4, 1)  # wrong degree
+        add_random_matching(UniPoly((1, 2)))  # not monic
     with pytest.raises(ValueError):
-        add_random_matching(UniPoly((0, 1, 0, 0, 1)), p4, 1)  # odd term
+        add_random_matching(UniPoly())  # zero
+
+
+def test_node_polynomial_requires_the_all_ones_factor(monkeypatch):
+    """A Gram polynomial without the (y - placed^2) factor is a pipeline bug."""
+    params = Params(4, 3)
+    node = NodeState(((0, 1),), (1,))  # placed = 2
+    monkeypatch.setattr(
+        expectation_engine,
+        "fixed_plus_random_block_expected",
+        lambda a, block: UniPoly((Fraction(1), Fraction(0), Fraction(1))),
+    )
     with pytest.raises(NonzeroRemainder):
-        # even and monic but not divisible by (y - c^2) after extraction
-        add_random_matching(UniPoly((1, 0, 1, 0, 1)), p4, 1)
+        node_polynomial(node, params)
 
 
 def _adjacency_charpoly(mult, m):
@@ -160,12 +164,22 @@ def _adjacency_charpoly(mult, m):
     return UniPoly(tuple(_det_xid_minus(adj)))
 
 
+def _gram_of(p_adj):
+    """det(yI - B^T B) from det(xI - A) = det(x^2 I - B^T B): the even coefficients."""
+    assert not any(p_adj.coeffs[1::2])
+    return UniPoly(p_adj.coeffs[0::2])
+
+
 def test_add_random_matching_point_mass_average():
-    """Adding a random matching to a fixed graph equals the direct average
-    over all m! matchings (computed independently of the engine)."""
+    """Adding a random matching to a fixed c-regular graph equals the direct
+    average over all m! matchings (computed independently of the engine),
+    both in y with the all-ones factor divided out."""
+
+    def y_minus(v):
+        return UniPoly((-v, 1))
+
     rng = random.Random(2718)
     for m in (2, 3, 4):
-        params = Params(2 * m, 6)  # d only needs to exceed c here
         for _ in range(4):
             c = rng.randint(0, 2)
             mult = [[0] * m for _ in range(m)]
@@ -174,7 +188,7 @@ def test_add_random_matching_point_mass_average():
                 rng.shuffle(perm)
                 for i, j in enumerate(perm):
                     mult[i][j] += 1
-            p_adj = _adjacency_charpoly(mult, m)
+            reduced = poly_div_exact(_gram_of(_adjacency_charpoly(mult, m)), y_minus(c * c))
             direct_total = UniPoly()
             count = 0
             for perm in itertools.permutations(range(m)):
@@ -183,8 +197,8 @@ def test_add_random_matching_point_mass_average():
                     bumped[i][j] += 1
                 direct_total = direct_total + _adjacency_charpoly(bumped, m)
                 count += 1
-            direct = Fraction(1, count) * direct_total
-            assert add_random_matching(p_adj, params, c) == direct
+            direct = Fraction(1, count) * _gram_of(direct_total)
+            assert add_random_matching(reduced) == poly_div_exact(direct, y_minus((c + 1) ** 2))
 
 
 def test_node_polynomial_examples():
