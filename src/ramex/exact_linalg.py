@@ -3,14 +3,17 @@
 Provides the Berkowitz (division-free) characteristic polynomial and the
 squared-minor tensor of a fixed integer matrix plus a random block
 permutation, computed by integer evaluation on the grid {0..l_hat}^2 and
-integer interpolation, with one rational division per coefficient.
+integer interpolation, and kept as integer numerators over one known
+denominator per minor size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exact_algebra import UniPoly, rational_to_str
 
@@ -46,8 +49,8 @@ class Matrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        rows = tuple(map(tuple, self.entries))
+        if len(set(map(len, rows))) > 1:
             raise ValueError("ragged rows")
         object.__setattr__(self, "entries", rows)
 
@@ -86,18 +89,10 @@ class Matrix:
         cols = other.transpose().entries
         return Matrix(
             tuple(
-                tuple(_dot(row, col) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in self.entries
             )
         )
-
-
-def _dot(xs, ys):
-    acc = 0
-    for x, y in zip(xs, ys):
-        if x and y:
-            acc = acc + x * y
-    return acc
 
 
 @dataclass(frozen=True)
@@ -128,32 +123,25 @@ def charpoly(matrix: Matrix) -> UniPoly:
 
     Works over any exact commutative ring (here: ints and Fractions); being
     division-free, it keeps integer matrices on Python ints throughout.
+    Step k slices the leading (k-1) x (k-1) block once and forms its
+    row-vector products with ``sum(map(mul, ...))``.
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = matrix.nrows
     a = matrix.entries
     coeffs = [1]  # descending; charpoly of the empty matrix
-    for k in range(1, n + 1):
-        corner = a[k - 1][k - 1]
-        row = [a[k - 1][j] for j in range(k - 1)]
-        col = [a[i][k - 1] for i in range(k - 1)]
-        # Toeplitz sequence: t0 = 1, t1 = -corner, t_i = -(row . A^(i-2) . col)
-        t = [1, -corner]
+    for k in range(1, len(a) + 1):
+        lead = [r[: k - 1] for r in a[: k - 1]]
+        row = a[k - 1][: k - 1]
+        col = [r[k - 1] for r in a[: k - 1]]
+        # Toeplitz sequence: t0 = 1, t1 = -a[k-1][k-1], t_i = -(row . lead^(i-2) . col)
+        t = [1, -a[k - 1][k - 1]]
         vec = col
         for i in range(2, k + 1):
-            t.append(-_dot(row, vec))
+            t.append(-sum(map(mul, row, vec)))
             if i < k:
-                vec = [_dot(a[r][: k - 1], vec) for r in range(k - 1)]
-        new = []
-        for i in range(k + 1):
-            acc = 0
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                cj = coeffs[j]
-                if cj:
-                    acc = acc + t[i - j] * cj
-            new.append(acc)
-        coeffs = new
+                vec = [sum(map(mul, r, vec)) for r in lead]
+        coeffs = [sum(map(mul, t[i::-1], coeffs)) for i in range(k + 1)]
     return UniPoly(tuple(reversed(coeffs)))
 
 
@@ -162,19 +150,40 @@ class CTensor:
     """Squared-minor sums C[k'][p][q] of the block-reduced matrix, indexed
     by minor size k' and row/column overlap (p, q) with the reduced block.
 
-    All entries are exact nonnegative rationals; C[0][0][0] == 1.
+    Held as integer numerators nums[k'][p][q] over the one known
+    denominator (l_hat+1)^(4k') l_hat!^2 of minor size k'.  Every C is an
+    exact nonnegative rational and C[0][0][0] == 1; both are checked here,
+    on the numerators.
     """
 
     m: int
     lhat: int
-    values: tuple
+    nums: tuple
 
     def __post_init__(self):
-        if self.values[0][0][0] != 1:
-            raise _violation(f"C[0][0][0] = {self.values[0][0][0]}, expected 1")
+        for kprime, plane in enumerate(self.nums):
+            for p, row in enumerate(plane):
+                for q, num in enumerate(row):
+                    if num < 0:
+                        raise _violation(
+                            f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
+                            f"{self.get(kprime, p, q)}"
+                        )
+        if self.nums[0][0][0] != self.denominator(0):
+            raise _violation(f"C[0][0][0] = {self.get(0, 0, 0)}, expected 1")
+
+    def denominator(self, kprime: int) -> int:
+        return (self.lhat + 1) ** (4 * kprime) * math.factorial(self.lhat) ** 2
 
     def get(self, kprime: int, p: int, q: int) -> Fraction:
-        return self.values[kprime][p][q]
+        return Fraction(self.nums[kprime][p][q], self.denominator(kprime))
+
+    @property
+    def values(self) -> tuple:
+        return tuple(
+            tuple(tuple(Fraction(num, self.denominator(k)) for num in row) for row in plane)
+            for k, plane in enumerate(self.nums)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -186,9 +195,10 @@ class CTensor:
         }
 
 
-def _interp_matrix(lhat: int) -> list[list[int]]:
+@functools.lru_cache(maxsize=None)
+def _interp_matrix(lhat: int) -> tuple:
     """Integer M with lhat! * f_k = sum_t M[k][t] f(t) for every polynomial
-    f = sum_k f_k t^k of degree <= lhat.
+    f = sum_k f_k t^k of degree <= lhat; cached, as a tuple of rows.
 
     Newton's forward form f(t) = sum_j (Delta^j f)(0) falling(t, j) / j!,
     with (Delta^j f)(0) = sum_t (-1)^(j-t) C(j, t) f(t); every lhat!/j! is
@@ -206,7 +216,7 @@ def _interp_matrix(lhat: int) -> list[list[int]]:
         falling = [0] + falling
         for k in range(len(falling) - 1):
             falling[k] -= j * falling[k + 1]
-    return out
+    return tuple(map(tuple, out))
 
 
 def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
@@ -223,15 +233,16 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     reduced block rows and columns; no reflection is needed to get it.
 
     Scaled by l, everything is integral: with Ahat = l a + J_B and
-    P = l D - J, l^4 X = l^2 G0 + l (t_c-1) G0 P_c + l (t_r-1) G1
-    + (t_r-1)(t_c-1) G1 P_c for G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat
-    = l Ahat_r^T Ahat_r - s^T s, where Ahat_r is Ahat's block rows and s
-    their sum.  Right multiplication by P_c is l times the block columns
-    minus each row's sum over them, so the only matrix products are the
-    two Grams.
-    Integer Berkowitz runs at every (t_r, t_c) in {0..l_hat}^2, integer
-    interpolation recovers l_hat!^2 times each coefficient, and one exact
-    division per coefficient by l^(4k') l_hat!^2 yields C.  An empty block
+    P = l D - J, l^4 X = l M + (t_c-1) M P_c for M = l G0 + (t_r-1) G1,
+    G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat = l Ahat_r^T Ahat_r - s^T s,
+    where Ahat_r is Ahat's block rows and s their sum.  Right
+    multiplication by P_c is l times the block columns minus each row's
+    sum over them, so the only matrix products are the two Grams.
+    For each t_r the grid matrix -(l^4 X) at t_c = 0 is built once, and
+    each step to t_c + 1 subtracts M P_c.  Integer Berkowitz runs at every
+    (t_r, t_c) in {0..l_hat}^2, and integer interpolation through the
+    cached ``_interp_matrix`` yields each C's numerator over
+    l^(4k') l_hat!^2; nothing here leaves the integers.  An empty block
     gives the plain Gram's sums at l_hat = 0.
     """
     if not a.is_square:
@@ -242,20 +253,16 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     l = max(block.size, 1)
     lhat = l - 1
     rows, cols = set(block.rows), set(block.cols)
-    ahat = Matrix(
-        tuple(
-            tuple(
-                l * x + (1 if i in rows and j in cols else 0) for j, x in enumerate(row)
-            )
-            for i, row in enumerate(a.entries)
-        )
-    )
-    g0 = (ahat.transpose() @ ahat).entries
+    ahat_cols = [
+        [l * a.entries[i][j] + (1 if i in rows and j in cols else 0) for i in range(m)]
+        for j in range(m)
+    ]
+    g0 = [[sum(map(mul, ci, cj)) for cj in ahat_cols] for ci in ahat_cols]
     # G1 = l Ahat_r^T Ahat_r - s^T s, Ahat_r the block rows and s their sum
-    ahat_r_cols = [[ahat.entries[i][j] for i in block.rows] for j in range(m)]
+    ahat_r_cols = [[col[i] for i in block.rows] for col in ahat_cols]
     s = [sum(col) for col in ahat_r_cols]
     g1 = [
-        [l * _dot(ahat_r_cols[i], ahat_r_cols[j]) - s[i] * s[j] for j in range(m)]
+        [l * sum(map(mul, ahat_r_cols[i], ahat_r_cols[j])) - s[i] * s[j] for j in range(m)]
         for i in range(m)
     ]
 
@@ -267,39 +274,26 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
             out.append([l * x - total if j in cols else 0 for j, x in enumerate(row)])
         return out
 
-    terms = [[cell for row in g for cell in row] for g in (g0, centered(g0), g1, centered(g1))]
-
-    grid = {}
-    for tr in range(lhat + 1):
-        for tc in range(lhat + 1):
-            # -(l^4 X), so that charpoly yields det(lam I + l^4 X)
-            weights = (-l * l, -l * (tc - 1), -l * (tr - 1), -(tr - 1) * (tc - 1))
-            flat = [sum(w * x for w, x in zip(weights, cells)) for cells in zip(*terms)]
-            neg = Matrix(tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(m)))
-            grid[tr, tc] = charpoly(neg)
+    span = range(lhat + 1)
+    grid = [[[0] * (lhat + 1) for _ in span] for _ in range(m + 1)]  # [lam power][t_r][t_c]
+    for tr in span:
+        big_m = [[l * x + (tr - 1) * y for x, y in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
+        step = centered(big_m)
+        # -(l^4 X) at t_c = 0, so that charpoly yields det(lam I + l^4 X)
+        neg = [[y - l * x for x, y in zip(rm, rs)] for rm, rs in zip(big_m, step)]
+        for tc in span:
+            if tc:
+                neg = [[x - y for x, y in zip(rn, rs)] for rn, rs in zip(neg, step)]
+            for i, c in enumerate(charpoly(Matrix(neg)).coeffs):
+                grid[i][tr][tc] = c
 
     interp = _interp_matrix(lhat)
-    span = range(lhat + 1)
-    fact_sq = math.factorial(lhat) ** 2
-    values = []
+    nums = []
     for kprime in range(m + 1):
-        i = m - kprime
-        # lhat!^2 coefficients = M V M^T, V the grid of lam**i coefficients
-        mv = [
-            [sum(interp[p][tr] * grid[tr, tc].coeff(i) for tr in span) for tc in span]
-            for p in span
-        ]
-        denom = l ** (4 * kprime) * fact_sq
-        plane = []
-        for p in span:
-            row = []
-            for q in span:
-                c = Fraction(sum(mv[p][tc] * interp[q][tc] for tc in span), denom)
-                if c < 0:
-                    raise _violation(
-                        f"negative squared-minor sum C[{kprime}][{p}][{q}] = {c}"
-                    )
-                row.append(c)
-            plane.append(tuple(row))
-        values.append(tuple(plane))
-    return CTensor(m, lhat, tuple(values))
+        # l^(4k') lhat!^2 C = I V I^T, I = interp and V the grid of lam**(m-k')
+        mv = [[sum(map(mul, ip, col)) for col in zip(*grid[m - kprime])] for ip in interp]
+        # tuples from lists, not generators: a generator's tuple is allocated
+        # oversized and shrunk, which showed as about 0.5 MB more peak RSS
+        plane = [tuple([sum(map(mul, row, iq)) for iq in interp]) for row in mv]
+        nums.append(tuple(plane))
+    return CTensor(m, lhat, tuple(nums))

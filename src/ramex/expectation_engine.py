@@ -17,8 +17,10 @@ cell run through the same grid at l_hat = 0.  The two entry points,
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .exact_algebra import (
     InvariantViolation,
@@ -51,6 +53,22 @@ def g_weight(lhat: int, k: int, kprime: int, p: int, q: int) -> Fraction:
     return Fraction(_comb0(lhat - p, k - kprime) * _comb0(lhat - q, k - kprime), denom)
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_table(lhat: int) -> tuple:
+    """(L, W) for one l_hat: L = lcm_j C(l_hat, j) and the integers
+    W[j][p][q] = L g_weight(l_hat, k, k - j, p, q), as nested tuples.
+
+    g_weight depends on k and k' only through j = k - k', and vanishes for
+    j > l_hat, so j runs over 0..l_hat; L clears every denominator.
+    """
+    scale = math.lcm(*(math.comb(lhat, j) for j in range(lhat + 1)))
+    span = range(lhat + 1)
+    return scale, tuple(
+        tuple(tuple(int(scale * g_weight(lhat, j, 0, p, q)) for q in span) for p in span)
+        for j in span
+    )
+
+
 def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     """E[det(yI - (A + P_B)^T (A + P_B))] over a uniformly random
     permutation P_B on the block.
@@ -58,23 +76,27 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     Every block size takes the grid: an empty block gives the plain Gram's
     sums at l_hat = 0, a single cell gives the bumped Gram's, and there
     g_weight(0, k, k', 0, 0) = [k == k'] reads off its coefficients.
+
+    The contraction stays on integers: the tensor's numerators over
+    l^(4k') l_hat!^2 meet the cached integer weights L g_weight, and
+    coefficient k is one Fraction over the common denominator
+    l^(4k) l_hat!^2 L.
     """
     m = a.nrows
     tensor = trivariate_detpoly(a, block)
     lhat = tensor.lhat
-    coeffs = [Fraction(0)] * (m + 1)
+    scale, weights = _weight_table(lhat)
+    l4 = (lhat + 1) ** 4
+    nums = tensor.nums
+    coeffs = []
     for k in range(m + 1):
-        total = Fraction(0)
-        for kp in range(k + 1):
-            for p in range(lhat + 1):
-                for q in range(lhat + 1):
-                    c = tensor.get(kp, p, q)
-                    if c:
-                        w = g_weight(lhat, k, kp, p, q)
-                        if w:
-                            total += w * c
-        coeffs[m - k] = total if k % 2 == 0 else -total
-    return UniPoly(tuple(coeffs))
+        # over l^(4k) l_hat!^2 L: the sum of l^(4j) W[j] . nums[k - j], j <= l_hat
+        total = sum(
+            l4**j * sum(sum(map(mul, w, c)) for w, c in zip(weights[j], nums[k - j]))
+            for j in range(min(k, lhat) + 1)
+        )
+        coeffs.append(Fraction(total if k % 2 == 0 else -total, tensor.denominator(k) * scale))
+    return UniPoly(tuple(reversed(coeffs)))
 
 
 def add_random_matching(reduced: UniPoly) -> UniPoly:
@@ -91,10 +113,16 @@ def add_random_matching(reduced: UniPoly) -> UniPoly:
     if not reduced.is_monic:
         raise ValueError("expected a monic reduced Gram polynomial")
     r = reduced.degree
-    # signed coefficients s_k = (-1)^k [y^(r-k)], mixed by the weights
-    s = [(-1) ** k * reduced.coeff(r - k) for k in range(r + 1)]
-    mixed = [sum(g_weight(r, k, kp, kp, kp) * s[kp] for kp in range(k + 1)) for k in range(r + 1)]
-    return UniPoly(tuple((-1) ** k * mixed[k] for k in range(r, -1, -1)))
+    scale, weights = _weight_table(r)
+    den = math.lcm(*(c.denominator for c in reduced.coeffs))
+    # signed integer coefficients s_k = (-1)^k den [y^(r-k)], mixed by the
+    # weights at full overlap p = q = k', one Fraction per coefficient
+    s = [
+        (-1) ** k * c.numerator * (den // c.denominator)
+        for k, c in enumerate(reversed(reduced.coeffs))
+    ]
+    mixed = [sum(weights[k - kp][kp][kp] * s[kp] for kp in range(k + 1)) for k in range(r + 1)]
+    return UniPoly(tuple(Fraction((-1) ** k * mixed[k], den * scale) for k in range(r, -1, -1)))
 
 
 def node_polynomial(node: NodeState, params: Params) -> UniPoly:
@@ -106,6 +134,8 @@ def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     folded in y, and y -> x^2 comes last.
     """
     gram = fixed_plus_random_block_expected(*half_adjacency(node, params))
+    if gram.degree != params.n // 2 or not gram.is_monic:
+        raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2")
     placed = len(node.complete) if node.is_leaf(params) else len(node.complete) + 1
     reduced = poly_div_exact(gram, UniPoly((-(placed * placed), 1)))
     for _ in range(placed, params.d):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ramex
-from ramex import cli
+from ramex import cli, expectation_engine
 from ramex.cli import main
 from ramex.exact_algebra import UniPoly
 
@@ -219,6 +219,23 @@ def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypat
     code, _, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
     assert code == 3
     assert "leaf polynomial" in stderr
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
+    # twice the true Gram polynomial is not monic: an engine fault, not a
+    # failed certificate
+    real = expectation_engine.fixed_plus_random_block_expected
+    monkeypatch.setattr(
+        expectation_engine,
+        "fixed_plus_random_block_expected",
+        lambda a, block: 2 * real(a, block),
+    )
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    assert code == 3
+    assert stdout == ""
+    assert "internal error: the expected Gram polynomial is not monic" in stderr
+    assert "Traceback" not in stderr
     assert not (tmp_path / "graph.json").exists()
 
 

@@ -1,13 +1,27 @@
 """Matrices, Berkowitz charpoly, the integer trivariate determinant grid."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ramex import exact_linalg
 from ramex.exact_algebra import UniPoly
-from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
+from ramex.exact_linalg import (
+    BlockSpec,
+    CTensor,
+    Matrix,
+    RationalityViolation,
+    _interp_matrix,
+    charpoly,
+    rationality_violation_count,
+    trivariate_detpoly,
+)
+from ramex.oracle import _det_xid_minus
 
 
 def naive_charpoly(mat: Matrix) -> UniPoly:
@@ -51,6 +65,39 @@ def test_charpoly_matches_minor_sums_on_random_matrices():
             ]
         )
         assert charpoly(mat) == naive_charpoly(mat)
+
+
+@st.composite
+def _kernel_matrix(draw):
+    """Integer m x m, m in 0..8, small or up to 2^70 in size, with an
+    optional zero row, zero column and repeated row."""
+    m = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    if m:
+        index = st.integers(0, m - 1)
+        if draw(st.booleans()):
+            rows[draw(index)] = [0] * m
+        if draw(st.booleans()):
+            j = draw(index)
+            for row in rows:
+                row[j] = 0
+        if draw(st.booleans()):
+            rows[draw(index)] = list(rows[draw(index)])
+    return rows
+
+
+@settings(max_examples=120)
+@given(_kernel_matrix())
+@example([])
+@example([[2**70, -(2**70)], [2**70, -(2**70)]])
+@example([[0] * 8 for _ in range(8)])
+@example([[Fraction(1, 2), Fraction(-3, 7)], [Fraction(5, 3), 2]])
+@example([[Fraction(1, 3), 0, Fraction(2, 5)], [0, 0, 0], [Fraction(-7, 2), 1, Fraction(1, 3)]])
+@example([[Fraction((3 * i - 2 * j) % 11 - 5, 1 + (i + j) % 7) for j in range(6)] for i in range(6)])
+def test_charpoly_matches_cofactor_oracle(rows):
+    """Integer matrices, and a few Fraction ones as explicit examples."""
+    assert charpoly(Matrix.from_rows(rows)) == UniPoly(tuple(_det_xid_minus(rows)))
 
 
 def test_charpoly_requires_square():
@@ -130,3 +177,54 @@ def test_trivariate_at_ones_is_full_gram():
         assert sums == _e_k(charpoly(aug.transpose() @ aug), m)
         assert tensor.m == m and tensor.lhat == l - 1
         assert all(c >= 0 for plane in tensor.values for row in plane for c in row)
+
+
+@pytest.mark.parametrize("lhat", range(10))
+def test_interp_matrix_recovers_scaled_coefficients(lhat):
+    interp = _interp_matrix(lhat)
+    assert _interp_matrix(lhat) is interp
+    assert type(interp) is tuple and all(type(row) is tuple for row in interp)
+    rng = random.Random(lhat)
+    for _ in range(5):
+        coeffs = [rng.randint(-(10**6), 10**6) for _ in range(lhat + 1)]
+        values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(lhat + 1)]
+        got = [sum(w * v for w, v in zip(row, values)) for row in interp]
+        assert got == [math.factorial(lhat) * c for c in coeffs]
+
+
+# (grid call to perturb, power of lam, change): the point (0, 0) in the
+# leading coefficient, which moves C[0][0][0], and the point (1, 1) in the
+# constant coefficient, which drives some C[m][p][p] negative
+@pytest.mark.parametrize("call, power, delta", [(0, 4, 1), (4, 0, -(10**9))])
+def test_perturbed_grid_value_is_a_rationality_violation(monkeypatch, call, power, delta):
+    real = exact_linalg.charpoly
+    seen = []
+
+    def perturbed(matrix):
+        poly = real(matrix)
+        seen.append(matrix)
+        if len(seen) - 1 != call:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[power] += delta
+        return UniPoly(tuple(coeffs))
+
+    monkeypatch.setattr(exact_linalg, "charpoly", perturbed)
+    monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
+    a = Matrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+    with pytest.raises(RationalityViolation):
+        trivariate_detpoly(a, BlockSpec((0, 1, 3), (0, 2, 3)))
+    assert rationality_violation_count() == 1
+
+
+def test_ctensor_checks_its_numerators(monkeypatch):
+    monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
+    # l_hat = 1: C[k'] is over 2^(4k'), so these numerators mean C = 1, 1, 1/16
+    tensor = CTensor(1, 1, (((1, 0), (0, 0)), ((16, 0), (0, 1))))
+    assert tensor.get(1, 0, 0) == 1 and tensor.get(1, 1, 1) == Fraction(1, 16)
+    assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/16"]]]
+    with pytest.raises(RationalityViolation, match="expected 1"):
+        CTensor(1, 2, (((1,) * 3,) * 3, ((0,) * 3,) * 3))  # l_hat = 2 needs 2!^2 = 4
+    with pytest.raises(RationalityViolation, match="negative"):
+        CTensor(1, 1, (((1, 0), (0, 0)), ((16, 0), (-1, 0))))
+    assert rationality_violation_count() == 2

@@ -1,6 +1,7 @@
 """The expectation pipeline, cross-checked against brute enumeration."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ramex import expectation_engine
 from ramex.exact_algebra import NonzeroRemainder, UniPoly, poly_div_exact
 from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
+    _weight_table,
     add_random_matching,
     fixed_plus_random_block_expected,
     g_weight,
@@ -37,6 +39,21 @@ def test_g_weight_vanishing_conventions():
     assert g_weight(1, 2, 0, 0, 0) == 0  # k - k' exceeds block dimension
     assert g_weight(3, 2, 1, 3, 0) == 0  # numerator binomial vanishes
     assert g_weight(2, 1, 2, 0, 0) == 0  # k' > k
+
+
+def test_weight_table_is_scaled_g_weight():
+    for lhat in range(9):
+        scale, table = _weight_table(lhat)
+        assert _weight_table(lhat)[1] is table
+        assert scale == math.lcm(*(math.comb(lhat, j) for j in range(lhat + 1)))
+        assert type(table) is tuple
+        assert all(type(plane) is tuple and all(type(r) is tuple for r in plane) for plane in table)
+        span = range(lhat + 1)
+        for j, p, q in itertools.product(span, repeat=3):
+            for k in range(j, j + 3):
+                assert table[j][p][q] == scale * g_weight(lhat, k, k - j, p, q)
+        # the table stops at j = l_hat because the weights vanish past it
+        assert all(g_weight(lhat, lhat + 1, 0, p, q) == 0 for p in span for q in span)
 
 
 def test_expected_block_examples():
