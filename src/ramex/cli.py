@@ -16,11 +16,10 @@ import sys
 import time
 
 from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly, rational_to_str
-from .exact_linalg import RationalityViolation, trivariate_detpoly
-from .expectation_engine import node_polynomial
+from .exact_linalg import RationalityViolation
+from .expectation_engine import node_polynomial_and_tensor
 from .matching_family import (
     Params,
-    half_adjacency,
     leaf_graph,
     multigraph_from_json,
     multigraph_to_json,
@@ -258,8 +257,7 @@ def cmd_node_poly(args) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         return _usage_error(f"malformed node: {exc}")
     try:
-        poly = node_polynomial(node, params)
-        tensor = trivariate_detpoly(*half_adjacency(node, params)) if args.ctensor else None
+        poly, tensor = node_polynomial_and_tensor(node, params)
     except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -1,18 +1,18 @@
 """Exact expected characteristic polynomials for matching-tree nodes.
 
 The pipeline per node runs in y = x^2 until its last step: build the
-fixed half-adjacency matrix, average the in-progress matching over its
+fixed half-adjacency matrix, average the open partial matching over its
 block by quadrature (the squared-minor sums of the trivariate determinant,
 taken from an integer similarity of the fixed matrix plus the block mean,
 weighted by counting binomials), divide the resulting Gram polynomial once
-by the all-ones singular value factor (y - placed^2), fold in each still
+by the all-ones singular value factor (y - placed^2), fold in each
 unplaced uniformly random matching with the linear convolution step, and
 substitute y -> x^2.  Nothing leaves the rationals.
 
-Every node takes this one path: a leaf's empty block and a single open
-cell run through the same grid at l_hat = 0.  The two entry points,
-``fixed_plus_random_block_expected`` and ``node_polynomial``, return plain
-``UniPoly`` values.
+Every node has one shape: a fixed matrix, an optional partial-matching
+block, and folds; a pending fresh matching is folded like every later one.
+``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
+``UniPoly`` values, and ``node_polynomial_and_tensor`` the ``CTensor`` too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .exact_algebra import (
     poly_div_exact,
     poly_substitute_square,
 )
-from .exact_linalg import BlockSpec, Matrix, trivariate_detpoly
+from .exact_linalg import BlockSpec, CTensor, Matrix, trivariate_detpoly
 from .matching_family import NodeState, Params, half_adjacency
 
 
@@ -69,27 +69,19 @@ def _weight_table(lhat: int) -> tuple:
     )
 
 
-def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
-    """E[det(yI - (A + P_B)^T (A + P_B))] over a uniformly random
-    permutation P_B on the block.
-
-    Every block size takes the grid: an empty block gives the plain Gram's
-    sums at l_hat = 0, a single cell gives the bumped Gram's, and there
-    g_weight(0, k, k', 0, 0) = [k == k'] reads off its coefficients.
-
-    The contraction stays on integers: the tensor's numerators over
-    l^(4k') l_hat!^2 meet the cached integer weights L g_weight, and
-    coefficient k is one Fraction over the common denominator
-    l^(4k) l_hat!^2 L.
+def _contract(tensor: CTensor) -> UniPoly:
+    """The expected Gram polynomial of a squared-minor tensor, on integers:
+    the tensor's numerators over l^(4k') l_hat!^2 meet the cached integer
+    weights L g_weight, and coefficient k is one Fraction over the common
+    denominator l^(4k) l_hat!^2 L.  At l_hat = 0, where
+    g_weight(0, k, k', 0, 0) = [k == k'], this reads off the tensor.
     """
-    m = a.nrows
-    tensor = trivariate_detpoly(a, block)
     lhat = tensor.lhat
     scale, weights = _weight_table(lhat)
     l4 = (lhat + 1) ** 4
     nums = tensor.nums
     coeffs = []
-    for k in range(m + 1):
+    for k in range(tensor.m + 1):
         # over l^(4k) l_hat!^2 L: the sum of l^(4j) W[j] . nums[k - j], j <= l_hat
         total = sum(
             l4**j * sum(sum(map(mul, w, c)) for w, c in zip(weights[j], nums[k - j]))
@@ -97,6 +89,17 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
         )
         coeffs.append(Fraction(total if k % 2 == 0 else -total, tensor.denominator(k) * scale))
     return UniPoly(tuple(reversed(coeffs)))
+
+
+def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
+    """E[det(yI - (A + P_B)^T (A + P_B))] over a uniformly random
+    permutation P_B on the block.
+
+    Every block size takes the grid; an empty block gives the plain Gram's
+    polynomial.  Nodes pass only a partial matching's open cells: the full
+    block, a whole random matching, is what ``add_random_matching`` folds.
+    """
+    return _contract(trivariate_detpoly(a, block))
 
 
 def add_random_matching(reduced: UniPoly) -> UniPoly:
@@ -130,17 +133,25 @@ def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     trivial eigenvalue factor x^2 - d^2: monic, even, degree n - 2, exact.
 
     The trivial factor is split off the Gram polynomial once, as
-    (y - placed^2) for the placed matchings, each unplaced matching is
-    folded in y, and y -> x^2 comes last.
+    (y - placed^2) for the complete matchings and the partial one, every
+    other matching (a pending fresh one too) is folded in y, and y -> x^2
+    comes last.
     """
-    gram = fixed_plus_random_block_expected(*half_adjacency(node, params))
+    return node_polynomial_and_tensor(node, params)[0]
+
+
+def node_polynomial_and_tensor(node: NodeState, params: Params) -> tuple[UniPoly, CTensor]:
+    """The node's polynomial, as ``node_polynomial`` gives it, and the
+    squared-minor tensor of its block, from one run of the grid."""
+    tensor = trivariate_detpoly(*half_adjacency(node, params))
+    gram = _contract(tensor)
     if gram.degree != params.n // 2 or not gram.is_monic:
         raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2")
-    placed = len(node.complete) if node.is_leaf(params) else len(node.complete) + 1
+    placed = len(node.complete) + (node.partial is not None)
     reduced = poly_div_exact(gram, UniPoly((-(placed * placed), 1)))
     for _ in range(placed, params.d):
         reduced = add_random_matching(reduced)
     body = poly_substitute_square(reduced)
     if body.degree != params.n - 2 or not body.is_monic:
         raise InvariantViolation("degree bookkeeping broken")
-    return body
+    return body, tensor

@@ -132,30 +132,22 @@ def half_adjacency(node: NodeState, params: Params) -> tuple[Matrix, BlockSpec]:
     """The fixed m x m edge-count matrix plus the random-block index sets.
 
     The block is (unmatched lefts) x (unmatched rights) while a partial
-    matching is open, the full index set when a fresh random matching is
-    pending, and empty on a leaf.
+    matching is open, and empty otherwise: a fresh matching that is still
+    pending is folded in by the engine, not averaged over a block.
     """
     m = params.m
     counts = [[0] * m for _ in range(m)]
     for match in node.complete:
         for i, j in enumerate(match):
             counts[i][j] += 1
+    t, block = 0, BlockSpec((), ())
     if node.partial is not None:
         for i, j in enumerate(node.partial):
             counts[i][j] += 1
         t = len(node.partial)
-        block = BlockSpec(
-            tuple(range(t, m)),
-            tuple(sorted(set(range(m)) - set(node.partial))),
-        )
-    elif len(node.complete) < params.d:
-        block = BlockSpec(tuple(range(m)), tuple(range(m)))
-    else:
-        block = BlockSpec((), ())
-    t = len(node.partial) if node.partial is not None else 0
-    base = len(node.complete)
+        block = BlockSpec(range(t, m), sorted(set(range(m)) - set(node.partial)))
     for i in range(m):
-        if sum(counts[i]) != base + (1 if i < t else 0):
+        if sum(counts[i]) != len(node.complete) + (i < t):
             raise InvariantViolation(f"row sum invariant broken at left vertex {i + 1}")
     return Matrix.from_rows(counts), block
 
@@ -164,12 +156,7 @@ def leaf_graph(node: NodeState, params: Params) -> Multigraph:
     """Combine a leaf's d matchings into the edge-multiplicity matrix."""
     if not node.is_leaf(params):
         raise NotALeaf("node is not a leaf")
-    m = params.m
-    counts = [[0] * m for _ in range(m)]
-    for match in node.complete:
-        for i, j in enumerate(match):
-            counts[i][j] += 1
-    return Multigraph(params, tuple(tuple(row) for row in counts))
+    return Multigraph(params, half_adjacency(node, params)[0].entries)
 
 
 def node_to_json(node: NodeState) -> dict:

@@ -225,12 +225,8 @@ def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypat
 def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
     # twice the true Gram polynomial is not monic: an engine fault, not a
     # failed certificate
-    real = expectation_engine.fixed_plus_random_block_expected
-    monkeypatch.setattr(
-        expectation_engine,
-        "fixed_plus_random_block_expected",
-        lambda a, block: 2 * real(a, block),
-    )
+    real = expectation_engine._contract
+    monkeypatch.setattr(expectation_engine, "_contract", lambda tensor: 2 * real(tensor))
     code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
     assert code == 3
     assert stdout == ""
@@ -270,6 +266,41 @@ def test_node_poly_ctensor_on_leaf(capsys):
     data = json.loads(stdout)
     assert data["node_poly"] == ["-1", "0", "1"]
     assert data["ctensor"] == {"m": 2, "lhat": 0, "values": [[["1"]], [["10"]], [["9"]]]}
+
+
+def test_node_poly_ctensor_on_root(capsys):
+    # the root's fresh matching is folded, not averaged over a block, so
+    # its tensor is the l_hat = 0 one of the zero matrix's Gram
+    code, stdout, _ = run(
+        capsys, "node-poly", '{"complete": [], "partial": []}', "--n", "8", "--d", "3",
+        "--ctensor",
+    )
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["node_poly"] == ["-31/3", "0", "21", "0", "-9", "0", "1"]
+    assert data["ctensor"] == {
+        "m": 4, "lhat": 0, "values": [[["1"]], [["0"]], [["0"]], [["0"]], [["0"]]]
+    }
+
+
+def test_node_poly_ctensor_runs_the_grid_once(capsys, monkeypatch):
+    # the tensor printed is the one the node polynomial was built from
+    calls = []
+
+    def counting(real):
+        def wrapped(*args):
+            calls.append(args)
+            return real(*args)
+
+        return wrapped
+
+    for module in (cli, expectation_engine):
+        if hasattr(module, "trivariate_detpoly"):
+            monkeypatch.setattr(module, "trivariate_detpoly", counting(module.trivariate_detpoly))
+    node = '{"complete": [[1, 2, 3, 4]], "partial": [2]}'
+    code, _, _ = run(capsys, "node-poly", node, "--n", "8", "--d", "3", "--ctensor")
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["node-poly", "oracle"])

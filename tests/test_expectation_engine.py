@@ -164,8 +164,8 @@ def test_node_polynomial_requires_the_all_ones_factor(monkeypatch):
     node = NodeState(((0, 1),), (1,))  # placed = 2
     monkeypatch.setattr(
         expectation_engine,
-        "fixed_plus_random_block_expected",
-        lambda a, block: UniPoly((Fraction(1), Fraction(0), Fraction(1))),
+        "_contract",
+        lambda tensor: UniPoly((Fraction(1), Fraction(0), Fraction(1))),
     )
     with pytest.raises(NonzeroRemainder):
         node_polynomial(node, params)
@@ -218,6 +218,40 @@ def test_add_random_matching_point_mass_average():
             assert add_random_matching(reduced) == poly_div_exact(direct, y_minus((c + 1) ** 2))
 
 
+def _permutation_sum(perms, m):
+    mult = [[0] * m for _ in range(m)]
+    for perm in perms:
+        for i, j in enumerate(perm):
+            mult[i][j] += 1
+    return Matrix.from_rows(mult)
+
+
+@st.composite
+def _permutation_sums(draw):
+    m = draw(st.integers(2, 7))
+    c = draw(st.integers(0, 3))
+    return c, _permutation_sum([draw(st.permutations(range(m))) for _ in range(c)], m)
+
+
+@settings(max_examples=40)
+@given(_permutation_sums())
+@example((3, _permutation_sum([range(7), range(7), range(7)], 7)))
+@example((2, _permutation_sum([(1, 0, 3, 2, 5, 6, 4), (6, 5, 4, 3, 2, 1, 0)], 7)))
+@example((0, Matrix.zeros(7, 7)))
+def test_full_block_average_is_the_fold(case):
+    """Averaging a c-regular A over a full random block, the grid route,
+    equals folding one random matching into A's Gram polynomial, each with
+    its all-ones factor divided out."""
+    c, a = case
+    m = a.nrows
+    full = BlockSpec(tuple(range(m)), tuple(range(m)))
+    averaged = fixed_plus_random_block_expected(a, full)
+    gram = charpoly(a.transpose() @ a)
+    assert poly_div_exact(averaged, UniPoly((-((c + 1) ** 2), 1))) == add_random_matching(
+        poly_div_exact(gram, UniPoly((-(c * c), 1)))
+    )
+
+
 def test_node_polynomial_examples():
     params = Params(4, 3)
     assert node_polynomial(NodeState(), params) == UniPoly((-3, 0, 1))
@@ -256,15 +290,15 @@ def test_parent_is_average_of_children():
 
 
 def test_ctensor_debug_surface():
-    params = Params(6, 3)
-    tensor = trivariate_detpoly(*half_adjacency(NodeState(), params))
-    assert tensor.m == 3 and tensor.lhat == 2
+    params = Params(8, 3)
+    tensor = trivariate_detpoly(*half_adjacency(NodeState((), (0,)), params))
+    assert tensor.m == 4 and tensor.lhat == 2
     assert tensor.get(0, 0, 0) == 1
     assert all(
         c >= 0 for plane in tensor.values for row in plane for c in row
     )
     data = tensor.to_json()
-    assert data["m"] == 3 and data["lhat"] == 2
+    assert data["m"] == 4 and data["lhat"] == 2
     assert data["values"][0][0][0] == "1"
 
     # A leaf (l = 0) and a single open cell (l = 1) take the grid too.  At

@@ -73,11 +73,11 @@ BUILD_DIGESTS = {
     ),
 }
 
-# node-poly --ctensor output on (8,3) nodes: the root (l_hat = 3), a
-# partial node (l_hat = 2) and a leaf (l_hat = 0)
+# node-poly --ctensor output on (8,3) nodes: the root (l_hat = 0, its
+# fresh matching is folded), a partial node (l_hat = 2) and a leaf (l_hat = 0)
 NODE_DIGESTS = {
     '{"complete": [], "partial": []}':
-        "6feadd63f2400bf776ce6fd044981d638eb0e70e8297a2bda13fe7183913c894",
+        "7e8942bbfc0b3e2864f1c93baa5a4b66bdf4b54a12023c9c957aed0a92e612a5",
     '{"complete": [[1, 2, 3, 4]], "partial": [2]}':
         "63afdbbf3da69ccf9b84bcc854ae803abd30778dd411037c3263a2f538b70c6e",
     '{"complete": [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2]], "partial": []}':

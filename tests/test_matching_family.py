@@ -71,7 +71,7 @@ def test_half_adjacency_examples():
 
     mat, block = half_adjacency(NodeState(), params)
     assert mat.entries == ((0, 0), (0, 0))
-    assert block == BlockSpec((0, 1), (0, 1))
+    assert block == BlockSpec((), ())  # the pending fresh matching is folded
 
     mat, block = half_adjacency(NodeState(((0, 1), (0, 1), (1, 0))), params)
     assert mat.entries == ((2, 1), (1, 2))
