@@ -32,6 +32,7 @@ from .ramanujan_walk import (
     NotRegular,
     certificate_to_json,
     certify,
+    certify_by_elimination,
     walk,
 )
 
@@ -85,13 +86,16 @@ def cmd_build(args) -> int:
         return _usage_error(f"cannot create output directory: {exc}")
     started = time.monotonic()
     try:
-        result = walk(params, jobs=args.jobs, canonical_first=args.canonical_first_matching)
+        result = walk(
+            params, jobs=args.jobs, canonical_first=args.canonical_first_matching, audit=args.trace
+        )
         graph = leaf_graph(result.leaf, params)
         cert = certify(graph)
         if result.leaf_poly != cert.nontrivial_poly:
             raise InvariantViolation(
                 "the walk's leaf polynomial differs from the certified nontrivial polynomial"
             )
+        _cross_check(cert)
     except NoPassingChild as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         _dump_failed_walk(args.out, exc)
@@ -119,6 +123,16 @@ def cmd_build(args) -> int:
         f"(q={cert.bound_q}), wrote {graph_path} and {cert_path}"
     )
     return EXIT_PASS if cert.passed else EXIT_FAIL
+
+
+def _cross_check(cert) -> None:
+    """The certificate's verdict must match the elimination test, which
+    shares no code with the characteristic polynomial path."""
+    if certify_by_elimination(cert.graph) != cert.passed:
+        raise InvariantViolation(
+            f"the certificate says passed={cert.passed}, "
+            "but the elimination test of the Ramanujan bound disagrees"
+        )
 
 
 def _transcript_json(result, cert, args, elapsed: float) -> dict:
@@ -234,6 +248,11 @@ def _show(value) -> str:
 
 def cmd_verify(args) -> int:
     cert = _certify_file(args.graph)
+    try:
+        _cross_check(cert)
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     found = _read_json(args.certificate, "certificate")
     if not isinstance(found, dict):
         return _usage_error("certificate must be a JSON object")
@@ -297,13 +316,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, required=True, help="total vertex count (even)")
     p_build.add_argument("--d", type=int, required=True, help="degree")
     p_build.add_argument("--out", default=".", help="output directory")
-    p_build.add_argument("--trace", action="store_true", help="also write transcript.json")
+    p_build.add_argument(
+        "--trace",
+        action="store_true",
+        help="run the full audited walk (every child evaluated, each parent checked to be "
+        "their average) and also write transcript.json",
+    )
     p_build.add_argument(
         "--canonical-first-matching",
         action="store_true",
         help="pin the first matching to the identity (relabeling symmetry)",
     )
-    p_build.add_argument("--jobs", type=int, default=1, help="worker processes for child evaluation")
+    p_build.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for child evaluation; pays off only when one node "
+        "evaluation outweighs a process round-trip (large n)",
+    )
     p_build.set_defaults(func=cmd_build)
 
     p_cert = sub.add_parser("certify", help="certify a multigraph JSON file")

@@ -1,14 +1,17 @@
 """Greedy descent through the matching tree and exact certification.
 
-The walk starts at the root, evaluates every child's polynomial, and
-descends into the first child (ascending partner order) whose max root is
-at most sqrt(q) with q = 4(d-1), tested exactly on the rational pairs
-(a, b) of the shifted coefficients a + b sqrt(q).  At a leaf the matchings
-combine into a d-regular bipartite multigraph whose nontrivial spectrum is
-certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
-symmetric about zero, so bounding the max root bounds the min root as
-well.  The adjacency polynomial comes from the m x m Gram of the
-multiplicity matrix, not the n x n adjacency.
+The walk starts at the root and descends into the first child (ascending
+partner order) whose max root is at most sqrt(q) with q = 4(d-1), tested
+exactly on the rational pairs (a, b) of the shifted coefficients
+a + b sqrt(q).  An audited walk evaluates every child and checks that the
+parent's polynomial is their average; a lazy walk evaluates children only
+until one passes, and none at a stage with a single child.  At a leaf the
+matchings combine into a d-regular bipartite multigraph whose nontrivial
+spectrum is certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite
+spectra are symmetric about zero, so bounding the max root bounds the min
+root as well.  The adjacency polynomial comes from the m x m Gram of the
+multiplicity matrix, not the n x n adjacency.  certify_by_elimination
+reaches the same verdict with no characteristic polynomial at all.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .exact_algebra import (
     InvariantViolation,
@@ -42,7 +46,8 @@ class NoPassingChild(RuntimeError):
     Impossible for a correct implementation when the current node passes
     (the parent polynomial is an average of the children's, which share a
     common interlacing), so outside the degenerate d = 1 regime this
-    always indicates a bug.  Carries the full stage transcript.
+    always indicates a bug.  Carries the stuck node and every child with
+    its polynomial: a stage with no passing child has evaluated them all.
     """
 
     def __init__(self, message: str, node=None, child_nodes=(), child_polys=()):
@@ -126,9 +131,48 @@ def certify(graph: Multigraph) -> Certificate:
     )
 
 
+def certify_by_elimination(graph: Multigraph) -> bool:
+    """The Ramanujan verdict of certify, reached without a characteristic
+    polynomial.
+
+    B^T B has the all-ones vector as an eigenvector with eigenvalue d^2,
+    so its other eigenvalues are at most q = 4(d-1) exactly when
+    S = m q I - m B^T B + d^2 J is positive semidefinite.  That is decided
+    by fraction-free (Bareiss) symmetric elimination on integers, pivoting
+    on the largest remaining diagonal entry: each pivot is a positive
+    principal minor, and each step leaves that minor times the Schur
+    complement.  A negative diagonal entry, or a nonzero block whose
+    diagonal is all zero, means S is not PSD.  Expects a regular graph.
+    """
+    m, d = graph.params.m, graph.params.d
+    cols = list(zip(*graph.multiplicity))
+    s = [[d * d - m * sum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    for i in range(m):
+        s[i][i] += m * 4 * (d - 1)
+    rest = list(range(m))
+    prev = 1
+    while rest:
+        if min(s[i][i] for i in rest) < 0:
+            return False
+        k = max(rest, key=lambda i: s[i][i])
+        pivot = s[k][k]
+        if pivot == 0:
+            return all(s[i][j] == 0 for i in rest for j in rest)
+        rest.remove(k)
+        for i in rest:
+            for j in rest:
+                s[i][j] = (pivot * s[i][j] - s[i][k] * s[k][j]) // prev
+        prev = pivot
+    return True
+
+
 @dataclass(frozen=True)
 class WalkStage:
-    """One expansion of the walk: a node, its evaluated children, the pick."""
+    """One expansion of the walk: a node, its evaluated children, the pick.
+
+    child_nodes lists every child; child_polys and child_passed cover only
+    the evaluated prefix, which is all of them on an audited walk.
+    """
 
     node: NodeState
     node_poly: UniPoly
@@ -159,14 +203,22 @@ def _average(polys) -> UniPoly:
     return Fraction(1, len(polys)) * total
 
 
-def walk(params: Params, jobs: int = 1, canonical_first: bool = False) -> WalkResult:
+def walk(
+    params: Params, jobs: int = 1, canonical_first: bool = False, audit: bool = True
+) -> WalkResult:
     """Descend from the root to a leaf, keeping the invariant that the
     current node's polynomial passes the sqrt(q) bound, q = 4(d-1).
 
-    Children are all evaluated (independently; in worker processes when
-    jobs > 1) and scanned in deterministic ascending order for the first
-    passing one, so results never depend on scheduling.  canonical_first
-    pins the first matching to the identity, a pure relabeling symmetry.
+    The descent takes the first passing child in deterministic ascending
+    order.  With audit, every child is evaluated and the current node's
+    polynomial must be their average.  Without it, a single-child stage
+    evaluates nothing (its child's polynomial is the parent's), and other
+    stages evaluate children in ascending batches of jobs, stopping after
+    the first batch that holds a passing child; a stage where none passes
+    has evaluated them all.  Children are evaluated independently, in
+    worker processes when jobs > 1, and the leaf never depends on the job
+    count.  canonical_first pins the first matching to the identity, a
+    pure relabeling symmetry.
     """
     q = 4 * (params.d - 1)
     if canonical_first:
@@ -186,16 +238,23 @@ def walk(params: Params, jobs: int = 1, canonical_first: bool = False) -> WalkRe
     try:
         while not current.is_leaf(params):
             kids = children(current, params)
-            tasks = [(k, params) for k in kids]
-            if pool is not None:
-                polys = list(pool.map(_child_poly_task, tasks))
-            else:
-                polys = [_child_poly_task(t) for t in tasks]
-            if _average(polys) != current_poly:
+            if audit or len(kids) > 1:
+                step = len(kids) if audit else jobs
+                polys, passed = [], []
+                while len(polys) < len(kids) and True not in passed:
+                    tasks = [(k, params) for k in kids[len(polys) : len(polys) + step]]
+                    if pool is not None:
+                        batch = list(pool.map(_child_poly_task, tasks))
+                    else:
+                        batch = [_child_poly_task(t) for t in tasks]
+                    polys += batch
+                    passed += [max_root_leq_sqrt(p, q) for p in batch]
+            else:  # a forced stage: the only child's polynomial is the parent's
+                polys, passed = [current_poly], [True]
+            if audit and _average(polys) != current_poly:
                 raise InvariantViolation(
                     f"polynomial of {current} is not the average of its children"
                 )
-            passed = [max_root_leq_sqrt(p, q) for p in polys]
             try:
                 idx = passed.index(True)
             except ValueError:

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import ramex
-from ramex import cli, expectation_engine
+from ramex import cli, expectation_engine, ramanujan_walk
 from ramex.cli import main
-from ramex.exact_algebra import UniPoly
+from ramex.exact_algebra import UniPoly, rational_to_str
+from ramex.matching_family import Params, node_to_json
 
 
 def run(capsys, *argv):
@@ -222,6 +223,26 @@ def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypat
     assert not (tmp_path / "graph.json").exists()
 
 
+def test_build_and_verify_cross_check_the_elimination_test(
+    built_6_3, tmp_path, capsys, monkeypatch
+):
+    """A certificate verdict that the elimination test contradicts is an
+    internal fault: exit 3 from build (writing no graph) and from verify."""
+    monkeypatch.setattr(cli, "certify_by_elimination", lambda graph: False)
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    assert code == 3
+    assert stdout == ""
+    assert "elimination test of the Ramanujan bound disagrees" in stderr
+    assert not (tmp_path / "graph.json").exists()
+    code, stdout, stderr = run(
+        capsys, "verify", str(built_6_3 / "graph.json"), str(built_6_3 / "certificate.json")
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "elimination test of the Ramanujan bound disagrees" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
     # twice the true Gram polynomial is not monic: an engine fault, not a
     # failed certificate
@@ -341,6 +362,41 @@ def test_build_failure_dump(tmp_path, capsys):
     assert failure["children"] == []
 
 
+def test_stuck_stage_failure_dump_is_the_same_lazy_or_traced(tmp_path, capsys, monkeypatch):
+    """Every child of one inner stage fails the root test: the lazy walk has
+    then evaluated all of them, so a plain and a traced build write the same
+    failure.json, listing each child with its polynomial."""
+    params = Params(6, 3)
+    stages = ramanujan_walk.walk(params).stages
+    tested = {stages[0].node_poly, *stages[0].child_polys}
+    for stage in stages[1:]:
+        if len(stage.child_nodes) > 1 and tested.isdisjoint(stage.child_polys):
+            break
+        tested.update(stage.child_polys)
+    else:
+        pytest.fail("no inner stage whose children are all untested elsewhere")
+    stuck = stage.child_polys
+    real = ramanujan_walk.max_root_leq_sqrt
+    monkeypatch.setattr(
+        ramanujan_walk, "max_root_leq_sqrt", lambda p, q: p not in stuck and real(p, q)
+    )
+    dumps = []
+    for extra in ([], ["--trace"]):
+        out = tmp_path / ("traced" if extra else "plain")
+        code, _, stderr = run(capsys, "build", "--n", "6", "--d", "3", "--out", str(out), *extra)
+        assert code == 3
+        assert "no child of" in stderr
+        assert not (out / "graph.json").exists()
+        dumps.append((out / "failure.json").read_bytes())
+    assert dumps[0] == dumps[1]
+    failure = json.loads(dumps[0])
+    assert failure["node"] == node_to_json(stage.node)
+    assert failure["children"] == [
+        {"node": node_to_json(c), "poly": [rational_to_str(x) for x in p.coeffs]}
+        for c, p in zip(stage.child_nodes, stuck)
+    ]
+
+
 def test_build_failure_dump_not_writable(tmp_path, capsys):
     (tmp_path / "failure.json").mkdir()
     code, _, stderr = run(capsys, "build", "--n", "4", "--d", "1", "--out", str(tmp_path))
@@ -383,9 +439,9 @@ def test_build_rejects_nonpositive_jobs(tmp_path, capsys):
     assert not (tmp_path / "graph.json").exists()
 
 
-def test_invariant_violation_survives_optimize(tmp_path):
-    """Invariant checks are real checks: under python -O a forced violation
-    still raises InvariantViolation, and build maps it to exit code 3."""
+def _skewed_build_under_optimize(out, *extra):
+    """Run build under python -O with every child polynomial raised by 1,
+    so that no parent is the average of its children."""
     script = textwrap.dedent(
         """
         import sys
@@ -404,20 +460,39 @@ def test_invariant_violation_survives_optimize(tmp_path):
         # skew every child so that the parent is no longer their average
         real = ramanujan_walk._child_poly_task
         ramanujan_walk._child_poly_task = lambda task: real(task) + UniPoly((1,))
-        sys.exit(cli.main(["build", "--n", "4", "--d", "3", "--out", sys.argv[1]]))
+        argv = ["build", "--n", "4", "--d", "3", "--out", sys.argv[1]] + sys.argv[2:]
+        sys.exit(cli.main(argv))
         """
     )
     src = str(Path(ramex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, str(out), *extra],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
+
+
+def test_invariant_violation_survives_optimize(tmp_path):
+    """Invariant checks are real checks: under python -O a forced violation
+    still raises InvariantViolation, and build maps it to exit code 3.  The
+    averaging check runs on the audited walk of a traced build."""
+    proc = _skewed_build_under_optimize(tmp_path, "--trace")
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert "not the average of its children" in proc.stderr
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_skewed_lazy_build_fails_the_leaf_check(tmp_path):
+    """A plain build walks lazily and runs no averaging check; the same skew
+    then reaches the leaf and fails build's cross-check against certify."""
+    proc = _skewed_build_under_optimize(tmp_path)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "the walk's leaf polynomial differs" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "graph.json").exists()
 
 

@@ -3,7 +3,8 @@
 that moves a byte of output fails here.
 
 `transcript.json` is hashed without its wall-clock `elapsed_ms`, re-dumped
-the way the CLI writes it.  A deliberate, versioned format change updates
+the way the CLI writes it.  A traced build runs the audited walk and a
+plain one the lazy walk; both must write the same graph and certificate.  A deliberate, versioned format change updates
 these digests in the same commit.
 """
 
@@ -89,15 +90,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def build_digests(out, n: int, d: int) -> tuple:
-    assert main(["build", "--n", str(n), "--d", str(d), "--out", str(out), "--trace"]) == 0
-    transcript = json.loads((out / "transcript.json").read_text())
-    del transcript["elapsed_ms"]
-    return (
+def build_digests(out, n: int, d: int, *extra: str) -> tuple:
+    assert main(["build", "--n", str(n), "--d", str(d), "--out", str(out), *extra]) == 0
+    graph_and_cert = (
         _sha256((out / "graph.json").read_bytes()),
         _sha256((out / "certificate.json").read_bytes()),
-        _sha256((json.dumps(transcript, indent=2) + "\n").encode()),
     )
+    if "--trace" not in extra:
+        return graph_and_cert
+    transcript = json.loads((out / "transcript.json").read_text())
+    del transcript["elapsed_ms"]
+    return graph_and_cert + (_sha256((json.dumps(transcript, indent=2) + "\n").encode()),)
 
 
 def node_digest(node: str, capsys) -> str:
@@ -109,7 +112,14 @@ def node_digest(node: str, capsys) -> str:
 @pytest.mark.parametrize("case", sorted(BUILD_DIGESTS))
 def test_build_outputs_are_golden(case, tmp_path, capsys):
     n, d = case
-    assert build_digests(tmp_path, n, d) == BUILD_DIGESTS[case]
+    assert build_digests(tmp_path, n, d, "--trace") == BUILD_DIGESTS[case]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_DIGESTS))
+def test_plain_build_outputs_are_golden(case, tmp_path, capsys):
+    n, d = case
+    assert build_digests(tmp_path, n, d) == BUILD_DIGESTS[case][:2]
     capsys.readouterr()
 
 

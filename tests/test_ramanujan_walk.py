@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ramex import ramanujan_walk
 from ramex.exact_algebra import UniPoly, quad_sign
 from ramex.matching_family import Multigraph, NodeState, Params, leaf_graph
 from ramex.oracle import _adjacency, _det_xid_minus
@@ -14,6 +17,7 @@ from ramex.ramanujan_walk import (
     NotRegular,
     certificate_to_json,
     certify,
+    certify_by_elimination,
     max_root_leq_sqrt,
     walk,
 )
@@ -178,3 +182,123 @@ def test_walk_leaf_always_certifies_small_sweep():
         assert isinstance(cert, Certificate)
         # the leaf polynomial equals the certified nontrivial polynomial
         assert result.leaf_poly == cert.nontrivial_poly
+
+
+def _walk_or_stuck(params, **kwargs):
+    """The walk's result, or the node and message of its NoPassingChild."""
+    try:
+        return walk(params, **kwargs)
+    except NoPassingChild as exc:
+        return exc.node, str(exc)
+
+
+@settings(max_examples=40)
+@given(
+    st.integers(1, 5).map(lambda m: 2 * m),
+    st.integers(1, 4),
+    st.booleans(),
+)
+@example(10, 4, False)
+@example(8, 1, True)
+def test_lazy_walk_reaches_the_full_walks_leaf(n, d, canonical_first):
+    """The contract of first-pass descent: the lazy walk reaches the leaf of
+    the audited walk through the same choices, and evaluates only a prefix
+    of each stage's children, ending at the chosen one."""
+    params = Params(n, d)
+    full = _walk_or_stuck(params, canonical_first=canonical_first)
+    lazy = _walk_or_stuck(params, canonical_first=canonical_first, audit=False)
+    if d == 1 and n > 2:
+        assert isinstance(full, tuple)
+    if isinstance(full, tuple):
+        assert lazy == full
+        return
+    assert (lazy.leaf, lazy.leaf_poly) == (full.leaf, full.leaf_poly)
+    assert len(lazy.stages) == len(full.stages)
+    for lazy_stage, full_stage in zip(lazy.stages, full.stages):
+        assert lazy_stage.node == full_stage.node
+        assert lazy_stage.node_poly == full_stage.node_poly
+        assert lazy_stage.child_nodes == full_stage.child_nodes
+        assert lazy_stage.chosen == full_stage.chosen
+        size = len(lazy_stage.child_polys)
+        assert size == lazy_stage.chosen + 1
+        assert lazy_stage.child_polys == full_stage.child_polys[:size]
+        assert lazy_stage.child_passed == full_stage.child_passed[:size]
+
+
+def test_lazy_walk_skips_forced_stages(monkeypatch):
+    """Only the start node and the children of stages with a choice are
+    evaluated; a single-child stage reuses the parent's polynomial."""
+    calls = []
+    real = ramanujan_walk.node_polynomial
+    monkeypatch.setattr(
+        ramanujan_walk, "node_polynomial", lambda *args: calls.append(1) or real(*args)
+    )
+    result = walk(Params(8, 4), audit=False)
+    forced = [s for s in result.stages if len(s.child_nodes) == 1]
+    assert forced
+    for stage in forced:
+        assert stage.child_polys == (stage.node_poly,)
+    chosen = [s.chosen + 1 for s in result.stages if len(s.child_nodes) > 1]
+    assert len(calls) == 1 + sum(chosen)
+
+
+@pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
+def test_lazy_walk_is_jobs_agnostic(n, d):
+    """Batches of two children reach the same leaf with the same choices;
+    a stage that picks child 2 or later runs a second batch."""
+    params = Params(n, d)
+    serial = walk(params, audit=False)
+    parallel = walk(params, jobs=2, audit=False)
+    assert (parallel.leaf, parallel.leaf_poly) == (serial.leaf, serial.leaf_poly)
+    assert [s.chosen for s in parallel.stages] == [s.chosen for s in serial.stages]
+    for p_stage, s_stage in zip(parallel.stages, serial.stages):
+        size = len(s_stage.child_polys)
+        assert p_stage.child_polys[:size] == s_stage.child_polys
+        if len(p_stage.child_nodes) > 1:
+            batches = s_stage.chosen // 2 + 1
+            assert len(p_stage.child_polys) == min(2 * batches, len(p_stage.child_nodes))
+    if (n, d) == (8, 4):
+        assert max(s.chosen for s in serial.stages) >= 2
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 16), st.sampled_from((1, 2, 3, 4, 5, 10)), st.integers(0, 2**32))
+def test_elimination_agrees_with_certify(m, d, seed):
+    """Unions of random matchings, disconnected ones and q = 0 included."""
+    graph = Multigraph(Params(2 * m, d), _random_regular(random.Random(seed), m, d))
+    assert certify_by_elimination(graph) is certify(graph).passed
+
+
+@pytest.mark.parametrize(
+    "d, mult, passed",
+    [
+        # top nontrivial eigenvalue of B^T B exactly q: the bound holds with equality
+        (10, ((8, 2), (2, 8)), True),  # eigenvalues 100, 36
+        (5, ((4, 0, 1), (1, 1, 3), (0, 4, 1)), True),  # q = 16 is an eigenvalue
+        (2, ((2, 0, 0), (0, 2, 0), (0, 0, 2)), True),  # disconnected, d^2 = q
+        (2, ((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1)), True),
+        # just over the bound, and q = 0
+        (3, ((3, 0), (0, 3)), False),  # disconnected: 9 > 8
+        (3, ((2, 1, 0), (1, 2, 0), (0, 0, 3)), False),
+        # elimination ends on a block with an all-zero diagonal but a nonzero entry
+        (
+            3,
+            (
+                (1, 0, 0, 1, 1, 0),
+                (0, 0, 0, 2, 1, 0),
+                (0, 1, 2, 0, 0, 0),
+                (0, 1, 0, 0, 0, 2),
+                (2, 0, 0, 0, 1, 0),
+                (0, 1, 1, 0, 0, 1),
+            ),
+            False,
+        ),
+        (1, ((1,),), True),
+        (1, ((1, 0), (0, 1)), False),
+        (4, ((4,),), True),  # m = 1: no nontrivial eigenvalue
+    ],
+)
+def test_elimination_hand_built_cases(d, mult, passed):
+    graph = Multigraph(Params(2 * len(mult), d), mult)
+    assert certify(graph).passed is passed
+    assert certify_by_elimination(graph) is passed
