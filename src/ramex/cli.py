@@ -331,8 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for child evaluation; pays off only when one node "
-        "evaluation outweighs a process round-trip (large n)",
+        help="worker processes for child evaluation; speeds up a --trace build, "
+        "but no plain build is known to gain from it",
     )
     p_build.set_defaults(func=cmd_build)
 
