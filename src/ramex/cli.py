@@ -86,9 +86,7 @@ def cmd_build(args) -> int:
         return _usage_error(f"cannot create output directory: {exc}")
     started = time.monotonic()
     try:
-        result = walk(
-            params, jobs=args.jobs, canonical_first=args.canonical_first_matching, audit=args.trace
-        )
+        result = walk(params, jobs=args.jobs, audit=args.trace)
         graph = leaf_graph(result.leaf, params)
         cert = certify(graph)
         if result.leaf_poly != cert.nontrivial_poly:
@@ -139,7 +137,6 @@ def _transcript_json(result, cert, args, elapsed: float) -> dict:
     return {
         "params": {"n": result.params.n, "d": result.params.d},
         "q": result.bound_q,
-        "canonical_first_matching": bool(args.canonical_first_matching),
         "jobs": args.jobs,
         "stages": [
             {
@@ -323,16 +320,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "their average) and also write transcript.json",
     )
     p_build.add_argument(
-        "--canonical-first-matching",
-        action="store_true",
-        help="pin the first matching to the identity (relabeling symmetry)",
-    )
-    p_build.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for child evaluation; speeds up a --trace build, "
-        "but no plain build is known to gain from it",
+        help="worker processes for child evaluation on a --trace build; a plain "
+        "build evaluates one child at a time and starts no workers",
     )
     p_build.set_defaults(func=cmd_build)
 

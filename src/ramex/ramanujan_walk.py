@@ -1,17 +1,22 @@
 """Greedy descent through the matching tree and exact certification.
 
-The walk starts at the root and descends into the first child (ascending
-partner order) whose max root is at most sqrt(q) with q = 4(d-1), tested
-exactly on the rational pairs (a, b) of the shifted coefficients
-a + b sqrt(q).  An audited walk evaluates every child and checks that the
-parent's polynomial is their average; a lazy walk evaluates children only
-until one passes, and none at a stage with a single child.  At a leaf the
-matchings combine into a d-regular bipartite multigraph whose nontrivial
-spectrum is certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite
-spectra are symmetric about zero, so bounding the max root bounds the min
-root as well.  The adjacency polynomial comes from the m x m Gram of the
-multiplicity matrix, not the n x n adjacency.  certify_by_elimination
-reaches the same verdict with no characteristic polynomial at all.
+The walk starts at the identity first matching.  While the first matching
+is being placed nothing else is in the graph, so relabeling the unused
+right vertices turns any child of such a node into any other: every child
+has its parent's polynomial, and a walk from the root would take child 0
+down to the identity anyway.  From there it descends into the first child
+(ascending partner order) whose max root is at most sqrt(q) with
+q = 4(d-1), tested exactly on the rational pairs (a, b) of the shifted
+coefficients a + b sqrt(q).  An audited walk evaluates every child and
+checks that the parent's polynomial is their average; a lazy walk
+evaluates children one at a time until one passes, and none at a stage
+with a single child.  At a leaf the matchings combine into a d-regular
+bipartite multigraph whose nontrivial spectrum is certified to lie in
+[-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are symmetric about zero,
+so bounding the max root bounds the min root as well.  The adjacency
+polynomial comes from the m x m Gram of the multiplicity matrix, not the
+n x n adjacency.  certify_by_elimination reaches the same verdict with no
+characteristic polynomial at all.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from operator import mul
 
 from .exact_algebra import (
     InvariantViolation,
-    NonzeroRemainder,
     UniPoly,
     poly_div_exact,
     poly_shift_by_sqrt,
@@ -75,10 +79,9 @@ class Certificate:
     graph: Multigraph
     bound_q: int
     adjacency_charpoly: UniPoly
-    nontrivial_poly: UniPoly | None
+    nontrivial_poly: UniPoly
     shifted_coeffs: tuple  # pairs (a, b): nontrivial(x + sqrt(q)) = sum (a + b sqrt(q)) x^j
     passed: bool
-    reason: str | None = None
 
 
 def certify(graph: Multigraph) -> Certificate:
@@ -87,10 +90,9 @@ def certify(graph: Multigraph) -> Certificate:
     With B the multiplicity matrix, the adjacency is [[0, B], [B^T, 0]], so
     det(xI - A) = det(x^2 I - B^T B): the exact characteristic polynomial
     of the m x m Gram, with y -> x^2.  The trivial factor x^2 - d^2 is
-    divided out once, and the sqrt-q root test runs with q = 4(d-1).  A
-    non-dividing trivial factor (extra +/- d eigenvalue pairs that
-    x^2 - d^2 cannot absorb) is reported as a failed certificate rather
-    than an error.
+    divided out once, and the sqrt-q root test runs with q = 4(d-1).  The
+    division is always exact: the all-ones vector is an eigenvector of
+    B^T B with eigenvalue d^2 once the degrees are checked.
     """
     params = graph.params
     m, d = params.m, params.d
@@ -106,20 +108,7 @@ def certify(graph: Multigraph) -> Certificate:
     half = Matrix.from_rows(mult)
     adj_poly = poly_substitute_square(charpoly(half.transpose() @ half))
     q = 4 * (d - 1)
-    try:
-        nontrivial = poly_div_exact(
-            adj_poly, UniPoly((Fraction(-(d * d)), Fraction(0), Fraction(1)))
-        )
-    except NonzeroRemainder:
-        return Certificate(
-            graph=graph,
-            bound_q=q,
-            adjacency_charpoly=adj_poly,
-            nontrivial_poly=None,
-            shifted_coeffs=(),
-            passed=False,
-            reason="trivial factor x^2 - d^2 does not divide the adjacency polynomial",
-        )
+    nontrivial = poly_div_exact(adj_poly, UniPoly((Fraction(-(d * d)), Fraction(0), Fraction(1))))
     shifted = poly_shift_by_sqrt(nontrivial, q)
     return Certificate(
         graph=graph,
@@ -203,28 +192,21 @@ def _average(polys) -> UniPoly:
     return Fraction(1, len(polys)) * total
 
 
-def walk(
-    params: Params, jobs: int = 1, canonical_first: bool = False, audit: bool = True
-) -> WalkResult:
-    """Descend from the root to a leaf, keeping the invariant that the
-    current node's polynomial passes the sqrt(q) bound, q = 4(d-1).
+def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
+    """Descend from the identity first matching to a leaf, keeping the
+    invariant that the current node's polynomial passes the sqrt(q) bound,
+    q = 4(d-1).
 
     The descent takes the first passing child in deterministic ascending
-    order.  With audit, every child is evaluated and the current node's
-    polynomial must be their average.  Without it, a single-child stage
-    evaluates nothing (its child's polynomial is the parent's), and other
-    stages evaluate children in ascending batches of jobs, stopping after
-    the first batch that holds a passing child; a stage where none passes
-    has evaluated them all.  Children are evaluated independently, in
-    worker processes when jobs > 1, and the leaf never depends on the job
-    count.  canonical_first pins the first matching to the identity, a
-    pure relabeling symmetry.
+    order.  With audit, every child is evaluated, in jobs worker processes
+    when jobs > 1, and the current node's polynomial must be their average.
+    Without it, a single-child stage evaluates nothing (its child's
+    polynomial is the parent's), and other stages evaluate children one at
+    a time in this process until one passes; a stage where none passes has
+    evaluated them all.  The leaf never depends on audit or the job count.
     """
     q = 4 * (params.d - 1)
-    if canonical_first:
-        current = NodeState((tuple(range(params.m)),), None)
-    else:
-        current = NodeState((), None)
+    current = NodeState((tuple(range(params.m)),), None)
     current_poly = node_polynomial(current, params)
     if not max_root_leq_sqrt(current_poly, q):
         raise NoPassingChild(
@@ -234,27 +216,27 @@ def walk(
         )
 
     stages = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = ProcessPoolExecutor(max_workers=jobs) if audit and jobs > 1 else None
+    evaluate = pool.map if pool is not None else map
     try:
         while not current.is_leaf(params):
             kids = children(current, params)
-            if audit or len(kids) > 1:
-                step = len(kids) if audit else jobs
-                polys, passed = [], []
-                while len(polys) < len(kids) and True not in passed:
-                    tasks = [(k, params) for k in kids[len(polys) : len(polys) + step]]
-                    if pool is not None:
-                        batch = list(pool.map(_child_poly_task, tasks))
-                    else:
-                        batch = [_child_poly_task(t) for t in tasks]
-                    polys += batch
-                    passed += [max_root_leq_sqrt(p, q) for p in batch]
-            else:  # a forced stage: the only child's polynomial is the parent's
+            if audit:
+                polys = list(evaluate(_child_poly_task, [(k, params) for k in kids]))
+                passed = [max_root_leq_sqrt(p, q) for p in polys]
+                if _average(polys) != current_poly:
+                    raise InvariantViolation(
+                        f"polynomial of {current} is not the average of its children"
+                    )
+            elif len(kids) == 1:  # a forced stage: the only child's polynomial is the parent's
                 polys, passed = [current_poly], [True]
-            if audit and _average(polys) != current_poly:
-                raise InvariantViolation(
-                    f"polynomial of {current} is not the average of its children"
-                )
+            else:
+                polys, passed = [], []
+                for kid in kids:
+                    polys.append(_child_poly_task((kid, params)))
+                    passed.append(max_root_leq_sqrt(polys[-1], q))
+                    if passed[-1]:
+                        break
             try:
                 idx = passed.index(True)
             except ValueError:
@@ -290,21 +272,14 @@ def walk(
 
 def certificate_to_json(cert: Certificate) -> dict:
     """Wire format: exact strings only, no floating point anywhere."""
-    data = {
+    return {
         "n": cert.graph.params.n,
         "d": cert.graph.params.d,
         "q": cert.bound_q,
         "adjacency_charpoly": [rational_to_str(c) for c in cert.adjacency_charpoly.coeffs],
-        "nontrivial_charpoly": (
-            [rational_to_str(c) for c in cert.nontrivial_poly.coeffs]
-            if cert.nontrivial_poly is not None
-            else None
-        ),
+        "nontrivial_charpoly": [rational_to_str(c) for c in cert.nontrivial_poly.coeffs],
         "shifted_coeffs": [
             {"a": rational_to_str(a), "b": rational_to_str(b)} for a, b in cert.shifted_coeffs
         ],
         "passed": cert.passed,
     }
-    if cert.reason is not None:
-        data["reason"] = cert.reason
-    return data

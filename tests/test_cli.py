@@ -57,21 +57,17 @@ def test_build_then_certify_round_trip(tmp_path, capsys):
     assert json.loads(stdout)["passed"] is True
 
 
-def test_build_trace_and_canonical_flag(tmp_path, capsys):
+def test_build_trace_starts_at_the_identity(tmp_path, capsys):
     code, _, _ = run(
-        capsys,
-        "build",
-        "--n", "4", "--d", "3",
-        "--out", str(tmp_path),
-        "--trace",
-        "--canonical-first-matching",
+        capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path), "--trace"
     )
     assert code == 0
     transcript = json.loads((tmp_path / "transcript.json").read_text())
     assert transcript["params"] == {"n": 4, "d": 3}
-    assert transcript["canonical_first_matching"] is True
+    assert "canonical_first_matching" not in transcript
     assert transcript["stages"]
     stage = transcript["stages"][0]
+    assert stage["node"] == {"complete": [[1, 2]], "partial": []}
     assert {"node", "node_poly_sha256", "children", "chosen"} <= set(stage)
     for child in stage["children"]:
         assert {"node", "poly_sha256", "passed"} <= set(child)
@@ -352,13 +348,14 @@ def test_build_output_not_writable(tmp_path, capsys):
 
 
 def test_build_failure_dump(tmp_path, capsys):
-    # d = 1 has bound sqrt(0): the start node already fails, and the walk stops.
+    # d = 1 has bound sqrt(0): the start node, the identity leaf, already
+    # fails, and the walk stops.
     code, _, stderr = run(capsys, "build", "--n", "4", "--d", "1", "--out", str(tmp_path))
     assert code == 3
     assert "warning" not in stderr
     failure = json.loads((tmp_path / "failure.json").read_text())
     assert set(failure) == {"error", "node", "children"}
-    assert failure["node"] == {"complete": [], "partial": []}
+    assert failure["node"] == {"complete": [[1, 2]], "partial": []}
     assert failure["children"] == []
 
 
