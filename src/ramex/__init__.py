@@ -12,6 +12,7 @@ from .exact_algebra import (
 from .exact_linalg import (
     BlockSpec,
     CTensor,
+    GridTooLarge,
     Matrix,
     RationalityViolation,
     charpoly,

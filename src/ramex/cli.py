@@ -16,7 +16,7 @@ import sys
 import time
 
 from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly, rational_to_str
-from .exact_linalg import RationalityViolation
+from .exact_linalg import GridTooLarge, RationalityViolation
 from .expectation_engine import node_polynomial_and_tensor
 from .matching_family import (
     Params,
@@ -94,6 +94,8 @@ def cmd_build(args) -> int:
                 "the walk's leaf polynomial differs from the certified nontrivial polynomial"
             )
         _cross_check(cert)
+    except GridTooLarge as exc:
+        return _usage_error(str(exc))
     except NoPassingChild as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         _dump_failed_walk(args.out, exc)
@@ -274,6 +276,8 @@ def cmd_node_poly(args) -> int:
         return _usage_error(f"malformed node: {exc}")
     try:
         poly, tensor = node_polynomial_and_tensor(node, params)
+    except GridTooLarge as exc:
+        return _usage_error(str(exc))
     except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -2,9 +2,13 @@
 
 Provides the Berkowitz (division-free) characteristic polynomial and the
 squared-minor tensor of a fixed integer matrix plus a random block
-permutation, computed by integer evaluation on the grid {0..l_hat}^2 and
-integer interpolation, and kept as integer numerators over one known
-denominator per minor size.
+permutation.  The tensor comes from characteristic polynomials on the grid
+{0..l_hat}^2 and interpolation, both run modulo word-size primes in one
+numpy batch; its integer numerators, over one known denominator per minor
+size, are rebuilt exactly by the Chinese remainder theorem from enough
+primes for an integer Hadamard bound.  Big-int ``charpoly`` is the
+reference for the batched kernel and serves certification, which never
+depends on the modular path.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 from .exact_algebra import UniPoly, rational_to_str
 
@@ -219,6 +225,110 @@ def _interp_matrix(lhat: int) -> tuple:
     return tuple(map(tuple, out))
 
 
+# The largest 96 primes below 2^29, a literal table so that importing
+# computes nothing.  Residues stay below p < 2^29, so a dot product of at
+# most MAX_GRID_M products stays below 32 (p - 1)^2 < 2^63: every int64 sum
+# in the batch is exact before it is reduced.  Their product exceeds 2^2783.
+_PRIMES = (
+    536870909, 536870879, 536870869, 536870849, 536870839, 536870837, 536870819, 536870813,
+    536870791, 536870779, 536870767, 536870743, 536870729, 536870723, 536870717, 536870701,
+    536870683, 536870657, 536870641, 536870627, 536870611, 536870603, 536870599, 536870573,
+    536870569, 536870563, 536870561, 536870513, 536870501, 536870497, 536870473, 536870401,
+    536870363, 536870317, 536870303, 536870297, 536870273, 536870267, 536870239, 536870233,
+    536870219, 536870171, 536870167, 536870153, 536870123, 536870063, 536870057, 536870041,
+    536870027, 536869999, 536869951, 536869943, 536869937, 536869919, 536869901, 536869891,
+    536869831, 536869829, 536869793, 536869787, 536869777, 536869771, 536869769, 536869747,
+    536869693, 536869679, 536869651, 536869637, 536869633, 536869631, 536869607, 536869603,
+    536869589, 536869583, 536869573, 536869559, 536869549, 536869523, 536869483, 536869471,
+    536869447, 536869423, 536869409, 536869387, 536869331, 536869283, 536869247, 536869217,
+    536869189, 536869159, 536869153, 536869117, 536869097, 536869043, 536868979, 536868977,
+)
+
+MAX_GRID_M = 32
+
+
+class GridTooLarge(ValueError):
+    """The batched grid cannot be exact for this matrix: m exceeds
+    MAX_GRID_M, so an int64 dot product of residues could overflow, or the
+    coefficient bound exceeds half the product of every prime in the table.
+    """
+
+
+def _primes_for(bound: int) -> np.ndarray:
+    """The fewest leading table primes whose product exceeds 2 * bound, so
+    that every integer of absolute value at most bound is its symmetric
+    residue modulo that product."""
+    modulus, count = 1, 0
+    while modulus <= 2 * bound:
+        if count == len(_PRIMES):
+            raise GridTooLarge(f"a {bound.bit_length()}-bit bound exceeds the prime table")
+        modulus *= _PRIMES[count]
+        count += 1
+    return np.array(_PRIMES[:count], dtype=np.int64)
+
+
+def _residues(values, primes: np.ndarray) -> np.ndarray:
+    """Exact integers, nested lists or an object array, reduced mod each
+    prime: int64, with the primes on a new leading axis."""
+    exact = np.array(values, dtype=object)
+    moduli = np.array(primes.tolist(), dtype=object).reshape((-1,) + (1,) * exact.ndim)
+    return (exact % moduli).astype(np.int64)
+
+
+def _berkowitz_mod(mats: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Descending coefficients of det(x I - M) mod p for a batch of int64
+    residue matrices of shape (r, g, m, m), the prime of row i of the batch
+    being primes[i]; the result has shape (r, g, m + 1).
+
+    The division-free Berkowitz recurrence of ``charpoly``, batched: no
+    pivot and no inverse mod p.  At step k one matmul per power gives the
+    next mat-vec of the leading block and the Toeplitz entry of the row
+    below it, and the coefficients are multiplied by the lower-triangular
+    Toeplitz matrix, gathered from the entries.  Every product is reduced
+    mod p before the next one, and no dot product is longer than
+    m <= MAX_GRID_M.
+    """
+    r, g, m, _ = mats.shape
+    p = primes.reshape(r, 1, 1)
+    coeffs = np.ones((r, g, 1), dtype=np.int64)
+    # toeplitz[i][j] = max(i - j, 0): index 0 reads u_0 = 0 on and above the diagonal
+    toeplitz = np.maximum(np.subtract.outer(np.arange(m + 1), np.arange(m)), 0)
+    for k in range(1, m + 1):
+        top = mats[:, :, :k, : k - 1]  # the leading (k-1) x (k-1) block and the row below
+        vec = mats[:, :, : k - 1, k - 1 : k]
+        # t = (1, -u_1, ..., -u_k): u_1 = a[k-1][k-1], u_i = row . lead^(i-2) . col
+        u = np.zeros((r, g, k + 1), dtype=np.int64)
+        u[..., 1] = mats[:, :, k - 1, k - 1]
+        for i in range(2, k + 1):
+            prod = top @ vec % p[..., None]
+            u[..., i] = prod[..., k - 1, 0]
+            vec = prod[..., : k - 1, :]
+        # new_i = c_i - sum_{j < i} u_(i-j) c_j
+        shifted = -(u[..., toeplitz[: k + 1, :k]] @ coeffs[..., None])[..., 0]
+        shifted[..., :k] += coeffs
+        coeffs = shifted % p
+    return coeffs
+
+
+def _crt(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Signed integers from their residues mod each prime (leading axis),
+    by Garner's mixed-radix algorithm: each value x with 2|x| below the
+    product of the primes, as a Python int in an object array."""
+    digits = [residues[0]]
+    for k in range(1, len(primes)):
+        p = int(primes[k])
+        inverse = pow(math.prod(primes[:k].tolist()) % p, -1, p)
+        acc = digits[-1] % p
+        for j in range(k - 2, -1, -1):
+            acc = (acc * primes[j] + digits[j]) % p
+        digits.append((residues[k] - acc) * inverse % p)
+    value = digits[-1].astype(object)
+    for j in range(len(primes) - 2, -1, -1):
+        value = value * int(primes[j]) + digits[j].astype(object)
+    modulus = math.prod(primes.tolist())
+    return np.where(value > modulus // 2, value - modulus, value)
+
+
 def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     """Squared-minor sums of a + J_B/l after the block's all-ones row and
     column directions are split off, J_B the all-ones block of size l.
@@ -237,63 +347,75 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat = l Ahat_r^T Ahat_r - s^T s,
     where Ahat_r is Ahat's block rows and s their sum.  Right
     multiplication by P_c is l times the block columns minus each row's
-    sum over them, so the only matrix products are the two Grams.
-    For each t_r the grid matrix -(l^4 X) at t_c = 0 is built once, and
-    each step to t_c + 1 subtracts M P_c.  Integer Berkowitz runs at every
-    (t_r, t_c) in {0..l_hat}^2, and integer interpolation through the
-    cached ``_interp_matrix`` yields each C's numerator over
-    l^(4k') l_hat!^2; nothing here leaves the integers.  An empty block
-    gives the plain Gram's sums at l_hat = 0.
+    sum over them, so the only matrix products are the two Grams, and the
+    grid matrix -(l^4 X) is bilinear in (t_r, t_c): A + t_r B + t_c C +
+    t_r t_c D, four exact integer matrices.
+
+    The grid runs modulo word-size primes, in one numpy batch: the
+    (l_hat+1)^2 grid matrices over {0..l_hat}^2, reduced mod each prime,
+    go through batched Berkowitz (``_berkowitz_mod``), and interpolation
+    through the cached ``_interp_matrix`` I, also mod p, gives each C's
+    numerator over l^(4k') l_hat!^2 as I V I^T for V the grid of a
+    coefficient.  Garner's CRT (``_crt``) then rebuilds those numerators
+    exactly; it never rebuilds the grid.  The primes are exact, not
+    probabilistic: a grid entry is bilinear, so each row's norm over the
+    grid is largest at a corner, every coefficient of a grid polynomial
+    is at most prod_i (1 + |row_i|) by Hadamard's bound, and every
+    numerator at most ||I||_inf^2 times that; enough primes are taken for
+    twice this integer bound.  The nonnegativity and C[0][0][0] checks of
+    ``CTensor`` run on the exact numerators.  An empty block gives the
+    plain Gram's sums at l_hat = 0.
     """
     if not a.is_square:
         raise ValueError("square matrix required")
     if any(not isinstance(x, int) for row in a.entries for x in row):
         raise ValueError("trivariate_detpoly needs an integer matrix")
     m = a.nrows
+    if m > MAX_GRID_M:
+        raise GridTooLarge(f"the batched grid holds m <= {MAX_GRID_M}, got m = {m}")
     l = max(block.size, 1)
     lhat = l - 1
-    rows, cols = set(block.rows), set(block.cols)
-    ahat_cols = [
-        [l * a.entries[i][j] + (1 if i in rows and j in cols else 0) for i in range(m)]
-        for j in range(m)
-    ]
-    g0 = [[sum(map(mul, ci, cj)) for cj in ahat_cols] for ci in ahat_cols]
-    # G1 = l Ahat_r^T Ahat_r - s^T s, Ahat_r the block rows and s their sum
-    ahat_r_cols = [[col[i] for i in block.rows] for col in ahat_cols]
-    s = [sum(col) for col in ahat_r_cols]
-    g1 = [
-        [l * sum(map(mul, ahat_r_cols[i], ahat_r_cols[j])) - s[i] * s[j] for j in range(m)]
-        for i in range(m)
-    ]
+    rows, cols = list(block.rows), list(block.cols)
+    # exact integers in object arrays: Ahat = l a + J_B, its block rows and their sum s
+    ahat = l * np.array(a.entries, dtype=object).reshape(m, m)
+    ahat[np.ix_(rows, cols)] += 1
+    ahat_r = ahat[rows]
+    s = ahat_r.sum(axis=0)
+    g1 = l * (ahat_r.T @ ahat_r) - np.outer(s, s)
+    m0 = l * (ahat.T @ ahat) - g1  # M at t_r = 0
 
     def centered(g):
         # g (l D_c - J_c): l g on the block columns minus the row's sum over them
-        out = []
-        for row in g:
-            total = sum(row[j] for j in block.cols)
-            out.append([l * x - total if j in cols else 0 for j, x in enumerate(row)])
+        out = np.zeros_like(g)
+        out[:, cols] = l * g[:, cols] - g[:, cols].sum(axis=1, keepdims=True)
         return out
 
-    span = range(lhat + 1)
-    grid = [[[0] * (lhat + 1) for _ in span] for _ in range(m + 1)]  # [lam power][t_r][t_c]
-    for tr in span:
-        big_m = [[l * x + (tr - 1) * y for x, y in zip(r0, r1)] for r0, r1 in zip(g0, g1)]
-        step = centered(big_m)
-        # -(l^4 X) at t_c = 0, so that charpoly yields det(lam I + l^4 X)
-        neg = [[y - l * x for x, y in zip(rm, rs)] for rm, rs in zip(big_m, step)]
-        for tc in span:
-            if tc:
-                neg = [[x - y for x, y in zip(rn, rs)] for rn, rs in zip(neg, step)]
-            for i, c in enumerate(charpoly(Matrix(neg)).coeffs):
-                grid[i][tr][tc] = c
-
+    # -(l^4 X) = -(M0 + t_r G1)(l I + (t_c-1) P_c) = A + t_r B + t_c C + t_r t_c D
+    c0, c1 = centered(m0), centered(g1)
+    bilinear = np.array([c0 - l * m0, c1 - l * g1, -c0, -c1])
+    # the grid matrices at the four corners (t_r, t_c) in {0, l_hat}^2, as rows
+    span = np.array([[1, 0, 0, 0], [1, lhat, 0, 0], [1, 0, lhat, 0], [1, lhat, lhat, lhat**2]])
+    corners = span.astype(object) @ bilinear.reshape(4, m * m)
+    norms = (corners * corners).reshape(4, m, m).sum(axis=2).max(axis=0)
     interp = _interp_matrix(lhat)
-    nums = []
-    for kprime in range(m + 1):
-        # l^(4k') lhat!^2 C = I V I^T, I = interp and V the grid of lam**(m-k')
-        mv = [[sum(map(mul, ip, col)) for col in zip(*grid[m - kprime])] for ip in interp]
-        # tuples from lists, not generators: a generator's tuple is allocated
-        # oversized and shrunk, which showed as about 0.5 MB more peak RSS
-        plane = [tuple([sum(map(mul, row, iq)) for iq in interp]) for row in mv]
-        nums.append(tuple(plane))
-    return CTensor(m, lhat, tuple(nums))
+    spread = max(sum(map(abs, row)) for row in interp)
+    primes = _primes_for(spread**2 * math.prod(math.isqrt(n) + 2 for n in norms))
+
+    r, side = len(primes), lhat + 1
+    quad = _residues(bilinear, primes)[:, :, None, None]
+    tr = np.arange(side).reshape(-1, 1, 1, 1)
+    tc = np.arange(side).reshape(-1, 1, 1)
+    # grid[prime][t_r][t_c], below 1024 p < 2^40 before the reduction
+    grid = quad[:, 0] + tr * quad[:, 1] + tc * (quad[:, 2] + tr * quad[:, 3])
+    grid %= primes.reshape(r, 1, 1, 1, 1)
+    coeffs = _berkowitz_mod(grid.reshape(r, side * side, m, m), primes)
+    # l^(4k') lhat!^2 C = I V I^T, V the grid of lam**(m-k'), all mod p
+    values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
+    weights = _residues(interp, primes)[:, None]
+    p = primes.reshape(r, 1, 1, 1)
+    nums = (weights @ values % p) @ weights.transpose(0, 1, 3, 2) % p
+    exact = _crt(nums.reshape(r, -1), primes).reshape(m + 1, side, side)
+    # tuples from lists, not generators: a generator's tuple is allocated
+    # oversized and shrunk, which showed as about 0.5 MB more peak RSS
+    nums = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])
+    return CTensor(m, lhat, nums)

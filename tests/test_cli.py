@@ -252,6 +252,16 @@ def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "graph.json").exists()
 
 
+def test_sizes_beyond_the_grid_are_usage_errors(tmp_path, capsys):
+    # m = 33 is above MAX_GRID_M: exit 2 with the reason, before any grid runs
+    code, _, stderr = run(capsys, "build", "--n", "66", "--d", "3", "--out", str(tmp_path))
+    assert code == 2 and "m <= 32, got m = 33" in stderr
+    assert not (tmp_path / "graph.json").exists()
+    node = '{"complete": [], "partial": [1]}'
+    code, stdout, stderr = run(capsys, "node-poly", node, "--n", "66", "--d", "3")
+    assert code == 2 and "m <= 32, got m = 33" in stderr and stdout == ""
+
+
 def test_node_poly_root(capsys):
     code, stdout, _ = run(
         capsys, "node-poly", '{"complete": [], "partial": []}', "--n", "4", "--d", "3"

@@ -1,4 +1,4 @@
-"""Matrices, Berkowitz charpoly, the integer trivariate determinant grid."""
+"""Matrices, Berkowitz charpoly, the multimodular trivariate determinant grid."""
 
 import itertools
 import math
@@ -12,11 +12,18 @@ from hypothesis import strategies as st
 from ramex import exact_linalg
 from ramex.exact_algebra import UniPoly
 from ramex.exact_linalg import (
+    _PRIMES,
+    MAX_GRID_M,
     BlockSpec,
     CTensor,
+    GridTooLarge,
     Matrix,
     RationalityViolation,
+    _berkowitz_mod,
+    _crt,
     _interp_matrix,
+    _primes_for,
+    _residues,
     charpoly,
     rationality_violation_count,
     trivariate_detpoly,
@@ -192,29 +199,117 @@ def test_interp_matrix_recovers_scaled_coefficients(lhat):
         assert got == [math.factorial(lhat) * c for c in coeffs]
 
 
-# (grid call to perturb, power of lam, change): the point (0, 0) in the
-# leading coefficient, which moves C[0][0][0], and the point (1, 1) in the
+# (grid point to perturb, power of lam, change), applied to the batched
+# kernel's residues: the point (0, 0) in the leading coefficient, which moves
+# C[0][0][0], and the point (1, 1), flat index 4 of the 3 x 3 grid, in the
 # constant coefficient, which drives some C[m][p][p] negative
-@pytest.mark.parametrize("call, power, delta", [(0, 4, 1), (4, 0, -(10**9))])
-def test_perturbed_grid_value_is_a_rationality_violation(monkeypatch, call, power, delta):
-    real = exact_linalg.charpoly
-    seen = []
+@pytest.mark.parametrize("point, power, delta", [(0, 4, 1), (4, 0, -(10**9))])
+def test_perturbed_grid_value_is_a_rationality_violation(monkeypatch, point, power, delta):
+    real = exact_linalg._berkowitz_mod
 
-    def perturbed(matrix):
-        poly = real(matrix)
-        seen.append(matrix)
-        if len(seen) - 1 != call:
-            return poly
-        coeffs = list(poly.coeffs)
-        coeffs[power] += delta
-        return UniPoly(tuple(coeffs))
+    def perturbed(mats, primes):
+        coeffs = real(mats, primes)
+        index = mats.shape[-1] - power  # the kernel's coefficients are descending
+        coeffs[:, point, index] = (coeffs[:, point, index] + delta) % primes
+        return coeffs
 
-    monkeypatch.setattr(exact_linalg, "charpoly", perturbed)
+    monkeypatch.setattr(exact_linalg, "_berkowitz_mod", perturbed)
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
     a = Matrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
     with pytest.raises(RationalityViolation):
         trivariate_detpoly(a, BlockSpec((0, 1, 3), (0, 2, 3)))
     assert rationality_violation_count() == 1
+
+
+def _multimodular_charpolys(batch: list) -> list:
+    """Charpolys of a batch of equal-size integer matrices through the
+    batched kernel: primes for twice each matrix's Hadamard bound
+    prod_i (isqrt(|row_i|^2) + 2), residues, Berkowitz mod p, Garner."""
+    m = len(batch[0])
+    bound = max(
+        math.prod(math.isqrt(sum(x * x for x in row)) + 2 for row in rows) for rows in batch
+    )
+    primes = _primes_for(bound)
+    mats = _residues(batch, primes).reshape(len(primes), len(batch), m, m)
+    coeffs = _berkowitz_mod(mats, primes)
+    exact = _crt(coeffs.reshape(len(primes), -1), primes).reshape(len(batch), m + 1)
+    return [UniPoly(tuple(reversed(row))) for row in exact.tolist()]
+
+
+def _sylvester(m: int) -> list:
+    """The m x m Sylvester Hadamard matrix, m a power of 2."""
+    rows = [[1]]
+    while len(rows) < m:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    return rows
+
+
+@st.composite
+def _kernel_batch(draw):
+    """1 to 3 integer m x m matrices, m in 0..MAX_GRID_M, entries small or
+    up to 2^40 in size, each with an optional zero leading entry, zero row
+    or repeated row."""
+    m = draw(st.one_of(st.integers(0, 8), st.integers(9, MAX_GRID_M)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+    batch = draw(
+        st.lists(
+            st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    for rows in batch if m else ():
+        index = st.integers(0, m - 1)
+        if draw(st.booleans()):
+            rows[0][0] = 0
+        if draw(st.booleans()):
+            rows[draw(index)] = [0] * m
+        if draw(st.booleans()):
+            rows[draw(index)] = list(rows[draw(index)])
+    return batch
+
+
+@settings(max_examples=60)
+@given(_kernel_batch())
+@example([[]])
+@example([[[0] * 5 for _ in range(5)], [[2**40] * 5 for _ in range(5)]])
+@example([[[(-1) ** (i * j) * 2**39 + i - j for j in range(16)] for i in range(16)]])
+@example([[[(i * 7 + j * 3) % 11 - 5 for j in range(MAX_GRID_M)] for i in range(MAX_GRID_M)]])
+def test_batched_kernel_matches_big_int_charpoly(batch):
+    """Singular, zero-led and repeated-row batches; the 2^39-sized 16 x 16
+    example needs 23 primes."""
+    want = [charpoly(Matrix.from_rows(rows)) for rows in batch]
+    assert _multimodular_charpolys(batch) == want
+
+
+def test_prime_count_covers_a_nearly_tight_hadamard_bound():
+    # c H for a Sylvester Hadamard H has |det| = prod |row_i|, within a
+    # factor (1 + 2/(c sqrt(m)))^m of the bound, so one prime fewer than
+    # _primes_for gives would leave some of these determinants ambiguous
+    for m in (4, 16):
+        h = _sylvester(m)
+        for shift in range(0, 61, 3):
+            scaled = [[x << shift for x in row] for row in h]
+            assert _multimodular_charpolys([scaled]) == [charpoly(Matrix.from_rows(scaled))]
+
+
+def test_primes_are_distinct_primes_below_2_to_the_29():
+    assert len(set(_PRIMES)) == len(_PRIMES) >= 64
+    for p in _PRIMES:
+        assert 2 < p < 2**29 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+        assert MAX_GRID_M * (p - 1) ** 2 < 2**63
+
+
+def test_grid_size_guards_raise_grid_too_large():
+    with pytest.raises(GridTooLarge):
+        trivariate_detpoly(Matrix.zeros(MAX_GRID_M + 1, MAX_GRID_M + 1), BlockSpec((), ()))
+    with pytest.raises(GridTooLarge):
+        _primes_for(math.prod(_PRIMES))
+    assert len(_primes_for(math.prod(_PRIMES) // 2 - 1)) == len(_PRIMES)
+    assert _primes_for(1).tolist() == [_PRIMES[0]]
+    # the largest matrix the grid holds, with its largest block
+    tensor = trivariate_detpoly(Matrix.identity(MAX_GRID_M), BlockSpec((0, 1), (0, 1)))
+    assert tensor.m == MAX_GRID_M and tensor.get(0, 0, 0) == 1
 
 
 def test_ctensor_checks_its_numerators(monkeypatch):
