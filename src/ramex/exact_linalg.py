@@ -6,9 +6,9 @@ permutation.  The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation, both run modulo word-size primes in one
 numpy batch; its integer numerators, over one known denominator per minor
 size, are rebuilt exactly by the Chinese remainder theorem from enough
-primes for an integer Hadamard bound.  Big-int ``charpoly`` is the
-reference for the batched kernel and serves certification, which never
-depends on the modular path.
+primes for a bound taken from the trace of the fixed matrix's Gram alone.
+Big-int ``charpoly`` is the reference for the batched kernel and serves
+certification, which never depends on the modular path.
 """
 
 from __future__ import annotations
@@ -254,6 +254,12 @@ class GridTooLarge(ValueError):
     """
 
 
+def check_grid_size(m: int) -> None:
+    """Raise GridTooLarge unless the batched grid holds an m x m matrix."""
+    if m > MAX_GRID_M:
+        raise GridTooLarge(f"the batched grid holds m <= {MAX_GRID_M}, got m = {m}")
+
+
 def _primes_for(bound: int) -> np.ndarray:
     """The fewest leading table primes whose product exceeds 2 * bound, so
     that every integer of absolute value at most bound is its symmetric
@@ -311,21 +317,14 @@ def _berkowitz_mod(mats: np.ndarray, primes: np.ndarray) -> np.ndarray:
 
 
 def _crt(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Signed integers from their residues mod each prime (leading axis),
-    by Garner's mixed-radix algorithm: each value x with 2|x| below the
-    product of the primes, as a Python int in an object array."""
-    digits = [residues[0]]
-    for k in range(1, len(primes)):
-        p = int(primes[k])
-        inverse = pow(math.prod(primes[:k].tolist()) % p, -1, p)
-        acc = digits[-1] % p
-        for j in range(k - 2, -1, -1):
-            acc = (acc * primes[j] + digits[j]) % p
-        digits.append((residues[k] - acc) * inverse % p)
-    value = digits[-1].astype(object)
-    for j in range(len(primes) - 2, -1, -1):
-        value = value * int(primes[j]) + digits[j].astype(object)
-    modulus = math.prod(primes.tolist())
+    """Signed integers from their residues of shape (r, N) mod each prime,
+    by the textbook CRT sum x = sum_i r_i (M/p_i) ((M/p_i)^-1 mod p_i)
+    mod M, M the product of the primes, folded to the symmetric range:
+    each value x with 2|x| below M, as a Python int in an object array."""
+    moduli = primes.tolist()
+    modulus = math.prod(moduli)
+    basis = np.array([modulus // p * pow(modulus // p, -1, p) for p in moduli], dtype=object)
+    value = basis @ residues.astype(object) % modulus
     return np.where(value > modulus // 2, value - modulus, value)
 
 
@@ -356,23 +355,24 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     go through batched Berkowitz (``_berkowitz_mod``), and interpolation
     through the cached ``_interp_matrix`` I, also mod p, gives each C's
     numerator over l^(4k') l_hat!^2 as I V I^T for V the grid of a
-    coefficient.  Garner's CRT (``_crt``) then rebuilds those numerators
+    coefficient.  The CRT (``_crt``) then rebuilds those numerators
     exactly; it never rebuilds the grid.  The primes are exact, not
-    probabilistic: a grid entry is bilinear, so each row's norm over the
-    grid is largest at a corner, every coefficient of a grid polynomial
-    is at most prod_i (1 + |row_i|) by Hadamard's bound, and every
-    numerator at most ||I||_inf^2 times that; enough primes are taken for
-    twice this integer bound.  The nonnegativity and C[0][0][0] checks of
-    ``CTensor`` run on the exact numerators.  An empty block gives the
-    plain Gram's sums at l_hat = 0.
+    probabilistic: every C[k'][p][q] is a sum of squared minors, so its
+    numerator is >= 0, and at t_r = t_c = 1 (R = S = I) the plane k'
+    sums to e_k'(Abar^T Abar), so the numerators of plane k' sum to
+    l^(2k') l_hat!^2 e_k'(G0).  G0 is positive semidefinite, so
+    Maclaurin's inequality gives e_k'(G0) <= C(m, k') (tr G0 / m)^k' with
+    tr G0 = sum Ahat^2; enough primes are taken for twice the largest
+    plane bound, rounded up to an integer.  The nonnegativity and
+    C[0][0][0] checks of ``CTensor`` run on the exact numerators.  An
+    empty block gives the plain Gram's sums at l_hat = 0.
     """
     if not a.is_square:
         raise ValueError("square matrix required")
     if any(not isinstance(x, int) for row in a.entries for x in row):
         raise ValueError("trivariate_detpoly needs an integer matrix")
     m = a.nrows
-    if m > MAX_GRID_M:
-        raise GridTooLarge(f"the batched grid holds m <= {MAX_GRID_M}, got m = {m}")
+    check_grid_size(m)
     l = max(block.size, 1)
     lhat = l - 1
     rows, cols = list(block.rows), list(block.cols)
@@ -393,13 +393,10 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     # -(l^4 X) = -(M0 + t_r G1)(l I + (t_c-1) P_c) = A + t_r B + t_c C + t_r t_c D
     c0, c1 = centered(m0), centered(g1)
     bilinear = np.array([c0 - l * m0, c1 - l * g1, -c0, -c1])
-    # the grid matrices at the four corners (t_r, t_c) in {0, l_hat}^2, as rows
-    span = np.array([[1, 0, 0, 0], [1, lhat, 0, 0], [1, 0, lhat, 0], [1, lhat, lhat, lhat**2]])
-    corners = span.astype(object) @ bilinear.reshape(4, m * m)
-    norms = (corners * corners).reshape(4, m, m).sum(axis=2).max(axis=0)
-    interp = _interp_matrix(lhat)
-    spread = max(sum(map(abs, row)) for row in interp)
-    primes = _primes_for(spread**2 * math.prod(math.isqrt(n) + 2 for n in norms))
+    # numerator plane k sums to at most l^(2k) l_hat!^2 C(m, k) (tr G0 / m)^k
+    trace = int((ahat * ahat).sum())
+    bound = max(l ** (2 * k) * math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
+    primes = _primes_for(math.factorial(lhat) ** 2 * bound)
 
     r, side = len(primes), lhat + 1
     quad = _residues(bilinear, primes)[:, :, None, None]
@@ -411,7 +408,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     coeffs = _berkowitz_mod(grid.reshape(r, side * side, m, m), primes)
     # l^(4k') lhat!^2 C = I V I^T, V the grid of lam**(m-k'), all mod p
     values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
-    weights = _residues(interp, primes)[:, None]
+    weights = _residues(_interp_matrix(lhat), primes)[:, None]
     p = primes.reshape(r, 1, 1, 1)
     nums = (weights @ values % p) @ weights.transpose(0, 1, 3, 2) % p
     exact = _crt(nums.reshape(r, -1), primes).reshape(m + 1, side, side)

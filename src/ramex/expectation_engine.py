@@ -28,7 +28,7 @@ from .exact_algebra import (
     poly_div_exact,
     poly_substitute_square,
 )
-from .exact_linalg import BlockSpec, CTensor, Matrix, trivariate_detpoly
+from .exact_linalg import BlockSpec, CTensor, Matrix, check_grid_size, trivariate_detpoly
 from .matching_family import NodeState, Params, half_adjacency
 
 
@@ -142,7 +142,9 @@ def node_polynomial(node: NodeState, params: Params) -> UniPoly:
 
 def node_polynomial_and_tensor(node: NodeState, params: Params) -> tuple[UniPoly, CTensor]:
     """The node's polynomial, as ``node_polynomial`` gives it, and the
-    squared-minor tensor of its block, from one run of the grid."""
+    squared-minor tensor of its block, from one run of the grid.  Sizes
+    beyond the grid raise ``GridTooLarge`` before any node matrix is built."""
+    check_grid_size(params.m)
     tensor = trivariate_detpoly(*half_adjacency(node, params))
     gram = _contract(tensor)
     if gram.degree != params.n // 2 or not gram.is_monic:

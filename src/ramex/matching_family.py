@@ -167,23 +167,21 @@ def node_to_json(node: NodeState) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    """A JSON integer, strictly: no bool, float or string is coerced."""
-    if type(value) is not int:
-        raise ValueError(f"expected a JSON integer, got {value!r}")
+def _json(value, kind: type):
+    """A JSON integer or array (kind int or list), strictly: no bool, float,
+    string, object or null is coerced into one."""
+    if type(value) is not kind:
+        raise ValueError(f"expected a JSON {'integer' if kind is int else 'array'}, got {value!r}")
     return value
 
 
 def node_from_json(data: dict, params: Params) -> NodeState:
+    """The node of its 1-based JSON form; an absent "partial" means none."""
     if not isinstance(data, dict) or "complete" not in data:
         raise ValueError("node JSON must be an object with a 'complete' key")
-    try:
-        complete = tuple(
-            tuple(_json_int(j) - 1 for j in match) for match in data["complete"]
-        )
-        partial = tuple(_json_int(j) - 1 for j in data.get("partial") or []) or None
-    except TypeError as exc:
-        raise ValueError(f"malformed node JSON: {exc}") from exc
+    matches = _json(data["complete"], list)
+    complete = tuple(tuple(_json(j, int) - 1 for j in _json(match, list)) for match in matches)
+    partial = tuple(_json(j, int) - 1 for j in _json(data.get("partial", []), list)) or None
     node = NodeState(complete, partial)
     node.validate(params)
     return node
@@ -201,8 +199,8 @@ def multigraph_from_json(data: dict) -> Multigraph:
     if not isinstance(data, dict):
         raise ValueError("multigraph JSON must be an object")
     try:
-        params = Params(_json_int(data["n"]), _json_int(data["d"]))
-        rows = tuple(tuple(_json_int(x) for x in row) for row in data["multiplicity"])
+        params = Params(_json(data["n"], int), _json(data["d"], int))
+        rows = tuple(tuple(_json(x, int) for x in row) for row in data["multiplicity"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed multigraph JSON: {exc}") from exc
     return Multigraph(params, rows)

@@ -262,6 +262,21 @@ def test_sizes_beyond_the_grid_are_usage_errors(tmp_path, capsys):
     assert code == 2 and "m <= 32, got m = 33" in stderr and stdout == ""
 
 
+def test_huge_sizes_exit_2_before_any_node_matrix(tmp_path, capsys, monkeypatch):
+    # the size guard runs before half_adjacency's m x m count matrix, which at
+    # this n would need tens of GB; the patch makes reaching it a test failure
+    def unreachable(node, params):
+        raise AssertionError("a node matrix was built for a size beyond the grid")
+
+    monkeypatch.setattr(expectation_engine, "half_adjacency", unreachable)
+    code, _, stderr = run(capsys, "build", "--n", "100000", "--d", "3", "--out", str(tmp_path))
+    assert code == 2 and "m <= 32, got m = 50000" in stderr
+    assert not (tmp_path / "graph.json").exists()
+    node = '{"complete": []}'
+    code, stdout, stderr = run(capsys, "node-poly", node, "--n", "100000", "--d", "3")
+    assert code == 2 and "m <= 32, got m = 50000" in stderr and stdout == ""
+
+
 def test_node_poly_root(capsys):
     code, stdout, _ = run(
         capsys, "node-poly", '{"complete": [], "partial": []}', "--n", "4", "--d", "3"
@@ -434,6 +449,28 @@ def test_node_poly_rejects_non_integer_entries(capsys, node):
     assert code == 2
     assert stdout == ""
     assert "malformed node" in stderr
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        '{"complete": [], "partial": false}',
+        '{"complete": [], "partial": 0}',
+        '{"complete": [], "partial": ""}',
+        '{"complete": [], "partial": {}}',
+        '{"complete": [], "partial": null}',
+        '{"complete": {}}',
+        '{"complete": ""}',
+        '{"complete": [{}]}',
+    ],
+)
+def test_node_poly_requires_json_lists(capsys, node):
+    # an empty non-list once read as "no matchings"; only an absent partial means none
+    code, stdout, stderr = run(capsys, "node-poly", node, "--n", "4", "--d", "3")
+    assert code == 2
+    assert stdout == ""
+    assert "malformed node: expected a JSON array" in stderr
+    assert run(capsys, "node-poly", '{"complete": []}', "--n", "4", "--d", "3")[0] == 0
 
 
 def test_build_rejects_nonpositive_jobs(tmp_path, capsys):

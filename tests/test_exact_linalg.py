@@ -293,6 +293,30 @@ def test_prime_count_covers_a_nearly_tight_hadamard_bound():
             assert _multimodular_charpolys([scaled]) == [charpoly(Matrix.from_rows(scaled))]
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 16, 32])
+def test_prime_count_is_tight_for_a_scaled_identity(m):
+    # Ahat = c I_m meets the trace bound exactly: every numerator is
+    # C(m, k) c^(2k), its plane's bound, so one prime fewer than _primes_for
+    # gives folds the largest; c = 2^e + 1 runs from a few primes to the table
+    table = math.prod(_PRIMES)
+    for e in itertools.count(0, max(1, table.bit_length() // (40 * m))):
+        c = 2**e + 1
+        want = tuple(((math.comb(m, k) * c ** (2 * k),),) for k in range(m + 1))
+        if 2 * max(plane[0][0] for plane in want) >= table:
+            break
+        scaled = Matrix.from_rows([[c * (i == j) for j in range(m)] for i in range(m)])
+        assert trivariate_detpoly(scaled, BlockSpec((), ())).nums == want
+
+
+@pytest.mark.parametrize("count", [1, 2, len(_PRIMES)])
+def test_crt_round_trips_the_edges_of_the_symmetric_range(count):
+    primes = _primes_for(math.prod(_PRIMES[:count]) // 2 - 1)
+    assert len(primes) == count
+    half = (math.prod(_PRIMES[:count]) - 1) // 2
+    values = [0, 1, -1, half, -half]
+    assert _crt(_residues(values, primes), primes).tolist() == values
+
+
 def test_primes_are_distinct_primes_below_2_to_the_29():
     assert len(set(_PRIMES)) == len(_PRIMES) >= 64
     for p in _PRIMES:
