@@ -41,6 +41,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# What a command may raise, by exit code: bad input is 2, a broken invariant 3.
+_USAGE_ERRORS = (GridTooLarge, TooLarge, NotRegular)
+_INTERNAL_ERRORS = (RationalityViolation, NonzeroRemainder, InvariantViolation)
+
 
 def _poly_strings(poly: UniPoly) -> list[str]:
     return [rational_to_str(c) for c in poly.coeffs]
@@ -69,6 +73,11 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
+def _internal_error(exc: Exception) -> int:
+    print(f"internal error: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def _read_node_argument(text: str):
     """A node argument is inline JSON, or a path to a JSON file."""
     if os.path.exists(text):
@@ -94,15 +103,9 @@ def cmd_build(args) -> int:
                 "the walk's leaf polynomial differs from the certified nontrivial polynomial"
             )
         _cross_check(cert)
-    except GridTooLarge as exc:
-        return _usage_error(str(exc))
     except NoPassingChild as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
         _dump_failed_walk(args.out, exc)
-        return EXIT_INTERNAL
-    except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(exc)
     elapsed = time.monotonic() - started
 
     graph_path = os.path.join(args.out, "graph.json")
@@ -193,10 +196,7 @@ def _certify_file(path: str):
         graph = multigraph_from_json(_read_json(path, "multigraph"))
     except ValueError as exc:
         raise SystemExit(_usage_error(f"cannot read multigraph: {exc}"))
-    try:
-        return certify(graph)
-    except NotRegular as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    return certify(graph)
 
 
 def cmd_certify(args) -> int:
@@ -247,11 +247,7 @@ def _show(value) -> str:
 
 def cmd_verify(args) -> int:
     cert = _certify_file(args.graph)
-    try:
-        _cross_check(cert)
-    except InvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    _cross_check(cert)
     found = _read_json(args.certificate, "certificate")
     if not isinstance(found, dict):
         return _usage_error("certificate must be a JSON object")
@@ -274,13 +270,7 @@ def cmd_node_poly(args) -> int:
         node = node_from_json(_read_node_argument(args.node), params)
     except (ValueError, json.JSONDecodeError) as exc:
         return _usage_error(f"malformed node: {exc}")
-    try:
-        poly, tensor = node_polynomial_and_tensor(node, params)
-    except GridTooLarge as exc:
-        return _usage_error(str(exc))
-    except (RationalityViolation, NonzeroRemainder, InvariantViolation) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    poly, tensor = node_polynomial_and_tensor(node, params)
     if args.ctensor:
         payload = {"node_poly": _poly_strings(poly), "ctensor": tensor.to_json()}
         print(json.dumps(payload, indent=2))
@@ -295,10 +285,7 @@ def cmd_oracle(args) -> int:
         node = node_from_json(_read_node_argument(args.node), params)
     except (ValueError, json.JSONDecodeError) as exc:
         return _usage_error(f"malformed node: {exc}")
-    try:
-        poly = brute_expected_charpoly(node, params, cap=args.oracle_cap)
-    except TooLarge as exc:
-        return _usage_error(str(exc))
+    poly = brute_expected_charpoly(node, params, cap=args.oracle_cap)
     print(json.dumps(_poly_strings(poly)))
     return EXIT_PASS
 
@@ -369,6 +356,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except _USAGE_ERRORS as exc:
+        return _usage_error(str(exc))
+    except _INTERNAL_ERRORS as exc:
+        return _internal_error(exc)
 
 
 def main_entry() -> None:

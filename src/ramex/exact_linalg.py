@@ -8,7 +8,8 @@ numpy batch; its integer numerators, over one known denominator per minor
 size, are rebuilt exactly by the Chinese remainder theorem from enough
 primes for a bound taken from the trace of the fixed matrix's Gram alone.
 Big-int ``charpoly`` is the reference for the batched kernel and serves
-certification, which never depends on the modular path.
+certification, which never depends on the modular path: numpy is imported
+inside the functions that run the batch, so certification never loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
 
 from .exact_algebra import UniPoly, rational_to_str
 
@@ -260,10 +259,12 @@ def check_grid_size(m: int) -> None:
         raise GridTooLarge(f"the batched grid holds m <= {MAX_GRID_M}, got m = {m}")
 
 
-def _primes_for(bound: int) -> np.ndarray:
+def _primes_for(bound: int):
     """The fewest leading table primes whose product exceeds 2 * bound, so
     that every integer of absolute value at most bound is its symmetric
-    residue modulo that product."""
+    residue modulo that product; an int64 array."""
+    import numpy as np
+
     modulus, count = 1, 0
     while modulus <= 2 * bound:
         if count == len(_PRIMES):
@@ -273,15 +274,17 @@ def _primes_for(bound: int) -> np.ndarray:
     return np.array(_PRIMES[:count], dtype=np.int64)
 
 
-def _residues(values, primes: np.ndarray) -> np.ndarray:
+def _residues(values, primes):
     """Exact integers, nested lists or an object array, reduced mod each
     prime: int64, with the primes on a new leading axis."""
+    import numpy as np
+
     exact = np.array(values, dtype=object)
     moduli = np.array(primes.tolist(), dtype=object).reshape((-1,) + (1,) * exact.ndim)
     return (exact % moduli).astype(np.int64)
 
 
-def _berkowitz_mod(mats: np.ndarray, primes: np.ndarray) -> np.ndarray:
+def _berkowitz_mod(mats, primes):
     """Descending coefficients of det(x I - M) mod p for a batch of int64
     residue matrices of shape (r, g, m, m), the prime of row i of the batch
     being primes[i]; the result has shape (r, g, m + 1).
@@ -294,6 +297,8 @@ def _berkowitz_mod(mats: np.ndarray, primes: np.ndarray) -> np.ndarray:
     mod p before the next one, and no dot product is longer than
     m <= MAX_GRID_M.
     """
+    import numpy as np
+
     r, g, m, _ = mats.shape
     p = primes.reshape(r, 1, 1)
     coeffs = np.ones((r, g, 1), dtype=np.int64)
@@ -316,11 +321,13 @@ def _berkowitz_mod(mats: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _crt(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+def _crt(residues, primes):
     """Signed integers from their residues of shape (r, N) mod each prime,
     by the textbook CRT sum x = sum_i r_i (M/p_i) ((M/p_i)^-1 mod p_i)
     mod M, M the product of the primes, folded to the symmetric range:
     each value x with 2|x| below M, as a Python int in an object array."""
+    import numpy as np
+
     moduli = primes.tolist()
     modulus = math.prod(moduli)
     basis = np.array([modulus // p * pow(modulus // p, -1, p) for p in moduli], dtype=object)
@@ -367,6 +374,8 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     C[0][0][0] checks of ``CTensor`` run on the exact numerators.  An
     empty block gives the plain Gram's sums at l_hat = 0.
     """
+    import numpy as np
+
     if not a.is_square:
         raise ValueError("square matrix required")
     if any(not isinstance(x, int) for row in a.entries for x in row):

@@ -175,9 +175,20 @@ def _json(value, kind: type):
     return value
 
 
+def _json_object(data, keys: tuple, what: str) -> dict:
+    """A JSON object with no key outside keys: a misspelt key is an error,
+    not an absent one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what} JSON")
+    return data
+
+
 def node_from_json(data: dict, params: Params) -> NodeState:
     """The node of its 1-based JSON form; an absent "partial" means none."""
-    if not isinstance(data, dict) or "complete" not in data:
+    if "complete" not in _json_object(data, ("complete", "partial"), "node"):
         raise ValueError("node JSON must be an object with a 'complete' key")
     matches = _json(data["complete"], list)
     complete = tuple(tuple(_json(j, int) - 1 for j in _json(match, list)) for match in matches)
@@ -196,8 +207,7 @@ def multigraph_to_json(graph: Multigraph) -> dict:
 
 
 def multigraph_from_json(data: dict) -> Multigraph:
-    if not isinstance(data, dict):
-        raise ValueError("multigraph JSON must be an object")
+    _json_object(data, ("n", "d", "multiplicity"), "multigraph")
     try:
         params = Params(_json(data["n"], int), _json(data["d"], int))
         rows = tuple(tuple(_json(x, int) for x in row) for row in data["multiplicity"])

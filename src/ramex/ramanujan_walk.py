@@ -21,6 +21,7 @@ characteristic polynomial at all.
 
 from __future__ import annotations
 
+import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,10 +90,11 @@ def certify(graph: Multigraph) -> Certificate:
 
     With B the multiplicity matrix, the adjacency is [[0, B], [B^T, 0]], so
     det(xI - A) = det(x^2 I - B^T B): the exact characteristic polynomial
-    of the m x m Gram, with y -> x^2.  The trivial factor x^2 - d^2 is
-    divided out once, and the sqrt-q root test runs with q = 4(d-1).  The
-    division is always exact: the all-ones vector is an eigenvector of
-    B^T B with eigenvalue d^2 once the degrees are checked.
+    of the m x m Gram, with y -> x^2.  The trivial factor y - d^2 is
+    divided out of the Gram's integer polynomial once, as node_polynomial
+    does, and the sqrt-q root test runs with q = 4(d-1).  The division is
+    always exact: the all-ones vector is an eigenvector of B^T B with
+    eigenvalue d^2 once the degrees are checked.
     """
     params = graph.params
     m, d = params.m, params.d
@@ -106,14 +108,14 @@ def certify(graph: Multigraph) -> Certificate:
             raise NotRegular(f"right vertex {j + 1} has degree {colsum} != {d}")
 
     half = Matrix.from_rows(mult)
-    adj_poly = poly_substitute_square(charpoly(half.transpose() @ half))
+    gram_poly = charpoly(half.transpose() @ half)
     q = 4 * (d - 1)
-    nontrivial = poly_div_exact(adj_poly, UniPoly((Fraction(-(d * d)), Fraction(0), Fraction(1))))
+    nontrivial = poly_substitute_square(poly_div_exact(gram_poly, UniPoly((-(d * d), 1))))
     shifted = poly_shift_by_sqrt(nontrivial, q)
     return Certificate(
         graph=graph,
         bound_q=q,
-        adjacency_charpoly=adj_poly,
+        adjacency_charpoly=poly_substitute_square(gram_poly),
         nontrivial_poly=nontrivial,
         shifted_coeffs=shifted,
         passed=all(quad_sign(a, b, q) >= 0 for a, b in shifted),
@@ -216,27 +218,25 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
         )
 
     stages = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if audit and jobs > 1 else None
-    evaluate = pool.map if pool is not None else map
-    try:
+    pooled = audit and jobs > 1
+    with ProcessPoolExecutor(max_workers=jobs) if pooled else contextlib.nullcontext() as pool:
+        # the builtin map is lazy, so a lazy walk stops at the first passing child
+        evaluate = pool.map if pooled else map
         while not current.is_leaf(params):
             kids = children(current, params)
-            if audit:
-                polys = list(evaluate(_child_poly_task, [(k, params) for k in kids]))
-                passed = [max_root_leq_sqrt(p, q) for p in polys]
-                if _average(polys) != current_poly:
-                    raise InvariantViolation(
-                        f"polynomial of {current} is not the average of its children"
-                    )
-            elif len(kids) == 1:  # a forced stage: the only child's polynomial is the parent's
+            if not audit and len(kids) == 1:  # forced: the only child's polynomial is the parent's
                 polys, passed = [current_poly], [True]
             else:
                 polys, passed = [], []
-                for kid in kids:
-                    polys.append(_child_poly_task((kid, params)))
-                    passed.append(max_root_leq_sqrt(polys[-1], q))
-                    if passed[-1]:
+                for poly in evaluate(_child_poly_task, [(k, params) for k in kids]):
+                    polys.append(poly)
+                    passed.append(max_root_leq_sqrt(poly, q))
+                    if passed[-1] and not audit:
                         break
+                if audit and _average(polys) != current_poly:
+                    raise InvariantViolation(
+                        f"polynomial of {current} is not the average of its children"
+                    )
             try:
                 idx = passed.index(True)
             except ValueError:
@@ -258,9 +258,6 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
             )
             current = kids[idx]
             current_poly = polys[idx]
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return WalkResult(
         params=params,
         bound_q=q,

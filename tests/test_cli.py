@@ -13,7 +13,7 @@ import pytest
 import ramex
 from ramex import cli, expectation_engine, ramanujan_walk
 from ramex.cli import main
-from ramex.exact_algebra import UniPoly, rational_to_str
+from ramex.exact_algebra import InvariantViolation, UniPoly, rational_to_str
 from ramex.matching_family import Params, node_to_json
 
 
@@ -237,6 +237,22 @@ def test_build_and_verify_cross_check_the_elimination_test(
     assert stdout == ""
     assert "elimination test of the Ramanujan bound disagrees" in stderr
     assert "Traceback" not in stderr
+
+
+def test_internal_error_in_certify_exits_3(built_6_3, capsys, monkeypatch):
+    """certify and verify map an internal fault to exit 3, not to a traceback
+    with exit 1, which means a failed certificate."""
+
+    def broken(graph):
+        raise InvariantViolation("broken on purpose")
+
+    monkeypatch.setattr(cli, "certify", broken)
+    graph = str(built_6_3 / "graph.json")
+    for argv in (["certify", graph], ["verify", graph, str(built_6_3 / "certificate.json")]):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 3
+        assert stdout == ""
+        assert stderr == "internal error: broken on purpose\n"
 
 
 def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
@@ -473,6 +489,27 @@ def test_node_poly_requires_json_lists(capsys, node):
     assert run(capsys, "node-poly", '{"complete": []}', "--n", "4", "--d", "3")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["node-poly", "oracle"])
+def test_node_json_rejects_unknown_keys(capsys, command):
+    node = '{"complete": [], "partal": [1]}'
+    code, stdout, stderr = run(capsys, command, node, "--n", "4", "--d", "3")
+    assert code == 2
+    assert stdout == ""
+    assert "malformed node: unknown key 'partal' in node JSON" in stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_multigraph_json_rejects_unknown_keys(built_6_3, tmp_path, capsys, command):
+    graph = json.loads((built_6_3 / "graph.json").read_text())
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(dict(graph, degree=3)))
+    argv = [str(path)] + ([str(built_6_3 / "certificate.json")] if command == "verify" else [])
+    code, stdout, stderr = run(capsys, command, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert "cannot read multigraph: unknown key 'degree' in multigraph JSON" in stderr
+
+
 def test_build_rejects_nonpositive_jobs(tmp_path, capsys):
     for jobs in ("0", "-2"):
         code, _, stderr = run(
@@ -481,6 +518,15 @@ def test_build_rejects_nonpositive_jobs(tmp_path, capsys):
         assert code == 2
         assert "--jobs" in stderr
     assert not (tmp_path / "graph.json").exists()
+
+
+def _python(*args):
+    """A fresh interpreter that imports ramex from this checkout."""
+    src = str(Path(ramex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env
+    )
 
 
 def _skewed_build_under_optimize(out, *extra):
@@ -508,15 +554,37 @@ def _skewed_build_under_optimize(out, *extra):
         sys.exit(cli.main(argv))
         """
     )
-    src = str(Path(ramex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script, str(out), *extra],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
+    return _python("-O", "-c", script, str(out), *extra)
+
+
+def test_only_the_grid_loads_numpy(built_6_3):
+    """certify, verify and oracle never import numpy; node-poly runs the
+    grid and does, so the check can fail."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from ramex import cli
+
+        graph, cert = sys.argv[1:]
+        node = '{"complete": [], "partial": [1]}'
+        for argv in (
+            ["certify", graph],
+            ["verify", graph, cert],
+            ["oracle", node, "--n", "6", "--d", "3"],
+            ["node-poly", node, "--n", "6", "--d", "3"],
+        ):
+            code = cli.main(argv)
+            print(argv[0], code, "numpy" in sys.modules, file=sys.stderr)
+        """
     )
+    graph, cert = built_6_3 / "graph.json", built_6_3 / "certificate.json"
+    proc = _python("-c", script, str(graph), str(cert))
+    assert proc.stderr.splitlines() == [
+        "certify 0 False",
+        "verify 0 False",
+        "oracle 0 False",
+        "node-poly 0 True",
+    ]
 
 
 def test_invariant_violation_survives_optimize(tmp_path):
