@@ -2,14 +2,16 @@
 
 Exit codes are fixed for scripting: 0 = certificate passed, 1 = certificate
 failed (or, for verify, does not match its graph), 2 = usage / bad input,
-3 = internal invariant violation.  All JSON output uses exact "num/den"
-strings for any value that may be non-integral.
+3 = internal invariant violation.  Commands raise; main alone turns an
+exception into its exit code and its stderr line.  All JSON output uses
+exact "num/den" strings for any value that may be non-integral.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -41,9 +43,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+
+class _UsageError(Exception):
+    """Bad input found by the command line itself.  Not a ValueError, so a
+    handler that prefixes a ValueError's message leaves this one alone."""
+
+
 # What a command may raise, by exit code: bad input is 2, a broken invariant 3.
-_USAGE_ERRORS = (GridTooLarge, TooLarge, NotRegular)
-_INTERNAL_ERRORS = (RationalityViolation, NonzeroRemainder, InvariantViolation)
+_USAGE_ERRORS = (_UsageError, GridTooLarge, TooLarge, NotRegular)
+_INTERNAL_ERRORS = (NoPassingChild, RationalityViolation, NonzeroRemainder, InvariantViolation)
 
 
 def _poly_strings(poly: UniPoly) -> list[str]:
@@ -65,34 +73,28 @@ def _load_params(args) -> Params:
     try:
         return Params(args.n, args.d)
     except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+        raise _UsageError(exc)
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _internal_error(exc: Exception) -> int:
-    print(f"internal error: {exc}", file=sys.stderr)
-    return EXIT_INTERNAL
-
-
-def _read_node_argument(text: str):
-    """A node argument is inline JSON, or a path to a JSON file."""
-    if os.path.exists(text):
-        return _read_json(text, "node")
-    return json.loads(text)
+def _load_node(args):
+    """(params, node) of a node argument: inline JSON, or a path to a JSON file."""
+    params = _load_params(args)
+    text = args.node
+    try:
+        data = _read_json(text, "node") if os.path.exists(text) else json.loads(text)
+        return params, node_from_json(data, params)
+    except (ValueError, RecursionError) as exc:
+        raise _UsageError(f"malformed node: {exc}")
 
 
 def cmd_build(args) -> int:
     params = _load_params(args)
     if args.jobs < 1:
-        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        return _usage_error(f"cannot create output directory: {exc}")
+        raise _UsageError(f"cannot create output directory: {exc}")
     started = time.monotonic()
     try:
         result = walk(params, jobs=args.jobs, audit=args.trace)
@@ -105,7 +107,7 @@ def cmd_build(args) -> int:
         _cross_check(cert)
     except NoPassingChild as exc:
         _dump_failed_walk(args.out, exc)
-        return _internal_error(exc)
+        raise
     elapsed = time.monotonic() - started
 
     graph_path = os.path.join(args.out, "graph.json")
@@ -119,7 +121,7 @@ def cmd_build(args) -> int:
                 _transcript_json(result, cert, args, elapsed),
             )
     except OSError as exc:
-        return _usage_error(f"cannot write output: {exc}")
+        raise _UsageError(f"cannot write output: {exc}")
     status = "passed" if cert.passed else "FAILED"
     print(
         f"built n={params.n} d={params.d}: certificate {status} "
@@ -183,11 +185,14 @@ def _dump_failed_walk(out_dir: str, exc: NoPassingChild) -> None:
 
 
 def _read_json(path: str, what: str):
+    """A JSON file; a ValueError (bad JSON, bad UTF-8, an integer literal
+    past Python's digit limit) or nesting too deep for the decoder is
+    unreadable input, as a missing file is."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read {what}: {exc}"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _UsageError(f"cannot read {what}: {exc}")
 
 
 def _certify_file(path: str):
@@ -195,7 +200,7 @@ def _certify_file(path: str):
     try:
         graph = multigraph_from_json(_read_json(path, "multigraph"))
     except ValueError as exc:
-        raise SystemExit(_usage_error(f"cannot read multigraph: {exc}"))
+        raise _UsageError(f"cannot read multigraph: {exc}")
     return certify(graph)
 
 
@@ -222,14 +227,8 @@ def _first_mismatch(expected, found, path: str = ""):
             for k in keys
         ]
     elif isinstance(expected, list) and isinstance(found, list):
-        items = [
-            (
-                f"{path}[{i}]",
-                expected[i] if i < len(expected) else _ABSENT,
-                found[i] if i < len(found) else _ABSENT,
-            )
-            for i in range(max(len(expected), len(found)))
-        ]
+        pairs = itertools.zip_longest(expected, found, fillvalue=_ABSENT)
+        items = [(f"{path}[{i}]", want, got) for i, (want, got) in enumerate(pairs)]
     elif type(expected) is type(found) and expected == found:
         return None
     else:
@@ -250,7 +249,7 @@ def cmd_verify(args) -> int:
     _cross_check(cert)
     found = _read_json(args.certificate, "certificate")
     if not isinstance(found, dict):
-        return _usage_error("certificate must be a JSON object")
+        raise _UsageError("certificate must be a JSON object")
     hit = _first_mismatch(certificate_to_json(cert), found)
     if hit is not None:
         path, want, got = hit
@@ -265,11 +264,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_node_poly(args) -> int:
-    params = _load_params(args)
-    try:
-        node = node_from_json(_read_node_argument(args.node), params)
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _usage_error(f"malformed node: {exc}")
+    params, node = _load_node(args)
     poly, tensor = node_polynomial_and_tensor(node, params)
     if args.ctensor:
         payload = {"node_poly": _poly_strings(poly), "ctensor": tensor.to_json()}
@@ -280,11 +275,7 @@ def cmd_node_poly(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = _load_params(args)
-    try:
-        node = node_from_json(_read_node_argument(args.node), params)
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _usage_error(f"malformed node: {exc}")
+    params, node = _load_node(args)
     poly = brute_expected_charpoly(node, params, cap=args.oracle_cap)
     print(json.dumps(_poly_strings(poly)))
     return EXIT_PASS
@@ -354,12 +345,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except _USAGE_ERRORS as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except _INTERNAL_ERRORS as exc:
-        return _internal_error(exc)
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

@@ -100,31 +100,21 @@ class Multigraph:
 def children(node: NodeState, params: Params) -> list[NodeState]:
     """Children in deterministic ascending-partner order.
 
-    With a partial of length t: one child per unmatched right vertex,
-    extending the partial; a child reaching length m is promoted to a
-    complete matching.  Without a partial (and fewer than d matchings):
-    one child per right vertex, starting a new partial at left vertex 1.
+    One child per right vertex that the partial (empty when none is open)
+    leaves unmatched, extending it by that vertex; a child reaching length
+    m is promoted to a complete matching.
     """
     if node.is_leaf(params):
         raise IsLeaf("leaf nodes have no children")
-    m = params.m
+    m, partial = params.m, node.partial or ()
     kids = []
-    if node.partial is not None:
-        used = set(node.partial)
-        for j in range(m):
-            if j in used:
-                continue
-            extended = node.partial + (j,)
+    for j in range(m):
+        if j not in partial:
+            extended = partial + (j,)
             if len(extended) == m:
                 kids.append(NodeState(node.complete + (extended,), None))
             else:
                 kids.append(NodeState(node.complete, extended))
-    else:
-        for j in range(m):
-            if m == 1:
-                kids.append(NodeState(node.complete + ((j,),), None))
-            else:
-                kids.append(NodeState(node.complete, (j,)))
     return kids
 
 

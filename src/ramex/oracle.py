@@ -9,7 +9,6 @@ scalar/polynomial layer.  Exponential cost, guarded by an enumeration cap.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .exact_algebra import UniPoly
@@ -22,6 +21,20 @@ class TooLarge(ValueError):
 
 
 DEFAULT_CAP = 10**6
+
+
+def _count_within_cap(sizes, cap: int, what: str) -> int:
+    """The product of k! over sizes, multiplied one integer at a time and
+    no further once it passes cap, so a huge count is never formed; past
+    cap it raises TooLarge."""
+    count = 1
+    for k in itertools.chain.from_iterable(range(2, size + 1) for size in sizes):
+        if count > cap:
+            break
+        count *= k
+    if count > cap:
+        raise TooLarge(f"the {what} exceed cap {cap}")
+    return count
 
 
 def _det_xid_minus(mat) -> list:
@@ -84,11 +97,8 @@ def brute_expected_charpoly(
     held = len(node.complete) + (1 if node.partial is not None else 0)
     free = d - held
     t = len(node.partial) if node.partial is not None else 0
-    count = (math.factorial(m - t) if node.partial is not None else 1) * (
-        math.factorial(m) ** free
-    )
-    if count > cap:
-        raise TooLarge(f"{count} completions exceed cap {cap}")
+    sizes = itertools.chain([m - t] if node.partial is not None else [], itertools.repeat(m, free))
+    count = _count_within_cap(sizes, cap, "completions")
 
     base = [[0] * m for _ in range(m)]
     for match in node.complete:
@@ -129,9 +139,7 @@ def brute_fixed_plus_permutation(
     """Average of det(yI - (A + P_B)^T (A + P_B)) over all block
     permutations P_B; the block-free case degenerates to det(yI - A^T A)."""
     l = block.size
-    count = math.factorial(l)
-    if count > cap:
-        raise TooLarge(f"{count} permutations exceed cap {cap}")
+    count = _count_within_cap([l], cap, "permutations")
     m = a.nrows
     rows = list(a.entries)
     total = [0] * (m + 1)

@@ -36,7 +36,7 @@ from .exact_algebra import (
     quad_sign,
     rational_to_str,
 )
-from .exact_linalg import Matrix, charpoly
+from .exact_linalg import Matrix, charpoly, check_grid_size
 from .expectation_engine import node_polynomial
 from .matching_family import Multigraph, NodeState, Params, children
 
@@ -187,26 +187,21 @@ def _child_poly_task(args) -> UniPoly:
     return node_polynomial(node, params)
 
 
-def _average(polys) -> UniPoly:
-    total = UniPoly()
-    for p in polys:
-        total = total + p
-    return Fraction(1, len(polys)) * total
-
-
 def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     """Descend from the identity first matching to a leaf, keeping the
     invariant that the current node's polynomial passes the sqrt(q) bound,
     q = 4(d-1).
 
     The descent takes the first passing child in deterministic ascending
-    order.  With audit, every child is evaluated, in jobs worker processes
-    when jobs > 1, and the current node's polynomial must be their average.
+    order.  With audit, every child is evaluated, in up to jobs worker
+    processes (never more than m, the most children a stage has), and the
+    current node's polynomial must be their average.
     Without it, a single-child stage evaluates nothing (its child's
     polynomial is the parent's), and other stages evaluate children one at
     a time in this process until one passes; a stage where none passes has
     evaluated them all.  The leaf never depends on audit or the job count.
     """
+    check_grid_size(params.m)  # before the start node's m-tuple is built
     q = 4 * (params.d - 1)
     current = NodeState((tuple(range(params.m)),), None)
     current_poly = node_polynomial(current, params)
@@ -218,8 +213,9 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
         )
 
     stages = []
-    pooled = audit and jobs > 1
-    with ProcessPoolExecutor(max_workers=jobs) if pooled else contextlib.nullcontext() as pool:
+    workers = min(jobs, params.m)
+    pooled = audit and workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as pool:
         # the builtin map is lazy, so a lazy walk stops at the first passing child
         evaluate = pool.map if pooled else map
         while not current.is_leaf(params):
@@ -233,7 +229,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                     passed.append(max_root_leq_sqrt(poly, q))
                     if passed[-1] and not audit:
                         break
-                if audit and _average(polys) != current_poly:
+                if audit and Fraction(1, len(polys)) * sum(polys, UniPoly()) != current_poly:
                     raise InvariantViolation(
                         f"polynomial of {current} is not the average of its children"
                     )

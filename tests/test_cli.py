@@ -293,6 +293,17 @@ def test_huge_sizes_exit_2_before_any_node_matrix(tmp_path, capsys, monkeypatch)
     assert code == 2 and "m <= 32, got m = 50000" in stderr and stdout == ""
 
 
+def test_huge_sizes_exit_2_before_the_start_node(tmp_path, capsys, monkeypatch):
+    # walk's start node holds an m-tuple, about 8 GB of pointers at n = 2e9;
+    # the size guard must run before it is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the start node was built for a size beyond the grid")
+
+    monkeypatch.setattr(ramanujan_walk, "NodeState", unreachable)
+    code, _, stderr = run(capsys, "build", "--n", "100000", "--d", "3", "--out", str(tmp_path))
+    assert code == 2 and "m <= 32, got m = 50000" in stderr
+
+
 def test_node_poly_root(capsys):
     code, stdout, _ = run(
         capsys, "node-poly", '{"complete": [], "partial": []}', "--n", "4", "--d", "3"
@@ -510,6 +521,39 @@ def test_multigraph_json_rejects_unknown_keys(built_6_3, tmp_path, capsys, comma
     assert "cannot read multigraph: unknown key 'degree' in multigraph JSON" in stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"n": ' + b"9" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "over-long-integer", "too-deep"],
+)
+def test_unreadable_json_files_exit_2(built_6_3, tmp_path, capsys, content):
+    # none of these is a JSONDecodeError: a UnicodeDecodeError, a plain
+    # ValueError from int() and a RecursionError
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    graph = str(built_6_3 / "graph.json")
+    for argv, what in (
+        (["verify", graph, str(path)], "certificate"),
+        (["verify", str(path), graph], "multigraph"),
+        (["certify", str(path)], "multigraph"),
+        (["node-poly", str(path), "--n", "4", "--d", "3"], "node"),
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: cannot read {what}: ")
+        assert "Traceback" not in stderr
+
+
+def test_node_file_errors_are_prefixed_once(tmp_path, capsys):
+    # a file that cannot be read is not also reported as a malformed node
+    path = tmp_path / "node.json"
+    path.write_text('{"complete": [')
+    code, _, stderr = run(capsys, "node-poly", str(path), "--n", "4", "--d", "3")
+    assert code == 2
+    assert stderr == "error: cannot read node: Expecting value: line 1 column 15 (char 14)\n"
+
+
 def test_build_rejects_nonpositive_jobs(tmp_path, capsys):
     for jobs in ("0", "-2"):
         code, _, stderr = run(
@@ -626,6 +670,15 @@ def test_oracle_cap(capsys):
     )
     assert code == 2
     assert "cap" in stderr
+
+
+def test_oracle_cap_far_past_the_count_limit(capsys):
+    # the full count would have about 7,700 digits, past the int-to-str limit
+    node = '{"complete": []}'
+    code, stdout, stderr = run(capsys, "oracle", node, "--n", "2000", "--d", "3")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: the completions exceed cap 1000000\n"
 
 
 def test_node_poly_matches_certified_nontrivial(tmp_path, capsys):

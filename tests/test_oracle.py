@@ -31,6 +31,20 @@ def test_brute_expected_cap():
         brute_expected_charpoly(NodeState(), Params(8, 3), cap=100)
 
 
+def test_caps_stop_counting_before_the_count_is_huge():
+    """A count far past the cap is never formed in full nor printed: at
+    m = 1000 it would have about 7,700 digits, past Python's int-to-str limit."""
+    with pytest.raises(TooLarge, match="^the completions exceed cap 1000000$"):
+        brute_expected_charpoly(NodeState(), Params(2000, 3))
+    block = BlockSpec(tuple(range(5)), tuple(range(5)))
+    with pytest.raises(TooLarge, match="^the permutations exceed cap 10$"):
+        brute_fixed_plus_permutation(Matrix.zeros(5, 5), block, cap=10)
+    # a leaf has one completion, and that is still past a cap of 0
+    leaf = NodeState(((0, 1), (0, 1), (1, 0)))
+    with pytest.raises(TooLarge, match="cap 0"):
+        brute_expected_charpoly(leaf, Params(4, 3), cap=0)
+
+
 def test_brute_fixed_plus_permutation_examples():
     full2 = BlockSpec((0, 1), (0, 1))
     assert brute_fixed_plus_permutation(Matrix.zeros(2, 2), full2) == UniPoly((1, -2, 1))

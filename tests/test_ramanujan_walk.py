@@ -262,6 +262,30 @@ def test_lazy_walk_is_jobs_agnostic(n, d, monkeypatch):
     assert walk(params, jobs=2, audit=False) == serial
 
 
+def test_traced_walk_pool_is_bounded_by_stage_width(monkeypatch):
+    """No stage has more than m children, so a traced walk asks for at most
+    m workers however large jobs is; a pool starts all its workers at once."""
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    params = Params(6, 3)
+    monkeypatch.setattr(ramanujan_walk, "ProcessPoolExecutor", FakePool)
+    assert walk(params, jobs=10**6) == walk(params, jobs=1)
+    assert asked == [3]
+
+
 @settings(max_examples=300)
 @given(st.integers(1, 16), st.sampled_from((1, 2, 3, 4, 5, 10)), st.integers(0, 2**32))
 def test_elimination_agrees_with_certify(m, d, seed):
