@@ -18,7 +18,7 @@ import sys
 import time
 
 from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly, rational_to_str
-from .exact_linalg import GridTooLarge, RationalityViolation
+from .exact_linalg import CoefficientsTooLarge, GridTooLarge, RationalityViolation
 from .expectation_engine import node_polynomial_and_tensor
 from .matching_family import (
     Params,
@@ -50,7 +50,7 @@ class _UsageError(Exception):
 
 
 # What a command may raise, by exit code: bad input is 2, a broken invariant 3.
-_USAGE_ERRORS = (_UsageError, GridTooLarge, TooLarge, NotRegular)
+_USAGE_ERRORS = (_UsageError, GridTooLarge, CoefficientsTooLarge, TooLarge, NotRegular)
 _INTERNAL_ERRORS = (NoPassingChild, RationalityViolation, NonzeroRemainder, InvariantViolation)
 
 
@@ -118,7 +118,7 @@ def cmd_build(args) -> int:
         if args.trace:
             _write_json(
                 os.path.join(args.out, "transcript.json"),
-                _transcript_json(result, cert, args, elapsed),
+                _transcript_json(result, cert, elapsed),
             )
     except OSError as exc:
         raise _UsageError(f"cannot write output: {exc}")
@@ -140,11 +140,11 @@ def _cross_check(cert) -> None:
         )
 
 
-def _transcript_json(result, cert, args, elapsed: float) -> dict:
+def _transcript_json(result, cert, elapsed: float) -> dict:
     return {
         "params": {"n": result.params.n, "d": result.params.d},
         "q": result.bound_q,
-        "jobs": args.jobs,
+        "jobs": result.workers,
         "stages": [
             {
                 "node": node_to_json(stage.node),

@@ -1,15 +1,18 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Provides the Berkowitz (division-free) characteristic polynomial and the
+Provides the exact characteristic polynomial of one matrix and the
 squared-minor tensor of a fixed integer matrix plus a random block
-permutation.  The tensor comes from characteristic polynomials on the grid
+permutation.  ``charpoly`` reduces the matrix to Hessenberg form modulo
+one Mersenne prime above twice Hadamard's bound on its coefficients, in
+pure Python.  The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation, both run modulo word-size primes in one
-numpy batch; its integer numerators, over one known denominator per minor
-size, are rebuilt exactly by the Chinese remainder theorem from enough
-primes for a bound taken from the trace of the fixed matrix's Gram alone.
-Big-int ``charpoly`` is the reference for the batched kernel and serves
-certification, which never depends on the modular path: numpy is imported
-inside the functions that run the batch, so certification never loads it.
+numpy batch with Berkowitz's recurrence; its integer numerators, over one
+known denominator per minor size, are rebuilt exactly by the Chinese
+remainder theorem from enough primes for a bound taken from the trace of
+the fixed matrix's Gram alone.  ``charpoly`` is the independent reference
+for the batched kernel and serves certification, which never depends on
+the modular batch: numpy is imported inside the functions that run the
+batch, so certification never loads it.
 """
 
 from __future__ import annotations
@@ -123,31 +126,94 @@ class BlockSpec:
         return len(self.rows)
 
 
-def charpoly(matrix: Matrix) -> UniPoly:
-    """det(xI - M) by the division-free Berkowitz algorithm; exact, monic.
+# Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1, a literal
+# table so that importing computes nothing; a test proves each one prime.
+# Every d = 3 certify Gram up to m = 1024 needs at most e = 4253.
+_MERSENNE_EXPONENTS = (
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+)
 
-    Works over any exact commutative ring (here: ints and Fractions); being
-    division-free, it keeps integer matrices on Python ints throughout.
-    Step k slices the leading (k-1) x (k-1) block once and forms its
-    row-vector products with ``sum(map(mul, ...))``.
+
+class CoefficientsTooLarge(ValueError):
+    """The charpoly's coefficient bound exceeds half the largest Mersenne
+    prime in the table, so no modulus there makes the result exact."""
+
+
+def _mersenne_prime_above(bound_sq: int) -> int:
+    """The smallest table Mersenne prime p with p > 2 sqrt(bound_sq)."""
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
+        if p * p > 4 * bound_sq:
+            return p
+    raise CoefficientsTooLarge(
+        f"a {bound_sq.bit_length() // 2}-bit characteristic polynomial coefficient bound "
+        f"exceeds the largest modulus, 2^{_MERSENNE_EXPONENTS[-1]} - 1"
+    )
+
+
+def charpoly(matrix: Matrix) -> UniPoly:
+    """det(xI - M), exact and monic, for a matrix of ints or Fractions.
+
+    A Fraction matrix is scaled by the common denominator D of its entries
+    first, and the coefficient of x^j of the integer result divided by
+    D^(m-j).  The integer charpoly is computed modulo one Mersenne prime
+    p, by reduction to upper Hessenberg form (pivot on the first nonzero
+    entry below the subdiagonal, inverses mod p) and the Hessenberg
+    recurrence (Cohen, Alg. 2.2.9), in O(m^3) operations.  p is exact,
+    not probabilistic: the coefficient of x^(m-k) is -+ e_k, a sum of
+    C(m, k) principal minors, each at most R^k by Hadamard's inequality
+    with R the largest row norm, so p > 2 C(m, k) R^k for every k makes
+    each coefficient its symmetric residue; the bound is compared squared,
+    on integers.
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
-    a = matrix.entries
-    coeffs = [1]  # descending; charpoly of the empty matrix
-    for k in range(1, len(a) + 1):
-        lead = [r[: k - 1] for r in a[: k - 1]]
-        row = a[k - 1][: k - 1]
-        col = [r[k - 1] for r in a[: k - 1]]
-        # Toeplitz sequence: t0 = 1, t1 = -a[k-1][k-1], t_i = -(row . lead^(i-2) . col)
-        t = [1, -a[k - 1][k - 1]]
-        vec = col
-        for i in range(2, k + 1):
-            t.append(-sum(map(mul, row, vec)))
-            if i < k:
-                vec = [sum(map(mul, r, vec)) for r in lead]
-        coeffs = [sum(map(mul, t[i::-1], coeffs)) for i in range(k + 1)]
-    return UniPoly(tuple(reversed(coeffs)))
+    m = matrix.nrows
+    denom = math.lcm(*(x.denominator for row in matrix.entries for x in row))
+    a = [[x.numerator * (denom // x.denominator) for x in row] for row in matrix.entries]
+    norm_sq = max((sum(x * x for x in row) for row in a), default=0)
+    p = _mersenne_prime_above(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1)))
+    h = [[x % p for x in row] for row in a]
+    # upper Hessenberg form by similarity: below the subdiagonal of column j
+    for j in range(m - 2):
+        pivot = next((i for i in range(j + 1, m) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != j + 1:
+            h[pivot], h[j + 1] = h[j + 1], h[pivot]
+            for row in h:
+                row[pivot], row[j + 1] = row[j + 1], row[pivot]
+        top = h[j + 1][j:]
+        inverse = pow(top[0], -1, p)
+        # row i -= u_i row (j+1), then column (j+1) += sum_i u_i column i
+        factors = [h[i][j] * inverse % p for i in range(j + 2, m)]
+        for i, u in enumerate(factors, j + 2):
+            if u:
+                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], top)]
+        if any(factors):
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(map(mul, factors, row[j + 2 :]))) % p
+    # polys[k] = det(xI - H_k), H_k the leading k x k block, ascending, mod p:
+    # polys[k+1] = (x - h_kk) polys[k]
+    #     - sum_{i=1..k} h_(k-i),k h_(k-i+1),(k-i) ... h_k,(k-1) polys[k-i]
+    polys = [[1]]
+    for k in range(m):
+        new = [0] + polys[k]
+        for idx, c in enumerate(polys[k]):
+            new[idx] -= h[k][k] * c
+        product = 1
+        for i in range(1, k + 1):
+            product = product * h[k - i + 1][k - i] % p
+            if not product:
+                break
+            factor = product * h[k - i][k] % p
+            for idx, c in enumerate(polys[k - i]):
+                new[idx] -= factor * c
+        polys.append([c % p for c in new])
+    coeffs = [c - p if 2 * c > p else c for c in polys[m]]
+    if denom > 1:
+        coeffs = [Fraction(c, denom ** (m - j)) for j, c in enumerate(coeffs)]
+    return UniPoly(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -289,13 +355,14 @@ def _berkowitz_mod(mats, primes):
     residue matrices of shape (r, g, m, m), the prime of row i of the batch
     being primes[i]; the result has shape (r, g, m + 1).
 
-    The division-free Berkowitz recurrence of ``charpoly``, batched: no
-    pivot and no inverse mod p.  At step k one matmul per power gives the
-    next mat-vec of the leading block and the Toeplitz entry of the row
-    below it, and the coefficients are multiplied by the lower-triangular
-    Toeplitz matrix, gathered from the entries.  Every product is reduced
-    mod p before the next one, and no dot product is longer than
-    m <= MAX_GRID_M.
+    The division-free Berkowitz recurrence, batched: no pivot and no
+    inverse mod p, so one code path serves every matrix of the batch.
+    ``charpoly``, by Hessenberg reduction, is its independent reference.
+    At step k one matmul per power gives the next mat-vec of the leading
+    block and the Toeplitz entry of the row below it, and the coefficients
+    are multiplied by the lower-triangular Toeplitz matrix, gathered from
+    the entries.  Every product is reduced mod p before the next one, and
+    no dot product is longer than m <= MAX_GRID_M.
     """
     import numpy as np
 

@@ -90,7 +90,9 @@ def certify(graph: Multigraph) -> Certificate:
 
     With B the multiplicity matrix, the adjacency is [[0, B], [B^T, 0]], so
     det(xI - A) = det(x^2 I - B^T B): the exact characteristic polynomial
-    of the m x m Gram, with y -> x^2.  The trivial factor y - d^2 is
+    of the m x m Gram, with y -> x^2.  The Gram is summed from each row's
+    nonzero entries, and ``charpoly`` computes its polynomial modulo one
+    Mersenne prime large enough to be exact.  The trivial factor y - d^2 is
     divided out of the Gram's integer polynomial once, as node_polynomial
     does, and the sqrt-q root test runs with q = 4(d-1).  The division is
     always exact: the all-ones vector is an eigenvector of B^T B with
@@ -107,8 +109,14 @@ def certify(graph: Multigraph) -> Certificate:
         if colsum != d:
             raise NotRegular(f"right vertex {j + 1} has degree {colsum} != {d}")
 
-    half = Matrix.from_rows(mult)
-    gram_poly = charpoly(half.transpose() @ half)
+    # B^T B from each row's nonzero entries, at most d of them
+    gram = [[0] * m for _ in range(m)]
+    for row in mult:
+        support = [(j, b) for j, b in enumerate(row) if b]
+        for j, b in support:
+            for k, c in support:
+                gram[j][k] += b * c
+    gram_poly = charpoly(Matrix.from_rows(gram))
     q = 4 * (d - 1)
     nontrivial = poly_substitute_square(poly_div_exact(gram_poly, UniPoly((-(d * d), 1))))
     shifted = poly_shift_by_sqrt(nontrivial, q)
@@ -180,6 +188,8 @@ class WalkResult:
     leaf: NodeState
     leaf_poly: UniPoly
     stages: tuple = field(default_factory=tuple)
+    # worker processes started, 1 when no pool ran; the walk's value never depends on it
+    workers: int = field(default=1, compare=False)
 
 
 def _child_poly_task(args) -> UniPoly:
@@ -260,6 +270,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
         leaf=current,
         leaf_poly=current_poly,
         stages=tuple(stages),
+        workers=workers if pooled else 1,
     )
 
 

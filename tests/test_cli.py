@@ -74,6 +74,15 @@ def test_build_trace_starts_at_the_identity(tmp_path, capsys):
     assert transcript["certificate"]["passed"] is True
 
 
+def test_build_trace_records_the_workers_started(tmp_path, capsys):
+    # no stage of n = 4 has more than m = 2 children, so --jobs 50 starts 2
+    code, _, _ = run(
+        capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path), "--trace", "--jobs", "50"
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "transcript.json").read_text())["jobs"] == 2
+
+
 def test_certify_failing_graph(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": [[3, 0], [0, 3]]}))
@@ -123,6 +132,16 @@ def test_certify_irregular_graph(tmp_path, capsys):
     code, _, stderr = run(capsys, "certify", str(path))
     assert code == 2
     assert "degree" in stderr
+
+
+def test_certify_past_the_largest_modulus_exits_2(tmp_path, capsys):
+    # the Gram [[d^2]] needs a modulus above 2 d^2 = 2^8845
+    d = 2**4422
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "d": d, "multiplicity": [[d]]}))
+    code, stdout, stderr = run(capsys, "certify", str(path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and "exceeds the largest modulus" in stderr
 
 
 @pytest.fixture(scope="module")

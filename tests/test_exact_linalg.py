@@ -1,4 +1,5 @@
-"""Matrices, Berkowitz charpoly, the multimodular trivariate determinant grid."""
+"""Matrices, the Hessenberg charpoly mod a Mersenne prime, the multimodular
+trivariate determinant grid."""
 
 import itertools
 import math
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from ramex import exact_linalg
 from ramex.exact_algebra import UniPoly
 from ramex.exact_linalg import (
+    _MERSENNE_EXPONENTS,
     _PRIMES,
     MAX_GRID_M,
     BlockSpec,
+    CoefficientsTooLarge,
     CTensor,
     GridTooLarge,
     Matrix,
@@ -110,6 +113,87 @@ def test_charpoly_matches_cofactor_oracle(rows):
 def test_charpoly_requires_square():
     with pytest.raises(ValueError):
         charpoly(Matrix.zeros(2, 3))
+
+
+def test_charpoly_at_the_hadamard_bound_edge():
+    # 5 H for the 8 x 8 Sylvester H has (5 H)^2 = 200 I and trace 0, so its
+    # charpoly is (x^2 - 200)^4, and |det| = 200^4 meets Hadamard's bound:
+    # the modulus must exceed 2 * 200^4 > 2^31 - 1, and 200^4 exceeds
+    # (2^31 - 1) / 2, so the table entry below the right one folds it
+    mat = Matrix.from_rows([[5 * x for x in row] for row in _sylvester(8)])
+    want = [0] * 9
+    for i in range(5):
+        want[2 * i] = math.comb(4, i) * (-200) ** (4 - i)
+    assert 2 * 200**4 > 2**31 - 1 > 200**4
+    assert charpoly(mat) == UniPoly(tuple(want))
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant by fraction-free Gaussian elimination with row swaps."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+@pytest.mark.parametrize("m, seed", [(32, 1), (64, 2)])
+def test_charpoly_of_large_grams_matches_bareiss_determinants(m, seed):
+    """B^T B for B the union of 3 seeded random matchings on m + m
+    vertices, the Gram certify forms at n = 2m, evaluated at integer
+    points; x = 9 is the Gram's eigenvalue d^2."""
+    rng = random.Random(seed)
+    mult = [[0] * m for _ in range(m)]
+    for _ in range(3):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            mult[i][j] += 1
+    half = Matrix.from_rows(mult)
+    gram = (half.transpose() @ half).entries
+    poly = charpoly(Matrix(gram))
+    assert poly.degree == m and poly.coeff(m) == 1
+    for x in (-3, 0, 4, 9):
+        shifted = [[x * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]
+        assert sum(c * x**j for j, c in enumerate(poly.coeffs)) == _bareiss_det(shifted)
+
+
+def _lucas_lehmer(e: int) -> bool:
+    """Whether 2^e - 1 is prime, for a prime exponent e."""
+    if e == 2:
+        return True
+    p = (1 << e) - 1
+    s = 4
+    for _ in range(e - 2):
+        s = s * s - 2
+        s = (s & p) + (s >> e)  # s mod p, folded twice: 2^e = 1 mod p
+        s = (s & p) + (s >> e)
+    return s % p == 0
+
+
+def test_mersenne_exponents_give_primes():
+    assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+    for e in _MERSENNE_EXPONENTS:
+        assert all(e % q for q in range(2, math.isqrt(e) + 1)) and _lucas_lehmer(e), e
+    # the test rejects composites: 2^11 - 1 = 23 * 89, 2^29 - 1 = 233 * 1103 * 2089
+    assert not _lucas_lehmer(11) and not _lucas_lehmer(29)
+
+
+def test_charpoly_past_the_largest_modulus_raises():
+    # |det| = c, so the modulus must exceed 2c
+    top = _MERSENNE_EXPONENTS[-1]
+    assert charpoly(Matrix.from_rows([[2 ** (top - 2)]])) == UniPoly((-(2 ** (top - 2)), 1))
+    with pytest.raises(CoefficientsTooLarge):
+        charpoly(Matrix.from_rows([[2 ** (top - 1)]]))
 
 
 def _e_k(poly: UniPoly, m: int) -> list:
