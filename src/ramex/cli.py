@@ -21,6 +21,7 @@ from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly, ration
 from .exact_linalg import CoefficientsTooLarge, GridTooLarge, RationalityViolation
 from .expectation_engine import node_polynomial_and_tensor
 from .matching_family import (
+    NotRegular,
     Params,
     leaf_graph,
     multigraph_from_json,
@@ -31,7 +32,6 @@ from .matching_family import (
 from .oracle import DEFAULT_CAP, TooLarge, brute_expected_charpoly
 from .ramanujan_walk import (
     NoPassingChild,
-    NotRegular,
     certificate_to_json,
     certify,
     certify_by_elimination,
@@ -50,8 +50,12 @@ class _UsageError(Exception):
 
 
 # What a command may raise, by exit code: bad input is 2, a broken invariant 3.
-_USAGE_ERRORS = (_UsageError, GridTooLarge, CoefficientsTooLarge, TooLarge, NotRegular)
-_INTERNAL_ERRORS = (NoPassingChild, RationalityViolation, NonzeroRemainder, InvariantViolation)
+# An irregular graph file exits 2 through _certify_file; a NotRegular that
+# reaches main comes from build's own leaf, which is a bug.
+_USAGE_ERRORS = (_UsageError, GridTooLarge, CoefficientsTooLarge, TooLarge)
+_INTERNAL_ERRORS = (
+    NoPassingChild, RationalityViolation, NonzeroRemainder, InvariantViolation, NotRegular
+)
 
 
 def _poly_strings(poly: UniPoly) -> list[str]:

@@ -52,7 +52,8 @@ def _violation(message: str) -> RationalityViolation:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense rectangular matrix over an exact scalar ring."""
+    """Immutable dense rectangular matrix over an exact scalar ring: rows
+    of equal length, checked once and stored as tuples."""
 
     entries: tuple
 
@@ -64,15 +65,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
+        return cls(rows)
 
     @property
     def nrows(self) -> int:
@@ -85,22 +78,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries))) if self.entries else self
-
-    def __matmul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().entries
-        return Matrix(
-            tuple(
-                tuple(sum(map(mul, row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
 
 
 @dataclass(frozen=True)

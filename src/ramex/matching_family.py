@@ -23,6 +23,10 @@ class NotALeaf(ValueError):
     """Graph extraction requested on an incomplete node."""
 
 
+class NotRegular(ValueError):
+    """The multigraph is not d-regular bipartite."""
+
+
 @dataclass(frozen=True)
 class Params:
     """Problem size: n vertices total (even), degree d; m = n/2 per side."""
@@ -75,13 +79,12 @@ class NodeState:
                 raise ValueError(f"partial length {t} out of range 1..{m - 1}")
             if len(set(self.partial)) != t or any(not 0 <= j < m for j in self.partial):
                 raise ValueError("partial partners must be distinct and in range")
-            if len(self.complete) >= d:
-                raise ValueError("partial matching on a node that already has d matchings")
 
 
 @dataclass(frozen=True)
 class Multigraph:
-    """d-regular bipartite multigraph as an m x m edge-multiplicity matrix."""
+    """d-regular bipartite multigraph as an m x m edge-multiplicity matrix:
+    every row and every column sums to d, or NotRegular is raised."""
 
     params: Params
     multiplicity: tuple
@@ -95,6 +98,11 @@ class Multigraph:
             raise ValueError("multiplicity matrix must be m x m")
         if any(not isinstance(x, int) or x < 0 for row in self.multiplicity for x in row):
             raise ValueError("multiplicities must be nonnegative integers")
+        d = self.params.d
+        for side, lines in (("left", self.multiplicity), ("right", zip(*self.multiplicity))):
+            for i, line in enumerate(lines):
+                if sum(line) != d:
+                    raise NotRegular(f"{side} vertex {i + 1} has degree {sum(line)} != {d}")
 
 
 def children(node: NodeState, params: Params) -> list[NodeState]:

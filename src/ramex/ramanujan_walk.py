@@ -41,10 +41,6 @@ from .expectation_engine import node_polynomial
 from .matching_family import Multigraph, NodeState, Params, children
 
 
-class NotRegular(ValueError):
-    """The multigraph is not d-regular bipartite."""
-
-
 class NoPassingChild(RuntimeError):
     """No child passed the root bound.
 
@@ -95,23 +91,13 @@ def certify(graph: Multigraph) -> Certificate:
     Mersenne prime large enough to be exact.  The trivial factor y - d^2 is
     divided out of the Gram's integer polynomial once, as node_polynomial
     does, and the sqrt-q root test runs with q = 4(d-1).  The division is
-    always exact: the all-ones vector is an eigenvector of B^T B with
-    eigenvalue d^2 once the degrees are checked.
+    always exact: every row and column of B sums to d, so the all-ones
+    vector is an eigenvector of B^T B with eigenvalue d^2.
     """
-    params = graph.params
-    m, d = params.m, params.d
-    mult = graph.multiplicity
-    for i in range(m):
-        if sum(mult[i]) != d:
-            raise NotRegular(f"left vertex {i + 1} has degree {sum(mult[i])} != {d}")
-    for j in range(m):
-        colsum = sum(mult[i][j] for i in range(m))
-        if colsum != d:
-            raise NotRegular(f"right vertex {j + 1} has degree {colsum} != {d}")
-
+    m, d = graph.params.m, graph.params.d
     # B^T B from each row's nonzero entries, at most d of them
     gram = [[0] * m for _ in range(m)]
-    for row in mult:
+    for row in graph.multiplicity:
         support = [(j, b) for j, b in enumerate(row) if b]
         for j, b in support:
             for k, c in support:
@@ -141,7 +127,7 @@ def certify_by_elimination(graph: Multigraph) -> bool:
     on the largest remaining diagonal entry: each pivot is a positive
     principal minor, and each step leaves that minor times the Schur
     complement.  A negative diagonal entry, or a nonzero block whose
-    diagonal is all zero, means S is not PSD.  Expects a regular graph.
+    diagonal is all zero, means S is not PSD.
     """
     m, d = graph.params.m, graph.params.d
     cols = list(zip(*graph.multiplicity))

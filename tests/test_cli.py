@@ -14,7 +14,7 @@ import ramex
 from ramex import cli, expectation_engine, ramanujan_walk
 from ramex.cli import main
 from ramex.exact_algebra import InvariantViolation, UniPoly, rational_to_str
-from ramex.matching_family import Params, node_to_json
+from ramex.matching_family import NotRegular, Params, node_to_json
 
 
 def run(capsys, *argv):
@@ -131,7 +131,23 @@ def test_certify_irregular_graph(tmp_path, capsys):
     path.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": [[2, 1], [2, 1]]}))
     code, _, stderr = run(capsys, "certify", str(path))
     assert code == 2
-    assert "degree" in stderr
+    assert stderr == "error: cannot read multigraph: right vertex 1 has degree 4 != 3\n"
+
+
+@pytest.mark.parametrize(
+    "multiplicity, message",
+    [
+        ([[2, 1], [1, 1]], "left vertex 2 has degree 2 != 3"),
+        ([[4, -1], [-1, 4]], "multiplicities must be nonnegative integers"),  # sums are 3
+    ],
+)
+def test_certify_rejects_bad_multiplicities(tmp_path, capsys, multiplicity, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": multiplicity}))
+    code, stdout, stderr = run(capsys, "certify", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: cannot read multigraph: {message}\n"
 
 
 def test_certify_past_the_largest_modulus_exits_2(tmp_path, capsys):
@@ -272,6 +288,20 @@ def test_internal_error_in_certify_exits_3(built_6_3, capsys, monkeypatch):
         assert code == 3
         assert stdout == ""
         assert stderr == "internal error: broken on purpose\n"
+
+
+def test_irregular_leaf_in_build_exits_3(tmp_path, capsys, monkeypatch):
+    """An irregular graph file is bad input, but the walk's own leaf being
+    irregular is a bug."""
+
+    def irregular(node, params):
+        raise NotRegular("right vertex 1 has degree 4 != 3")
+
+    monkeypatch.setattr(cli, "leaf_graph", irregular)
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "internal error: right vertex 1 has degree 4 != 3\n"
 
 
 def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
@@ -517,6 +547,19 @@ def test_node_poly_requires_json_lists(capsys, node):
     assert stdout == ""
     assert "malformed node: expected a JSON array" in stderr
     assert run(capsys, "node-poly", '{"complete": []}', "--n", "4", "--d", "3")[0] == 0
+
+
+def test_json_that_is_not_an_object_exits_2(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "node-poly", "[1]", "--n", "4", "--d", "3")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: malformed node: node JSON must be an object\n"
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    code, stdout, stderr = run(capsys, "certify", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: cannot read multigraph: multigraph JSON must be an object\n"
 
 
 @pytest.mark.parametrize("command", ["node-poly", "oracle"])

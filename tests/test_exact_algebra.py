@@ -170,6 +170,12 @@ def test_poly_div_exact_random_products():
         assert poly_div_exact(quot * divisor, divisor) == quot
 
 
+def test_poly_div_exact_of_zero_and_of_lower_degree():
+    assert poly_div_exact(UniPoly(), UniPoly((-4, 0, 1))) == UniPoly()
+    with pytest.raises(NonzeroRemainder, match="degree 1 < divisor degree 2"):
+        poly_div_exact(UniPoly((1, 1)), UniPoly((-4, 0, 1)))
+
+
 def test_poly_div_requires_monic_divisor():
     with pytest.raises(ValueError):
         poly_div_exact(UniPoly((1, 1)), UniPoly((1, 2)))

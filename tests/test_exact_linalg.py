@@ -33,6 +33,8 @@ from ramex.exact_linalg import (
 )
 from ramex.oracle import _det_xid_minus
 
+from matrices import gram, identity, zeros
+
 
 def naive_charpoly(mat: Matrix) -> UniPoly:
     """Sum-of-principal-minors definition, via cofactor determinants."""
@@ -61,7 +63,7 @@ def naive_charpoly(mat: Matrix) -> UniPoly:
 
 def test_charpoly_examples():
     assert charpoly(Matrix.from_rows([[2, 1], [1, 2]])) == UniPoly((3, -4, 1))
-    assert charpoly(Matrix.zeros(3, 3)) == UniPoly((0, 0, 0, 1))
+    assert charpoly(zeros(3, 3)) == UniPoly((0, 0, 0, 1))
     assert charpoly(Matrix.from_rows([[0, 1], [1, 0]])) == UniPoly((-1, 0, 1))
 
 
@@ -112,7 +114,19 @@ def test_charpoly_matches_cofactor_oracle(rows):
 
 def test_charpoly_requires_square():
     with pytest.raises(ValueError):
-        charpoly(Matrix.zeros(2, 3))
+        charpoly(zeros(2, 3))
+
+
+def test_matrix_and_block_spec_check_their_shape():
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="equally many"):
+        BlockSpec((0, 1), (0,))
+    for rows in ((1, 0), (0, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="distinct, ascending, nonnegative"):
+            BlockSpec(rows, (0, 1))
+    with pytest.raises(ValueError, match="square matrix required"):
+        trivariate_detpoly(zeros(2, 3), BlockSpec((), ()))
 
 
 def test_charpoly_at_the_hadamard_bound_edge():
@@ -158,12 +172,13 @@ def test_charpoly_of_large_grams_matches_bareiss_determinants(m, seed):
         rng.shuffle(perm)
         for i, j in enumerate(perm):
             mult[i][j] += 1
-    half = Matrix.from_rows(mult)
-    gram = (half.transpose() @ half).entries
-    poly = charpoly(Matrix(gram))
+    b_gram = gram(Matrix.from_rows(mult))
+    poly = charpoly(b_gram)
     assert poly.degree == m and poly.coeff(m) == 1
     for x in (-3, 0, 4, 9):
-        shifted = [[x * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(gram)]
+        shifted = [
+            [x * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(b_gram.entries)
+        ]
         assert sum(c * x**j for j, c in enumerate(poly.coeffs)) == _bareiss_det(shifted)
 
 
@@ -204,11 +219,11 @@ def _e_k(poly: UniPoly, m: int) -> list:
 def test_trivariate_identity_example():
     # block {1} x {1} of I_2: the block mean is 1, so Abar = diag(1, 2); the
     # reduced block is empty and det(lam I + Abar^T Abar) = lam^2 + 5 lam + 4
-    tensor = trivariate_detpoly(Matrix.identity(2), BlockSpec((1,), (1,)))
+    tensor = trivariate_detpoly(identity(2), BlockSpec((1,), (1,)))
     assert tensor.m == 2 and tensor.lhat == 0
     assert tensor.values == (((1,),), ((5,),), ((4,),))
     # full block of I_2: Abar = I + J/2; the reduced block is {1} x {1}
-    tensor = trivariate_detpoly(Matrix.identity(2), BlockSpec((0, 1), (0, 1)))
+    tensor = trivariate_detpoly(identity(2), BlockSpec((0, 1), (0, 1)))
     # the reflected matrix is diag(2, 1), so det = (lam + 4)(lam + t_r t_c)
     assert tensor.lhat == 1
     assert tensor.get(0, 0, 0) == 1
@@ -221,7 +236,7 @@ def test_trivariate_zero_matrix():
     # Abar = J_B / l, a rank-one matrix along the all-ones direction that
     # the reduction splits off: only C[1][0][0] = ||J_B / l||^2 = 1 survives
     for m in (2, 3):
-        tensor = trivariate_detpoly(Matrix.zeros(m, m), BlockSpec((0, 1), (0, 1)))
+        tensor = trivariate_detpoly(zeros(m, m), BlockSpec((0, 1), (0, 1)))
         assert tensor.get(0, 0, 0) == 1
         for kp in range(1, m + 1):
             for p in range(2):
@@ -232,16 +247,16 @@ def test_trivariate_zero_matrix():
 
 def test_trivariate_empty_reduced_block():
     a = Matrix.from_rows([[1, 2], [0, 1]])
-    gram = charpoly(a.transpose() @ a)
+    gram_poly = charpoly(gram(a))
     tensor = trivariate_detpoly(a, BlockSpec((), ()))
     assert tensor.lhat == 0
-    assert [plane[0][0] for plane in tensor.values] == _e_k(gram, 2)
+    assert [plane[0][0] for plane in tensor.values] == _e_k(gram_poly, 2)
     # a single-cell block leaves an empty reduced block: the bumped Gram
     tensor = trivariate_detpoly(a, BlockSpec((1,), (0,)))
     bumped = Matrix.from_rows([[1, 2], [1, 1]])
     assert tensor.lhat == 0
     assert [plane[0][0] for plane in tensor.values] == _e_k(
-        charpoly(bumped.transpose() @ bumped), 2
+        charpoly(gram(bumped)), 2
     )
     with pytest.raises(ValueError):
         trivariate_detpoly(Matrix.from_rows([[Fraction(1, 2)]]), BlockSpec((), ()))
@@ -265,7 +280,7 @@ def test_trivariate_at_ones_is_full_gram():
         tensor = trivariate_detpoly(base, BlockSpec(rows, cols))
         # at t_r = t_c = 1 the polynomial is det(lam I + Abar^T Abar)
         sums = [sum(c for row in plane for c in row) for plane in tensor.values]
-        assert sums == _e_k(charpoly(aug.transpose() @ aug), m)
+        assert sums == _e_k(charpoly(gram(aug)), m)
         assert tensor.m == m and tensor.lhat == l - 1
         assert all(c >= 0 for plane in tensor.values for row in plane for c in row)
 
@@ -410,13 +425,13 @@ def test_primes_are_distinct_primes_below_2_to_the_29():
 
 def test_grid_size_guards_raise_grid_too_large():
     with pytest.raises(GridTooLarge):
-        trivariate_detpoly(Matrix.zeros(MAX_GRID_M + 1, MAX_GRID_M + 1), BlockSpec((), ()))
+        trivariate_detpoly(zeros(MAX_GRID_M + 1, MAX_GRID_M + 1), BlockSpec((), ()))
     with pytest.raises(GridTooLarge):
         _primes_for(math.prod(_PRIMES))
     assert len(_primes_for(math.prod(_PRIMES) // 2 - 1)) == len(_PRIMES)
     assert _primes_for(1).tolist() == [_PRIMES[0]]
     # the largest matrix the grid holds, with its largest block
-    tensor = trivariate_detpoly(Matrix.identity(MAX_GRID_M), BlockSpec((0, 1), (0, 1)))
+    tensor = trivariate_detpoly(identity(MAX_GRID_M), BlockSpec((0, 1), (0, 1)))
     assert tensor.m == MAX_GRID_M and tensor.get(0, 0, 0) == 1
 
 

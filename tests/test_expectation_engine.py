@@ -27,6 +27,8 @@ from ramex.oracle import (
     brute_fixed_plus_permutation,
 )
 
+from matrices import gram, identity, zeros
+
 
 def test_g_weight_examples():
     for lhat, k, p, q in [(3, 2, 1, 2), (5, 4, 0, 0), (2, 1, 2, 2)]:
@@ -58,8 +60,8 @@ def test_weight_table_is_scaled_g_weight():
 
 def test_expected_block_examples():
     full2 = BlockSpec((0, 1), (0, 1))
-    assert fixed_plus_random_block_expected(Matrix.zeros(2, 2), full2) == UniPoly((1, -2, 1))
-    assert fixed_plus_random_block_expected(Matrix.identity(2), full2) == UniPoly((8, -6, 1))
+    assert fixed_plus_random_block_expected(zeros(2, 2), full2) == UniPoly((1, -2, 1))
+    assert fixed_plus_random_block_expected(identity(2), full2) == UniPoly((8, -6, 1))
     forced = fixed_plus_random_block_expected(
         Matrix.from_rows([[1, 1], [0, 1]]), BlockSpec((1,), (0,))
     )
@@ -237,7 +239,7 @@ def _permutation_sums(draw):
 @given(_permutation_sums())
 @example((3, _permutation_sum([range(7), range(7), range(7)], 7)))
 @example((2, _permutation_sum([(1, 0, 3, 2, 5, 6, 4), (6, 5, 4, 3, 2, 1, 0)], 7)))
-@example((0, Matrix.zeros(7, 7)))
+@example((0, zeros(7, 7)))
 def test_full_block_average_is_the_fold(case):
     """Averaging a c-regular A over a full random block, the grid route,
     equals folding one random matching into A's Gram polynomial, each with
@@ -246,9 +248,9 @@ def test_full_block_average_is_the_fold(case):
     m = a.nrows
     full = BlockSpec(tuple(range(m)), tuple(range(m)))
     averaged = fixed_plus_random_block_expected(a, full)
-    gram = charpoly(a.transpose() @ a)
+    gram_poly = charpoly(gram(a))
     assert poly_div_exact(averaged, UniPoly((-((c + 1) ** 2), 1))) == add_random_matching(
-        poly_div_exact(gram, UniPoly((-(c * c), 1)))
+        poly_div_exact(gram_poly, UniPoly((-(c * c), 1)))
     )
 
 
@@ -306,7 +308,7 @@ def test_ctensor_debug_surface():
     # the open cell bumped to 1: both nodes below end at [[2, 1], [1, 2]].
     params = Params(4, 3)
     bumped = Matrix.from_rows([[2, 1], [1, 2]])
-    gram_poly = charpoly(bumped.transpose() @ bumped)
+    gram_poly = charpoly(gram(bumped))
     e_k = [(-1) ** k * gram_poly.coeff(2 - k) for k in range(3)]
     for node, l in [
         (NodeState(((0, 1), (0, 1), (1, 0))), 0),

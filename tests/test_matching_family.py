@@ -10,6 +10,7 @@ from ramex.matching_family import (
     Multigraph,
     NodeState,
     NotALeaf,
+    NotRegular,
     Params,
     children,
     half_adjacency,
@@ -144,6 +145,9 @@ def test_node_state_validation():
         NodeState((), (0, 1, 2)).validate(params)  # partial as long as m
     with pytest.raises(ValueError):
         NodeState(((0, 1, 2),) * 4, None).validate(params)  # too many matchings
+    for complete in (3, 4):  # a partial on d or more complete matchings is too many too
+        with pytest.raises(ValueError, match="more than d=3"):
+            NodeState(((0, 1, 2),) * complete, (0,)).validate(params)
 
 
 def test_node_json_round_trip():
@@ -170,3 +174,10 @@ def test_multigraph_json_round_trip():
         multigraph_from_json({"n": 4, "multiplicity": [[1]]})
     with pytest.raises(ValueError):
         Multigraph(Params(4, 3), ((1,), (1, 2)))
+
+
+def test_multigraph_is_regular_by_construction():
+    with pytest.raises(NotRegular, match="right vertex 1 has degree 4 != 3"):
+        Multigraph(Params(4, 3), ((2, 1), (2, 1)))
+    with pytest.raises(NotRegular, match="left vertex 2 has degree 2 != 3"):
+        Multigraph(Params(4, 3), ((2, 1), (1, 1)))

@@ -9,6 +9,8 @@ from ramex.exact_linalg import BlockSpec, Matrix
 from ramex.matching_family import NodeState, Params
 from ramex.oracle import TooLarge, brute_expected_charpoly, brute_fixed_plus_permutation
 
+from matrices import identity, zeros
+
 
 def test_brute_expected_examples():
     assert brute_expected_charpoly(NodeState(), Params(4, 3)) == UniPoly(
@@ -38,7 +40,7 @@ def test_caps_stop_counting_before_the_count_is_huge():
         brute_expected_charpoly(NodeState(), Params(2000, 3))
     block = BlockSpec(tuple(range(5)), tuple(range(5)))
     with pytest.raises(TooLarge, match="^the permutations exceed cap 10$"):
-        brute_fixed_plus_permutation(Matrix.zeros(5, 5), block, cap=10)
+        brute_fixed_plus_permutation(zeros(5, 5), block, cap=10)
     # a leaf has one completion, and that is still past a cap of 0
     leaf = NodeState(((0, 1), (0, 1), (1, 0)))
     with pytest.raises(TooLarge, match="cap 0"):
@@ -47,8 +49,8 @@ def test_caps_stop_counting_before_the_count_is_huge():
 
 def test_brute_fixed_plus_permutation_examples():
     full2 = BlockSpec((0, 1), (0, 1))
-    assert brute_fixed_plus_permutation(Matrix.zeros(2, 2), full2) == UniPoly((1, -2, 1))
-    assert brute_fixed_plus_permutation(Matrix.identity(2), full2) == UniPoly((8, -6, 1))
+    assert brute_fixed_plus_permutation(zeros(2, 2), full2) == UniPoly((1, -2, 1))
+    assert brute_fixed_plus_permutation(identity(2), full2) == UniPoly((8, -6, 1))
     a = Matrix.from_rows([[1, 2], [3, 4]])
     empty = BlockSpec((), ())
     # block-free: det(yI - A^T A) with A^T A = [[10,14],[14,20]]
@@ -66,6 +68,6 @@ def test_brute_fixed_plus_permutation_rational_entries():
 
 
 def test_brute_fixed_plus_permutation_cap():
-    a = Matrix.zeros(5, 5)
+    a = zeros(5, 5)
     with pytest.raises(TooLarge):
         brute_fixed_plus_permutation(a, BlockSpec(tuple(range(5)), tuple(range(5))), cap=10)

@@ -11,12 +11,18 @@ from hypothesis import strategies as st
 from ramex import ramanujan_walk
 from ramex.exact_algebra import UniPoly, quad_sign
 from ramex.expectation_engine import node_polynomial
-from ramex.matching_family import Multigraph, NodeState, Params, children, leaf_graph
+from ramex.matching_family import (
+    Multigraph,
+    NodeState,
+    NotRegular,
+    Params,
+    children,
+    leaf_graph,
+)
 from ramex.oracle import _adjacency, _det_xid_minus
 from ramex.ramanujan_walk import (
     Certificate,
     NoPassingChild,
-    NotRegular,
     certificate_to_json,
     certify,
     certify_by_elimination,
