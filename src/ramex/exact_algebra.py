@@ -4,10 +4,10 @@ Scalars are Python ints and arbitrary-precision rationals
 (``fractions.Fraction``); polynomials are dense and univariate over them.
 The one irrational number the pipeline meets, sqrt(q) with q = 4(d-1), is
 carried as a pair (a, b) of rationals denoting a + b*sqrt(q): the shift
-p(x + sqrt(q)) is computed as such pairs on integers, and their signs are
-decided by integer comparison.  Nothing here ever rounds; every operation
-is exact, and exactness is what makes the root tests downstream
-trustworthy.
+p(x + sqrt(q)) is computed as such pairs on integers, one at a time, and
+their signs are decided by integer comparison.  Nothing here ever rounds;
+every operation is exact, and exactness is what makes the root tests
+downstream trustworthy.
 
 Rationals serialize as decimal strings "numerator/denominator", with the
 denominator omitted when it is 1 (this is exactly ``str(Fraction)``);
@@ -129,33 +129,41 @@ class UniPoly:
         return " + ".join(parts)
 
 
-def poly_shift_by_sqrt(p: UniPoly, q: int) -> tuple:
-    """Return p(x + sqrt(q)) as pairs (a_j, b_j) with
-    p(x + sqrt(q)) = sum_j (a_j + b_j sqrt(q)) x**j, a_j and b_j rational.
+def clear_denominators(p: UniPoly) -> tuple[list, int]:
+    """p's coefficients times their least common denominator, and that
+    positive denominator: integers with the signs of p's coefficients."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
 
-    Binomial expansion splits by the parity of i - j:
-    a_j = sum_{i-j even} C(i, j) p_i q**((i-j)/2) and
-    b_j = sum_{i-j odd} C(i, j) p_i q**((i-j-1)/2).  The sums run on
-    integers after clearing p's common denominator once.  At q = 0 every
-    b_j is 0 and a_j = p_j.
+
+def sqrt_shift_pairs(ints, q: int):
+    """Yield, from j = 0 on, the integer pairs (a_j, b_j) of
+    P(x + sqrt(q)) = sum_j (a_j + b_j sqrt(q)) x**j, P = sum_i ints[i] x**i.
+
+    A Taylor shift: pass j is Horner's rule by sqrt(q) on the coefficients
+    from j up, with sqrt(q) (a + b sqrt(q)) = q b + a sqrt(q), and leaves
+    pair j final, so pair 0, P(sqrt(q)), costs one pass.  At q = 0 every
+    b_j is 0 and a_j = ints[j].
     """
     if q < 0:
         raise ValueError("q must be a nonnegative integer")
-    if p.is_zero:
+    if not any(ints):
         raise ValueError("p must be nonzero")
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    deg = p.degree
-    q_pow = [q**k for k in range(deg // 2 + 1)]
+    a, b = list(ints), [0] * len(ints)
+    top = len(a) - 1
+    for j in range(top):
+        for i in range(top - 1, j - 1, -1):
+            a[i] += q * b[i + 1]
+            b[i] += a[i + 1]
+        yield a[j], b[j] if q else 0
+    yield a[top], 0
 
-    def part(j: int, start: int) -> Fraction:
-        # i - j has the parity of start - j; (i - j) // 2 is the power of q
-        total = sum(
-            math.comb(i, j) * ints[i] * q_pow[(i - j) // 2] for i in range(start, deg + 1, 2)
-        )
-        return Fraction(total, den)
 
-    return tuple((part(j, j), part(j, j + 1) if q else Fraction(0)) for j in range(deg + 1))
+def poly_shift_by_sqrt(p: UniPoly, q: int) -> tuple:
+    """Return p(x + sqrt(q)) as rational pairs (a_j, b_j), all of
+    ``sqrt_shift_pairs`` over p's common denominator."""
+    ints, den = clear_denominators(p)
+    return tuple((Fraction(a, den), Fraction(b, den)) for a, b in sqrt_shift_pairs(ints, q))
 
 
 def poly_substitute_square(p: UniPoly) -> UniPoly:
@@ -168,28 +176,19 @@ def poly_substitute_square(p: UniPoly) -> UniPoly:
     return UniPoly(tuple(out))
 
 
-def poly_div_exact(p: UniPoly, divisor: UniPoly) -> UniPoly:
-    """Divide p by a monic divisor, requiring a zero remainder.
+def poly_div_exact(coeffs, root: int) -> list:
+    """The quotient of sum_i coeffs[i] y**i by y - root, by synthetic
+    division on exact (in the pipeline, integer) coefficients.
 
-    Raises NonzeroRemainder otherwise; in this pipeline a remainder always
+    A nonzero remainder raises NonzeroRemainder; in this pipeline it always
     means an internal bug (the trivial factor must divide exactly), never
     bad user input.
     """
-    if divisor.is_zero or not divisor.is_monic:
-        raise ValueError("divisor must be monic and nonzero")
-    if p.is_zero:
-        return UniPoly()
-    dd = divisor.degree
-    if p.degree < dd:
-        raise NonzeroRemainder(f"degree {p.degree} < divisor degree {dd}")
-    rem = list(p.coeffs)
-    quot = [0] * (p.degree - dd + 1)
-    for i in range(p.degree, dd - 1, -1):
-        c = rem[i]
-        quot[i - dd] = c
-        if c:
-            for j, dc in enumerate(divisor.coeffs):
-                rem[i - dd + j] = rem[i - dd + j] - c * dc
-    if any(rem[:dd]):
-        raise NonzeroRemainder(f"remainder {rem[:dd]} dividing by {divisor}")
-    return UniPoly(tuple(quot))
+    quot = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[i] + root * carry
+        quot[i - 1] = carry
+    if coeffs and coeffs[0] + root * carry:
+        raise NonzeroRemainder(f"remainder {coeffs[0] + root * carry} dividing by y - {root}")
+    return quot

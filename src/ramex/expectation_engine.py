@@ -7,7 +7,9 @@ taken from an integer similarity of the fixed matrix plus the block mean,
 weighted by counting binomials), divide the resulting Gram polynomial once
 by the all-ones singular value factor (y - placed^2), fold in each
 unplaced uniformly random matching with the linear convolution step, and
-substitute y -> x^2.  Nothing leaves the rationals.
+substitute y -> x^2.  All of it runs on integer coefficients over one
+common denominator; the node's polynomial becomes Fractions once, at the
+end.
 
 Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from .exact_algebra import (
@@ -69,26 +72,26 @@ def _weight_table(lhat: int) -> tuple:
     )
 
 
-def _contract(tensor: CTensor) -> UniPoly:
+def _contract(tensor: CTensor) -> tuple[list, int]:
     """The expected Gram polynomial of a squared-minor tensor, on integers:
     the tensor's numerators over l^(4k') l_hat!^2 meet the cached integer
-    weights L g_weight, and coefficient k is one Fraction over the common
-    denominator l^(4k) l_hat!^2 L.  At l_hat = 0, where
+    weights L g_weight, giving ascending integer coefficients over the one
+    denominator l^(4m) l_hat!^2 L.  At l_hat = 0, where
     g_weight(0, k, k', 0, 0) = [k == k'], this reads off the tensor.
     """
-    lhat = tensor.lhat
+    lhat, m = tensor.lhat, tensor.m
     scale, weights = _weight_table(lhat)
     l4 = (lhat + 1) ** 4
-    nums = tensor.nums
+    nums, flat = tensor.nums, chain.from_iterable  # a (p, q) plane read as one row
     coeffs = []
-    for k in range(tensor.m + 1):
+    for k in range(m + 1):
         # over l^(4k) l_hat!^2 L: the sum of l^(4j) W[j] . nums[k - j], j <= l_hat
         total = sum(
-            l4**j * sum(sum(map(mul, w, c)) for w, c in zip(weights[j], nums[k - j]))
+            l4**j * sum(map(mul, flat(weights[j]), flat(nums[k - j])))
             for j in range(min(k, lhat) + 1)
         )
-        coeffs.append(Fraction(total if k % 2 == 0 else -total, tensor.denominator(k) * scale))
-    return UniPoly(tuple(reversed(coeffs)))
+        coeffs.append((total if k % 2 == 0 else -total) * l4 ** (m - k))
+    return coeffs[::-1], tensor.denominator(m) * scale
 
 
 def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
@@ -99,33 +102,31 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     polynomial.  Nodes pass only a partial matching's open cells: the full
     block, a whole random matching, is what ``add_random_matching`` folds.
     """
-    return _contract(trivariate_detpoly(a, block))
+    coeffs, den = _contract(trivariate_detpoly(a, block))
+    return UniPoly(tuple(Fraction(c, den) for c in coeffs))
 
 
-def add_random_matching(reduced: UniPoly) -> UniPoly:
+def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
     """Fold one uniformly random perfect matching into a reduced Gram
-    polynomial, in y = x^2.
+    polynomial, in y = x^2, on integers: the ascending coefficients over
+    den in, the folded ones over den L out.
 
-    ``reduced`` is the expected Gram polynomial of a regular bipartite
+    ``coeffs`` / den is the expected Gram polynomial of a regular bipartite
     multigraph with its all-ones singular value factor (y - c^2) divided
     out.  That singular vector stays aligned under any added matching (c^2
     just becomes (c+1)^2), so the fold is the full-block overlap
     specialization of the quadrature weights on the remaining (m-1)
     dimensions, and it does not depend on c.
     """
-    if not reduced.is_monic:
+    if not coeffs or coeffs[-1] != den:
         raise ValueError("expected a monic reduced Gram polynomial")
-    r = reduced.degree
+    r = len(coeffs) - 1
     scale, weights = _weight_table(r)
-    den = math.lcm(*(c.denominator for c in reduced.coeffs))
-    # signed integer coefficients s_k = (-1)^k den [y^(r-k)], mixed by the
-    # weights at full overlap p = q = k', one Fraction per coefficient
-    s = [
-        (-1) ** k * c.numerator * (den // c.denominator)
-        for k, c in enumerate(reversed(reduced.coeffs))
-    ]
+    # signed coefficients s_k = (-1)^k [y^(r-k)], mixed by the weights at
+    # full overlap p = q = k'
+    s = [c if k % 2 == 0 else -c for k, c in enumerate(reversed(coeffs))]
     mixed = [sum(weights[k - kp][kp][kp] * s[kp] for kp in range(k + 1)) for k in range(r + 1)]
-    return UniPoly(tuple(Fraction((-1) ** k * mixed[k], den * scale) for k in range(r, -1, -1)))
+    return [c if k % 2 == 0 else -c for k, c in enumerate(mixed)][::-1], den * scale
 
 
 def node_polynomial(node: NodeState, params: Params) -> UniPoly:
@@ -143,17 +144,19 @@ def node_polynomial(node: NodeState, params: Params) -> UniPoly:
 def node_polynomial_and_tensor(node: NodeState, params: Params) -> tuple[UniPoly, CTensor]:
     """The node's polynomial, as ``node_polynomial`` gives it, and the
     squared-minor tensor of its block, from one run of the grid.  Sizes
-    beyond the grid raise ``GridTooLarge`` before any node matrix is built."""
+    beyond the grid raise ``GridTooLarge`` before any node matrix is built,
+    and a node that is not one of the tree's raises ``ValueError``."""
     check_grid_size(params.m)
+    node.validate(params)
     tensor = trivariate_detpoly(*half_adjacency(node, params))
-    gram = _contract(tensor)
-    if gram.degree != params.n // 2 or not gram.is_monic:
+    gram, den = _contract(tensor)
+    if gram[-1] != den:
         raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2")
     placed = len(node.complete) + (node.partial is not None)
-    reduced = poly_div_exact(gram, UniPoly((-(placed * placed), 1)))
+    reduced = poly_div_exact(gram, placed * placed)
     for _ in range(placed, params.d):
-        reduced = add_random_matching(reduced)
-    body = poly_substitute_square(reduced)
-    if body.degree != params.n - 2 or not body.is_monic:
+        reduced, den = add_random_matching(reduced, den)
+    body = poly_substitute_square(UniPoly(tuple(reduced)))
+    if body.degree != params.n - 2 or body.coeffs[-1] != den:
         raise InvariantViolation("degree bookkeeping broken")
-    return body, tensor
+    return UniPoly(tuple(Fraction(c, den) for c in body.coeffs)), tensor

@@ -9,8 +9,9 @@ down to the identity anyway.  From there it descends into the first child
 q = 4(d-1), tested exactly on the rational pairs (a, b) of the shifted
 coefficients a + b sqrt(q).  An audited walk evaluates every child and
 checks that the parent's polynomial is their average; a lazy walk
-evaluates children one at a time until one passes, and none at a stage
-with a single child.  At a leaf the matchings combine into a d-regular
+evaluates children one at a time until one passes, none at a stage with
+a single child, and never a stage's last child, which is c times the
+parent less the others.  At a leaf the matchings combine into a d-regular
 bipartite multigraph whose nontrivial spectrum is certified to lie in
 [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are symmetric about zero,
 so bounding the max root bounds the min root as well.  The adjacency
@@ -30,11 +31,13 @@ from operator import mul
 from .exact_algebra import (
     InvariantViolation,
     UniPoly,
+    clear_denominators,
     poly_div_exact,
     poly_shift_by_sqrt,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
+    sqrt_shift_pairs,
 )
 from .exact_linalg import Matrix, charpoly, check_grid_size
 from .expectation_engine import node_polynomial
@@ -64,9 +67,15 @@ def max_root_leq_sqrt(p: UniPoly, q: int) -> bool:
     Shifts to p(x + sqrt(q)), whose coefficients are pairs a + b sqrt(q);
     nonpositive roots of the shifted polynomial are equivalent to all its
     coefficients being nonnegative, decided by exact signs of the pairs.
-    q = 0 degenerates to testing p's own coefficients.
+    The pairs are made on integers over p's positive common denominator,
+    one at a time, and the first negative one decides.  Pair 0 comes first:
+    it is p(sqrt(q)), and a monic p negative there has a root above
+    sqrt(q).  Every failing child measured so far is negative there, so a
+    failing child costs one pair, not deg p + 1.  q = 0 degenerates to
+    testing p's own coefficients.
     """
-    return all(quad_sign(a, b, q) >= 0 for a, b in poly_shift_by_sqrt(p, q))
+    ints, _ = clear_denominators(p)
+    return all(quad_sign(a, b, q) >= 0 for a, b in sqrt_shift_pairs(ints, q))
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ def certify(graph: Multigraph) -> Certificate:
                 gram[j][k] += b * c
     gram_poly = charpoly(Matrix.from_rows(gram))
     q = 4 * (d - 1)
-    nontrivial = poly_substitute_square(poly_div_exact(gram_poly, UniPoly((-(d * d), 1))))
+    nontrivial = poly_substitute_square(UniPoly(tuple(poly_div_exact(gram_poly.coeffs, d * d))))
     shifted = poly_shift_by_sqrt(nontrivial, q)
     return Certificate(
         graph=graph,
@@ -156,7 +165,7 @@ class WalkStage:
     """One expansion of the walk: a node, its evaluated children, the pick.
 
     child_nodes lists every child; child_polys and child_passed cover only
-    the evaluated prefix, which is all of them on an audited walk.
+    the decided prefix, which is all of them on an audited walk.
     """
 
     node: NodeState
@@ -194,8 +203,11 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     current node's polynomial must be their average.
     Without it, a single-child stage evaluates nothing (its child's
     polynomial is the parent's), and other stages evaluate children one at
-    a time in this process until one passes; a stage where none passes has
-    evaluated them all.  The leaf never depends on audit or the job count.
+    a time in this process until one passes.  The last of c children is
+    never evaluated: once the others have failed, it is exactly c parent
+    less the others, the parent being their average.  So a stage where
+    none passes still has every child's polynomial.  The leaf never
+    depends on audit or the job count.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = 4 * (params.d - 1)
@@ -220,11 +232,16 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 polys, passed = [current_poly], [True]
             else:
                 polys, passed = [], []
-                for poly in evaluate(_child_poly_task, [(k, params) for k in kids]):
+                evaluated = kids if audit else kids[:-1]
+                for poly in evaluate(_child_poly_task, [(k, params) for k in evaluated]):
                     polys.append(poly)
                     passed.append(max_root_leq_sqrt(poly, q))
                     if passed[-1] and not audit:
                         break
+                if not audit and not any(passed):
+                    # the children average to the parent: the last is c parent - the rest
+                    polys.append(-1 * sum(polys, -len(kids) * current_poly))
+                    passed.append(max_root_leq_sqrt(polys[-1], q))
                 if audit and Fraction(1, len(polys)) * sum(polys, UniPoly()) != current_poly:
                     raise InvariantViolation(
                         f"polynomial of {current} is not the average of its children"

@@ -1,19 +1,24 @@
 """Scalar and polynomial arithmetic: exactness is everything here."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramex.exact_algebra import (
     NonzeroRemainder,
     UniPoly,
+    clear_denominators,
     poly_div_exact,
     poly_shift_by_sqrt,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
+    sqrt_shift_pairs,
 )
 
 
@@ -119,6 +124,35 @@ def test_poly_shift_perfect_square_matches_rational_taylor_shift():
         assert folded == _taylor_shift(p, s), (p, s)
 
 
+def _binomial_shift(p: UniPoly, q: int) -> tuple:
+    """The pairs of p(x + sqrt(q)) straight from the binomial expansion:
+    a_j = sum_{i-j even} C(i, j) p_i q^((i-j)/2) and
+    b_j = sum_{i-j odd} C(i, j) p_i q^((i-j-1)/2)."""
+    deg = p.degree
+
+    def part(j, start):
+        terms = range(start, deg + 1, 2)
+        return sum(math.comb(i, j) * p.coeffs[i] * q ** ((i - j) // 2) for i in terms)
+
+    return tuple((part(j, j), part(j, j + 1) if q else 0) for j in range(deg + 1))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9), min_size=1, max_size=12)
+    .map(lambda cs: UniPoly(tuple(cs)))
+    .filter(lambda p: not p.is_zero),
+    st.one_of(st.integers(0, 50), st.sampled_from((0, 9, 36))),
+)
+def test_poly_shift_matches_the_binomial_expansion(p, q):
+    """The Taylor shift on integers gives the binomial sums exactly, one
+    pair at a time or all at once."""
+    assert poly_shift_by_sqrt(p, q) == _binomial_shift(p, q)
+    ints, den = clear_denominators(p)
+    assert den > 0 and UniPoly(tuple(Fraction(c, den) for c in ints)) == p
+    assert next(sqrt_shift_pairs(ints, q)) == tuple(den * x for x in _binomial_shift(p, q)[0])
+
+
 def test_poly_shift_rejects_bad_input():
     with pytest.raises(ValueError):
         poly_shift_by_sqrt(UniPoly(), 2)
@@ -150,35 +184,32 @@ def test_poly_substitute_square_round_trip():
 
 
 def test_poly_div_exact_examples():
-    assert poly_div_exact(UniPoly((27, 0, -12, 0, 1)), UniPoly((-9, 0, 1))) == UniPoly((-3, 0, 1))
-    assert poly_div_exact(UniPoly((-4, 0, 1)), UniPoly((-4, 0, 1))) == UniPoly((1,))
+    # in y: y^2 - 12 y + 27 = (y - 9)(y - 3)
+    assert poly_div_exact([27, -12, 1], 9) == [-3, 1]
+    assert poly_div_exact([-4, 1], 4) == [1]
+    assert poly_div_exact([Fraction(-9, 2), Fraction(-3, 2), 1], 3) == [Fraction(3, 2), 1]
     with pytest.raises(NonzeroRemainder):
-        poly_div_exact(UniPoly((-1, 0, 1)), UniPoly((-4, 0, 1)))
+        poly_div_exact([-1, 1], 4)
 
 
 def test_poly_div_exact_random_products():
+    """Integer quotients times y - root divide back exactly, and one more
+    in the constant term is the remainder."""
     rng = random.Random(13)
     for _ in range(40):
-        qdeg, ddeg = rng.randint(0, 4), rng.randint(1, 4)
-        quot = UniPoly(
-            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(qdeg))
-            + (Fraction(rng.randint(1, 5)),)
-        )
-        divisor = UniPoly(
-            tuple(Fraction(rng.randint(-6, 6)) for _ in range(ddeg)) + (Fraction(1),)
-        )
-        assert poly_div_exact(quot * divisor, divisor) == quot
+        quot = UniPoly(tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 6))) + (1,))
+        root = rng.randint(-9, 9)
+        product = list((quot * UniPoly((-root, 1))).coeffs)
+        assert poly_div_exact(product, root) == list(quot.coeffs)
+        product[0] += 1
+        with pytest.raises(NonzeroRemainder, match="remainder 1 "):
+            poly_div_exact(product, root)
 
 
 def test_poly_div_exact_of_zero_and_of_lower_degree():
-    assert poly_div_exact(UniPoly(), UniPoly((-4, 0, 1))) == UniPoly()
-    with pytest.raises(NonzeroRemainder, match="degree 1 < divisor degree 2"):
-        poly_div_exact(UniPoly((1, 1)), UniPoly((-4, 0, 1)))
-
-
-def test_poly_div_requires_monic_divisor():
-    with pytest.raises(ValueError):
-        poly_div_exact(UniPoly((1, 1)), UniPoly((1, 2)))
+    assert poly_div_exact([], 4) == []
+    with pytest.raises(NonzeroRemainder, match="remainder 3 dividing by y - 4"):
+        poly_div_exact([3], 4)
 
 
 def test_unipoly_ring_basics():

@@ -146,31 +146,54 @@ def test_node_polynomial_matches_oracle_on_random_nodes(case):
     assert node_polynomial(node, params) * trivial == brute
 
 
+def _as_poly(coeffs, den):
+    """The UniPoly of integer coefficients over one denominator."""
+    return UniPoly(tuple(Fraction(c, den) for c in coeffs))
+
+
 def test_add_random_matching_examples():
     # Reduced Gram polynomials: the all-ones factor (y - c^2) is divided out.
-    assert add_random_matching(UniPoly((0, Fraction(1)))) == UniPoly((-1, 1))
-    assert add_random_matching(UniPoly((-1, 1))) == UniPoly((-2, 1))
-    assert add_random_matching(UniPoly((1,))) == UniPoly((1,))
+    assert add_random_matching([0, 1], 1) == ([-1, 1], 1)
+    assert add_random_matching([-1, 1], 1) == ([-2, 1], 1)
+    assert add_random_matching([1], 1) == ([1], 1)
+    # over a denominator: y, held as 2y / 2, folds to (y - 1) as (2y - 2) / 2
+    assert add_random_matching([0, 2], 2) == ([-2, 2], 2)
+    # (y - 1)^2 folds to y^2 - 4y + 3, over the weights' scale L = 2
+    assert add_random_matching([1, -2, 1], 1) == ([6, -8, 2], 2)
 
 
 def test_add_random_matching_rejects_bad_polys():
     with pytest.raises(ValueError):
-        add_random_matching(UniPoly((1, 2)))  # not monic
+        add_random_matching([1, 2], 1)  # not monic
     with pytest.raises(ValueError):
-        add_random_matching(UniPoly())  # zero
+        add_random_matching([1, 1], 2)  # leading coefficient 1/2
+    with pytest.raises(ValueError):
+        add_random_matching([], 1)  # zero
 
 
 def test_node_polynomial_requires_the_all_ones_factor(monkeypatch):
     """A Gram polynomial without the (y - placed^2) factor is a pipeline bug."""
     params = Params(4, 3)
     node = NodeState(((0, 1),), (1,))  # placed = 2
-    monkeypatch.setattr(
-        expectation_engine,
-        "_contract",
-        lambda tensor: UniPoly((Fraction(1), Fraction(0), Fraction(1))),
-    )
+    # y^2 + 1 over the denominator 1: monic, but y - 4 does not divide it
+    monkeypatch.setattr(expectation_engine, "_contract", lambda tensor: ([1, 0, 1], 1))
     with pytest.raises(NonzeroRemainder):
         node_polynomial(node, params)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        NodeState(((0, 0),)),  # not a permutation: once a NonzeroRemainder
+        NodeState(((0, 1),) * 4),  # four matchings at d = 3: once x^2 - 16
+        NodeState((), (5,)),  # partner out of range: once an IndexError
+    ],
+)
+def test_node_polynomial_rejects_nodes_outside_the_tree(node):
+    """The engine checks every node where it enters, so a node that is not
+    one of the tree's is bad input, not a wrong answer or an engine fault."""
+    with pytest.raises(ValueError):
+        node_polynomial(node, Params(4, 3))
 
 
 def _adjacency_charpoly(mult, m):
@@ -194,9 +217,6 @@ def test_add_random_matching_point_mass_average():
     average over all m! matchings (computed independently of the engine),
     both in y with the all-ones factor divided out."""
 
-    def y_minus(v):
-        return UniPoly((-v, 1))
-
     rng = random.Random(2718)
     for m in (2, 3, 4):
         for _ in range(4):
@@ -207,7 +227,7 @@ def test_add_random_matching_point_mass_average():
                 rng.shuffle(perm)
                 for i, j in enumerate(perm):
                     mult[i][j] += 1
-            reduced = poly_div_exact(_gram_of(_adjacency_charpoly(mult, m)), y_minus(c * c))
+            reduced = poly_div_exact(_gram_of(_adjacency_charpoly(mult, m)).coeffs, c * c)
             direct_total = UniPoly()
             count = 0
             for perm in itertools.permutations(range(m)):
@@ -216,8 +236,10 @@ def test_add_random_matching_point_mass_average():
                     bumped[i][j] += 1
                 direct_total = direct_total + _adjacency_charpoly(bumped, m)
                 count += 1
-            direct = Fraction(1, count) * _gram_of(direct_total)
-            assert add_random_matching(reduced) == poly_div_exact(direct, y_minus((c + 1) ** 2))
+            direct = poly_div_exact(_gram_of(direct_total).coeffs, (c + 1) ** 2)
+            assert _as_poly(*add_random_matching(reduced, 1)) == Fraction(1, count) * UniPoly(
+                tuple(direct)
+            )
 
 
 def _permutation_sum(perms, m):
@@ -249,8 +271,8 @@ def test_full_block_average_is_the_fold(case):
     full = BlockSpec(tuple(range(m)), tuple(range(m)))
     averaged = fixed_plus_random_block_expected(a, full)
     gram_poly = charpoly(gram(a))
-    assert poly_div_exact(averaged, UniPoly((-((c + 1) ** 2), 1))) == add_random_matching(
-        poly_div_exact(gram_poly, UniPoly((-(c * c), 1)))
+    assert UniPoly(tuple(poly_div_exact(averaged.coeffs, (c + 1) ** 2))) == _as_poly(
+        *add_random_matching(poly_div_exact(gram_poly.coeffs, c * c), 1)
     )
 
 

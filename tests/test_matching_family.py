@@ -130,8 +130,12 @@ def test_row_sum_invariant_random_nodes():
         NodeState((), (2, 0)),
     ]
     for node in nodes:
-        mat, _ = half_adjacency(node, params)  # row-sum assert runs inside
+        mat, _ = half_adjacency(node, params)
         assert mat.nrows == mat.ncols == 3
+        t = len(node.partial or ())
+        assert [sum(row) for row in mat.entries] == [
+            len(node.complete) + (i < t) for i in range(3)
+        ]
 
 
 def test_node_state_validation():

@@ -5,11 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramex import ramanujan_walk
-from ramex.exact_algebra import UniPoly, quad_sign
+from ramex.exact_algebra import UniPoly, poly_shift_by_sqrt, quad_sign
 from ramex.expectation_engine import node_polynomial
 from ramex.matching_family import (
     Multigraph,
@@ -61,6 +61,36 @@ def test_max_root_against_known_roots_randomized():
         top = max(roots)
         expected = top <= 0 or top * top <= q
         assert max_root_leq_sqrt(poly, q) is expected, (roots, q)
+
+
+@st.composite
+def _fraction_polys(draw):
+    """Real-rooted products of rational linear factors, or arbitrary
+    rational coefficients (often with complex roots); a zero constant term
+    either way when asked."""
+    small = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+    if draw(st.booleans()):
+        poly = UniPoly((Fraction(1),))
+        for root in draw(st.lists(small, min_size=1, max_size=7)):
+            poly = poly * UniPoly((-root, Fraction(1)))
+    else:
+        coeffs = draw(st.lists(small, min_size=1, max_size=8))
+        poly = UniPoly(tuple(coeffs) + (draw(small.filter(bool)),))
+    if draw(st.booleans()):
+        poly = poly * UniPoly((0, 1))
+    return poly
+
+
+@settings(max_examples=400)
+@given(_fraction_polys(), st.one_of(st.integers(0, 40), st.sampled_from((0, 4, 16, 25))))
+@example(UniPoly((0, Fraction(-3, 2), 0, 1)), 0)
+@example(UniPoly((Fraction(-16), 0, Fraction(1))), 16)  # max root exactly sqrt(q)
+@example(UniPoly((Fraction(1), 0, Fraction(1))), 8)  # no real root
+def test_max_root_matches_its_definition(p, q):
+    """The early-exit integer test returns the boolean of its definition,
+    every shifted pair nonnegative, on every input."""
+    expected = all(quad_sign(a, b, q) >= 0 for a, b in poly_shift_by_sqrt(p, q))
+    assert max_root_leq_sqrt(p, q) is expected
 
 
 def test_find_leaf_worked_case():
@@ -239,7 +269,8 @@ def test_lazy_walk_reaches_the_full_walks_leaf(n, d):
 
 def test_lazy_walk_skips_forced_stages(monkeypatch):
     """Only the start node and the children of stages with a choice are
-    evaluated; a single-child stage reuses the parent's polynomial."""
+    evaluated; a single-child stage reuses the parent's polynomial, and a
+    stage that reaches its last child takes it as c parent - the others."""
     calls = []
     real = ramanujan_walk.node_polynomial
     monkeypatch.setattr(
@@ -250,8 +281,12 @@ def test_lazy_walk_skips_forced_stages(monkeypatch):
     assert forced
     for stage in forced:
         assert stage.child_polys == (stage.node_poly,)
+    last = [s for s in result.stages if s.chosen == len(s.child_nodes) - 1 > 0]
+    assert last
+    for stage in last:
+        assert not any(stage.child_passed[:-1])
     chosen = [s.chosen + 1 for s in result.stages if len(s.child_nodes) > 1]
-    assert len(calls) == 1 + sum(chosen)
+    assert len(calls) == 1 + sum(chosen) - len(last)
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
