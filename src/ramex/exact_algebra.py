@@ -1,13 +1,14 @@
 """Exact scalar and polynomial arithmetic.
 
-Scalars are Python ints and arbitrary-precision rationals
-(``fractions.Fraction``); polynomials are dense and univariate over them.
-The one irrational number the pipeline meets, sqrt(q) with q = 4(d-1), is
-carried as a pair (a, b) of rationals denoting a + b*sqrt(q): the shift
-p(x + sqrt(q)) is computed as such pairs on integers, one at a time, and
-their signs are decided by integer comparison.  Nothing here ever rounds;
-every operation is exact, and exactness is what makes the root tests
-downstream trustworthy.
+Scalars are Python ints, and arbitrary-precision rationals
+(``fractions.Fraction``) only where a public value is rational;
+polynomials are dense and univariate over them.  The one irrational number
+the pipeline meets, sqrt(q) with q = 4(d-1), is carried as a pair (a, b)
+of integers denoting a + b*sqrt(q): the shift p(x + sqrt(q)) of an
+integer polynomial is computed as such pairs, one at a time, and their
+signs are decided by integer comparison.  Nothing here ever rounds; every
+operation is exact, and exactness is what makes the root tests downstream
+trustworthy.
 
 Rationals serialize as decimal strings "numerator/denominator", with the
 denominator omitted when it is 1 (this is exactly ``str(Fraction)``);
@@ -82,10 +83,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.coeffs[-1] == 1
-
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -157,13 +154,6 @@ def sqrt_shift_pairs(ints, q: int):
             b[i] += a[i + 1]
         yield a[j], b[j] if q else 0
     yield a[top], 0
-
-
-def poly_shift_by_sqrt(p: UniPoly, q: int) -> tuple:
-    """Return p(x + sqrt(q)) as rational pairs (a_j, b_j), all of
-    ``sqrt_shift_pairs`` over p's common denominator."""
-    ints, den = clear_denominators(p)
-    return tuple((Fraction(a, den), Fraction(b, den)) for a, b in sqrt_shift_pairs(ints, q))
 
 
 def poly_substitute_square(p: UniPoly) -> UniPoly:

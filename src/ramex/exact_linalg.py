@@ -1,8 +1,9 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact dense linear algebra over the integers.
 
-Provides the exact characteristic polynomial of one matrix and the
+Provides the exact characteristic polynomial of one integer matrix and the
 squared-minor tensor of a fixed integer matrix plus a random block
-permutation.  ``charpoly`` reduces the matrix to Hessenberg form modulo
+permutation, whose rational sums are integer numerators over known
+denominators.  ``charpoly`` reduces the matrix to Hessenberg form modulo
 one Mersenne prime above twice Hadamard's bound on its coefficients, in
 pure Python.  The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation, both run modulo word-size primes in one
@@ -72,12 +73,8 @@ class Matrix:
         return len(self.entries)
 
     @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
     def is_square(self) -> bool:
-        return self.nrows == self.ncols
+        return not self.entries or len(self.entries[0]) == self.nrows
 
 
 @dataclass(frozen=True)
@@ -129,28 +126,26 @@ def _mersenne_prime_above(bound_sq: int) -> int:
 
 
 def charpoly(matrix: Matrix) -> UniPoly:
-    """det(xI - M), exact and monic, for a matrix of ints or Fractions.
+    """det(xI - M), exact and monic, for a square integer matrix; any other
+    entry raises ValueError.
 
-    A Fraction matrix is scaled by the common denominator D of its entries
-    first, and the coefficient of x^j of the integer result divided by
-    D^(m-j).  The integer charpoly is computed modulo one Mersenne prime
-    p, by reduction to upper Hessenberg form (pivot on the first nonzero
-    entry below the subdiagonal, inverses mod p) and the Hessenberg
-    recurrence (Cohen, Alg. 2.2.9), in O(m^3) operations.  p is exact,
-    not probabilistic: the coefficient of x^(m-k) is -+ e_k, a sum of
-    C(m, k) principal minors, each at most R^k by Hadamard's inequality
-    with R the largest row norm, so p > 2 C(m, k) R^k for every k makes
-    each coefficient its symmetric residue; the bound is compared squared,
-    on integers.
+    It is computed modulo one Mersenne prime p, by reduction to upper
+    Hessenberg form (pivot on the first nonzero entry below the
+    subdiagonal, inverses mod p) and the Hessenberg recurrence (Cohen,
+    Alg. 2.2.9), in O(m^3) operations.  p is exact, not probabilistic: the
+    coefficient of x^(m-k) is -+ e_k, a sum of C(m, k) principal minors,
+    each at most R^k by Hadamard's inequality with R the largest row norm,
+    so p > 2 C(m, k) R^k for every k makes each coefficient its symmetric
+    residue; the bound is compared squared, on integers.
     """
     if not matrix.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
+    if any(not isinstance(x, int) for row in matrix.entries for x in row):
+        raise ValueError("charpoly needs an integer matrix")
     m = matrix.nrows
-    denom = math.lcm(*(x.denominator for row in matrix.entries for x in row))
-    a = [[x.numerator * (denom // x.denominator) for x in row] for row in matrix.entries]
-    norm_sq = max((sum(x * x for x in row) for row in a), default=0)
+    norm_sq = max((sum(x * x for x in row) for row in matrix.entries), default=0)
     p = _mersenne_prime_above(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1)))
-    h = [[x % p for x in row] for row in a]
+    h = [[x % p for x in row] for row in matrix.entries]
     # upper Hessenberg form by similarity: below the subdiagonal of column j
     for j in range(m - 2):
         pivot = next((i for i in range(j + 1, m) if h[i][j]), None)
@@ -187,10 +182,7 @@ def charpoly(matrix: Matrix) -> UniPoly:
             for idx, c in enumerate(polys[k - i]):
                 new[idx] -= factor * c
         polys.append([c % p for c in new])
-    coeffs = [c - p if 2 * c > p else c for c in polys[m]]
-    if denom > 1:
-        coeffs = [Fraction(c, denom ** (m - j)) for j, c in enumerate(coeffs)]
-    return UniPoly(tuple(coeffs))
+    return UniPoly(tuple(c - p if 2 * c > p else c for c in polys[m]))
 
 
 @dataclass(frozen=True)
@@ -226,21 +218,12 @@ class CTensor:
     def get(self, kprime: int, p: int, q: int) -> Fraction:
         return Fraction(self.nums[kprime][p][q], self.denominator(kprime))
 
-    @property
-    def values(self) -> tuple:
-        return tuple(
-            tuple(tuple(Fraction(num, self.denominator(k)) for num in row) for row in plane)
-            for k, plane in enumerate(self.nums)
-        )
-
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "lhat": self.lhat,
-            "values": [
-                [[rational_to_str(c) for c in row] for row in plane] for plane in self.values
-            ],
-        }
+        values = []
+        for k, plane in enumerate(self.nums):
+            den = self.denominator(k)
+            values.append([[rational_to_str(Fraction(num, den)) for num in row] for row in plane])
+        return {"m": self.m, "lhat": self.lhat, "values": values}
 
 
 @functools.lru_cache(maxsize=None)

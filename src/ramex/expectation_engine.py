@@ -7,9 +7,10 @@ taken from an integer similarity of the fixed matrix plus the block mean,
 weighted by counting binomials), divide the resulting Gram polynomial once
 by the all-ones singular value factor (y - placed^2), fold in each
 unplaced uniformly random matching with the linear convolution step, and
-substitute y -> x^2.  All of it runs on integer coefficients over one
-common denominator; the node's polynomial becomes Fractions once, at the
-end.
+substitute y -> x^2.  All of it runs on integers, the counting weights
+too, with coefficients over one common denominator; the node's polynomial
+becomes Fractions once, at the end, because the public functions return
+rationals.
 
 Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
@@ -35,49 +36,33 @@ from .exact_linalg import BlockSpec, CTensor, Matrix, check_grid_size, trivariat
 from .matching_family import NodeState, Params, half_adjacency
 
 
-def _comb0(a: int, b: int) -> int:
-    """Binomial with the vanishing convention: 0 when b < 0 or b > a."""
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
-def g_weight(lhat: int, k: int, kprime: int, p: int, q: int) -> Fraction:
-    """Expected-minor counting weight C(lhat-p, k-k') C(lhat-q, k-k') / C(lhat, k-k').
-
-    Counts the completions U of U' and V of V' whose off-part lies fully
-    inside the reduced block, weighted by the expected squared minor of
-    the random orthogonal part; zero whenever the denominator vanishes
-    (the numerator vanishes first except in the 0/0 case).
-    """
-    denom = _comb0(lhat, k - kprime)
-    if denom == 0:
-        return Fraction(0)
-    return Fraction(_comb0(lhat - p, k - kprime) * _comb0(lhat - q, k - kprime), denom)
-
-
 @functools.lru_cache(maxsize=None)
 def _weight_table(lhat: int) -> tuple:
-    """(L, W) for one l_hat: L = lcm_j C(l_hat, j) and the integers
-    W[j][p][q] = L g_weight(l_hat, k, k - j, p, q), as nested tuples.
+    """(L, W) for one l_hat: L = lcm_j C(l_hat, j) and the integer counting
+    weights W[j][p][q] = L C(l_hat-p, j) C(l_hat-q, j) / C(l_hat, j) for
+    j, p, q in 0..l_hat, as nested tuples.
 
-    g_weight depends on k and k' only through j = k - k', and vanishes for
-    j > l_hat, so j runs over 0..l_hat; L clears every denominator.
+    The weight counts the completions of a minor by j = k - k' rows and
+    columns inside the reduced block, which a row at overlap p has
+    C(l_hat-p, j) of, times the expected squared minor of the random
+    orthogonal part.  It vanishes past j = l_hat, and L // C(l_hat, j) is
+    an integer, so every W is exact.
     """
-    scale = math.lcm(*(math.comb(lhat, j) for j in range(lhat + 1)))
     span = range(lhat + 1)
-    return scale, tuple(
-        tuple(tuple(int(scale * g_weight(lhat, j, 0, p, q)) for q in span) for p in span)
-        for j in span
-    )
+    scale = math.lcm(*(math.comb(lhat, j) for j in span))
+    table = []
+    for j in span:
+        unit, ways = scale // math.comb(lhat, j), [math.comb(lhat - p, j) for p in span]
+        table.append(tuple(tuple(unit * a * b for b in ways) for a in ways))
+    return scale, tuple(table)
 
 
 def _contract(tensor: CTensor) -> tuple[list, int]:
     """The expected Gram polynomial of a squared-minor tensor, on integers:
     the tensor's numerators over l^(4k') l_hat!^2 meet the cached integer
-    weights L g_weight, giving ascending integer coefficients over the one
-    denominator l^(4m) l_hat!^2 L.  At l_hat = 0, where
-    g_weight(0, k, k', 0, 0) = [k == k'], this reads off the tensor.
+    weights W, giving ascending integer coefficients over the one
+    denominator l^(4m) l_hat!^2 L.  At l_hat = 0, where W = ((1,),),
+    this reads off the tensor.
     """
     lhat, m = tensor.lhat, tensor.m
     scale, weights = _weight_table(lhat)

@@ -6,9 +6,9 @@ right vertices turns any child of such a node into any other: every child
 has its parent's polynomial, and a walk from the root would take child 0
 down to the identity anyway.  From there it descends into the first child
 (ascending partner order) whose max root is at most sqrt(q) with
-q = 4(d-1), tested exactly on the rational pairs (a, b) of the shifted
+q = 4(d-1), tested exactly on the integer pairs (a, b) of the shifted
 coefficients a + b sqrt(q).  An audited walk evaluates every child and
-checks that the parent's polynomial is their average; a lazy walk
+checks that their sum is c times the parent's polynomial; a lazy walk
 evaluates children one at a time until one passes, none at a stage with
 a single child, and never a stage's last child, which is c times the
 parent less the others.  At a leaf the matchings combine into a d-regular
@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .exact_algebra import (
@@ -33,7 +32,6 @@ from .exact_algebra import (
     UniPoly,
     clear_denominators,
     poly_div_exact,
-    poly_shift_by_sqrt,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
@@ -99,9 +97,10 @@ def certify(graph: Multigraph) -> Certificate:
     nonzero entries, and ``charpoly`` computes its polynomial modulo one
     Mersenne prime large enough to be exact.  The trivial factor y - d^2 is
     divided out of the Gram's integer polynomial once, as node_polynomial
-    does, and the sqrt-q root test runs with q = 4(d-1).  The division is
-    always exact: every row and column of B sums to d, so the all-ones
-    vector is an eigenvector of B^T B with eigenvalue d^2.
+    does, and the sqrt-q root test runs with q = 4(d-1) on the integer
+    pairs of the shifted nontrivial polynomial.  The division is always
+    exact: every row and column of B sums to d, so the all-ones vector is
+    an eigenvector of B^T B with eigenvalue d^2.
     """
     m, d = graph.params.m, graph.params.d
     # B^T B from each row's nonzero entries, at most d of them
@@ -114,7 +113,7 @@ def certify(graph: Multigraph) -> Certificate:
     gram_poly = charpoly(Matrix.from_rows(gram))
     q = 4 * (d - 1)
     nontrivial = poly_substitute_square(UniPoly(tuple(poly_div_exact(gram_poly.coeffs, d * d))))
-    shifted = poly_shift_by_sqrt(nontrivial, q)
+    shifted = tuple(sqrt_shift_pairs(nontrivial.coeffs, q))
     return Certificate(
         graph=graph,
         bound_q=q,
@@ -242,7 +241,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                     # the children average to the parent: the last is c parent - the rest
                     polys.append(-1 * sum(polys, -len(kids) * current_poly))
                     passed.append(max_root_leq_sqrt(polys[-1], q))
-                if audit and Fraction(1, len(polys)) * sum(polys, UniPoly()) != current_poly:
+                if audit and sum(polys, UniPoly()) != len(polys) * current_poly:
                     raise InvariantViolation(
                         f"polynomial of {current} is not the average of its children"
                     )

@@ -14,7 +14,6 @@ from ramex.exact_algebra import (
     UniPoly,
     clear_denominators,
     poly_div_exact,
-    poly_shift_by_sqrt,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
@@ -63,17 +62,17 @@ def test_quad_sign_against_high_precision_float():
 
 def test_poly_shift_by_sqrt_examples():
     # (x + sqrt(2))^2 - 2 = x^2 + 2 sqrt(2) x
-    sh = poly_shift_by_sqrt(UniPoly((Fraction(-2), 0, Fraction(1))), 2)
+    sh = tuple(sqrt_shift_pairs([-2, 0, 1], 2))
     assert sh == ((0, 0), (0, 2), (1, 0))
 
-    sh = poly_shift_by_sqrt(UniPoly((0, Fraction(1))), 4)
+    sh = tuple(sqrt_shift_pairs([0, 1], 4))
     assert sh[0] == (0, 1)  # sqrt(4) is kept as b = 1, not folded into a
     assert quad_sign(*sh[0], 4) == 1
 
     # (x + sqrt(3))^3 = x^3 + 3 sqrt(3) x^2 + 9 x + 3 sqrt(3)
-    sh = poly_shift_by_sqrt(UniPoly((0, 0, 0, Fraction(1))), 3)
+    sh = tuple(sqrt_shift_pairs([0, 0, 0, 1], 3))
     assert sh == ((0, 3), (9, 0), (0, 3), (1, 0))
-    assert all(isinstance(c, Fraction) for pair in sh for c in pair)
+    assert all(type(c) is int for pair in sh for c in pair)
 
 
 def _mp(value: Fraction):
@@ -87,11 +86,10 @@ def test_poly_shift_evaluation_property():
     mpmath.mp.dps = 60
     for _ in range(40):
         deg = rng.randint(1, 6)
-        coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg))
-        p = UniPoly(coeffs + (Fraction(1),))
+        p = UniPoly(tuple(rng.randint(-45, 45) for _ in range(deg)) + (rng.randint(1, 5),))
         q = rng.randint(1, 12)
         r = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
-        shifted = poly_shift_by_sqrt(p, q)
+        shifted = tuple(sqrt_shift_pairs(p.coeffs, q))
         assert len(shifted) == p.degree + 1
         root = mpmath.sqrt(q)
         lhs = sum((_mp(a) + root * _mp(b)) * _mp(r) ** j for j, (a, b) in enumerate(shifted))
@@ -111,7 +109,7 @@ def _taylor_shift(p: UniPoly, s: int) -> UniPoly:
 
 def test_poly_shift_perfect_square_matches_rational_taylor_shift():
     """For q = s^2 the pairs fold to the rational shift: a_j + s b_j is
-    the x**j coefficient of p(x + s)."""
+    the x**j coefficient of p(x + s), over p's common denominator."""
     rng = random.Random(17)
     for _ in range(40):
         deg = rng.randint(0, 8)
@@ -120,8 +118,9 @@ def test_poly_shift_perfect_square_matches_rational_taylor_shift():
             + (Fraction(rng.randint(1, 4), rng.randint(1, 3)),)
         )
         s = rng.randint(1, 6)
-        folded = UniPoly(tuple(a + s * b for a, b in poly_shift_by_sqrt(p, s * s)))
-        assert folded == _taylor_shift(p, s), (p, s)
+        ints, den = clear_denominators(p)
+        folded = UniPoly(tuple(a + s * b for a, b in sqrt_shift_pairs(ints, s * s)))
+        assert folded == den * _taylor_shift(p, s), (p, s)
 
 
 def _binomial_shift(p: UniPoly, q: int) -> tuple:
@@ -145,25 +144,24 @@ def _binomial_shift(p: UniPoly, q: int) -> tuple:
     st.one_of(st.integers(0, 50), st.sampled_from((0, 9, 36))),
 )
 def test_poly_shift_matches_the_binomial_expansion(p, q):
-    """The Taylor shift on integers gives the binomial sums exactly, one
-    pair at a time or all at once."""
-    assert poly_shift_by_sqrt(p, q) == _binomial_shift(p, q)
+    """The Taylor shift on integers gives the binomial sums exactly, over
+    p's common denominator, one pair at a time or all at once."""
     ints, den = clear_denominators(p)
     assert den > 0 and UniPoly(tuple(Fraction(c, den) for c in ints)) == p
-    assert next(sqrt_shift_pairs(ints, q)) == tuple(den * x for x in _binomial_shift(p, q)[0])
+    want = tuple((den * a, den * b) for a, b in _binomial_shift(p, q))
+    assert tuple(sqrt_shift_pairs(ints, q)) == want
+    assert next(sqrt_shift_pairs(ints, q)) == want[0]
 
 
 def test_poly_shift_rejects_bad_input():
     with pytest.raises(ValueError):
-        poly_shift_by_sqrt(UniPoly(), 2)
+        next(sqrt_shift_pairs([], 2))
     with pytest.raises(ValueError):
-        poly_shift_by_sqrt(UniPoly((1,)), -1)
+        next(sqrt_shift_pairs([0, 0], 2))
+    with pytest.raises(ValueError):
+        next(sqrt_shift_pairs([1], -1))
     # q = 0 is the trivial shift: a_j = p_j, b_j = 0
-    assert poly_shift_by_sqrt(UniPoly((Fraction(-1, 2), 3, 1)), 0) == (
-        (Fraction(-1, 2), 0),
-        (3, 0),
-        (1, 0),
-    )
+    assert tuple(sqrt_shift_pairs([-1, 6, 2], 0)) == ((-1, 0), (6, 0), (2, 0))
 
 
 def test_poly_substitute_square_examples():
@@ -217,7 +215,7 @@ def test_unipoly_ring_basics():
     assert (p + UniPoly((1, 0, -1))).is_zero
     assert p * UniPoly() == UniPoly()
     assert UniPoly((0, 0, 0)).is_zero  # trailing zeros trim to the zero poly
-    assert p.is_monic and p.degree == 2
+    assert p.coeffs[-1] == 1 and p.degree == 2
     assert 2 * p == UniPoly((-2, 0, 2))
 
 

@@ -16,7 +16,6 @@ from ramex.expectation_engine import (
     _weight_table,
     add_random_matching,
     fixed_plus_random_block_expected,
-    g_weight,
     node_polynomial,
 )
 from ramex.matching_family import NodeState, Params, children, half_adjacency
@@ -30,32 +29,24 @@ from ramex.oracle import (
 from matrices import gram, identity, zeros
 
 
-def test_g_weight_examples():
-    for lhat, k, p, q in [(3, 2, 1, 2), (5, 4, 0, 0), (2, 1, 2, 2)]:
-        assert g_weight(lhat, k, k, p, q) == 1
-    assert g_weight(3, 2, 1, 1, 1) == Fraction(4, 3)
-    assert g_weight(1, 1, 0, 0, 0) == 1
-
-
-def test_g_weight_vanishing_conventions():
-    assert g_weight(1, 2, 0, 0, 0) == 0  # k - k' exceeds block dimension
-    assert g_weight(3, 2, 1, 3, 0) == 0  # numerator binomial vanishes
-    assert g_weight(2, 1, 2, 0, 0) == 0  # k' > k
-
-
-def test_weight_table_is_scaled_g_weight():
+def test_weight_table_matches_the_closed_form():
+    """W[j][p][q] = L C(l_hat-p, j) C(l_hat-q, j) / C(l_hat, j), an exact
+    integer for every j, p, q in 0..l_hat, cached as nested tuples."""
     for lhat in range(9):
         scale, table = _weight_table(lhat)
         assert _weight_table(lhat)[1] is table
         assert scale == math.lcm(*(math.comb(lhat, j) for j in range(lhat + 1)))
-        assert type(table) is tuple
+        assert type(table) is tuple and len(table) == lhat + 1
         assert all(type(plane) is tuple and all(type(r) is tuple for r in plane) for plane in table)
         span = range(lhat + 1)
         for j, p, q in itertools.product(span, repeat=3):
-            for k in range(j, j + 3):
-                assert table[j][p][q] == scale * g_weight(lhat, k, k - j, p, q)
-        # the table stops at j = l_hat because the weights vanish past it
-        assert all(g_weight(lhat, lhat + 1, 0, p, q) == 0 for p in span for q in span)
+            weight = Fraction(math.comb(lhat - p, j) * math.comb(lhat - q, j), math.comb(lhat, j))
+            assert type(table[j][p][q]) is int and table[j][p][q] == scale * weight
+    scale, table = _weight_table(3)
+    assert all(w == scale for row in table[0] for w in row)  # j = 0: the minor itself
+    assert table[1][1][1] == scale * Fraction(4, 3)  # C(2, 1)^2 / C(3, 1)
+    assert table[2][3][0] == 0  # a row at full overlap has no completion
+    assert _weight_table(1) == (1, (((1, 1), (1, 1)), ((1, 0), (0, 0))))
 
 
 def test_expected_block_examples():
@@ -290,7 +281,7 @@ def test_node_polynomial_shape():
         params = Params(n, d)
         poly = node_polynomial(NodeState(), params)
         assert poly.degree == n - 2
-        assert poly.is_monic
+        assert poly.coeffs[-1] == 1
         assert all(poly.coeff(i) == 0 for i in range(1, poly.degree + 1, 2))
 
 
@@ -318,9 +309,7 @@ def test_ctensor_debug_surface():
     tensor = trivariate_detpoly(*half_adjacency(NodeState((), (0,)), params))
     assert tensor.m == 4 and tensor.lhat == 2
     assert tensor.get(0, 0, 0) == 1
-    assert all(
-        c >= 0 for plane in tensor.values for row in plane for c in row
-    )
+    assert all(num >= 0 for plane in tensor.nums for row in plane for num in row)
     data = tensor.to_json()
     assert data["m"] == 4 and data["lhat"] == 2
     assert data["values"][0][0][0] == "1"

@@ -131,7 +131,7 @@ def test_row_sum_invariant_random_nodes():
     ]
     for node in nodes:
         mat, _ = half_adjacency(node, params)
-        assert mat.nrows == mat.ncols == 3
+        assert mat.is_square and mat.nrows == 3
         t = len(node.partial or ())
         assert [sum(row) for row in mat.entries] == [
             len(node.complete) + (i < t) for i in range(3)

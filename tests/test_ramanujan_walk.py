@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramex import ramanujan_walk
-from ramex.exact_algebra import UniPoly, poly_shift_by_sqrt, quad_sign
+from ramex.exact_algebra import UniPoly, quad_sign
 from ramex.expectation_engine import node_polynomial
 from ramex.matching_family import (
     Multigraph,
@@ -29,6 +29,8 @@ from ramex.ramanujan_walk import (
     max_root_leq_sqrt,
     walk,
 )
+
+from test_exact_algebra import _binomial_shift
 
 
 def test_max_root_examples():
@@ -89,7 +91,7 @@ def _fraction_polys(draw):
 def test_max_root_matches_its_definition(p, q):
     """The early-exit integer test returns the boolean of its definition,
     every shifted pair nonnegative, on every input."""
-    expected = all(quad_sign(a, b, q) >= 0 for a, b in poly_shift_by_sqrt(p, q))
+    expected = all(quad_sign(a, b, q) >= 0 for a, b in _binomial_shift(p, q))
     assert max_root_leq_sqrt(p, q) is expected
 
 
