@@ -1,5 +1,8 @@
 """Exact dense linear algebra over the integers.
 
+``Matrix`` is a square integer matrix by construction, so the functions
+that take one never check its shape or entries.
+
 Provides the exact characteristic polynomial of one integer matrix and the
 squared-minor tensor of a fixed integer matrix plus a random block
 permutation, whose rational sums are integer numerators over known
@@ -53,15 +56,18 @@ def _violation(message: str) -> RationalityViolation:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense rectangular matrix over an exact scalar ring: rows
-    of equal length, checked once and stored as tuples."""
+    """Immutable square integer matrix, stored as tuples of rows: building
+    one raises ValueError unless each row is as long as there are rows and
+    each entry is an int, so no function that takes a Matrix checks either."""
 
     entries: tuple
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.entries))
-        if len(set(map(len, rows))) > 1:
-            raise ValueError("ragged rows")
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("a matrix must be square")
+        if any(not isinstance(x, int) for row in rows for x in row):
+            raise ValueError("a matrix must have integer entries")
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -71,10 +77,6 @@ class Matrix:
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    @property
-    def is_square(self) -> bool:
-        return not self.entries or len(self.entries[0]) == self.nrows
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,7 @@ def _mersenne_prime_above(bound_sq: int) -> int:
 
 
 def charpoly(matrix: Matrix) -> UniPoly:
-    """det(xI - M), exact and monic, for a square integer matrix; any other
-    entry raises ValueError.
+    """det(xI - M), exact and monic.
 
     It is computed modulo one Mersenne prime p, by reduction to upper
     Hessenberg form (pivot on the first nonzero entry below the
@@ -138,10 +139,6 @@ def charpoly(matrix: Matrix) -> UniPoly:
     so p > 2 C(m, k) R^k for every k makes each coefficient its symmetric
     residue; the bound is compared squared, on integers.
     """
-    if not matrix.is_square:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    if any(not isinstance(x, int) for row in matrix.entries for x in row):
-        raise ValueError("charpoly needs an integer matrix")
     m = matrix.nrows
     norm_sq = max((sum(x * x for x in row) for row in matrix.entries), default=0)
     p = _mersenne_prime_above(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1)))
@@ -399,15 +396,14 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     tr G0 = sum Ahat^2; enough primes are taken for twice the largest
     plane bound, rounded up to an integer.  The nonnegativity and
     C[0][0][0] checks of ``CTensor`` run on the exact numerators.  An
-    empty block gives the plain Gram's sums at l_hat = 0.
+    empty block gives the plain Gram's sums at l_hat = 0; a block index
+    outside the matrix raises ValueError.
     """
     import numpy as np
 
-    if not a.is_square:
-        raise ValueError("square matrix required")
-    if any(not isinstance(x, int) for row in a.entries for x in row):
-        raise ValueError("trivariate_detpoly needs an integer matrix")
     m = a.nrows
+    if any(i >= m for i in block.rows + block.cols):
+        raise ValueError(f"block index outside the {m} x {m} matrix")
     check_grid_size(m)
     l = max(block.size, 1)
     lhat = l - 1

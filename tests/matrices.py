@@ -1,13 +1,14 @@
 """Reference matrices for the tests: the all-zero and identity matrices and
-the Gram A^T A, built from plain rows; ramex's Matrix only holds rows."""
+the Gram A^T A, built from plain rows; ramex's Matrix only holds and checks
+rows."""
 
 from operator import mul
 
 from ramex.exact_linalg import Matrix
 
 
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return Matrix([[0] * ncols for _ in range(nrows)])
+def zeros(n: int) -> Matrix:
+    return Matrix([[0] * n for _ in range(n)])
 
 
 def identity(n: int) -> Matrix:

@@ -51,7 +51,7 @@ def test_weight_table_matches_the_closed_form():
 
 def test_expected_block_examples():
     full2 = BlockSpec((0, 1), (0, 1))
-    assert fixed_plus_random_block_expected(zeros(2, 2), full2) == UniPoly((1, -2, 1))
+    assert fixed_plus_random_block_expected(zeros(2), full2) == UniPoly((1, -2, 1))
     assert fixed_plus_random_block_expected(identity(2), full2) == UniPoly((8, -6, 1))
     forced = fixed_plus_random_block_expected(
         Matrix.from_rows([[1, 1], [0, 1]]), BlockSpec((1,), (0,))
@@ -63,6 +63,16 @@ def test_expected_block_empty_block_is_plain_gram():
     a = Matrix.from_rows([[1, 2], [0, 1]])
     got = fixed_plus_random_block_expected(a, BlockSpec((), ()))
     assert got == UniPoly(tuple(_det_xid_minus([[1, 2], [2, 5]])))  # A^T A
+
+
+@pytest.mark.parametrize("block", [BlockSpec((0, 5), (0, 1)), BlockSpec((1,), (3,))])
+def test_block_outside_the_matrix_is_a_value_error(block):
+    """An index past the 3 x 3 matrix, in a row or a column, is rejected
+    before any array indexing could raise IndexError."""
+    a = identity(3)
+    for expected in (trivariate_detpoly, fixed_plus_random_block_expected):
+        with pytest.raises(ValueError, match="^block index outside the 3 x 3 matrix$"):
+            expected(a, block)
 
 
 def test_expected_block_matches_permutation_average():
@@ -252,7 +262,7 @@ def _permutation_sums(draw):
 @given(_permutation_sums())
 @example((3, _permutation_sum([range(7), range(7), range(7)], 7)))
 @example((2, _permutation_sum([(1, 0, 3, 2, 5, 6, 4), (6, 5, 4, 3, 2, 1, 0)], 7)))
-@example((0, zeros(7, 7)))
+@example((0, zeros(7)))
 def test_full_block_average_is_the_fold(case):
     """Averaging a c-regular A over a full random block, the grid route,
     equals folding one random matching into A's Gram polynomial, each with

@@ -40,7 +40,7 @@ def test_caps_stop_counting_before_the_count_is_huge():
         brute_expected_charpoly(NodeState(), Params(2000, 3))
     block = BlockSpec(tuple(range(5)), tuple(range(5)))
     with pytest.raises(TooLarge, match="^the permutations exceed cap 10$"):
-        brute_fixed_plus_permutation(zeros(5, 5), block, cap=10)
+        brute_fixed_plus_permutation(zeros(5), block, cap=10)
     # a leaf has one completion, and that is still past a cap of 0
     leaf = NodeState(((0, 1), (0, 1), (1, 0)))
     with pytest.raises(TooLarge, match="cap 0"):
@@ -49,7 +49,7 @@ def test_caps_stop_counting_before_the_count_is_huge():
 
 def test_brute_fixed_plus_permutation_examples():
     full2 = BlockSpec((0, 1), (0, 1))
-    assert brute_fixed_plus_permutation(zeros(2, 2), full2) == UniPoly((1, -2, 1))
+    assert brute_fixed_plus_permutation(zeros(2), full2) == UniPoly((1, -2, 1))
     assert brute_fixed_plus_permutation(identity(2), full2) == UniPoly((8, -6, 1))
     a = Matrix.from_rows([[1, 2], [3, 4]])
     empty = BlockSpec((), ())
@@ -57,17 +57,16 @@ def test_brute_fixed_plus_permutation_examples():
     assert brute_fixed_plus_permutation(a, empty) == UniPoly((4, -30, 1))
 
 
-def test_brute_fixed_plus_permutation_rational_entries():
-    a = Matrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
-    got = brute_fixed_plus_permutation(a, BlockSpec((0, 1), (0, 1)))
-    # identity perm: singular values 3/2, 3/2; swap perm: (A+P) = [[1/2,1],[1,1/2]]
-    # with Gram [[5/4,1],[1,5/4]] -> eigenvalues 9/4, 1/4
-    ident = UniPoly((Fraction(81, 16), Fraction(-9, 2), 1))
-    swap = UniPoly((Fraction(9, 16), Fraction(-5, 2), 1))
+def test_brute_fixed_plus_permutation_averages_the_permutations():
+    got = brute_fixed_plus_permutation(identity(2), BlockSpec((0, 1), (0, 1)))
+    # identity perm: A + P = 2I, Gram 4I -> (y-4)^2; swap perm: A + P is all
+    # ones, Gram [[2,2],[2,2]] -> eigenvalues 4, 0 -> y(y-4)
+    ident = UniPoly((16, -8, 1))
+    swap = UniPoly((0, -4, 1))
     assert got == Fraction(1, 2) * (ident + swap)
 
 
 def test_brute_fixed_plus_permutation_cap():
-    a = zeros(5, 5)
+    a = zeros(5)
     with pytest.raises(TooLarge):
         brute_fixed_plus_permutation(a, BlockSpec(tuple(range(5)), tuple(range(5))), cap=10)
