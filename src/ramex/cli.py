@@ -17,8 +17,7 @@ import os
 import sys
 import time
 
-from .exact_algebra import InvariantViolation, NonzeroRemainder, UniPoly, rational_to_str
-from .exact_linalg import CoefficientsTooLarge, GridTooLarge, RationalityViolation
+from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
 from .expectation_engine import node_polynomial_and_tensor
 from .matching_family import (
     NotRegular,
@@ -29,7 +28,7 @@ from .matching_family import (
     node_from_json,
     node_to_json,
 )
-from .oracle import DEFAULT_CAP, TooLarge, brute_expected_charpoly
+from .oracle import DEFAULT_CAP, brute_expected_charpoly
 from .ramanujan_walk import (
     NoPassingChild,
     certificate_to_json,
@@ -52,10 +51,8 @@ class _UsageError(Exception):
 # What a command may raise, by exit code: bad input is 2, a broken invariant 3.
 # An irregular graph file exits 2 through _certify_file; a NotRegular that
 # reaches main comes from build's own leaf, which is a bug.
-_USAGE_ERRORS = (_UsageError, GridTooLarge, CoefficientsTooLarge, TooLarge)
-_INTERNAL_ERRORS = (
-    NoPassingChild, RationalityViolation, NonzeroRemainder, InvariantViolation, NotRegular
-)
+_USAGE_ERRORS = (_UsageError, TooLarge)
+_INTERNAL_ERRORS = (InvariantViolation, NotRegular)
 
 
 def _poly_strings(poly: UniPoly) -> list[str]:

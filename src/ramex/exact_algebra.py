@@ -22,13 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class NonzeroRemainder(ArithmeticError):
-    """A division that must be exact left a remainder; signals a pipeline bug."""
-
-
 class InvariantViolation(RuntimeError):
     """An internal invariant failed: always an implementation bug, never
     bad input.  Raised explicitly, so the checks also run under -O."""
+
+
+class NonzeroRemainder(InvariantViolation):
+    """A division that must be exact left a remainder; signals a pipeline bug."""
+
+
+class TooLarge(ValueError):
+    """The input is beyond what a computation here is built to handle."""
 
 
 def rational_to_str(value: Fraction | int) -> str:
@@ -98,17 +102,17 @@ class UniPoly:
         return UniPoly(tuple(out))
 
     def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, c in enumerate(self.coeffs):
-                if not c:
-                    continue
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + c * d
-            return UniPoly(tuple(out))
-        return UniPoly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return UniPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            for j, d in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + c * d
+        return UniPoly(tuple(out))
 
     def __rmul__(self, other):
         return UniPoly(tuple(other * c for c in self.coeffs))

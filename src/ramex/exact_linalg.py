@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exact_algebra import UniPoly, rational_to_str
+from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
 
 
-class RationalityViolation(ArithmeticError):
+class RationalityViolation(InvariantViolation):
     """A squared-minor sum that must be a nonnegative rational was not.
 
     The coefficients of the trivariate determinant polynomial are sums of
@@ -110,7 +110,7 @@ _MERSENNE_EXPONENTS = (
 )
 
 
-class CoefficientsTooLarge(ValueError):
+class CoefficientsTooLarge(TooLarge):
     """The charpoly's coefficient bound exceeds half the largest Mersenne
     prime in the table, so no modulus there makes the result exact."""
 
@@ -269,7 +269,7 @@ _PRIMES = (
 MAX_GRID_M = 32
 
 
-class GridTooLarge(ValueError):
+class GridTooLarge(TooLarge):
     """The batched grid cannot be exact for this matrix: m exceeds
     MAX_GRID_M, so an int64 dot product of residues could overflow, or the
     coefficient bound exceeds half the product of every prime in the table.

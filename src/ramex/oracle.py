@@ -11,14 +11,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exact_algebra import UniPoly
+from .exact_algebra import TooLarge, UniPoly
 from .exact_linalg import BlockSpec, Matrix
 from .matching_family import NodeState, Params
-
-
-class TooLarge(ValueError):
-    """Enumeration would exceed the configured cap."""
-
 
 DEFAULT_CAP = 10**6
 

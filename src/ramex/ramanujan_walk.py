@@ -7,17 +7,18 @@ has its parent's polynomial, and a walk from the root would take child 0
 down to the identity anyway.  From there it descends into the first child
 (ascending partner order) whose max root is at most sqrt(q) with
 q = 4(d-1), tested exactly on the integer pairs (a, b) of the shifted
-coefficients a + b sqrt(q).  An audited walk evaluates every child and
-checks that their sum is c times the parent's polynomial; a lazy walk
-evaluates children one at a time until one passes, none at a stage with
-a single child, and never a stage's last child, which is c times the
-parent less the others.  At a leaf the matchings combine into a d-regular
-bipartite multigraph whose nontrivial spectrum is certified to lie in
-[-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are symmetric about zero,
-so bounding the max root bounds the min root as well.  The adjacency
-polynomial comes from the m x m Gram of the multiplicity matrix, not the
-n x n adjacency.  certify_by_elimination reaches the same verdict with no
-characteristic polynomial at all.
+coefficients a + b sqrt(q).  A stage's c children average to their
+parent, so the last child's polynomial is c times the parent's less the
+other c - 1.  An audited walk evaluates every child and checks the last
+against that identity; a lazy walk evaluates children one at a time until
+one passes, and takes the last from the identity, never evaluating it (a
+single child is the parent itself).  At a leaf the matchings combine
+into a d-regular bipartite multigraph whose nontrivial spectrum is
+certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
+symmetric about zero, so bounding the max root bounds the min root as
+well.  The adjacency polynomial comes from the m x m Gram of the
+multiplicity matrix, not the n x n adjacency.  certify_by_elimination
+reaches the same verdict with no characteristic polynomial at all.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .expectation_engine import node_polynomial
 from .matching_family import Multigraph, NodeState, Params, children
 
 
-class NoPassingChild(RuntimeError):
+class NoPassingChild(InvariantViolation):
     """No child passed the root bound.
 
     Impossible for a correct implementation when the current node passes
@@ -197,16 +198,15 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     q = 4(d-1).
 
     The descent takes the first passing child in deterministic ascending
-    order.  With audit, every child is evaluated, in up to jobs worker
-    processes (never more than m, the most children a stage has), and the
-    current node's polynomial must be their average.
-    Without it, a single-child stage evaluates nothing (its child's
-    polynomial is the parent's), and other stages evaluate children one at
-    a time in this process until one passes.  The last of c children is
-    never evaluated: once the others have failed, it is exactly c parent
-    less the others, the parent being their average.  So a stage where
-    none passes still has every child's polynomial.  The leaf never
-    depends on audit or the job count.
+    order.  The parent is the average of its c children, so the last
+    child is c parent less the others.  With audit, every child is
+    evaluated, in up to jobs worker processes (never more than m, the most
+    children a stage has), and the last must equal that difference.
+    Without it, children are evaluated one at a time in this process until
+    one passes, and the last is never evaluated: once the others have
+    failed, it is that difference, which for a single child is the parent.
+    So a stage where none passes still has every child's polynomial.  The
+    leaf never depends on audit or the job count.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = 4 * (params.d - 1)
@@ -227,21 +227,20 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
         evaluate = pool.map if pooled else map
         while not current.is_leaf(params):
             kids = children(current, params)
-            if not audit and len(kids) == 1:  # forced: the only child's polynomial is the parent's
-                polys, passed = [current_poly], [True]
-            else:
-                polys, passed = [], []
-                evaluated = kids if audit else kids[:-1]
-                for poly in evaluate(_child_poly_task, [(k, params) for k in evaluated]):
-                    polys.append(poly)
-                    passed.append(max_root_leq_sqrt(poly, q))
-                    if passed[-1] and not audit:
-                        break
-                if not audit and not any(passed):
-                    # the children average to the parent: the last is c parent - the rest
-                    polys.append(-1 * sum(polys, -len(kids) * current_poly))
-                    passed.append(max_root_leq_sqrt(polys[-1], q))
-                if audit and sum(polys, UniPoly()) != len(polys) * current_poly:
+            polys, passed = [], []
+            evaluated = kids if audit else kids[:-1]
+            for poly in evaluate(_child_poly_task, [(k, params) for k in evaluated]):
+                polys.append(poly)
+                passed.append(max_root_leq_sqrt(poly, q))
+                if passed[-1] and not audit:
+                    break
+            if audit or not any(passed):
+                # the children average to the parent: the last is c parent - the others
+                last = len(kids) * current_poly + -1 * sum(polys[: len(kids) - 1], UniPoly())
+                if not audit:
+                    polys.append(last)
+                    passed.append(max_root_leq_sqrt(last, q))
+                elif polys[-1] != last:
                     raise InvariantViolation(
                         f"polynomial of {current} is not the average of its children"
                     )

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, exit codes, JSON files."""
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -13,8 +15,8 @@ import pytest
 import ramex
 from ramex import cli, expectation_engine, ramanujan_walk
 from ramex.cli import main
-from ramex.exact_algebra import InvariantViolation, UniPoly, rational_to_str
-from ramex.matching_family import NotRegular, Params, node_to_json
+from ramex.exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
+from ramex.matching_family import IsLeaf, NotALeaf, NotRegular, Params, node_to_json
 
 
 def run(capsys, *argv):
@@ -709,6 +711,33 @@ def test_invariant_violation_survives_optimize(tmp_path):
     assert not (tmp_path / "graph.json").exists()
 
 
+@pytest.mark.parametrize("which", [0, -1])
+def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, which):
+    """The audit compares a stage's evaluated last child with c parent less
+    the others, so raising the first or the last child alone is caught."""
+    skewed = set()
+    real_children, real_task = ramanujan_walk.children, ramanujan_walk._child_poly_task
+
+    def recording(node, params):
+        kids = real_children(node, params)
+        if len(kids) > 1:
+            skewed.add(kids[which])
+        return kids
+
+    def task(args):
+        return real_task(args) + UniPoly((1,)) if args[0] in skewed else real_task(args)
+
+    monkeypatch.setattr(ramanujan_walk, "children", recording)
+    monkeypatch.setattr(ramanujan_walk, "_child_poly_task", task)
+    out = str(tmp_path)
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", out, "--trace")
+    assert code == 3
+    assert stdout == ""
+    assert "not the average of its children" in stderr
+    assert skewed
+    assert not (tmp_path / "graph.json").exists()
+
+
 def test_skewed_lazy_build_fails_the_leaf_check(tmp_path):
     """A plain build walks lazily and runs no averaging check; the same skew
     then reaches the leaf and fails build's cross-check against certify."""
@@ -758,6 +787,41 @@ def test_node_poly_matches_certified_nontrivial(tmp_path, capsys):
     code, stdout, _ = run(capsys, "node-poly", json.dumps(leaf), "--n", "4", "--d", "3")
     assert code == 0
     assert json.loads(stdout) == cert["nontrivial_charpoly"]
+
+
+def test_every_ramex_exception_maps_to_an_exit_code(capsys, monkeypatch):
+    """Exit codes follow two bases, so a new exception class needs no edit to
+    cli: each one ramex defines is bad input (exit 2) or a bug (exit 3), or
+    one of the caller errors IsLeaf and NotALeaf, which no command lets
+    reach main."""
+    classes = set()
+    for info in pkgutil.iter_modules(ramex.__path__):
+        module = importlib.import_module(f"ramex.{info.name}")
+        classes.update(
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, Exception)
+            and value.__module__ == module.__name__
+        )
+    names = {cls.__name__ for cls in classes}
+    assert {"_UsageError", "TooLarge", "GridTooLarge", "NoPassingChild", "NotRegular"} <= names
+    for cls in classes:
+
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_oracle", fail)
+        argv = ["oracle", "{}", "--n", "4", "--d", "3"]
+        if cls in (IsLeaf, NotALeaf):
+            with pytest.raises(cls):
+                main(argv)
+            continue
+        assert issubclass(cls, (cli._UsageError, TooLarge, InvariantViolation, NotRegular)), cls
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == (2 if issubclass(cls, (cli._UsageError, TooLarge)) else 3), cls
+        assert stdout == ""
+        assert stderr.endswith(": boom\n"), cls
 
 
 def test_usage_error_exit_code(capsys):

@@ -217,6 +217,8 @@ def test_unipoly_ring_basics():
     assert UniPoly((0, 0, 0)).is_zero  # trailing zeros trim to the zero poly
     assert p.coeffs[-1] == 1 and p.degree == 2
     assert 2 * p == UniPoly((-2, 0, 2))
+    with pytest.raises(TypeError):
+        p * 2  # a scalar multiplies from the left only
 
 
 def test_rational_canonical_and_serialization():

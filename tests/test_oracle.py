@@ -58,12 +58,13 @@ def test_brute_fixed_plus_permutation_examples():
 
 
 def test_brute_fixed_plus_permutation_averages_the_permutations():
-    got = brute_fixed_plus_permutation(identity(2), BlockSpec((0, 1), (0, 1)))
-    # identity perm: A + P = 2I, Gram 4I -> (y-4)^2; swap perm: A + P is all
-    # ones, Gram [[2,2],[2,2]] -> eigenvalues 4, 0 -> y(y-4)
-    ident = UniPoly((16, -8, 1))
-    swap = UniPoly((0, -4, 1))
-    assert got == Fraction(1, 2) * (ident + swap)
+    a = Matrix.from_rows([[1, 2], [0, 1]])
+    got = brute_fixed_plus_permutation(a, BlockSpec((0, 1), (0, 1)))
+    # identity perm: A + P = [[2,2],[0,2]], Gram [[4,4],[4,8]] -> y^2 - 12y + 16;
+    # swap perm: A + P = [[1,3],[1,1]], Gram [[2,4],[4,10]] -> y^2 - 12y + 4
+    ident = UniPoly((16, -12, 1))
+    swap = UniPoly((4, -12, 1))
+    assert got == Fraction(1, 2) * (ident + swap) == UniPoly((10, -12, 1))
 
 
 def test_brute_fixed_plus_permutation_cap():

@@ -271,8 +271,8 @@ def test_lazy_walk_reaches_the_full_walks_leaf(n, d):
 
 def test_lazy_walk_skips_forced_stages(monkeypatch):
     """Only the start node and the children of stages with a choice are
-    evaluated; a single-child stage reuses the parent's polynomial, and a
-    stage that reaches its last child takes it as c parent - the others."""
+    evaluated: a stage that reaches its last child takes it as c parent -
+    the others, which for a single child is the parent, and root-tests it."""
     calls = []
     real = ramanujan_walk.node_polynomial
     monkeypatch.setattr(
@@ -283,6 +283,7 @@ def test_lazy_walk_skips_forced_stages(monkeypatch):
     assert forced
     for stage in forced:
         assert stage.child_polys == (stage.node_poly,)
+        assert stage.child_passed == (True,)
     last = [s for s in result.stages if s.chosen == len(s.child_nodes) - 1 > 0]
     assert last
     for stage in last:
