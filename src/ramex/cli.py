@@ -18,7 +18,7 @@ import sys
 import time
 
 from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
-from .expectation_engine import node_polynomial_and_tensor
+from .expectation_engine import evaluate_node
 from .matching_family import (
     NotRegular,
     Params,
@@ -266,7 +266,7 @@ def cmd_verify(args) -> int:
 
 def cmd_node_poly(args) -> int:
     params, node = _load_node(args)
-    poly, tensor = node_polynomial_and_tensor(node, params)
+    poly, _, tensor = evaluate_node(node, params)
     if args.ctensor:
         payload = {"node_poly": _poly_strings(poly), "ctensor": tensor.to_json()}
         print(json.dumps(payload, indent=2))

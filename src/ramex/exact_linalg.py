@@ -9,14 +9,16 @@ permutation, whose rational sums are integer numerators over known
 denominators.  ``charpoly`` reduces the matrix to Hessenberg form modulo
 one Mersenne prime above twice Hadamard's bound on its coefficients, in
 pure Python.  The tensor comes from characteristic polynomials on the grid
-{0..l_hat}^2 and interpolation, both run modulo word-size primes in one
-numpy batch with Berkowitz's recurrence; its integer numerators, over one
-known denominator per minor size, are rebuilt exactly by the Chinese
-remainder theorem from enough primes for a bound taken from the trace of
-the fixed matrix's Gram alone.  ``charpoly`` is the independent reference
-for the batched kernel and serves certification, which never depends on
-the modular batch: numpy is imported inside the functions that run the
-batch, so certification never loads it.
+{0..l_hat}^2 and interpolation, all on int64 residues of the fixed matrix
+modulo word-size primes in one numpy batch, Grams included, with
+Berkowitz's recurrence; its integer numerators, over one known
+denominator per minor size, are rebuilt exactly by the Chinese remainder
+theorem from enough primes for a bound taken from the trace of the fixed
+matrix's Gram alone.  Only constant tables (interpolation residues, CRT
+bases) are cached.  ``charpoly`` is the independent reference for the
+batched kernel and serves certification, which never depends on the
+modular batch: numpy is imported inside the functions that run the batch,
+so certification never loads it.
 """
 
 from __future__ import annotations
@@ -223,10 +225,9 @@ class CTensor:
         return {"m": self.m, "lhat": self.lhat, "values": values}
 
 
-@functools.lru_cache(maxsize=None)
 def _interp_matrix(lhat: int) -> tuple:
     """Integer M with lhat! * f_k = sum_t M[k][t] f(t) for every polynomial
-    f = sum_k f_k t^k of degree <= lhat; cached, as a tuple of rows.
+    f = sum_k f_k t^k of degree <= lhat, as a tuple of rows.
 
     Newton's forward form f(t) = sum_j (Delta^j f)(0) falling(t, j) / j!,
     with (Delta^j f)(0) = sum_t (-1)^(j-t) C(j, t) f(t); every lhat!/j! is
@@ -297,14 +298,15 @@ def _primes_for(bound: int):
     return np.array(_PRIMES[:count], dtype=np.int64)
 
 
-def _residues(values, primes):
-    """Exact integers, nested lists or an object array, reduced mod each
-    prime: int64, with the primes on a new leading axis."""
+@functools.lru_cache(maxsize=None)
+def _interp_residues(lhat: int):
+    """``_interp_matrix(lhat)`` mod every table prime: read-only int64, cached."""
     import numpy as np
 
-    exact = np.array(values, dtype=object)
-    moduli = np.array(primes.tolist(), dtype=object).reshape((-1,) + (1,) * exact.ndim)
-    return (exact % moduli).astype(np.int64)
+    rows = _interp_matrix(lhat)
+    out = np.array([[[w % p for w in row] for row in rows] for p in _PRIMES], dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _berkowitz_mod(mats, primes):
@@ -345,17 +347,20 @@ def _berkowitz_mod(mats, primes):
     return coeffs
 
 
-def _crt(residues, primes):
-    """Signed integers from their residues of shape (r, N) mod each prime,
-    by the textbook CRT sum x = sum_i r_i (M/p_i) ((M/p_i)^-1 mod p_i)
-    mod M, M the product of the primes, folded to the symmetric range:
-    each value x with 2|x| below M, as a Python int in an object array."""
+@functools.lru_cache(maxsize=None)
+def _crt_basis(count: int) -> tuple:
+    """M and the cofactors (M/p_i) ((M/p_i)^-1 mod p_i) of the first count primes; cached."""
+    modulus = math.prod(_PRIMES[:count])
+    return modulus, tuple(modulus // p * pow(modulus // p, -1, p) for p in _PRIMES[:count])
+
+
+def _crt(residues):
+    """Signed ints, as an object array, from residues (r, N) mod the first r
+    table primes: the textbook CRT sum mod M, folded to 2|x| < M."""
     import numpy as np
 
-    moduli = primes.tolist()
-    modulus = math.prod(moduli)
-    basis = np.array([modulus // p * pow(modulus // p, -1, p) for p in moduli], dtype=object)
-    value = basis @ residues.astype(object) % modulus
+    modulus, basis = _crt_basis(len(residues))
+    value = np.array(basis, dtype=object) @ residues.astype(object) % modulus
     return np.where(value > modulus // 2, value - modulus, value)
 
 
@@ -373,31 +378,30 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     reduced block rows and columns; no reflection is needed to get it.
 
     Scaled by l, everything is integral: with Ahat = l a + J_B and
-    P = l D - J, l^4 X = l M + (t_c-1) M P_c for M = l G0 + (t_r-1) G1,
+    P = l D - J, l^4 X = l L + (t_c-1) L P_c for L = l G0 + (t_r-1) G1,
     G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat = l Ahat_r^T Ahat_r - s^T s,
     where Ahat_r is Ahat's block rows and s their sum.  Right
     multiplication by P_c is l times the block columns minus each row's
-    sum over them, so the only matrix products are the two Grams, and the
-    grid matrix -(l^4 X) is bilinear in (t_r, t_c): A + t_r B + t_c C +
-    t_r t_c D, four exact integer matrices.
+    sum over them, so the only matrix products are the two Grams.
 
-    The grid runs modulo word-size primes, in one numpy batch: the
-    (l_hat+1)^2 grid matrices over {0..l_hat}^2, reduced mod each prime,
-    go through batched Berkowitz (``_berkowitz_mod``), and interpolation
-    through the cached ``_interp_matrix`` I, also mod p, gives each C's
-    numerator over l^(4k') l_hat!^2 as I V I^T for V the grid of a
-    coefficient.  The CRT (``_crt``) then rebuilds those numerators
-    exactly; it never rebuilds the grid.  The primes are exact, not
-    probabilistic: every C[k'][p][q] is a sum of squared minors, so its
-    numerator is >= 0, and at t_r = t_c = 1 (R = S = I) the plane k'
-    sums to e_k'(Abar^T Abar), so the numerators of plane k' sum to
-    l^(2k') l_hat!^2 e_k'(G0).  G0 is positive semidefinite, so
-    Maclaurin's inequality gives e_k'(G0) <= C(m, k') (tr G0 / m)^k' with
+    Only Ahat and its trace are exact: Ahat is reduced once mod each
+    word-size prime by Python's %, and the rest is int64 residues in one
+    numpy batch: batched Gram matmuls, then one broadcast of L over t_r and
+    of L P_c over t_c for the grid matrices -(l^4 X) over {0..l_hat}^2,
+    each value below 2^46 before its reduction mod p.  Batched Berkowitz
+    (``_berkowitz_mod``) and interpolation by ``_interp_matrix`` I give
+    each C's numerator over l^(4k') l_hat!^2 as I V I^T mod p, V the grid
+    of a coefficient, and the CRT (``_crt``) rebuilds them exactly.  Only
+    I's residues and the CRT basis are cached, never anything of a matrix.
+    The primes are exact, not probabilistic: each numerator is a sum of
+    squared minors, so >= 0, and at t_r = t_c = 1 (R = S = I) plane k'
+    sums to e_k'(Abar^T Abar), so its numerators sum to
+    l^(2k') l_hat!^2 e_k'(G0).  G0 is positive semidefinite, so by
+    Maclaurin's inequality e_k'(G0) <= C(m, k') (tr G0 / m)^k', with
     tr G0 = sum Ahat^2; enough primes are taken for twice the largest
-    plane bound, rounded up to an integer.  The nonnegativity and
-    C[0][0][0] checks of ``CTensor`` run on the exact numerators.  An
-    empty block gives the plain Gram's sums at l_hat = 0; a block index
-    outside the matrix raises ValueError.
+    plane bound, rounded up to an integer.  ``CTensor`` checks the exact
+    numerators for sign and C[0][0][0].  An empty block gives the plain
+    Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
     """
     import numpy as np
 
@@ -408,42 +412,36 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     l = max(block.size, 1)
     lhat = l - 1
     rows, cols = list(block.rows), list(block.cols)
-    # exact integers in object arrays: Ahat = l a + J_B, its block rows and their sum s
-    ahat = l * np.array(a.entries, dtype=object).reshape(m, m)
-    ahat[np.ix_(rows, cols)] += 1
-    ahat_r = ahat[rows]
-    s = ahat_r.sum(axis=0)
-    g1 = l * (ahat_r.T @ ahat_r) - np.outer(s, s)
-    m0 = l * (ahat.T @ ahat) - g1  # M at t_r = 0
-
-    def centered(g):
-        # g (l D_c - J_c): l g on the block columns minus the row's sum over them
-        out = np.zeros_like(g)
-        out[:, cols] = l * g[:, cols] - g[:, cols].sum(axis=1, keepdims=True)
-        return out
-
-    # -(l^4 X) = -(M0 + t_r G1)(l I + (t_c-1) P_c) = A + t_r B + t_c C + t_r t_c D
-    c0, c1 = centered(m0), centered(g1)
-    bilinear = np.array([c0 - l * m0, c1 - l * g1, -c0, -c1])
+    ahat = [[l * x for x in row] for row in a.entries]  # Ahat = l a + J_B, exact
+    for i in rows:
+        for j in cols:
+            ahat[i][j] += 1
     # numerator plane k sums to at most l^(2k) l_hat!^2 C(m, k) (tr G0 / m)^k
-    trace = int((ahat * ahat).sum())
+    trace = sum(x * x for row in ahat for x in row)
     bound = max(l ** (2 * k) * math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
     primes = _primes_for(math.factorial(lhat) ** 2 * bound)
 
     r, side = len(primes), lhat + 1
-    quad = _residues(bilinear, primes)[:, :, None, None]
-    tr = np.arange(side).reshape(-1, 1, 1, 1)
-    tc = np.arange(side).reshape(-1, 1, 1)
-    # grid[prime][t_r][t_c], below 1024 p < 2^40 before the reduction
-    grid = quad[:, 0] + tr * quad[:, 1] + tc * (quad[:, 2] + tr * quad[:, 3])
-    grid %= primes.reshape(r, 1, 1, 1, 1)
+    p = primes.reshape(r, 1, 1)
+    res = np.array([[x % q for row in ahat for x in row] for q in primes.tolist()], dtype=np.int64)
+    res = res.reshape(r, m, m)
+    res_r = res[:, rows]
+    s = res_r.sum(axis=1) % p[:, 0]
+    g0 = res.transpose(0, 2, 1) @ res % p
+    g1 = (l * (res_r.transpose(0, 2, 1) @ res_r % p) - s[:, :, None] * s[:, None, :]) % p
+    t = np.arange(-1, lhat).reshape(-1, 1, 1)  # t - 1 for t in 0..l_hat
+    big_l = l * g0[:, None] + t * g1[:, None]  # L(t_r), unreduced
+    # L P_c: l L on the block columns less each row's sum over them
+    l_pc = np.zeros_like(big_l)
+    l_pc[..., cols] = l * big_l[..., cols] - big_l[..., cols].sum(axis=-1, keepdims=True)
+    # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c)
+    grid = -(l * big_l[:, :, None] + t * l_pc[:, :, None]) % p[:, None, None]
     coeffs = _berkowitz_mod(grid.reshape(r, side * side, m, m), primes)
     # l^(4k') lhat!^2 C = I V I^T, V the grid of lam**(m-k'), all mod p
     values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
-    weights = _residues(_interp_matrix(lhat), primes)[:, None]
-    p = primes.reshape(r, 1, 1, 1)
-    nums = (weights @ values % p) @ weights.transpose(0, 1, 3, 2) % p
-    exact = _crt(nums.reshape(r, -1), primes).reshape(m + 1, side, side)
+    weights = _interp_residues(lhat)[:r, None]
+    nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
+    exact = _crt(nums.reshape(r, -1)).reshape(m + 1, side, side)
     # tuples from lists, not generators: a generator's tuple is allocated
     # oversized and shrunk, which showed as about 0.5 MB more peak RSS
     nums = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])

@@ -15,7 +15,7 @@ rationals.
 Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
 ``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
-``UniPoly`` values, and ``node_polynomial_and_tensor`` the ``CTensor`` too.
+``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
 """
 
 from __future__ import annotations
@@ -123,14 +123,14 @@ def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     other matching (a pending fresh one too) is folded in y, and y -> x^2
     comes last.
     """
-    return node_polynomial_and_tensor(node, params)[0]
+    return evaluate_node(node, params)[0]
 
 
-def node_polynomial_and_tensor(node: NodeState, params: Params) -> tuple[UniPoly, CTensor]:
-    """The node's polynomial, as ``node_polynomial`` gives it, and the
-    squared-minor tensor of its block, from one run of the grid.  Sizes
-    beyond the grid raise ``GridTooLarge`` before any node matrix is built,
-    and a node that is not one of the tree's raises ``ValueError``."""
+def evaluate_node(node: NodeState, params: Params) -> tuple[UniPoly, tuple, CTensor]:
+    """``node_polynomial``, its ascending integer coefficients over one
+    positive denominator, and its block's squared-minor tensor, from one
+    grid run.  Beyond the grid's sizes it raises ``GridTooLarge`` before
+    building a node matrix; on a node outside the tree, ``ValueError``."""
     check_grid_size(params.m)
     node.validate(params)
     tensor = trivariate_detpoly(*half_adjacency(node, params))
@@ -144,4 +144,4 @@ def node_polynomial_and_tensor(node: NodeState, params: Params) -> tuple[UniPoly
     body = poly_substitute_square(UniPoly(tuple(reduced)))
     if body.degree != params.n - 2 or body.coeffs[-1] != den:
         raise InvariantViolation("degree bookkeeping broken")
-    return UniPoly(tuple(Fraction(c, den) for c in body.coeffs)), tensor
+    return UniPoly(tuple(Fraction(c, den) for c in body.coeffs)), body.coeffs, tensor

@@ -39,7 +39,7 @@ from .exact_algebra import (
     sqrt_shift_pairs,
 )
 from .exact_linalg import Matrix, charpoly, check_grid_size
-from .expectation_engine import node_polynomial
+from .expectation_engine import evaluate_node
 from .matching_family import Multigraph, NodeState, Params, children
 
 
@@ -61,19 +61,21 @@ class NoPassingChild(InvariantViolation):
 
 
 def max_root_leq_sqrt(p: UniPoly, q: int) -> bool:
-    """Exact test whether the max root of real-rooted p is <= sqrt(q).
+    """Exact test whether the max root of real-rooted p is <= sqrt(q), on
+    p's coefficients over their positive common denominator."""
+    return _max_root_leq_sqrt_ints(clear_denominators(p)[0], q)
+
+
+def _max_root_leq_sqrt_ints(ints, q: int) -> bool:
+    """``max_root_leq_sqrt`` of sum_i ints[i] x**i, ints integers.
 
     Shifts to p(x + sqrt(q)), whose coefficients are pairs a + b sqrt(q);
-    nonpositive roots of the shifted polynomial are equivalent to all its
-    coefficients being nonnegative, decided by exact signs of the pairs.
-    The pairs are made on integers over p's positive common denominator,
-    one at a time, and the first negative one decides.  Pair 0 comes first:
-    it is p(sqrt(q)), and a monic p negative there has a root above
-    sqrt(q).  Every failing child measured so far is negative there, so a
-    failing child costs one pair, not deg p + 1.  q = 0 degenerates to
-    testing p's own coefficients.
+    p's roots are <= sqrt(q) exactly when every pair is nonnegative, which
+    exact signs decide one pair at a time.  Pair 0, p(sqrt(q)), comes
+    first: every failing child measured so far is negative there, so it
+    costs one pair, not deg p + 1.  At q = 0 the pairs are p's own
+    coefficients.
     """
-    ints, _ = clear_denominators(p)
     return all(quad_sign(a, b, q) >= 0 for a, b in sqrt_shift_pairs(ints, q))
 
 
@@ -187,9 +189,11 @@ class WalkResult:
     workers: int = field(default=1, compare=False)
 
 
-def _child_poly_task(args) -> UniPoly:
+def _child_poly_task(args) -> tuple[UniPoly, bool]:
+    """A child's polynomial and whether its integer form passes."""
     node, params = args
-    return node_polynomial(node, params)
+    poly, ints, _ = evaluate_node(node, params)
+    return poly, _max_root_leq_sqrt_ints(ints, 4 * (params.d - 1))
 
 
 def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
@@ -211,8 +215,8 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = 4 * (params.d - 1)
     current = NodeState((tuple(range(params.m)),), None)
-    current_poly = node_polynomial(current, params)
-    if not max_root_leq_sqrt(current_poly, q):
+    current_poly, ints, _ = evaluate_node(current, params)
+    if not _max_root_leq_sqrt_ints(ints, q):
         raise NoPassingChild(
             f"start node polynomial {current_poly} already violates the bound "
             f"sqrt({q}) (expected only in the degenerate d=1 regime)",
@@ -229,9 +233,9 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
             kids = children(current, params)
             polys, passed = [], []
             evaluated = kids if audit else kids[:-1]
-            for poly in evaluate(_child_poly_task, [(k, params) for k in evaluated]):
+            for poly, ok in evaluate(_child_poly_task, [(k, params) for k in evaluated]):
                 polys.append(poly)
-                passed.append(max_root_leq_sqrt(poly, q))
+                passed.append(ok)
                 if passed[-1] and not audit:
                     break
             if audit or not any(passed):

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -481,10 +482,13 @@ def test_stuck_stage_failure_dump_is_the_same_lazy_or_traced(tmp_path, capsys, m
     else:
         pytest.fail("no inner stage whose children are all untested elsewhere")
     stuck = stage.child_polys
-    real = ramanujan_walk.max_root_leq_sqrt
-    monkeypatch.setattr(
-        ramanujan_walk, "max_root_leq_sqrt", lambda p, q: p not in stuck and real(p, q)
-    )
+    real = ramanujan_walk._max_root_leq_sqrt_ints
+
+    def root_test(ints, q):  # the walk tests positive integer multiples of monic polynomials
+        monic = UniPoly(tuple(Fraction(c, ints[-1]) for c in ints))
+        return monic not in stuck and real(ints, q)
+
+    monkeypatch.setattr(ramanujan_walk, "_max_root_leq_sqrt_ints", root_test)
     dumps = []
     for extra in ([], ["--trace"]):
         out = tmp_path / ("traced" if extra else "plain")
@@ -663,7 +667,12 @@ def _skewed_build_under_optimize(out, *extra):
             sys.exit("the engine's node check did not run")
         # skew every child so that the parent is no longer their average
         real = ramanujan_walk._child_poly_task
-        ramanujan_walk._child_poly_task = lambda task: real(task) + UniPoly((1,))
+
+        def skewed(task):
+            poly, passed = real(task)
+            return poly + UniPoly((1,)), passed
+
+        ramanujan_walk._child_poly_task = skewed
         argv = ["build", "--n", "4", "--d", "3", "--out", sys.argv[1]] + sys.argv[2:]
         sys.exit(cli.main(argv))
         """
@@ -725,7 +734,8 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
         return kids
 
     def task(args):
-        return real_task(args) + UniPoly((1,)) if args[0] in skewed else real_task(args)
+        poly, passed = real_task(args)
+        return (poly + UniPoly((1,)) if args[0] in skewed else poly), passed
 
     monkeypatch.setattr(ramanujan_walk, "children", recording)
     monkeypatch.setattr(ramanujan_walk, "_child_poly_task", task)

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from ramex.exact_linalg import (
     _crt,
     _interp_matrix,
     _primes_for,
-    _residues,
     charpoly,
     rationality_violation_count,
     trivariate_detpoly,
@@ -256,6 +256,26 @@ def test_trivariate_empty_reduced_block():
     assert [tensor.get(k, 0, 0) for k in range(3)] == _e_k(charpoly(gram(bumped)), 2)
 
 
+def _assert_at_ones_is_full_gram(base: Matrix, rows: tuple, cols: tuple):
+    # l Abar = l A + J_B, the block mean l times over
+    l = len(rows)
+    scaled = Matrix.from_rows(
+        [
+            [l * x + 1 if i in rows and j in cols else l * x for j, x in enumerate(r)]
+            for i, r in enumerate(base.entries)
+        ]
+    )
+    tensor = trivariate_detpoly(base, BlockSpec(rows, cols))
+    # at t_r = t_c = 1 the polynomial is det(lam I + Abar^T Abar), whose
+    # e_k is that of the scaled Gram over l^(2k)
+    m, span = base.nrows, range(l)
+    sums = [sum(tensor.get(k, p, q) for p in span for q in span) for k in range(m + 1)]
+    want = _e_k(charpoly(gram(scaled)), m)
+    assert sums == [Fraction(e, l ** (2 * k)) for k, e in enumerate(want)]
+    assert tensor.m == m and tensor.lhat == l - 1
+    assert all(num >= 0 for plane in tensor.nums for row in plane for num in row)
+
+
 def test_trivariate_at_ones_is_full_gram():
     rng = random.Random(5)
     for _ in range(6):
@@ -264,28 +284,34 @@ def test_trivariate_at_ones_is_full_gram():
         base = Matrix.from_rows([[rng.randint(-1, 2) for _ in range(m)] for _ in range(m)])
         rows = tuple(sorted(rng.sample(range(m), l)))
         cols = tuple(sorted(rng.sample(range(m), l)))
-        # l Abar = l A + J_B, the block mean l times over
-        scaled = Matrix.from_rows(
-            [
-                [l * x + 1 if i in rows and j in cols else l * x for j, x in enumerate(r)]
-                for i, r in enumerate(base.entries)
-            ]
-        )
-        tensor = trivariate_detpoly(base, BlockSpec(rows, cols))
-        # at t_r = t_c = 1 the polynomial is det(lam I + Abar^T Abar), whose
-        # e_k is that of the scaled Gram over l^(2k)
-        span = range(l)
-        sums = [sum(tensor.get(k, p, q) for p in span for q in span) for k in range(m + 1)]
-        want = _e_k(charpoly(gram(scaled)), m)
-        assert sums == [Fraction(e, l ** (2 * k)) for k, e in enumerate(want)]
-        assert tensor.m == m and tensor.lhat == l - 1
-        assert all(num >= 0 for plane in tensor.nums for row in plane for num in row)
+        _assert_at_ones_is_full_gram(base, rows, cols)
+
+
+@pytest.mark.parametrize(
+    "entries, rows, cols",
+    [
+        # dense, entries past 2^29: the residues fill [0, p); a block of
+        # two, so four grid points
+        ((-(2**30), 2**30), (3, 17), (0, MAX_GRID_M - 1)),
+        # small negative entries: every residue within 24 of p, so at l = 8
+        # the Grams and s s^T would overflow int64 without their reductions
+        ((-3, -1), (0, 2, 5, 9, 14, 20, 27, 31), tuple(range(1, 32, 4))),
+    ],
+    ids=["past-2^29-l2", "near-p-l8"],
+)
+def test_trivariate_at_the_int64_edge(entries, rows, cols):
+    """A dense MAX_GRID_M matrix whose residues reach the top of [0, p):
+    every residue product and broadcast step runs near its int64 bound."""
+    rng = random.Random(29)
+    base = Matrix.from_rows(
+        [[rng.randint(*entries) for _ in range(MAX_GRID_M)] for _ in range(MAX_GRID_M)]
+    )
+    _assert_at_ones_is_full_gram(base, rows, cols)
 
 
 @pytest.mark.parametrize("lhat", range(10))
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
     interp = _interp_matrix(lhat)
-    assert _interp_matrix(lhat) is interp
     assert type(interp) is tuple and all(type(row) is tuple for row in interp)
     rng = random.Random(lhat)
     for _ in range(5):
@@ -317,6 +343,14 @@ def test_perturbed_grid_value_is_a_rationality_violation(monkeypatch, point, pow
     assert rationality_violation_count() == 1
 
 
+def _residues(values, primes):
+    """Exact integers, nested lists, reduced mod each prime: int64, with
+    the primes on a new leading axis."""
+    exact = np.array(values, dtype=object)
+    moduli = np.array(primes.tolist(), dtype=object).reshape((-1,) + (1,) * exact.ndim)
+    return (exact % moduli).astype(np.int64)
+
+
 def _multimodular_charpolys(batch: list) -> list:
     """Charpolys of a batch of equal-size integer matrices through the
     batched kernel: primes for twice each matrix's Hadamard bound
@@ -328,7 +362,7 @@ def _multimodular_charpolys(batch: list) -> list:
     primes = _primes_for(bound)
     mats = _residues(batch, primes).reshape(len(primes), len(batch), m, m)
     coeffs = _berkowitz_mod(mats, primes)
-    exact = _crt(coeffs.reshape(len(primes), -1), primes).reshape(len(batch), m + 1)
+    exact = _crt(coeffs.reshape(len(primes), -1)).reshape(len(batch), m + 1)
     return [UniPoly(tuple(reversed(row))) for row in exact.tolist()]
 
 
@@ -410,7 +444,7 @@ def test_crt_round_trips_the_edges_of_the_symmetric_range(count):
     assert len(primes) == count
     half = (math.prod(_PRIMES[:count]) - 1) // 2
     values = [0, 1, -1, half, -half]
-    assert _crt(_residues(values, primes), primes).tolist() == values
+    assert _crt(_residues(values, primes)).tolist() == values
 
 
 def test_primes_are_distinct_primes_below_2_to_the_29():
@@ -418,6 +452,12 @@ def test_primes_are_distinct_primes_below_2_to_the_29():
     for p in _PRIMES:
         assert 2 < p < 2**29 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
         assert MAX_GRID_M * (p - 1) ** 2 < 2**63
+        # the grid's broadcasts at the largest block, unreduced in between:
+        # L = l G0 + (t_r - 1) G1 with |t_r - 1| < l, then the grid matrix
+        # -(l L + (t_c - 1) L P_c) with |t_c - 1| < l and |L P_c| <= 2 l |L|
+        l = MAX_GRID_M
+        top = l * (p - 1) + (l - 1) * (p - 1)
+        assert l * top + (l - 1) * 2 * l * top < 2**46 < 2**63
 
 
 def test_grid_size_guards_raise_grid_too_large():

@@ -274,9 +274,9 @@ def test_lazy_walk_skips_forced_stages(monkeypatch):
     evaluated: a stage that reaches its last child takes it as c parent -
     the others, which for a single child is the parent, and root-tests it."""
     calls = []
-    real = ramanujan_walk.node_polynomial
+    real = ramanujan_walk.evaluate_node
     monkeypatch.setattr(
-        ramanujan_walk, "node_polynomial", lambda *args: calls.append(1) or real(*args)
+        ramanujan_walk, "evaluate_node", lambda *args: calls.append(1) or real(*args)
     )
     result = walk(Params(8, 4), audit=False)
     forced = [s for s in result.stages if len(s.child_nodes) == 1]
