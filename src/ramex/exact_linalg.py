@@ -9,10 +9,11 @@ permutation, whose rational sums are integer numerators over known
 denominators.  ``charpoly`` reduces the matrix to Hessenberg form modulo
 one Mersenne prime above twice Hadamard's bound on its coefficients, in
 pure Python.  The tensor comes from characteristic polynomials on the grid
-{0..l_hat}^2 and interpolation, all on int64 residues of the fixed matrix
-modulo word-size primes in one numpy batch, Grams included, with
-Berkowitz's recurrence; its integer numerators, over one known
-denominator per minor size, are rebuilt exactly by the Chinese remainder
+{0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, all on
+int64 residues of the fixed matrix modulo word-size primes in one numpy
+batch, Grams included, with Berkowitz's recurrence; its integer
+numerators, the coefficients of an integer polynomial over one power of l
+per minor size, are rebuilt exactly by the Chinese remainder
 theorem from enough primes for a bound taken from the trace of the fixed
 matrix's Gram alone.  Only constant tables (interpolation residues, CRT
 bases) are cached.  ``charpoly`` is the independent reference for the
@@ -190,9 +191,9 @@ class CTensor:
     by minor size k' and row/column overlap (p, q) with the reduced block.
 
     Held as integer numerators nums[k'][p][q] over the one known
-    denominator (l_hat+1)^(4k') l_hat!^2 of minor size k'.  Every C is an
-    exact nonnegative rational and C[0][0][0] == 1; both are checked here,
-    on the numerators.
+    denominator (l_hat+1)^(4k') of minor size k'.  Every C is an exact
+    nonnegative rational and C[0][0][0] == 1; both are checked here, on the
+    numerators.
     """
 
     m: int
@@ -208,11 +209,11 @@ class CTensor:
                             f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
                             f"{self.get(kprime, p, q)}"
                         )
-        if self.nums[0][0][0] != self.denominator(0):
+        if self.nums[0][0][0] != 1:
             raise _violation(f"C[0][0][0] = {self.get(0, 0, 0)}, expected 1")
 
     def denominator(self, kprime: int) -> int:
-        return (self.lhat + 1) ** (4 * kprime) * math.factorial(self.lhat) ** 2
+        return (self.lhat + 1) ** (4 * kprime)
 
     def get(self, kprime: int, p: int, q: int) -> Fraction:
         return Fraction(self.nums[kprime][p][q], self.denominator(kprime))
@@ -223,29 +224,6 @@ class CTensor:
             den = self.denominator(k)
             values.append([[rational_to_str(Fraction(num, den)) for num in row] for row in plane])
         return {"m": self.m, "lhat": self.lhat, "values": values}
-
-
-def _interp_matrix(lhat: int) -> tuple:
-    """Integer M with lhat! * f_k = sum_t M[k][t] f(t) for every polynomial
-    f = sum_k f_k t^k of degree <= lhat, as a tuple of rows.
-
-    Newton's forward form f(t) = sum_j (Delta^j f)(0) falling(t, j) / j!,
-    with (Delta^j f)(0) = sum_t (-1)^(j-t) C(j, t) f(t); every lhat!/j! is
-    an integer, and so are the falling-factorial coefficients.
-    """
-    size = lhat + 1
-    out = [[0] * size for _ in range(size)]
-    falling = [1]  # ascending coefficients of t (t-1) ... (t-j+1)
-    for j in range(size):
-        scale = math.factorial(lhat) // math.factorial(j)
-        for t in range(j + 1):
-            weight = scale * (-1) ** (j - t) * math.comb(j, t)
-            for k, s in enumerate(falling):
-                out[k][t] += weight * s
-        falling = [0] + falling
-        for k in range(len(falling) - 1):
-            falling[k] -= j * falling[k + 1]
-    return tuple(map(tuple, out))
 
 
 # The largest 96 primes below 2^29, a literal table so that importing
@@ -300,11 +278,29 @@ def _primes_for(bound: int):
 
 @functools.lru_cache(maxsize=None)
 def _interp_residues(lhat: int):
-    """``_interp_matrix(lhat)`` mod every table prime: read-only int64, cached."""
+    """W = V^-1 mod every table prime, V[t][k] = t^k on the points 0..lhat:
+    f_k = sum_t W[k][t] f(t) mod p for every polynomial f = sum_k f_k t^k
+    of degree <= lhat.  Read-only int64, cached.
+
+    Lagrange's basis: column t is prod_{s != t} (x - s), P = prod_s (x - s)
+    divided by x - t, over prod_{s != t} (t - s) = (-1)^(lhat-t) t! (lhat-t)!,
+    a unit mod p: one inverse per (prime, t), residue products below 2^58.
+    """
     import numpy as np
 
-    rows = _interp_matrix(lhat)
-    out = np.array([[[w % p for w in row] for row in rows] for p in _PRIMES], dtype=np.int64)
+    size = lhat + 1
+    poly = [1]  # ascending coefficients of P
+    for s in range(size):
+        poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
+    primes = np.array(_PRIMES, dtype=np.int64).reshape(-1, 1)
+    residues = np.array([[c % p for c in poly] for p in _PRIMES], dtype=np.int64)
+    out = np.empty((len(_PRIMES), size, size), dtype=np.int64)
+    quotient, t = 0, np.arange(size)
+    for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
+        out[:, k - 1] = quotient = (residues[:, k : k + 1] + t * quotient) % primes
+    dens = [(-1) ** (lhat - i) * math.factorial(i) * math.factorial(lhat - i) for i in range(size)]
+    inverse = np.array([[pow(d, -1, p) for d in dens] for p in _PRIMES], dtype=np.int64)
+    out = out * inverse[:, None] % primes[:, None]
     out.flags.writeable = False
     return out
 
@@ -389,14 +385,15 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     numpy batch: batched Gram matmuls, then one broadcast of L over t_r and
     of L P_c over t_c for the grid matrices -(l^4 X) over {0..l_hat}^2,
     each value below 2^46 before its reduction mod p.  Batched Berkowitz
-    (``_berkowitz_mod``) and interpolation by ``_interp_matrix`` I give
-    each C's numerator over l^(4k') l_hat!^2 as I V I^T mod p, V the grid
-    of a coefficient, and the CRT (``_crt``) rebuilds them exactly.  Only
-    I's residues and the CRT basis are cached, never anything of a matrix.
-    The primes are exact, not probabilistic: each numerator is a sum of
-    squared minors, so >= 0, and at t_r = t_c = 1 (R = S = I) plane k'
-    sums to e_k'(Abar^T Abar), so its numerators sum to
-    l^(2k') l_hat!^2 e_k'(G0).  G0 is positive semidefinite, so by
+    (``_berkowitz_mod``) and interpolation by W = V^-1 mod p
+    (``_interp_residues``) give each C's numerator over l^(4k'), the
+    integer coefficient of lam**(m-k') t_r**p t_c**q in det(lam I + l^4 X),
+    as W V W^T mod p, V the grid of a coefficient, and the CRT (``_crt``)
+    rebuilds them exactly.  Only W and the CRT basis are cached, never
+    anything of a matrix.  The primes are exact, not probabilistic: each
+    numerator is a sum of squared minors, so >= 0, and at t_r = t_c = 1
+    (R = S = I) plane k' sums to e_k'(Abar^T Abar), so its numerators sum
+    to l^(2k') e_k'(G0).  G0 is positive semidefinite, so by
     Maclaurin's inequality e_k'(G0) <= C(m, k') (tr G0 / m)^k', with
     tr G0 = sum Ahat^2; enough primes are taken for twice the largest
     plane bound, rounded up to an integer.  ``CTensor`` checks the exact
@@ -416,10 +413,10 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     for i in rows:
         for j in cols:
             ahat[i][j] += 1
-    # numerator plane k sums to at most l^(2k) l_hat!^2 C(m, k) (tr G0 / m)^k
+    # numerator plane k sums to at most l^(2k) C(m, k) (tr G0 / m)^k
     trace = sum(x * x for row in ahat for x in row)
     bound = max(l ** (2 * k) * math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
-    primes = _primes_for(math.factorial(lhat) ** 2 * bound)
+    primes = _primes_for(bound)
 
     r, side = len(primes), lhat + 1
     p = primes.reshape(r, 1, 1)
@@ -437,7 +434,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c)
     grid = -(l * big_l[:, :, None] + t * l_pc[:, :, None]) % p[:, None, None]
     coeffs = _berkowitz_mod(grid.reshape(r, side * side, m, m), primes)
-    # l^(4k') lhat!^2 C = I V I^T, V the grid of lam**(m-k'), all mod p
+    # l^(4k') C = W V W^T, V the grid of lam**(m-k') and W = V^-1, all mod p
     values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
     weights = _interp_residues(lhat)[:r, None]
     nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]

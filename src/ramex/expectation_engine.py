@@ -59,9 +59,9 @@ def _weight_table(lhat: int) -> tuple:
 
 def _contract(tensor: CTensor) -> tuple[list, int]:
     """The expected Gram polynomial of a squared-minor tensor, on integers:
-    the tensor's numerators over l^(4k') l_hat!^2 meet the cached integer
-    weights W, giving ascending integer coefficients over the one
-    denominator l^(4m) l_hat!^2 L.  At l_hat = 0, where W = ((1,),),
+    the tensor's numerators over l^(4k') meet the cached integer weights
+    W, giving ascending integer coefficients over the one denominator
+    l^(4m) L.  At l_hat = 0, where W = ((1,),),
     this reads off the tensor.
     """
     lhat, m = tensor.lhat, tensor.m
@@ -70,7 +70,7 @@ def _contract(tensor: CTensor) -> tuple[list, int]:
     nums, flat = tensor.nums, chain.from_iterable  # a (p, q) plane read as one row
     coeffs = []
     for k in range(m + 1):
-        # over l^(4k) l_hat!^2 L: the sum of l^(4j) W[j] . nums[k - j], j <= l_hat
+        # over l^(4k) L: the sum of l^(4j) W[j] . nums[k - j], j <= l_hat
         total = sum(
             l4**j * sum(map(mul, flat(weights[j]), flat(nums[k - j])))
             for j in range(min(k, lhat) + 1)
@@ -144,4 +144,5 @@ def evaluate_node(node: NodeState, params: Params) -> tuple[UniPoly, tuple, CTen
     body = poly_substitute_square(UniPoly(tuple(reduced)))
     if body.degree != params.n - 2 or body.coeffs[-1] != den:
         raise InvariantViolation("degree bookkeeping broken")
-    return UniPoly(tuple(Fraction(c, den) for c in body.coeffs)), body.coeffs, tensor
+    # zeros, the odd coefficients among them, stay int 0
+    return UniPoly(tuple(Fraction(c, den) if c else 0 for c in body.coeffs)), body.coeffs, tensor

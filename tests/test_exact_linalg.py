@@ -25,7 +25,7 @@ from ramex.exact_linalg import (
     RationalityViolation,
     _berkowitz_mod,
     _crt,
-    _interp_matrix,
+    _interp_residues,
     _primes_for,
     charpoly,
     rationality_violation_count,
@@ -311,14 +311,19 @@ def test_trivariate_at_the_int64_edge(entries, rows, cols):
 
 @pytest.mark.parametrize("lhat", range(10))
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
-    interp = _interp_matrix(lhat)
-    assert type(interp) is tuple and all(type(row) is tuple for row in interp)
+    """W = V^-1 mod every table prime gets back the coefficients of integer
+    polynomials from their values on 0..l_hat, at scales from 1 to past
+    the primes; the table is cached and read-only."""
+    interp = _interp_residues(lhat)
+    assert interp is _interp_residues(lhat) and not interp.flags.writeable
+    assert interp.shape == (len(_PRIMES), lhat + 1, lhat + 1) and interp.dtype == np.int64
+    moduli = np.array(_PRIMES, dtype=object)[:, None]
     rng = random.Random(lhat)
-    for _ in range(5):
-        coeffs = [rng.randint(-(10**6), 10**6) for _ in range(lhat + 1)]
+    for size in (1, 10**6, 2**100):
+        coeffs = [rng.randint(-size, size) for _ in range(lhat + 1)]
         values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(lhat + 1)]
-        got = [sum(w * v for w, v in zip(row, values)) for row in interp]
-        assert got == [math.factorial(lhat) * c for c in coeffs]
+        got = interp.astype(object) @ np.array(values, dtype=object) % moduli
+        assert (got == np.array(coeffs, dtype=object) % moduli).all()
 
 
 # (grid point to perturb, power of lam, change), applied to the batched
@@ -479,7 +484,7 @@ def test_ctensor_checks_its_numerators(monkeypatch):
     assert tensor.get(1, 0, 0) == 1 and tensor.get(1, 1, 1) == Fraction(1, 16)
     assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/16"]]]
     with pytest.raises(RationalityViolation, match="expected 1"):
-        CTensor(1, 2, (((1,) * 3,) * 3, ((0,) * 3,) * 3))  # l_hat = 2 needs 2!^2 = 4
+        CTensor(1, 2, (((4, 0, 0),) + ((0,) * 3,) * 2, ((0,) * 3,) * 3))
     with pytest.raises(RationalityViolation, match="negative"):
         CTensor(1, 1, (((1, 0), (0, 0)), ((16, 0), (-1, 0))))
     assert rationality_violation_count() == 2
