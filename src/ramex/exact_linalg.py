@@ -11,7 +11,11 @@ one Mersenne prime above twice Hadamard's bound on its coefficients, in
 pure Python.  The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, all on
 int64 residues of the fixed matrix modulo word-size primes in one numpy
-batch, Grams included, with Berkowitz's recurrence; its integer
+batch, Grams included, with Berkowitz's recurrence.  When the scaled
+fixed matrix has all row and column sums equal, as on every walk node,
+every grid matrix has the all-ones eigenvector with a known eigenvalue,
+so that factor is split off and Berkowitz runs on (m-1) x (m-1) residues.
+The tensor's integer
 numerators, the coefficients of an integer polynomial over one power of l
 per minor size, are rebuilt exactly by the Chinese remainder
 theorem from enough primes for a bound taken from the trace of the fixed
@@ -313,6 +317,8 @@ def _berkowitz_mod(mats, primes):
     The division-free Berkowitz recurrence, batched: no pivot and no
     inverse mod p, so one code path serves every matrix of the batch.
     ``charpoly``, by Hessenberg reduction, is its independent reference.
+    It starts from the leading 1 x 1 block, x - a00 (a 0 x 0 batch gives
+    1), so the grid's deflated (m-1) x (m-1) matrices take m - 2 steps.
     At step k one matmul per power gives the next mat-vec of the leading
     block and the Toeplitz entry of the row below it, and the coefficients
     are multiplied by the lower-triangular Toeplitz matrix, gathered from
@@ -323,10 +329,13 @@ def _berkowitz_mod(mats, primes):
 
     r, g, m, _ = mats.shape
     p = primes.reshape(r, 1, 1)
-    coeffs = np.ones((r, g, 1), dtype=np.int64)
+    if not m:
+        return np.ones((r, g, 1), dtype=np.int64)
+    coeffs = np.ones((r, g, 2), dtype=np.int64)  # the leading 1 x 1 block: x - a00
+    coeffs[..., 1] = -mats[:, :, 0, 0] % p[..., 0]
     # toeplitz[i][j] = max(i - j, 0): index 0 reads u_0 = 0 on and above the diagonal
     toeplitz = np.maximum(np.subtract.outer(np.arange(m + 1), np.arange(m)), 0)
-    for k in range(1, m + 1):
+    for k in range(2, m + 1):
         top = mats[:, :, :k, : k - 1]  # the leading (k-1) x (k-1) block and the row below
         vec = mats[:, :, : k - 1, k - 1 : k]
         # t = (1, -u_1, ..., -u_k): u_1 = a[k-1][k-1], u_i = row . lead^(i-2) . col
@@ -399,6 +408,21 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     plane bound, rounded up to an integer.  ``CTensor`` checks the exact
     numerators for sign and C[0][0][0].  An empty block gives the plain
     Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
+
+    Deflation.  On every walk node Ahat has all row and column sums equal
+    to one sigma, so G0 1 = sigma^2 1 and G1 1 = P_c 1 = 0: every grid
+    matrix M has M 1 = lam0 1 with lam0 = -l^2 sigma^2.  With the
+    unimodular T = I + (1 - e0) e0^T, T^-1 M T has first column lam0 e0,
+    and its trailing block M'[i][j] = M[i][j] - M[0][j] (i, j >= 1) comes
+    from rows 1.. of G0 and G1 less row 0 and grid columns 1.. only.  So
+    det(x I - M) = (x - lam0) det(x I - M'): Berkowitz runs on the
+    (m-1) x (m-1) residues of M', and each grid polynomial is multiplied
+    by x - lam0 mod p before the interpolation, which leaves every
+    numerator and the prime count as they are.  The function is public
+    and callers pass any matrix; with unequal row or column sums 1 is in
+    general not an eigenvector of M (G0 1 = Ahat^T Ahat 1 needs both), so
+    an exact O(m^2) check on Ahat's integers gates the deflation, and any
+    other input takes the full m x m grid.
     """
     import numpy as np
 
@@ -413,6 +437,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     for i in rows:
         for j in cols:
             ahat[i][j] += 1
+    # equal line sums sigma: M 1 = lam0 1 on every grid matrix M
+    sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
+    deflate = len(sums) == 1
     # numerator plane k sums to at most l^(2k) C(m, k) (tr G0 / m)^k
     trace = sum(x * x for row in ahat for x in row)
     bound = max(l ** (2 * k) * math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
@@ -426,14 +453,27 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     s = res_r.sum(axis=1) % p[:, 0]
     g0 = res.transpose(0, 2, 1) @ res % p
     g1 = (l * (res_r.transpose(0, 2, 1) @ res_r % p) - s[:, :, None] * s[:, None, :]) % p
+    if deflate:
+        # rows 1.. of T^-1 G, T = I + (1 - e0) e0^T: each less row 0, in (-p, p)
+        g0, g1 = g0[:, 1:] - g0[:, :1], g1[:, 1:] - g1[:, :1]
     t = np.arange(-1, lhat).reshape(-1, 1, 1)  # t - 1 for t in 0..l_hat
     big_l = l * g0[:, None] + t * g1[:, None]  # L(t_r), unreduced
     # L P_c: l L on the block columns less each row's sum over them
     l_pc = np.zeros_like(big_l)
     l_pc[..., cols] = l * big_l[..., cols] - big_l[..., cols].sum(axis=-1, keepdims=True)
-    # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c)
+    # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c), deflated: columns 1.. of
+    # its rows 1.. less row 0, the trailing block of T^-1 M T
+    n = m - 1 if deflate else m
+    big_l, l_pc = big_l[..., m - n :], l_pc[..., m - n :]
     grid = -(l * big_l[:, :, None] + t * l_pc[:, :, None]) % p[:, None, None]
-    coeffs = _berkowitz_mod(grid.reshape(r, side * side, m, m), primes)
+    coeffs = _berkowitz_mod(grid.reshape(r, side * side, n, n), primes)
+    if deflate:  # det(x I - M) = (x - lam0) det(x I - M'), lam0 = -l^2 sigma^2
+        lam0 = -((l * sums.pop()) ** 2)
+        lam = np.array([lam0 % q for q in primes.tolist()], dtype=np.int64).reshape(r, 1, 1)
+        times = np.zeros((r, side * side, m + 1), dtype=np.int64)
+        times[..., :-1] = coeffs
+        times[..., 1:] -= lam * coeffs
+        coeffs = times % p
     # l^(4k') C = W V W^T, V the grid of lam**(m-k') and W = V^-1, all mod p
     values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
     weights = _interp_residues(lhat)[:r, None]

@@ -102,8 +102,12 @@ def _kernel_matrix(draw):
 @example([[21, -18], [70, 84]])
 @example([[10, 0, 6], [0, 0, 0], [-105, 30, 10]])
 @example([[(3 * i - 2 * j) % 11 - 5 for j in range(6)] for i in range(6)])
+@example([[0] * 5, [0] * 5, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
 def test_charpoly_matches_cofactor_oracle(rows):
-    """Integer matrices, with a few explicit examples."""
+    """Integer matrices, with a few explicit examples.  The last, modulo
+    p = 127, breaks a reduction that leaves the rows unreduced between
+    updates and searches column j for its pivot before reducing it: an
+    entry there that is a nonzero multiple of p is taken as the pivot."""
     assert charpoly(Matrix.from_rows(rows)) == UniPoly(tuple(_det_xid_minus(rows)))
 
 
@@ -287,26 +291,49 @@ def test_trivariate_at_ones_is_full_gram():
         _assert_at_ones_is_full_gram(base, rows, cols)
 
 
+_NEAR_P_ROWS, _NEAR_P_COLS = (0, 2, 5, 9, 14, 20, 27, 31), tuple(range(1, 32, 4))
+
+
+def _dense(low: int, high: int) -> list:
+    """A seeded MAX_GRID_M x MAX_GRID_M matrix of entries in low..high."""
+    rng = random.Random(29)
+    return [[rng.randint(low, high) for _ in range(MAX_GRID_M)] for _ in range(MAX_GRID_M)]
+
+
+def _equal_line_sums_near_p() -> list:
+    """-2 J - P plus a 0/1 bijection from the rows outside _NEAR_P_ROWS to
+    the columns outside _NEAR_P_COLS, P a seeded permutation matrix: entries
+    -3..-1, and at l = 8 every row and column sum of 8 a + J_B is -512."""
+    rng = random.Random(29)
+    m = MAX_GRID_M
+    perm, free = list(range(m)), [j for j in range(m) if j not in _NEAR_P_COLS]
+    rng.shuffle(perm)
+    rng.shuffle(free)
+    rows = [[-2 - (j == perm[i]) for j in range(m)] for i in range(m)]
+    for i, j in zip([i for i in range(m) if i not in _NEAR_P_ROWS], free):
+        rows[i][j] += 1
+    return rows
+
+
 @pytest.mark.parametrize(
-    "entries, rows, cols",
+    "base, rows, cols",
     [
         # dense, entries past 2^29: the residues fill [0, p); a block of
         # two, so four grid points
-        ((-(2**30), 2**30), (3, 17), (0, MAX_GRID_M - 1)),
+        (_dense(-(2**30), 2**30), (3, 17), (0, MAX_GRID_M - 1)),
         # small negative entries: every residue within 24 of p, so at l = 8
         # the Grams and s s^T would overflow int64 without their reductions
-        ((-3, -1), (0, 2, 5, 9, 14, 20, 27, 31), tuple(range(1, 32, 4))),
+        (_dense(-3, -1), _NEAR_P_ROWS, _NEAR_P_COLS),
+        # the same with equal line sums: the grid deflates, and the Grams'
+        # row differences with row 0 lie in (-p, p)
+        (_equal_line_sums_near_p(), _NEAR_P_ROWS, _NEAR_P_COLS),
     ],
-    ids=["past-2^29-l2", "near-p-l8"],
+    ids=["past-2^29-l2", "near-p-l8", "equal-sums-near-p-l8"],
 )
-def test_trivariate_at_the_int64_edge(entries, rows, cols):
+def test_trivariate_at_the_int64_edge(base, rows, cols):
     """A dense MAX_GRID_M matrix whose residues reach the top of [0, p):
     every residue product and broadcast step runs near its int64 bound."""
-    rng = random.Random(29)
-    base = Matrix.from_rows(
-        [[rng.randint(*entries) for _ in range(MAX_GRID_M)] for _ in range(MAX_GRID_M)]
-    )
-    _assert_at_ones_is_full_gram(base, rows, cols)
+    _assert_at_ones_is_full_gram(Matrix.from_rows(base), rows, cols)
 
 
 @pytest.mark.parametrize("lhat", range(10))

@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramex import expectation_engine
+from ramex import exact_linalg, expectation_engine
 from ramex.exact_algebra import NonzeroRemainder, UniPoly, poly_div_exact
 from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
@@ -115,6 +116,57 @@ def test_expected_block_matches_permutation_average_signed(case):
     assert fixed_plus_random_block_expected(a, block) == brute_fixed_plus_permutation(
         a, block
     )
+
+
+@st.composite
+def _equal_line_sums(draw):
+    """c (P_1 + ... + P_K) for permutation matrices P_i, plus a 0/1
+    bijection from the non-block rows to the non-block columns, and the
+    block: every row and column sum of l a + J_B is l (c K + 1), as on a
+    walk node, but c may be 1, negative or up to 2^35."""
+    m = draw(st.integers(1, 5))
+    c = draw(st.one_of(st.just(1), st.integers(-3, -1), st.integers(2, 2**35)))
+    a = [[0] * m for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        for i, j in enumerate(draw(st.permutations(range(m)))):
+            a[i][j] += c
+    l = draw(st.integers(0, m))
+    rows = sorted(draw(st.permutations(range(m)))[:l])
+    cols = sorted(draw(st.permutations(range(m)))[:l])
+    free = draw(st.permutations([j for j in range(m) if j not in cols]))
+    for i, j in zip([i for i in range(m) if i not in rows], free):
+        a[i][j] += 1
+    return Matrix.from_rows(a), BlockSpec(tuple(rows), tuple(cols)), True
+
+
+@settings(max_examples=60)
+@given(_equal_line_sums())
+# row sums of l a + J_B all 4, column sums 6, 2, 4, 4: no deflation; and
+# the transpose
+@example(
+    (
+        Matrix(((2, 0, 0, 0), (0, 0, 2, 0), (1, 0, 0, 0), (0, 0, 0, 1))),
+        BlockSpec((2, 3), (1, 3)),
+        False,
+    )
+)
+@example(
+    (
+        Matrix(((2, 0, 1, 0), (0, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 1))),
+        BlockSpec((1, 3), (2, 3)),
+        False,
+    )
+)
+def test_equal_line_sums_deflate_and_match_the_oracle(case):
+    """The grid splits off the all-ones eigenvector exactly when every row
+    and column sum of l a + J_B is equal, and matches literal averaging
+    over the block permutations either way."""
+    a, block, deflates = case
+    kernel = exact_linalg._berkowitz_mod
+    with mock.patch.object(exact_linalg, "_berkowitz_mod", wraps=kernel) as spy:
+        got = fixed_plus_random_block_expected(a, block)
+    assert spy.call_args.args[0].shape[-1] == a.nrows - deflates
+    assert got == brute_fixed_plus_permutation(a, block)
 
 
 @st.composite
