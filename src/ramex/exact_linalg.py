@@ -6,24 +6,30 @@ that take one never check its shape or entries.
 Provides the exact characteristic polynomial of one integer matrix and the
 squared-minor tensor of a fixed integer matrix plus a random block
 permutation, whose rational sums are integer numerators over known
-denominators.  ``charpoly`` reduces the matrix to Hessenberg form modulo
-one Mersenne prime above twice Hadamard's bound on its coefficients, in
-pure Python.  The tensor comes from characteristic polynomials on the grid
+denominators.
+
+``charpoly`` reduces the matrix to Hessenberg form modulo one Mersenne
+prime above twice Hadamard's bound on its coefficients, lazily, in pure
+Python.  Certification calls its two halves, ``charpoly_modulus`` and
+``charpoly_mod``, to take the prime from the Gram but run the kernel on
+its deflated (m-1) x (m-1) block.
+
+The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, all on
 int64 residues of the fixed matrix modulo word-size primes in one numpy
 batch, Grams included, with Berkowitz's recurrence.  When the scaled
 fixed matrix has all row and column sums equal, as on every walk node,
 every grid matrix has the all-ones eigenvector with a known eigenvalue,
 so that factor is split off and Berkowitz runs on (m-1) x (m-1) residues.
-The tensor's integer
-numerators, the coefficients of an integer polynomial over one power of l
-per minor size, are rebuilt exactly by the Chinese remainder
-theorem from enough primes for a bound taken from the trace of the fixed
-matrix's Gram alone.  Only constant tables (interpolation residues, CRT
-bases) are cached.  ``charpoly`` is the independent reference for the
-batched kernel and serves certification, which never depends on the
-modular batch: numpy is imported inside the functions that run the batch,
-so certification never loads it.
+The tensor's integer numerators, the coefficients of an integer
+polynomial over one power of l per minor size, are rebuilt exactly by the
+Chinese remainder theorem from enough primes for a bound taken from the
+trace of the fixed matrix's Gram alone.  Only constant tables
+(interpolation residues, CRT bases) are cached.  ``charpoly`` is the
+independent reference for the batched kernel, and its two halves serve
+certification, which never depends on the modular batch: numpy is
+imported inside the functions that run the batch, so certification never
+loads it.
 """
 
 from __future__ import annotations
@@ -122,8 +128,20 @@ class CoefficientsTooLarge(TooLarge):
     prime in the table, so no modulus there makes the result exact."""
 
 
-def _mersenne_prime_above(bound_sq: int) -> int:
-    """The smallest table Mersenne prime p with p > 2 sqrt(bound_sq)."""
+def charpoly_modulus(rows) -> int:
+    """The smallest table Mersenne prime p that makes det(xI - M) exact
+    from its symmetric residues mod p, for M given by its rows (square,
+    integer, unchecked).
+
+    The coefficient of x^(m-k) is -+ e_k, a sum of C(m, k) principal
+    minors, each at most R^k by Hadamard's inequality with R the largest
+    row norm, so p > 2 C(m, k) R^k for every k makes each coefficient its
+    symmetric residue; the bound is compared squared, on integers.  Past
+    the table, CoefficientsTooLarge is raised.
+    """
+    m = len(rows)
+    norm_sq = max((sum(x * x for x in row) for row in rows), default=0)
+    bound_sq = max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1))
     for e in _MERSENNE_EXPONENTS:
         p = (1 << e) - 1
         if p * p > 4 * bound_sq:
@@ -134,24 +152,26 @@ def _mersenne_prime_above(bound_sq: int) -> int:
     )
 
 
-def charpoly(matrix: Matrix) -> UniPoly:
-    """det(xI - M), exact and monic.
+def _hessenberg_mod(rows, p: int) -> list:
+    """An upper Hessenberg matrix similar to M mod p, as lists of rows with
+    every entry in 0..p-1, for M given by its rows (square, integer,
+    unchecked) and p prime.
 
-    It is computed modulo one Mersenne prime p, by reduction to upper
-    Hessenberg form (pivot on the first nonzero entry below the
-    subdiagonal, inverses mod p) and the Hessenberg recurrence (Cohen,
-    Alg. 2.2.9), in O(m^3) operations.  p is exact, not probabilistic: the
-    coefficient of x^(m-k) is -+ e_k, a sum of C(m, k) principal minors,
-    each at most R^k by Hadamard's inequality with R the largest row norm,
-    so p > 2 C(m, k) R^k for every k makes each coefficient its symmetric
-    residue; the bound is compared squared, on integers.
+    Column by column, the first entry of column j below the diagonal that
+    is nonzero mod p is swapped to the subdiagonal (rows and columns both),
+    row i -= u_i row (j+1) clears the entries below it, and column (j+1)
+    += sum_i u_i column i completes the similarity.  The reduction is
+    lazy: a row update is not reduced mod p, so entries grow by less than
+    p^2 per update.  Column j is reduced before its pivot search, since an
+    unreduced nonzero multiple of p there has no inverse; the pivot row is
+    reduced when it becomes the pivot row, the column update keeps its
+    reduction, and the whole matrix is reduced once at the end.
     """
-    m = matrix.nrows
-    norm_sq = max((sum(x * x for x in row) for row in matrix.entries), default=0)
-    p = _mersenne_prime_above(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1)))
-    h = [[x % p for x in row] for row in matrix.entries]
-    # upper Hessenberg form by similarity: below the subdiagonal of column j
+    m = len(rows)
+    h = [list(row) for row in rows]
     for j in range(m - 2):
+        for i in range(j + 1, m):
+            h[i][j] %= p
         pivot = next((i for i in range(j + 1, m) if h[i][j]), None)
         if pivot is None:
             continue
@@ -159,34 +179,55 @@ def charpoly(matrix: Matrix) -> UniPoly:
             h[pivot], h[j + 1] = h[j + 1], h[pivot]
             for row in h:
                 row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        top = h[j + 1][j:]
+        top = h[j + 1][j:] = [x % p for x in h[j + 1][j:]]
         inverse = pow(top[0], -1, p)
-        # row i -= u_i row (j+1), then column (j+1) += sum_i u_i column i
         factors = [h[i][j] * inverse % p for i in range(j + 2, m)]
         for i, u in enumerate(factors, j + 2):
             if u:
-                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], top)]
+                h[i][j:] = [x - u * y for x, y in zip(h[i][j:], top)]
         if any(factors):
             for row in h:
                 row[j + 1] = (row[j + 1] + sum(map(mul, factors, row[j + 2 :]))) % p
-    # polys[k] = det(xI - H_k), H_k the leading k x k block, ascending, mod p:
-    # polys[k+1] = (x - h_kk) polys[k]
-    #     - sum_{i=1..k} h_(k-i),k h_(k-i+1),(k-i) ... h_k,(k-1) polys[k-i]
-    polys = [[1]]
-    for k in range(m):
-        new = [0] + polys[k]
-        for idx, c in enumerate(polys[k]):
-            new[idx] -= h[k][k] * c
+    return [[x % p for x in row] for row in h]
+
+
+def charpoly_mod(rows, p: int) -> list:
+    """Ascending symmetric residues mod p of det(xI - M)'s coefficients,
+    for M given by its rows (square, integer, unchecked) and p prime.
+
+    ``_hessenberg_mod`` gives H, then the Hessenberg recurrence (Cohen,
+    Alg. 2.2.9) over its leading blocks H_k:
+
+        det(xI - H_(k+1)) = x det(xI - H_k) - sum_(s <= k) w_s det(xI - H_s),
+
+    w_s = h[s][k] h[s+1][s] ... h[k][k-1].  The coefficients are kept by
+    index: cols[i] holds [x^i] det(xI - H_s) for s = i..k, so each new
+    coefficient is one dot product of cols[i] with w_i.., in O(m^3)
+    multiplications overall.
+    """
+    h = _hessenberg_mod(rows, p)
+    cols = [[1]]
+    for k in range(len(h)):
+        weights = [0] * (k + 1)
         product = 1
-        for i in range(1, k + 1):
-            product = product * h[k - i + 1][k - i] % p
-            if not product:
-                break
-            factor = product * h[k - i][k] % p
-            for idx, c in enumerate(polys[k - i]):
-                new[idx] -= factor * c
-        polys.append([c % p for c in new])
-    return UniPoly(tuple(c - p if 2 * c > p else c for c in polys[m]))
+        for s in range(k, 0, -1):
+            weights[s] = product * h[s][k] % p
+            product = product * h[s][s - 1] % p
+        weights[0] = product * h[0][k] % p
+        # descending, so that cols[i - 1] still ends with [x^(i-1)] det(xI - H_k)
+        for i in range(k, -1, -1):
+            col = cols[i]
+            col.append(((cols[i - 1][-1] if i else 0) - sum(map(mul, weights[i:], col))) % p)
+        cols.append([1])
+    return [c - p if 2 * c > p else c for c in (col[-1] for col in cols)]
+
+
+def charpoly(matrix: Matrix) -> UniPoly:
+    """det(xI - M), exact and monic, in O(m^3) operations: ``charpoly_mod``
+    modulo the prime ``charpoly_modulus`` takes from Hadamard's bound.  The
+    prime is exact, not probabilistic."""
+    rows = matrix.entries
+    return UniPoly(tuple(charpoly_mod(rows, charpoly_modulus(rows))))
 
 
 @dataclass(frozen=True)

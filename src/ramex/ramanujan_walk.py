@@ -17,7 +17,9 @@ into a d-regular bipartite multigraph whose nontrivial spectrum is
 certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
 symmetric about zero, so bounding the max root bounds the min root as
 well.  The adjacency polynomial comes from the m x m Gram of the
-multiplicity matrix, not the n x n adjacency.  certify_by_elimination
+multiplicity matrix, not the n x n adjacency, and its trivial factor is
+deflated out of the Gram before the characteristic polynomial is taken,
+so nothing is divided out after.  certify_by_elimination
 reaches the same verdict with no characteristic polynomial at all.
 """
 
@@ -32,13 +34,12 @@ from .exact_algebra import (
     InvariantViolation,
     UniPoly,
     clear_denominators,
-    poly_div_exact,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
     sqrt_shift_pairs,
 )
-from .exact_linalg import Matrix, charpoly, check_grid_size
+from .exact_linalg import charpoly_mod, charpoly_modulus, check_grid_size
 from .expectation_engine import evaluate_node
 from .matching_family import Multigraph, NodeState, Params, children
 
@@ -95,15 +96,22 @@ def certify(graph: Multigraph) -> Certificate:
     """Certify a d-regular bipartite multigraph exactly.
 
     With B the multiplicity matrix, the adjacency is [[0, B], [B^T, 0]], so
-    det(xI - A) = det(x^2 I - B^T B): the exact characteristic polynomial
-    of the m x m Gram, with y -> x^2.  The Gram is summed from each row's
-    nonzero entries, and ``charpoly`` computes its polynomial modulo one
-    Mersenne prime large enough to be exact.  The trivial factor y - d^2 is
-    divided out of the Gram's integer polynomial once, as node_polynomial
-    does, and the sqrt-q root test runs with q = 4(d-1) on the integer
-    pairs of the shifted nontrivial polynomial.  The division is always
-    exact: every row and column of B sums to d, so the all-ones vector is
-    an eigenvector of B^T B with eigenvalue d^2.
+    det(xI - A) = det(x^2 I - G) with G = B^T B, the m x m Gram: the exact
+    characteristic polynomial of G, with y -> x^2.  G is summed from each
+    row's nonzero entries.  Every row and column of B sums to d, so
+    G 1 = d^2 1; an exact O(m^2) check that every row of G sums to d^2
+    raises InvariantViolation otherwise.  With the unimodular
+    T = I + (1 - e0) e0^T, T^-1 G T has first column d^2 e0 and trailing
+    block G'[i][j] = G[i][j] - G[0][j] (i, j >= 1), so
+    det(yI - G) = (y - d^2) det(yI - G'): ``charpoly_mod`` runs on the
+    (m-1) x (m-1) matrix G' and gives the nontrivial polynomial directly,
+    with nothing to divide out.  The modulus comes from G's Hadamard bound
+    (``charpoly_modulus``): G is positive semidefinite, and e_k of a
+    sub-multiset of nonnegative eigenvalues is at most e_k of them all, so
+    it bounds det(yI - G') too.  G''s own bound, from longer rows, picks
+    the larger prime more often, and at m = 1 would let an absurd d past
+    the size cap.  The sqrt-q root test runs with q = 4(d-1) on the
+    integer pairs of the shifted nontrivial polynomial.
     """
     m, d = graph.params.m, graph.params.d
     # B^T B from each row's nonzero entries, at most d of them
@@ -113,14 +121,21 @@ def certify(graph: Multigraph) -> Certificate:
         for j, b in support:
             for k, c in support:
                 gram[j][k] += b * c
-    gram_poly = charpoly(Matrix.from_rows(gram))
+    if any(sum(row) != d * d for row in gram):
+        raise InvariantViolation(f"a row of the Gram B^T B does not sum to d^2 = {d * d}")
+    # G' = rows and columns 1.. of T^-1 G T: each row of G less row 0
+    top = gram[0][1:]
+    deflated = [[g - t for g, t in zip(row[1:], top)] for row in gram[1:]]
+    rest = charpoly_mod(deflated, charpoly_modulus(gram))
+    # det(yI - G) = (y - d^2) det(yI - G')
+    full = [a - d * d * b for a, b in zip([0] + rest, rest + [0])]
     q = 4 * (d - 1)
-    nontrivial = poly_substitute_square(UniPoly(tuple(poly_div_exact(gram_poly.coeffs, d * d))))
+    nontrivial = poly_substitute_square(UniPoly(tuple(rest)))
     shifted = tuple(sqrt_shift_pairs(nontrivial.coeffs, q))
     return Certificate(
         graph=graph,
         bound_q=q,
-        adjacency_charpoly=poly_substitute_square(gram_poly),
+        adjacency_charpoly=poly_substitute_square(UniPoly(tuple(full))),
         nontrivial_poly=nontrivial,
         shifted_coeffs=shifted,
         passed=all(quad_sign(a, b, q) >= 0 for a, b in shifted),

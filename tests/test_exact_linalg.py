@@ -1,5 +1,6 @@
-"""Matrices, the Hessenberg charpoly mod a Mersenne prime, the multimodular
-trivariate determinant grid."""
+"""Matrices, the Hessenberg charpoly mod a Mersenne prime (the modulus, the
+lazy reduction and the recurrence, and certify's deflated Gram), the
+multimodular trivariate determinant grid."""
 
 import itertools
 import math
@@ -25,13 +26,17 @@ from ramex.exact_linalg import (
     RationalityViolation,
     _berkowitz_mod,
     _crt,
+    _hessenberg_mod,
     _interp_residues,
     _primes_for,
     charpoly,
+    charpoly_mod,
     rationality_violation_count,
     trivariate_detpoly,
 )
+from ramex.matching_family import Multigraph, Params
 from ramex.oracle import _det_xid_minus
+from ramex.ramanujan_walk import certify
 
 from matrices import gram, identity, zeros
 
@@ -111,6 +116,23 @@ def test_charpoly_matches_cofactor_oracle(rows):
     assert charpoly(Matrix.from_rows(rows)) == UniPoly(tuple(_det_xid_minus(rows)))
 
 
+@settings(max_examples=120)
+@given(_kernel_matrix(), st.sampled_from((3, 7, 127, 2**31 - 1)))
+@example([[0] * 5, [0] * 5, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], 127)
+@example([[127 * (i != j) for j in range(4)] for i in range(4)], 127)
+def test_hessenberg_mod_is_reduced_and_similar(rows, p):
+    """Small primes, so that the lazy reduction meets multiples of p: the
+    Hessenberg matrix has every entry in 0..p-1 and zeros below its
+    subdiagonal, and both it and charpoly_mod give det(xI - M) mod p."""
+    h = _hessenberg_mod(rows, p)
+    assert all(0 <= x < p for row in h for x in row)
+    assert all(not h[i][j] for i in range(len(h)) for j in range(i - 1))
+    want = [c % p for c in _det_xid_minus(rows)]
+    assert [c % p for c in _det_xid_minus(h)] == want
+    got = charpoly_mod(rows, p)
+    assert [c % p for c in got] == want and all(abs(2 * c) < p for c in got)
+
+
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 2.0])
 def test_charpoly_rejects_non_integer_entries(entry):
     """A charpoly input is a Matrix, which holds only int entries."""
@@ -162,11 +184,22 @@ def _bareiss_det(rows) -> int:
     return sign * a[-1][-1] if n else 1
 
 
+def _at(poly: UniPoly, x: int) -> int:
+    return sum(c * x**j for j, c in enumerate(poly.coeffs))
+
+
+def _shifted_det(rows, x: int) -> int:
+    """det(xI - M) by Bareiss."""
+    return _bareiss_det([[x * (i == j) - g for j, g in enumerate(r)] for i, r in enumerate(rows)])
+
+
 @pytest.mark.parametrize("m, seed", [(32, 1), (64, 2)])
 def test_charpoly_of_large_grams_matches_bareiss_determinants(m, seed):
     """B^T B for B the union of 3 seeded random matchings on m + m
     vertices, the Gram certify forms at n = 2m, evaluated at integer
-    points; x = 9 is the Gram's eigenvalue d^2."""
+    points; x = 9 is the Gram's eigenvalue d^2.  certify's nontrivial
+    polynomial R, from the deflated (m-1) x (m-1) Gram, is checked the
+    same way as (y - 9) R(y)."""
     rng = random.Random(seed)
     mult = [[0] * m for _ in range(m)]
     for _ in range(3):
@@ -176,12 +209,24 @@ def test_charpoly_of_large_grams_matches_bareiss_determinants(m, seed):
             mult[i][j] += 1
     b_gram = gram(Matrix.from_rows(mult))
     poly = charpoly(b_gram)
-    assert poly.degree == m and poly.coeff(m) == 1
+    nontrivial = certify(Multigraph(Params(2 * m, 3), mult)).nontrivial_poly
+    reduced = UniPoly(nontrivial.coeffs[::2])  # R(y), nontrivial = R(x^2)
+    assert poly.degree == m and poly.coeff(m) == 1 and reduced.degree == m - 1
     for x in (-3, 0, 4, 9):
-        shifted = [
-            [x * (i == j) - g for j, g in enumerate(row)] for i, row in enumerate(b_gram.entries)
-        ]
-        assert sum(c * x**j for j, c in enumerate(poly.coeffs)) == _bareiss_det(shifted)
+        det = _shifted_det(b_gram.entries, x)
+        assert _at(poly, x) == det
+        assert (x - 9) * _at(reduced, x) == det
+
+
+def test_charpoly_of_a_dense_nonsymmetric_matrix_with_huge_entries():
+    """24 x 24, every entry drawn up to 2^80 in size: the lazy row updates
+    run 22 steps deep, modulo a prime of thousands of bits."""
+    rng = random.Random(24)
+    rows = [[rng.randint(-(2**80), 2**80) for _ in range(24)] for _ in range(24)]
+    poly = charpoly(Matrix(rows))
+    assert poly.degree == 24 and poly.coeff(24) == 1
+    for x in (-5, 0, 2**40):
+        assert _at(poly, x) == _shifted_det(rows, x)
 
 
 def _lucas_lehmer(e: int) -> bool:

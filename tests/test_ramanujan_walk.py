@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramex import ramanujan_walk
-from ramex.exact_algebra import UniPoly, quad_sign
+from ramex.exact_algebra import InvariantViolation, UniPoly, poly_substitute_square, quad_sign
+from ramex.exact_linalg import Matrix, charpoly
 from ramex.expectation_engine import node_polynomial
 from ramex.matching_family import (
     Multigraph,
@@ -30,6 +31,7 @@ from ramex.ramanujan_walk import (
     walk,
 )
 
+from matrices import gram
 from test_exact_algebra import _binomial_shift
 
 
@@ -200,6 +202,33 @@ def test_certify_charpoly_matches_adjacency_cofactor():
         mult = _random_regular(rng, m, d)
         cert = certify(Multigraph(Params(2 * m, d), mult))
         assert cert.adjacency_charpoly == UniPoly(tuple(_det_xid_minus(_adjacency(mult, m)))), mult
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32))
+@example(1, 3, 0)
+@example(2, 3, None)
+def test_deflated_certify_matches_the_undeflated_charpoly(m, d, seed):
+    """certify runs the kernel on the (m-1) x (m-1) deflated Gram; its
+    polynomials match charpoly of the whole Gram B^T B, y -> x^2, with the
+    trivial factor x^2 - d^2 split off exactly.  A seed of None pins the
+    disconnected ((3, 0), (0, 3)), where d^2 is a repeated eigenvalue."""
+    mult = ((3, 0), (0, 3)) if seed is None else _random_regular(random.Random(seed), m, d)
+    cert = certify(Multigraph(Params(2 * m, d), mult))
+    whole = poly_substitute_square(charpoly(gram(Matrix(mult))))
+    assert cert.adjacency_charpoly == whole
+    assert cert.nontrivial_poly * UniPoly((-d * d, 0, 1)) == whole
+
+
+def test_certify_checks_the_trivial_eigenvector():
+    """A Multigraph built past its own degree check reaches certify's exact
+    check that every row of B^T B sums to d^2, which raises in place of a
+    wrong polynomial."""
+    graph = object.__new__(Multigraph)
+    object.__setattr__(graph, "params", Params(4, 3))
+    object.__setattr__(graph, "multiplicity", ((2, 1), (2, 1)))
+    with pytest.raises(InvariantViolation, match=r"sum to d\^2 = 9"):
+        certify(graph)
 
 
 def test_certificate_consistency_invariant():
