@@ -21,10 +21,10 @@ batch, Grams included, with Berkowitz's recurrence.  When the scaled
 fixed matrix has all row and column sums equal, as on every walk node,
 every grid matrix has the all-ones eigenvector with a known eigenvalue,
 so that factor is split off and Berkowitz runs on (m-1) x (m-1) residues.
-The tensor's integer numerators, the coefficients of an integer
-polynomial over one power of l per minor size, are rebuilt exactly by the
-Chinese remainder theorem from enough primes for a bound taken from the
-trace of the fixed matrix's Gram alone.  Only constant tables
+The tensor's integer numerators over l^(2k') for minor size k', the
+coefficients of det(lam I + l^2 X) for an integer matrix l^2 X, are
+rebuilt exactly by the Chinese remainder theorem from enough primes for a
+bound taken from the trace of the fixed matrix's Gram alone.  Only constant tables
 (interpolation residues, CRT bases) are cached.  ``charpoly`` is the
 independent reference for the batched kernel, and its two halves serve
 certification, which never depends on the modular batch: numpy is
@@ -236,9 +236,9 @@ class CTensor:
     by minor size k' and row/column overlap (p, q) with the reduced block.
 
     Held as integer numerators nums[k'][p][q] over the one known
-    denominator (l_hat+1)^(4k') of minor size k'.  Every C is an exact
-    nonnegative rational and C[0][0][0] == 1; both are checked here, on the
-    numerators.
+    denominator (l_hat+1)^(2k') of minor size k' (``trivariate_detpoly``
+    says why that is exact).  Every C is an exact nonnegative rational and
+    C[0][0][0] == 1; both are checked here, on the numerators.
     """
 
     m: int
@@ -258,7 +258,7 @@ class CTensor:
             raise _violation(f"C[0][0][0] = {self.get(0, 0, 0)}, expected 1")
 
     def denominator(self, kprime: int) -> int:
-        return (self.lhat + 1) ** (4 * kprime)
+        return (self.lhat + 1) ** (2 * kprime)
 
     def get(self, kprime: int, p: int, q: int) -> Fraction:
         return Fraction(self.nums[kprime][p][q], self.denominator(kprime))
@@ -423,27 +423,34 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     polynomial of the reflected matrix with t_r, t_c on the l_hat = l - 1
     reduced block rows and columns; no reflection is needed to get it.
 
-    Scaled by l, everything is integral: with Ahat = l a + J_B and
-    P = l D - J, l^4 X = l L + (t_c-1) L P_c for L = l G0 + (t_r-1) G1,
+    Scaled by l^2, X is an integer matrix.  With Ahat = l a + J_B, the
+    projectors Pi = D - J/l and P = l Pi = l D - J: Pi_r J_B = J_B Pi_c = 0,
+    so Pi_r Ahat = P_r a and Ahat Pi_c = a P_c are integer matrices, and
+
+        l^2 X = Ahat^T R Ahat S = (Ahat + (t_r-1) P_r a)^T (Ahat + (t_c-1) a P_c).
+
+    So C[k'][p][q] is an integer numerator over l^(2k'): the coefficient of
+    lam**(m-k') t_r**p t_c**q in det(lam I + l^2 X).  The kernel forms
+    l^2 X = (l L + (t_c-1) L P_c) / l^2 for L = l G0 + (t_r-1) G1,
     G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat = l Ahat_r^T Ahat_r - s^T s,
-    where Ahat_r is Ahat's block rows and s their sum.  Right
-    multiplication by P_c is l times the block columns minus each row's
-    sum over them, so the only matrix products are the two Grams.
+    where Ahat_r is Ahat's block rows and s their sum; it multiplies both
+    Grams by l^-2 mod p, which is exact on residues because the result is
+    integral.  Right multiplication by P_c is l times the block columns
+    minus each row's sum over them, so the only matrix products are the two
+    Grams.
 
     Only Ahat and its trace are exact: Ahat is reduced once mod each
     word-size prime by Python's %, and the rest is int64 residues in one
     numpy batch: batched Gram matmuls, then one broadcast of L over t_r and
-    of L P_c over t_c for the grid matrices -(l^4 X) over {0..l_hat}^2,
+    of L P_c over t_c for the grid matrices -(l^2 X) over {0..l_hat}^2,
     each value below 2^46 before its reduction mod p.  Batched Berkowitz
     (``_berkowitz_mod``) and interpolation by W = V^-1 mod p
-    (``_interp_residues``) give each C's numerator over l^(4k'), the
-    integer coefficient of lam**(m-k') t_r**p t_c**q in det(lam I + l^4 X),
-    as W V W^T mod p, V the grid of a coefficient, and the CRT (``_crt``)
-    rebuilds them exactly.  Only W and the CRT basis are cached, never
-    anything of a matrix.  The primes are exact, not probabilistic: each
-    numerator is a sum of squared minors, so >= 0, and at t_r = t_c = 1
-    (R = S = I) plane k' sums to e_k'(Abar^T Abar), so its numerators sum
-    to l^(2k') e_k'(G0).  G0 is positive semidefinite, so by
+    (``_interp_residues``) give each numerator as W V W^T mod p, V the grid
+    of a coefficient, and the CRT (``_crt``) rebuilds them exactly.  Only W
+    and the CRT basis are cached, never anything of a matrix.  The primes
+    are exact, not probabilistic: each numerator is a sum of squared
+    minors, so >= 0, and at t_r = t_c = 1 (R = S = I, l^2 X = G0) plane k'
+    sums to exactly e_k'(G0).  G0 is positive semidefinite, so by
     Maclaurin's inequality e_k'(G0) <= C(m, k') (tr G0 / m)^k', with
     tr G0 = sum Ahat^2; enough primes are taken for twice the largest
     plane bound, rounded up to an integer.  ``CTensor`` checks the exact
@@ -452,7 +459,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
 
     Deflation.  On every walk node Ahat has all row and column sums equal
     to one sigma, so G0 1 = sigma^2 1 and G1 1 = P_c 1 = 0: every grid
-    matrix M has M 1 = lam0 1 with lam0 = -l^2 sigma^2.  With the
+    matrix M has M 1 = lam0 1 with lam0 = -sigma^2, an integer.  With the
     unimodular T = I + (1 - e0) e0^T, T^-1 M T has first column lam0 e0,
     and its trailing block M'[i][j] = M[i][j] - M[0][j] (i, j >= 1) comes
     from rows 1.. of G0 and G1 less row 0 and grid columns 1.. only.  So
@@ -481,9 +488,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     # equal line sums sigma: M 1 = lam0 1 on every grid matrix M
     sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
     deflate = len(sums) == 1
-    # numerator plane k sums to at most l^(2k) C(m, k) (tr G0 / m)^k
+    # numerator plane k sums to e_k(G0) <= C(m, k) (tr G0 / m)^k
     trace = sum(x * x for row in ahat for x in row)
-    bound = max(l ** (2 * k) * math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
+    bound = max(math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
     primes = _primes_for(bound)
 
     r, side = len(primes), lhat + 1
@@ -494,6 +501,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     s = res_r.sum(axis=1) % p[:, 0]
     g0 = res.transpose(0, 2, 1) @ res % p
     g1 = (l * (res_r.transpose(0, 2, 1) @ res_r % p) - s[:, :, None] * s[:, None, :]) % p
+    # both Grams over l^2: the grid matrices become -(l^2 X), integer matrices
+    inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
+    g0, g1 = g0 * inverse[:, None, None] % p, g1 * inverse[:, None, None] % p
     if deflate:
         # rows 1.. of T^-1 G, T = I + (1 - e0) e0^T: each less row 0, in (-p, p)
         g0, g1 = g0[:, 1:] - g0[:, :1], g1[:, 1:] - g1[:, :1]
@@ -508,14 +518,14 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     big_l, l_pc = big_l[..., m - n :], l_pc[..., m - n :]
     grid = -(l * big_l[:, :, None] + t * l_pc[:, :, None]) % p[:, None, None]
     coeffs = _berkowitz_mod(grid.reshape(r, side * side, n, n), primes)
-    if deflate:  # det(x I - M) = (x - lam0) det(x I - M'), lam0 = -l^2 sigma^2
-        lam0 = -((l * sums.pop()) ** 2)
+    if deflate:  # det(x I - M) = (x - lam0) det(x I - M'), lam0 = -sigma^2
+        lam0 = -(sums.pop() ** 2)
         lam = np.array([lam0 % q for q in primes.tolist()], dtype=np.int64).reshape(r, 1, 1)
         times = np.zeros((r, side * side, m + 1), dtype=np.int64)
         times[..., :-1] = coeffs
         times[..., 1:] -= lam * coeffs
         coeffs = times % p
-    # l^(4k') C = W V W^T, V the grid of lam**(m-k') and W = V^-1, all mod p
+    # l^(2k') C = W V W^T, V the grid of lam**(m-k') and W = V^-1, all mod p
     values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
     weights = _interp_residues(lhat)[:r, None]
     nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]

@@ -59,23 +59,23 @@ def _weight_table(lhat: int) -> tuple:
 
 def _contract(tensor: CTensor) -> tuple[list, int]:
     """The expected Gram polynomial of a squared-minor tensor, on integers:
-    the tensor's numerators over l^(4k') meet the cached integer weights
+    the tensor's numerators over l^(2k') meet the cached integer weights
     W, giving ascending integer coefficients over the one denominator
-    l^(4m) L.  At l_hat = 0, where W = ((1,),),
+    l^(2m) L.  At l_hat = 0, where W = ((1,),),
     this reads off the tensor.
     """
     lhat, m = tensor.lhat, tensor.m
     scale, weights = _weight_table(lhat)
-    l4 = (lhat + 1) ** 4
+    l2 = (lhat + 1) ** 2
     nums, flat = tensor.nums, chain.from_iterable  # a (p, q) plane read as one row
     coeffs = []
     for k in range(m + 1):
-        # over l^(4k) L: the sum of l^(4j) W[j] . nums[k - j], j <= l_hat
+        # over l^(2k) L: the sum of l^(2j) W[j] . nums[k - j], j <= l_hat
         total = sum(
-            l4**j * sum(map(mul, flat(weights[j]), flat(nums[k - j])))
+            l2**j * sum(map(mul, flat(weights[j]), flat(nums[k - j])))
             for j in range(min(k, lhat) + 1)
         )
-        coeffs.append((total if k % 2 == 0 else -total) * l4 ** (m - k))
+        coeffs.append((total if k % 2 == 0 else -total) * l2 ** (m - k))
     return coeffs[::-1], tensor.denominator(m) * scale
 
 

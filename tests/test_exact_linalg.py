@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from ramex.exact_linalg import (
     rationality_violation_count,
     trivariate_detpoly,
 )
-from ramex.matching_family import Multigraph, Params
+from ramex.matching_family import Multigraph, NodeState, Params, half_adjacency
 from ramex.oracle import _det_xid_minus
 from ramex.ramanujan_walk import certify
 
@@ -381,6 +382,79 @@ def test_trivariate_at_the_int64_edge(base, rows, cols):
     _assert_at_ones_is_full_gram(Matrix.from_rows(base), rows, cols)
 
 
+def _interpolate(values: list) -> list:
+    """Ascending coefficients of the polynomial of degree < len(values)
+    that takes values[t] at t = 0, 1, ..., by Lagrange's formula."""
+    total = UniPoly()
+    for t, value in enumerate(values):
+        basis = UniPoly((value,))
+        for s in range(len(values)):
+            if s != t:
+                basis = basis * UniPoly((Fraction(-s, t - s), Fraction(1, t - s)))
+        total = total + basis
+    return [total.coeff(i) for i in range(len(values))]
+
+
+def _product(a: list, b: list) -> list:
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _matrix_and_block(draw):
+    """A random integer matrix and block of size l >= 2, or a walk node's
+    fixed matrix and open block, whose equal line sums deflate the grid."""
+    m = draw(st.integers(3, 5))
+    perm = st.permutations(range(m))
+    if draw(st.booleans()):
+        entry = st.integers(-3, 3)
+        rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+        l = draw(st.integers(2, m))
+        return Matrix(rows), BlockSpec(sorted(draw(perm)[:l]), sorted(draw(perm)[:l]))
+    complete = tuple(draw(perm) for _ in range(draw(st.integers(1, 3))))
+    node = NodeState(complete, draw(perm)[: draw(st.integers(1, m - 2))])
+    return half_adjacency(node, Params(2 * m, len(complete) + 1))
+
+
+@settings(max_examples=40)
+@given(_matrix_and_block())
+def test_grid_numerators_are_integers_over_l_squared(case):
+    """The kernel's numerators over l^(2k'), times l^(2k'), equal the
+    integer coefficients of det(lam I + l^4 X) from an independent
+    big-integer determinant at every grid point, l^4 X = Ahat^T (l R) Ahat
+    (l S) built from its definition, and exact interpolation; each plane
+    sums to e_k'(G0), G0 = Ahat^T Ahat."""
+    a, block = case
+    m, l, rows, cols = a.nrows, block.size, set(block.rows), set(block.cols)
+    ahat = [
+        [l * x + (i in rows and j in cols) for j, x in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
+
+    def scaled(t, index):  # l I + (t - 1)(l D - J) on the block's indices
+        inside = [[i in index and j in index for j in range(m)] for i in range(m)]
+        return [
+            [l * (i == j) + (t - 1) * (l * (i == j) - 1) * inside[i][j] for j in range(m)]
+            for i in range(m)
+        ]
+
+    # grid[k][t_r][t_c] = [lam^(m-k)] det(lam I + l^4 X) = [x^(m-k)] det(x I + l^4 X)
+    grid = [[[0] * l for _ in range(l)] for _ in range(m + 1)]
+    for tr, tc in itertools.product(range(l), repeat=2):
+        right = _product(scaled(tr, rows), _product(ahat, scaled(tc, cols)))
+        minus = [[-x for x in row] for row in _product(list(zip(*ahat)), right)]
+        for k, c in enumerate(reversed(_det_xid_minus(minus))):
+            grid[k][tr][tc] = c
+    tensor = trivariate_detpoly(a, block)
+    assert tensor.lhat == l - 1
+    g0 = _e_k(charpoly(gram(Matrix(ahat))), m)
+    for k in range(m + 1):
+        by_tr = [_interpolate(row) for row in grid[k]]  # by_tr[t_r][q]
+        exact = [_interpolate(col) for col in zip(*by_tr)]  # exact[q][p]
+        plane = tensor.nums[k]
+        assert [[l ** (2 * k) * x for x in row] for row in plane] == [list(r) for r in zip(*exact)]
+        assert sum(map(sum, plane)) == g0[k]
+
+
 @pytest.mark.parametrize("lhat", range(10))
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
     """W = V^-1 mod every table prime gets back the coefficients of integer
@@ -551,12 +625,12 @@ def test_grid_size_guards_raise_grid_too_large():
 
 def test_ctensor_checks_its_numerators(monkeypatch):
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
-    # l_hat = 1: C[k'] is over 2^(4k'), so these numerators mean C = 1, 1, 1/16
-    tensor = CTensor(1, 1, (((1, 0), (0, 0)), ((16, 0), (0, 1))))
-    assert tensor.get(1, 0, 0) == 1 and tensor.get(1, 1, 1) == Fraction(1, 16)
-    assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/16"]]]
+    # l_hat = 1: C[k'] is over 2^(2k'), so these numerators mean C = 1, 1, 1/4
+    tensor = CTensor(1, 1, (((1, 0), (0, 0)), ((4, 0), (0, 1))))
+    assert tensor.get(1, 0, 0) == 1 and tensor.get(1, 1, 1) == Fraction(1, 4)
+    assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/4"]]]
     with pytest.raises(RationalityViolation, match="expected 1"):
         CTensor(1, 2, (((4, 0, 0),) + ((0,) * 3,) * 2, ((0,) * 3,) * 3))
     with pytest.raises(RationalityViolation, match="negative"):
-        CTensor(1, 1, (((1, 0), (0, 0)), ((16, 0), (-1, 0))))
+        CTensor(1, 1, (((1, 0), (0, 0)), ((4, 0), (-1, 0))))
     assert rationality_violation_count() == 2
