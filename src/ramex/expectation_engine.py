@@ -16,6 +16,9 @@ Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
 ``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
 ``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
+``node_value`` stops after the contraction: the node polynomial at
+x = sqrt(q), one rational from the Gram polynomial and a cached table that
+pulls the evaluation back through the division and the folds.
 """
 
 from __future__ import annotations
@@ -114,6 +117,58 @@ def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
     return [c if k % 2 == 0 else -c for k, c in enumerate(mixed)][::-1], den * scale
 
 
+@functools.lru_cache(maxsize=None)
+def _value_weights(m: int, placed: int, d: int) -> tuple[tuple, int]:
+    """(chi, L^f) with p(sqrt(q)) = sum_j gram[j] chi[j] / (den L^f) for
+    the node polynomial p of a Gram polynomial gram / den, q = 4(d-1),
+    f = d - placed folds and L = lcm_j C(m-1, j): the evaluation at y = q
+    pulled back, as an integer functional, through each fold's linear map
+    and the quotient by (y - placed^2).
+
+    A fold maps the ascending c to out[r-k] = (-1)^k sum_(k' <= k)
+    W[k-k'][k'][k'] (-1)^k' c[r-k'], over L, r = m - 1, so the functional
+    v on out pulls back to u[r-k'] = (-1)^k' sum_(k >= k') (-1)^k
+    W[k-k'][k'][k'] v[r-k].  The quotient's coefficient i - 1 is
+    sum_(k >= i) gram[k] placed^(2(k-i)), so chi[k] = placed^2 chi[k-1] +
+    u[k-1] from chi[0] = 0; no value is divided, so q = placed^2 is fine.
+    """
+    r, q = m - 1, 4 * (d - 1)
+    scale, weights = _weight_table(r)
+    v = [q**i for i in range(r + 1)]
+    for _ in range(placed, d):
+        signed = [v[r - k] if k % 2 == 0 else -v[r - k] for k in range(r + 1)]
+        v = [0] * (r + 1)
+        for kp in range(r + 1):
+            total = sum(weights[k - kp][kp][kp] * signed[k] for k in range(kp, r + 1))
+            v[r - kp] = total if kp % 2 == 0 else -total
+    chi = [0]
+    for u in v:
+        chi.append(placed * placed * chi[-1] + u)
+    return tuple(chi), scale ** (d - placed)
+
+
+def _expected_gram(node: NodeState, params: Params) -> tuple[list, int, int, CTensor]:
+    """The node's expected Gram polynomial (ascending integers over den),
+    den, the matchings placed, and the block's tensor, from one grid run."""
+    check_grid_size(params.m)
+    node.validate(params)
+    tensor = trivariate_detpoly(*half_adjacency(node, params))
+    gram, den = _contract(tensor)
+    if gram[-1] != den:
+        raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2")
+    return gram, den, len(node.complete) + (node.partial is not None), tensor
+
+
+def node_value(node: NodeState, params: Params) -> Fraction:
+    """The node polynomial at x = sqrt(q), q = 4(d-1), exactly: one
+    rational from the Gram polynomial and a cached table, with no
+    division, fold or root test (``_value_weights``).  The polynomial is
+    even, so its value at sqrt(q) is rational."""
+    gram, den, placed, _ = _expected_gram(node, params)
+    chi, scale = _value_weights(params.m, placed, params.d)
+    return Fraction(sum(map(mul, gram, chi)), den * scale)
+
+
 def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     """The node's expected characteristic polynomial after removing the
     trivial eigenvalue factor x^2 - d^2: monic, even, degree n - 2, exact.
@@ -131,13 +186,7 @@ def evaluate_node(node: NodeState, params: Params) -> tuple[UniPoly, tuple, CTen
     positive denominator, and its block's squared-minor tensor, from one
     grid run.  Beyond the grid's sizes it raises ``GridTooLarge`` before
     building a node matrix; on a node outside the tree, ``ValueError``."""
-    check_grid_size(params.m)
-    node.validate(params)
-    tensor = trivariate_detpoly(*half_adjacency(node, params))
-    gram, den = _contract(tensor)
-    if gram[-1] != den:
-        raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2")
-    placed = len(node.complete) + (node.partial is not None)
+    gram, den, placed, tensor = _expected_gram(node, params)
     reduced = poly_div_exact(gram, placed * placed)
     for _ in range(placed, params.d):
         reduced, den = add_random_matching(reduced, den)

@@ -6,13 +6,18 @@ right vertices turns any child of such a node into any other: every child
 has its parent's polynomial, and a walk from the root would take child 0
 down to the identity anyway.  From there it descends into the first child
 (ascending partner order) whose max root is at most sqrt(q) with
-q = 4(d-1), tested exactly on the integer pairs (a, b) of the shifted
-coefficients a + b sqrt(q).  A stage's c children average to their
-parent, so the last child's polynomial is c times the parent's less the
-other c - 1.  An audited walk evaluates every child and checks the last
-against that identity; a lazy walk evaluates children one at a time until
-one passes, and takes the last from the identity, never evaluating it (a
-single child is the parent itself).  At a leaf the matchings combine
+q = 4(d-1).  The children of a passing node share a common interlacer, so
+each has at most one root above sqrt(q), and one exact number decides a
+child: its polynomial's value at sqrt(q), which passes if positive and
+fails if negative; a value of 0 takes the exact root test on the integer
+pairs (a, b) of the shifted coefficients a + b sqrt(q).  A stage's c
+children average to their parent, so the last child's polynomial, and its
+value, is c times the parent's less the other c - 1.  An audited walk
+evaluates every child in full, checks the last against that identity and
+each verdict against the root test; a lazy walk computes only values, one
+child at a time until one passes, takes the last from the identity (a
+single child is the parent itself), and evaluates the leaf in full, whose
+value must match.  At a leaf the matchings combine
 into a d-regular bipartite multigraph whose nontrivial spectrum is
 certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
 symmetric about zero, so bounding the max root bounds the min root as
@@ -28,6 +33,7 @@ from __future__ import annotations
 import contextlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import mul
 
 from .exact_algebra import (
@@ -40,7 +46,7 @@ from .exact_algebra import (
     sqrt_shift_pairs,
 )
 from .exact_linalg import charpoly_mod, charpoly_modulus, check_grid_size
-from .expectation_engine import evaluate_node
+from .expectation_engine import evaluate_node, node_value
 from .matching_family import Multigraph, NodeState, Params, children
 
 
@@ -51,7 +57,8 @@ class NoPassingChild(InvariantViolation):
     (the parent polynomial is an average of the children's, which share a
     common interlacing), so outside the degenerate d = 1 regime this
     always indicates a bug.  Carries the stuck node and every child with
-    its polynomial: a stage with no passing child has evaluated them all.
+    its polynomial: a lazy stage with no passing child evaluates them all
+    in full before it raises.
     """
 
     def __init__(self, message: str, node=None, child_nodes=(), child_polys=()):
@@ -177,18 +184,53 @@ def certify_by_elimination(graph: Multigraph) -> bool:
     return True
 
 
+def _value(coeffs, q: int) -> Fraction:
+    """A monic even polynomial at sqrt(q), exactly, from its coefficients
+    or from its integer form, whose leading coefficient is the
+    denominator."""
+    return Fraction(sum(c * q**i for i, c in enumerate(coeffs[::2]))) / coeffs[-1]
+
+
+def _child_passes(value, ints, q: int) -> bool:
+    """The walk's one rule for a child of a passing node, from its exact
+    value p(sqrt(q)): it passes if the value is > 0 and fails if < 0.
+
+    The children share a common interlacer whose largest root is at most
+    the parent's max root, which the walk keeps <= sqrt(q) (Marcus,
+    Spielman and Srivastava, Interlacing Families I).  So a child has at
+    most one root above sqrt(q), and its monic polynomial's sign there is
+    (-1) to the number of such roots.  A value of 0 is decided by the root
+    test on ints, the child's integer polynomial, which a lazy walk
+    computes for that case alone.  When ints come with a nonzero value (an
+    audited walk has them for every child), the sign must agree with the
+    root test, or InvariantViolation is raised.
+    """
+    if ints is None:
+        return value > 0
+    passed = _max_root_leq_sqrt_ints(ints, q)
+    if value and passed != (value > 0):
+        raise InvariantViolation(f"the sign of p(sqrt({q})) = {value} contradicts the root test")
+    return passed
+
+
 @dataclass(frozen=True)
 class WalkStage:
-    """One expansion of the walk: a node, its evaluated children, the pick.
+    """One expansion of the walk: a node, its decided children, the pick.
 
-    child_nodes lists every child; child_polys and child_passed cover only
-    the decided prefix, which is all of them on an audited walk.
+    child_nodes lists every child; child_values and child_passed cover the
+    decided prefix, which is all of them on an audited walk.  Values are
+    the polynomials at sqrt(q).  node_poly and child_polys hold a
+    polynomial where one was computed and None elsewhere: everywhere on an
+    audited walk, and on a lazy walk only for the start node and the
+    children whose value is 0.
     """
 
     node: NodeState
-    node_poly: UniPoly
+    node_poly: UniPoly | None
+    node_value: Fraction
     child_nodes: tuple
     child_polys: tuple
+    child_values: tuple
     child_passed: tuple
     chosen: int
 
@@ -205,10 +247,12 @@ class WalkResult:
 
 
 def _child_poly_task(args) -> tuple[UniPoly, bool]:
-    """A child's polynomial and whether its integer form passes."""
+    """A child's polynomial and the rule's verdict on its value at
+    sqrt(q), checked against the root test on its integer form."""
     node, params = args
+    q = 4 * (params.d - 1)
     poly, ints, _ = evaluate_node(node, params)
-    return poly, _max_root_leq_sqrt_ints(ints, 4 * (params.d - 1))
+    return poly, _child_passes(_value(ints, q), ints, q)
 
 
 def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
@@ -217,15 +261,19 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     q = 4(d-1).
 
     The descent takes the first passing child in deterministic ascending
-    order.  The parent is the average of its c children, so the last
-    child is c parent less the others.  With audit, every child is
-    evaluated, in up to jobs worker processes (never more than m, the most
-    children a stage has), and the last must equal that difference.
-    Without it, children are evaluated one at a time in this process until
-    one passes, and the last is never evaluated: once the others have
-    failed, it is that difference, which for a single child is the parent.
-    So a stage where none passes still has every child's polynomial.  The
-    leaf never depends on audit or the job count.
+    order, each child decided by ``_child_passes`` from its exact value at
+    sqrt(q).  The parent is the average of its c children, so the last
+    child is c parent less the others, values included.  With audit,
+    every child's polynomial is computed, in up to jobs worker processes
+    (never more than m, the most children a stage has); the last must equal
+    that difference, and each verdict must match the full root test.
+    Without it, the start node and the leaf are evaluated in full, and in
+    between only values (``node_value``), one child at a time in this
+    process until one passes; the last child's value is the difference,
+    and a value of 0 takes the full polynomial.  The leaf's polynomial at
+    sqrt(q) must equal its value.  A stage where none passes evaluates
+    every child in full before NoPassingChild is raised.  The leaf never
+    depends on audit or the job count.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = 4 * (params.d - 1)
@@ -237,53 +285,65 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
             f"sqrt({q}) (expected only in the degenerate d=1 regime)",
             node=current,
         )
+    current_value = _value(ints, q)
 
     stages = []
     workers = min(jobs, params.m)
     pooled = audit and workers > 1
     with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as pool:
-        # the builtin map is lazy, so a lazy walk stops at the first passing child
         evaluate = pool.map if pooled else map
         while not current.is_leaf(params):
             kids = children(current, params)
-            polys, passed = [], []
-            evaluated = kids if audit else kids[:-1]
-            for poly, ok in evaluate(_child_poly_task, [(k, params) for k in evaluated]):
-                polys.append(poly)
-                passed.append(ok)
-                if passed[-1] and not audit:
-                    break
-            if audit or not any(passed):
+            if audit:
+                tasks = [(k, params) for k in kids]
+                polys, passed = map(list, zip(*evaluate(_child_poly_task, tasks)))
+                values = [_value(poly.coeffs, q) for poly in polys]
                 # the children average to the parent: the last is c parent - the others
-                last = len(kids) * current_poly + -1 * sum(polys[: len(kids) - 1], UniPoly())
-                if not audit:
-                    polys.append(last)
-                    passed.append(max_root_leq_sqrt(last, q))
-                elif polys[-1] != last:
+                if polys[-1] != len(kids) * current_poly + -1 * sum(polys[:-1], UniPoly()):
                     raise InvariantViolation(
                         f"polynomial of {current} is not the average of its children"
                     )
-            try:
-                idx = passed.index(True)
-            except ValueError:
+            else:
+                polys, values, passed = [], [], []
+                for kid in kids:
+                    if kid is kids[-1]:  # c parent - the others; a single child is the parent
+                        values.append(len(kids) * current_value - sum(values))
+                    else:
+                        values.append(node_value(kid, params))
+                    poly = ints = None
+                    if not values[-1]:  # a value of 0 takes the full polynomial
+                        poly, ints, _ = evaluate_node(kid, params)
+                    polys.append(poly)
+                    passed.append(_child_passes(values[-1], ints, q))
+                    if passed[-1]:
+                        break
+            if not any(passed):
                 raise NoPassingChild(
                     f"no child of {current} passes the sqrt({q}) bound",
                     node=current,
                     child_nodes=kids,
-                    child_polys=polys,
-                ) from None
+                    child_polys=polys if audit else [evaluate_node(k, params)[0] for k in kids],
+                )
+            idx = passed.index(True)
             stages.append(
                 WalkStage(
                     node=current,
                     node_poly=current_poly,
+                    node_value=current_value,
                     child_nodes=tuple(kids),
                     child_polys=tuple(polys),
+                    child_values=tuple(values),
                     child_passed=tuple(passed),
                     chosen=idx,
                 )
             )
-            current = kids[idx]
-            current_poly = polys[idx]
+            current, current_poly, current_value = kids[idx], polys[idx], values[idx]
+    if not audit:
+        current_poly = _child_poly_task((current, params))[0]
+        if _value(current_poly.coeffs, q) != current_value:
+            raise InvariantViolation(
+                f"the walk's leaf polynomial differs from its value at sqrt({q})"
+            )
     return WalkResult(
         params=params,
         bound_q=q,

@@ -468,31 +468,23 @@ def test_build_failure_dump(tmp_path, capsys):
     assert failure["children"] == []
 
 
-def test_stuck_stage_failure_dump_is_the_same_lazy_or_traced(tmp_path, capsys, monkeypatch):
-    """Every child of one inner stage fails the root test: the lazy walk has
-    then evaluated all of them, so a plain and a traced build write the same
-    failure.json, listing each child with its polynomial."""
-    params = Params(6, 3)
-    stages = ramanujan_walk.walk(params).stages
-    tested = {stages[0].node_poly, *stages[0].child_polys}
-    for stage in stages[1:]:
-        if len(stage.child_nodes) > 1 and tested.isdisjoint(stage.child_polys):
-            break
-        tested.update(stage.child_polys)
-    else:
-        pytest.fail("no inner stage whose children are all untested elsewhere")
-    stuck = stage.child_polys
-    real = ramanujan_walk._max_root_leq_sqrt_ints
+def _assert_stuck_dumps_agree(tmp_path, capsys, monkeypatch, n, d, stage):
+    """Patch the walk's rule so that every child of stage fails, then check
+    that a plain and a traced build write the same failure.json, listing
+    each child with its polynomial.  The rule sees only values, so stage's
+    children must share none with the children decided before it."""
+    stuck = stage.child_values
+    real = ramanujan_walk._child_passes
 
-    def root_test(ints, q):  # the walk tests positive integer multiples of monic polynomials
-        monic = UniPoly(tuple(Fraction(c, ints[-1]) for c in ints))
-        return monic not in stuck and real(ints, q)
+    def rule(value, ints, q):
+        return value not in stuck and real(value, ints, q)
 
-    monkeypatch.setattr(ramanujan_walk, "_max_root_leq_sqrt_ints", root_test)
+    monkeypatch.setattr(ramanujan_walk, "_child_passes", rule)
     dumps = []
     for extra in ([], ["--trace"]):
         out = tmp_path / ("traced" if extra else "plain")
-        code, _, stderr = run(capsys, "build", "--n", "6", "--d", "3", "--out", str(out), *extra)
+        argv = ("build", "--n", str(n), "--d", str(d), "--out", str(out), *extra)
+        code, _, stderr = run(capsys, *argv)
         assert code == 3
         assert "no child of" in stderr
         assert not (out / "graph.json").exists()
@@ -502,8 +494,39 @@ def test_stuck_stage_failure_dump_is_the_same_lazy_or_traced(tmp_path, capsys, m
     assert failure["node"] == node_to_json(stage.node)
     assert failure["children"] == [
         {"node": node_to_json(c), "poly": [rational_to_str(x) for x in p.coeffs]}
-        for c, p in zip(stage.child_nodes, stuck)
+        for c, p in zip(stage.child_nodes, stage.child_polys)
     ]
+
+
+def test_stuck_stage_failure_dump_is_the_same_lazy_or_traced(tmp_path, capsys, monkeypatch):
+    """Every child of one inner stage fails: the lazy walk, which decided
+    them by value, then evaluates all of them, so a plain and a traced
+    build write the same failure.json."""
+    stages = ramanujan_walk.walk(Params(6, 3)).stages
+    decided = {stages[0].node_value, *stages[0].child_values}
+    for stage in stages[1:]:
+        if len(stage.child_nodes) > 1 and decided.isdisjoint(stage.child_values):
+            break
+        decided.update(stage.child_values)
+    else:
+        pytest.fail("no inner stage whose children's values are all new")
+    _assert_stuck_dumps_agree(tmp_path, capsys, monkeypatch, 6, 3, stage)
+
+
+def test_last_matching_stuck_stage_failure_dump_is_the_same_lazy_or_traced(
+    tmp_path, capsys, monkeypatch
+):
+    """The same for a stage of the last matching, whose children are
+    nearest the leaf, with every value read as a failure."""
+    n, d = 8, 3
+    stages = ramanujan_walk.walk(Params(n, d)).stages
+    decided = set()
+    for stage in stages:
+        if len(stage.node.complete) == d - 1 and len(stage.child_nodes) > 1:
+            break
+        decided.update(stage.child_values)
+    assert decided.isdisjoint(stage.child_values)
+    _assert_stuck_dumps_agree(tmp_path, capsys, monkeypatch, n, d, stage)
 
 
 def test_build_failure_dump_not_writable(tmp_path, capsys):

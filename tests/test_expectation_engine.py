@@ -18,6 +18,7 @@ from ramex.expectation_engine import (
     add_random_matching,
     fixed_plus_random_block_expected,
     node_polynomial,
+    node_value,
 )
 from ramex.matching_family import NodeState, Params, children, half_adjacency
 from ramex.oracle import (
@@ -197,6 +198,37 @@ def test_node_polynomial_matches_oracle_on_random_nodes(case):
         return
     trivial = UniPoly((-(params.d**2), 0, 1))
     assert node_polynomial(node, params) * trivial == brute
+
+
+@st.composite
+def _node_up_to_12_vertices(draw):
+    """A valid node with n <= 12 and d <= 6 of every kind: no matching yet,
+    complete matchings with a fresh one pending, a partial one open, or a
+    leaf."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    complete = draw(st.lists(st.permutations(range(m)), max_size=d))
+    partial = None
+    if len(complete) < d and m > 1 and draw(st.booleans()):
+        partial = draw(st.permutations(range(m)))[: draw(st.integers(1, m - 1))]
+    return Params(2 * m, d), NodeState(tuple(complete), partial)
+
+
+@settings(max_examples=150)
+@given(_node_up_to_12_vertices())
+# d = 2, where q = 4 is the placed^2 that the Gram polynomial is divided by
+@example((Params(8, 2), NodeState(((0, 1, 2, 3),), (2, 0))))
+@example((Params(8, 2), NodeState(((0, 1, 2, 3),))))
+@example((Params(6, 2), NodeState(((0, 1, 2), (1, 2, 0)))))
+@example((Params(12, 6), NodeState()))
+def test_node_value_is_the_node_polynomial_at_sqrt_q(case):
+    """node_value pulls the evaluation at q back through the folds and the
+    division by (y - placed^2); it must equal the full polynomial's value
+    at sqrt(q), exactly."""
+    params, node = case
+    q = 4 * (params.d - 1)
+    poly = node_polynomial(node, params)
+    value = sum(c * q ** (i // 2) for i, c in enumerate(poly.coeffs) if i % 2 == 0)
+    assert node_value(node, params) == value
 
 
 def _as_poly(coeffs, den):

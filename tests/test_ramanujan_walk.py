@@ -264,12 +264,34 @@ def test_walk_leaf_always_certifies_small_sweep():
         assert result.leaf_poly == cert.nontrivial_poly
 
 
+def test_child_rule_decides_by_sign_and_a_zero_by_the_root_test():
+    """A child passes on a value > 0 and fails on < 0; a value of 0 takes
+    the root test on the integer polynomial, and a sign that contradicts
+    that test raises."""
+    rule = ramanujan_walk._child_passes
+    assert rule(Fraction(1, 3), None, 8) is True
+    assert rule(Fraction(-1, 3), None, 8) is False
+    # (x^2 - 8)(x^2 - 9) and x^2 - 8 are 0 at sqrt(8); the first has the root 3
+    assert rule(Fraction(0), [72, 0, -17, 0, 1], 8) is False
+    assert rule(Fraction(0), [-8, 0, 1], 8) is True
+    # x^2 - 7 is 1 at sqrt(8) and x^2 - 9 is -1
+    assert rule(Fraction(1), [-7, 0, 1], 8) is True
+    assert rule(Fraction(-1), [-9, 0, 1], 8) is False
+    with pytest.raises(InvariantViolation, match="contradicts the root test"):
+        rule(Fraction(1), [-9, 0, 1], 8)
+
+
 def _walk_or_stuck(params, **kwargs):
     """The walk's result, or the node and message of its NoPassingChild."""
     try:
         return walk(params, **kwargs)
     except NoPassingChild as exc:
         return exc.node, str(exc)
+
+
+def _at_sqrt(poly: UniPoly, q: int) -> Fraction:
+    """An even polynomial's exact value at sqrt(q)."""
+    return sum(c * q ** (i // 2) for i, c in enumerate(poly.coeffs) if i % 2 == 0)
 
 
 @pytest.mark.parametrize("n, d", itertools.product(range(2, 11, 2), range(1, 5)))
@@ -287,38 +309,50 @@ def test_lazy_walk_reaches_the_full_walks_leaf(n, d):
         return
     assert (lazy.leaf, lazy.leaf_poly) == (full.leaf, full.leaf_poly)
     assert len(lazy.stages) == len(full.stages)
+    q = 4 * (d - 1)
     for lazy_stage, full_stage in zip(lazy.stages, full.stages):
         assert lazy_stage.node == full_stage.node
-        assert lazy_stage.node_poly == full_stage.node_poly
+        assert lazy_stage.node_poly in (None, full_stage.node_poly)
+        assert lazy_stage.node_value == full_stage.node_value == _at_sqrt(full_stage.node_poly, q)
         assert lazy_stage.child_nodes == full_stage.child_nodes
         assert lazy_stage.chosen == full_stage.chosen
-        size = len(lazy_stage.child_polys)
-        assert size == lazy_stage.chosen + 1
-        assert lazy_stage.child_polys == full_stage.child_polys[:size]
+        size = len(lazy_stage.child_values)
+        assert size == len(lazy_stage.child_polys) == lazy_stage.chosen + 1
+        # the lazy values are the audited polynomials at sqrt(q), and a lazy
+        # stage holds the polynomial of a child whose value is 0, and only there
+        polys = full_stage.child_polys[:size]
+        assert lazy_stage.child_values == tuple(_at_sqrt(poly, q) for poly in polys)
+        assert full_stage.child_values == tuple(_at_sqrt(p, q) for p in full_stage.child_polys)
+        assert lazy_stage.child_polys == tuple(
+            poly if value == 0 else None for poly, value in zip(polys, lazy_stage.child_values)
+        )
         assert lazy_stage.child_passed == full_stage.child_passed[:size]
 
 
 def test_lazy_walk_skips_forced_stages(monkeypatch):
-    """Only the start node and the children of stages with a choice are
-    evaluated: a stage that reaches its last child takes it as c parent -
-    the others, which for a single child is the parent, and root-tests it."""
+    """Only the start node, the leaf and the children of stages with a
+    choice are evaluated, the children by value alone: a stage that
+    reaches its last child takes its value as c parent - the others, which
+    for a single child is the parent's, and decides it by that value."""
     calls = []
-    real = ramanujan_walk.evaluate_node
-    monkeypatch.setattr(
-        ramanujan_walk, "evaluate_node", lambda *args: calls.append(1) or real(*args)
-    )
+    for name in ("evaluate_node", "node_value"):
+        real = getattr(ramanujan_walk, name)
+        monkeypatch.setattr(
+            ramanujan_walk, name, lambda *args, real=real: calls.append(1) or real(*args)
+        )
     result = walk(Params(8, 4), audit=False)
     forced = [s for s in result.stages if len(s.child_nodes) == 1]
     assert forced
     for stage in forced:
-        assert stage.child_polys == (stage.node_poly,)
+        assert stage.child_values == (stage.node_value,)
         assert stage.child_passed == (True,)
     last = [s for s in result.stages if s.chosen == len(s.child_nodes) - 1 > 0]
     assert last
     for stage in last:
         assert not any(stage.child_passed[:-1])
+    assert all(value for s in result.stages for value in s.child_values)
     chosen = [s.chosen + 1 for s in result.stages if len(s.child_nodes) > 1]
-    assert len(calls) == 1 + sum(chosen) - len(last)
+    assert len(calls) == 2 + sum(chosen) - len(last)
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
