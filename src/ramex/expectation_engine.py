@@ -119,18 +119,13 @@ def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
 
 @functools.lru_cache(maxsize=None)
 def _value_weights(m: int, placed: int, d: int) -> tuple[tuple, int]:
-    """(chi, L^f) with p(sqrt(q)) = sum_j gram[j] chi[j] / (den L^f) for
-    the node polynomial p of a Gram polynomial gram / den, q = 4(d-1),
-    f = d - placed folds and L = lcm_j C(m-1, j): the evaluation at y = q
-    pulled back, as an integer functional, through each fold's linear map
-    and the quotient by (y - placed^2).
-
-    A fold maps the ascending c to out[r-k] = (-1)^k sum_(k' <= k)
-    W[k-k'][k'][k'] (-1)^k' c[r-k'], over L, r = m - 1, so the functional
-    v on out pulls back to u[r-k'] = (-1)^k' sum_(k >= k') (-1)^k
-    W[k-k'][k'][k'] v[r-k].  The quotient's coefficient i - 1 is
-    sum_(k >= i) gram[k] placed^(2(k-i)), so chi[k] = placed^2 chi[k-1] +
-    u[k-1] from chi[0] = 0; no value is divided, so q = placed^2 is fine.
+    """(chi, L^f) with p(sqrt(q)) = sum_j gram[j] chi[j] / (den L^f), p the
+    node polynomial of the Gram polynomial gram / den, q = 4(d-1) and
+    f = d - placed folds: the evaluation at y = q pulled back, as an integer
+    functional, through each fold (the transpose of ``add_random_matching``,
+    over L) and the quotient by (y - placed^2), whose coefficient i - 1 is
+    sum_(k >= i) gram[k] placed^(2(k-i)).  Nothing is divided, so
+    q = placed^2 (d = 2) needs no case of its own.
     """
     r, q = m - 1, 4 * (d - 1)
     scale, weights = _weight_table(r)

@@ -192,18 +192,15 @@ def _value(coeffs, q: int) -> Fraction:
 
 
 def _child_passes(value, ints, q: int) -> bool:
-    """The walk's one rule for a child of a passing node, from its exact
-    value p(sqrt(q)): it passes if the value is > 0 and fails if < 0.
-
-    The children share a common interlacer whose largest root is at most
-    the parent's max root, which the walk keeps <= sqrt(q) (Marcus,
-    Spielman and Srivastava, Interlacing Families I).  So a child has at
-    most one root above sqrt(q), and its monic polynomial's sign there is
-    (-1) to the number of such roots.  A value of 0 is decided by the root
-    test on ints, the child's integer polynomial, which a lazy walk
-    computes for that case alone.  When ints come with a nonzero value (an
-    audited walk has them for every child), the sign must agree with the
-    root test, or InvariantViolation is raised.
+    """The walk's one rule for a child of a passing node: it passes if its
+    value p(sqrt(q)) is > 0 and fails if < 0.  The children share a common
+    interlacer whose largest root is at most the parent's max root, at most
+    sqrt(q) (Marcus, Spielman and Srivastava, Interlacing Families I), so a
+    child has at most one root above sqrt(q), and its sign there is (-1) to
+    the number of them.  A value of 0 takes the root test on ints, the
+    child's integer polynomial; given ints (an audited walk has them for
+    every child), a sign that contradicts that test raises
+    InvariantViolation.
     """
     if ints is None:
         return value > 0
@@ -260,20 +257,19 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     invariant that the current node's polynomial passes the sqrt(q) bound,
     q = 4(d-1).
 
-    The descent takes the first passing child in deterministic ascending
-    order, each child decided by ``_child_passes`` from its exact value at
-    sqrt(q).  The parent is the average of its c children, so the last
-    child is c parent less the others, values included.  With audit,
-    every child's polynomial is computed, in up to jobs worker processes
-    (never more than m, the most children a stage has); the last must equal
-    that difference, and each verdict must match the full root test.
-    Without it, the start node and the leaf are evaluated in full, and in
-    between only values (``node_value``), one child at a time in this
-    process until one passes; the last child's value is the difference,
-    and a value of 0 takes the full polynomial.  The leaf's polynomial at
-    sqrt(q) must equal its value.  A stage where none passes evaluates
-    every child in full before NoPassingChild is raised.  The leaf never
-    depends on audit or the job count.
+    The descent takes the first passing child in ascending order, each
+    decided by ``_child_passes`` from its exact value at sqrt(q).  The
+    parent is the average of its c children, so the last child, and its
+    value, is c parent less the others.  With audit, every child is
+    evaluated in full, in up to jobs worker processes (never more than m,
+    the most children a stage has), and the last must equal that
+    difference.  Without it, only the start node and the leaf are, and in
+    between values (``node_value``), one child at a time in this process
+    until one passes; the last child's value is the difference, a value of
+    0 takes the full polynomial, and the leaf's polynomial must have the
+    value carried down to it.  A stage where none passes evaluates every
+    child in full before NoPassingChild is raised.  The leaf never depends
+    on audit or the job count.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = 4 * (params.d - 1)
