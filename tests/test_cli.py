@@ -8,7 +8,6 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
