@@ -27,10 +27,6 @@ class InvariantViolation(RuntimeError):
     bad input.  Raised explicitly, so the checks also run under -O."""
 
 
-class NonzeroRemainder(InvariantViolation):
-    """A division that must be exact left a remainder; signals a pipeline bug."""
-
-
 class TooLarge(ValueError):
     """The input is beyond what a computation here is built to handle."""
 
@@ -169,20 +165,3 @@ def poly_substitute_square(p: UniPoly) -> UniPoly:
         out[2 * i] = c
     return UniPoly(tuple(out))
 
-
-def poly_div_exact(coeffs, root: int) -> list:
-    """The quotient of sum_i coeffs[i] y**i by y - root, by synthetic
-    division on exact (in the pipeline, integer) coefficients.
-
-    A nonzero remainder raises NonzeroRemainder; in this pipeline it always
-    means an internal bug (the trivial factor must divide exactly), never
-    bad user input.
-    """
-    quot = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + root * carry
-        quot[i - 1] = carry
-    if coeffs and coeffs[0] + root * carry:
-        raise NonzeroRemainder(f"remainder {coeffs[0] + root * carry} dividing by y - {root}")
-    return quot

@@ -19,13 +19,13 @@ The tensor comes from characteristic polynomials on the grid
 int64 residues of the fixed matrix modulo word-size primes in one numpy
 batch, Grams included, with Berkowitz's recurrence.  When the scaled
 fixed matrix has all row and column sums equal, as on every walk node,
-every grid matrix has the all-ones eigenvector with a known eigenvalue,
-so that factor is split off and Berkowitz runs on (m-1) x (m-1) residues.
-The tensor's integer numerators over l^(2k') for minor size k', the
-coefficients of det(lam I + l^2 X) for an integer matrix l^2 X, are
-rebuilt exactly by the Chinese remainder theorem from enough primes for a
-bound taken from the trace of the fixed matrix's Gram alone.  Only constant tables
-(interpolation residues, CRT bases) are cached.  ``charpoly`` is the
+every grid matrix has the all-ones eigenvector, and that factor is split
+off once, here: Berkowitz runs on (m-1) x (m-1) residues and the tensor
+stores the complement.  The stored integer numerators over l^(2k') for
+minor size k' are rebuilt exactly by the Chinese remainder theorem from
+enough primes for a bound taken from the trace of the fixed matrix's Gram
+alone.  Only constant tables (interpolation residues, CRT bases) are
+cached.  ``charpoly`` is the
 independent reference for the batched kernel, and its two halves serve
 certification, which never depends on the modular batch: numpy is
 imported inside the functions that run the batch, so certification never
@@ -235,27 +235,43 @@ class CTensor:
     """Squared-minor sums C[k'][p][q] of the block-reduced matrix, indexed
     by minor size k' and row/column overlap (p, q) with the reduced block.
 
-    Held as integer numerators nums[k'][p][q] over the one known
+    Stored as integer numerators planes[k'][p][q] over the one known
     denominator (l_hat+1)^(2k') of minor size k' (``trivariate_detpoly``
-    says why that is exact).  Every C is an exact nonnegative rational and
-    C[0][0][0] == 1; both are checked here, on the numerators.
+    says why that is exact): the whole tensor when sigma_sq is None, else
+    the m planes of its complement of the all-ones factor lam + sigma_sq,
+    which ``nums`` multiplies back.  Every stored C is an exact nonnegative
+    rational and C[0][0][0] == 1, both checked here, so ``nums`` is too.
     """
 
     m: int
     lhat: int
-    nums: tuple
+    planes: tuple
+    sigma_sq: int | None = None
 
     def __post_init__(self):
-        for kprime, plane in enumerate(self.nums):
+        for kprime, plane in enumerate(self.planes):
             for p, row in enumerate(plane):
                 for q, num in enumerate(row):
                     if num < 0:
                         raise _violation(
                             f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
-                            f"{self.get(kprime, p, q)}"
+                            f"{Fraction(num, self.denominator(kprime))}"
                         )
-        if self.nums[0][0][0] != 1:
-            raise _violation(f"C[0][0][0] = {self.get(0, 0, 0)}, expected 1")
+        if self.planes[0][0][0] != 1:
+            raise _violation(f"C[0][0][0] = {self.planes[0][0][0]}, expected 1")
+
+    @functools.cached_property
+    def nums(self) -> tuple:
+        """The whole tensor's numerators: plane k' + sigma_sq plane (k'-1)
+        of the stored ones, the coefficients of (lam + sigma^2) times the
+        complement's polynomial; the stored planes when nothing was split."""
+        if self.sigma_sq is None:
+            return self.planes
+        zero = ((0,) * (self.lhat + 1),) * (self.lhat + 1)
+        return tuple(
+            tuple(tuple(x + self.sigma_sq * y for x, y in zip(*rows)) for rows in zip(hi, lo))
+            for hi, lo in zip(self.planes + (zero,), (zero,) + self.planes)
+        )
 
     def denominator(self, kprime: int) -> int:
         return (self.lhat + 1) ** (2 * kprime)
@@ -412,7 +428,8 @@ def _crt(residues):
 
 def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     """Squared-minor sums of a + J_B/l after the block's all-ones row and
-    column directions are split off, J_B the all-ones block of size l.
+    column directions are split off, J_B the all-ones block of size l; on
+    equal line sums, stored as the complement of the all-ones factor.
 
     C[k'][p][q] is the coefficient of lam**(m-k') t_r**p t_c**q in
     det(lam I + X) with X = Abar^T R Abar S, Abar = a + J_B/l,
@@ -442,35 +459,40 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     Only Ahat and its trace are exact: Ahat is reduced once mod each
     word-size prime by Python's %, and the rest is int64 residues in one
     numpy batch: batched Gram matmuls, then one broadcast of L over t_r and
-    of L P_c over t_c for the grid matrices -(l^2 X) over {0..l_hat}^2,
+    of L P_c over t_c for the grid matrices M = -(l^2 X) over {0..l_hat}^2,
     each value below 2^46 before its reduction mod p.  Batched Berkowitz
     (``_berkowitz_mod``) and interpolation by W = V^-1 mod p
     (``_interp_residues``) give each numerator as W V W^T mod p, V the grid
     of a coefficient, and the CRT (``_crt``) rebuilds them exactly.  Only W
-    and the CRT basis are cached, never anything of a matrix.  The primes
-    are exact, not probabilistic: each numerator is a sum of squared
-    minors, so >= 0, and at t_r = t_c = 1 (R = S = I, l^2 X = G0) plane k'
-    sums to exactly e_k'(G0).  G0 is positive semidefinite, so by
-    Maclaurin's inequality e_k'(G0) <= C(m, k') (tr G0 / m)^k', with
-    tr G0 = sum Ahat^2; enough primes are taken for twice the largest
-    plane bound, rounded up to an integer.  ``CTensor`` checks the exact
-    numerators for sign and C[0][0][0].  An empty block gives the plain
-    Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
+    and the CRT basis are cached, never anything of a matrix.  An empty
+    block gives the plain Gram's sums at l_hat = 0; an out-of-range index
+    raises ValueError.
 
-    Deflation.  On every walk node Ahat has all row and column sums equal
-    to one sigma, so G0 1 = sigma^2 1 and G1 1 = P_c 1 = 0: every grid
-    matrix M has M 1 = lam0 1 with lam0 = -sigma^2, an integer.  With the
-    unimodular T = I + (1 - e0) e0^T, T^-1 M T has first column lam0 e0,
-    and its trailing block M'[i][j] = M[i][j] - M[0][j] (i, j >= 1) comes
-    from rows 1.. of G0 and G1 less row 0 and grid columns 1.. only.  So
-    det(x I - M) = (x - lam0) det(x I - M'): Berkowitz runs on the
-    (m-1) x (m-1) residues of M', and each grid polynomial is multiplied
-    by x - lam0 mod p before the interpolation, which leaves every
-    numerator and the prime count as they are.  The function is public
-    and callers pass any matrix; with unequal row or column sums 1 is in
-    general not an eigenvector of M (G0 1 = Ahat^T Ahat 1 needs both), so
-    an exact O(m^2) check on Ahat's integers gates the deflation, and any
-    other input takes the full m x m grid.
+    The all-ones factor.  When Ahat's row and column sums all equal sigma,
+    as on every walk node, l^2 X 1 = sigma^2 1 and 1^T l^2 X = sigma^2 1^T
+    for every (t_r, t_c), since R 1 = S 1 = 1 and Ahat 1 = Ahat^T 1 =
+    sigma 1.  The reduced block's directions lie in 1^perp, so
+    det(lam I + l^2 X) = (lam + sigma^2) det(lam I + l^2 X on 1^perp), and
+    only the second factor's m planes are stored, with sigma^2.  With
+    T = I + (1 - e0) e0^T, T^-1 M T has first column -sigma^2 e0 and
+    trailing block M'[i][j] = M[i][j] - M[0][j] (i, j >= 1), from rows 1..
+    of G0 and G1 less row 0 and grid columns 1..: Berkowitz runs on the
+    (m-1) x (m-1) residues of M'.  Callers may pass any matrix, and 1 is
+    then in general not an eigenvector, so an exact O(m^2) check of Ahat's
+    sums gates the split; other inputs take the full m x m grid and record
+    no sigma^2.  The stored numerators are exact, not probabilistic:
+    - Each is a sum of squared minors (on 1^perp when split), so >= 0, and
+      dividing by the monic lam + sigma^2 keeps them integers over l^(2k').
+    - At t_r = t_c = 1 (l^2 X = G0, positive semidefinite) plane k' sums to
+      e_k' of n eigenvalues of G0 with sum s: all m, s = tr G0 = sum Ahat^2,
+      or when split the m - 1 others, s = tr G0 - sigma^2.  Maclaurin
+      bounds plane k' by C(n, k') ceil(s^k' / n^k') (1 when n = 0), and the
+      primes are taken for twice the largest bound.
+    - The engine's contraction is a convolution in k', so it commutes with
+      multiplying by lam + sigma^2, which is y - placed^2 up to the scale
+      of y (sigma = l placed): the complement contracts to the reduced Gram
+      polynomial.
+    ``CTensor`` checks the stored numerators for sign and C[0][0][0].
     """
     import numpy as np
 
@@ -485,12 +507,14 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     for i in rows:
         for j in cols:
             ahat[i][j] += 1
-    # equal line sums sigma: M 1 = lam0 1 on every grid matrix M
+    # equal line sums sigma: (lam + sigma^2) divides det(lam I + l^2 X)
     sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
-    deflate = len(sums) == 1
-    # numerator plane k sums to e_k(G0) <= C(m, k) (tr G0 / m)^k
-    trace = sum(x * x for row in ahat for x in row)
-    bound = max(math.comb(m, k) * -(-(trace**k) // m**k) for k in range(m + 1))
+    sigma_sq = sums.pop() ** 2 if len(sums) == 1 else None
+    # stored plane k sums to e_k of n eigenvalues of G0 (all, or all but
+    # sigma^2) that sum to trace: at most C(n, k) (trace / n)^k
+    n = m if sigma_sq is None else m - 1
+    trace = sum(x * x for row in ahat for x in row) - (sigma_sq or 0)
+    bound = max(math.comb(n, k) * -(-(trace**k) // n**k) for k in range(n + 1))
     primes = _primes_for(bound)
 
     r, side = len(primes), lhat + 1
@@ -504,7 +528,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     # both Grams over l^2: the grid matrices become -(l^2 X), integer matrices
     inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
     g0, g1 = g0 * inverse[:, None, None] % p, g1 * inverse[:, None, None] % p
-    if deflate:
+    if sigma_sq is not None:
         # rows 1.. of T^-1 G, T = I + (1 - e0) e0^T: each less row 0, in (-p, p)
         g0, g1 = g0[:, 1:] - g0[:, :1], g1[:, 1:] - g1[:, :1]
     t = np.arange(-1, lhat).reshape(-1, 1, 1)  # t - 1 for t in 0..l_hat
@@ -512,25 +536,17 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     # L P_c: l L on the block columns less each row's sum over them
     l_pc = np.zeros_like(big_l)
     l_pc[..., cols] = l * big_l[..., cols] - big_l[..., cols].sum(axis=-1, keepdims=True)
-    # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c), deflated: columns 1.. of
-    # its rows 1.. less row 0, the trailing block of T^-1 M T
-    n = m - 1 if deflate else m
+    # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c); when split, columns 1..
+    # of its rows 1.. less row 0, the trailing block of T^-1 M T
     big_l, l_pc = big_l[..., m - n :], l_pc[..., m - n :]
     grid = -(l * big_l[:, :, None] + t * l_pc[:, :, None]) % p[:, None, None]
     coeffs = _berkowitz_mod(grid.reshape(r, side * side, n, n), primes)
-    if deflate:  # det(x I - M) = (x - lam0) det(x I - M'), lam0 = -sigma^2
-        lam0 = -(sums.pop() ** 2)
-        lam = np.array([lam0 % q for q in primes.tolist()], dtype=np.int64).reshape(r, 1, 1)
-        times = np.zeros((r, side * side, m + 1), dtype=np.int64)
-        times[..., :-1] = coeffs
-        times[..., 1:] -= lam * coeffs
-        coeffs = times % p
-    # l^(2k') C = W V W^T, V the grid of lam**(m-k') and W = V^-1, all mod p
-    values = coeffs.reshape(r, side, side, m + 1).transpose(0, 3, 1, 2)
+    # l^(2k') C = W V W^T, V the grid of lam**(n-k') and W = V^-1, all mod p
+    values = coeffs.reshape(r, side, side, n + 1).transpose(0, 3, 1, 2)
     weights = _interp_residues(lhat)[:r, None]
     nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
-    exact = _crt(nums.reshape(r, -1)).reshape(m + 1, side, side)
+    exact = _crt(nums.reshape(r, -1)).reshape(n + 1, side, side)
     # tuples from lists, not generators: a generator's tuple is allocated
     # oversized and shrunk, which showed as about 0.5 MB more peak RSS
-    nums = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])
-    return CTensor(m, lhat, nums)
+    planes = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])
+    return CTensor(m, lhat, planes, sigma_sq)

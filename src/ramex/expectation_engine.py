@@ -4,21 +4,21 @@ The pipeline per node runs in y = x^2 until its last step: build the
 fixed half-adjacency matrix, average the open partial matching over its
 block by quadrature (the squared-minor sums of the trivariate determinant,
 taken from an integer similarity of the fixed matrix plus the block mean,
-weighted by counting binomials), divide the resulting Gram polynomial once
-by the all-ones singular value factor (y - placed^2), fold in each
-unplaced uniformly random matching with the linear convolution step, and
-substitute y -> x^2.  All of it runs on integers, the counting weights
-too, with coefficients over one common denominator; the node's polynomial
-becomes Fractions once, at the end, because the public functions return
-rationals.
+weighted by counting binomials) into the Gram polynomial with the
+all-ones factor (y - placed^2) already out, as the grid stores only its
+complement; fold in each unplaced uniformly random matching with the
+linear convolution step, and substitute y -> x^2.  All of it runs on
+integers, the counting weights too, with coefficients over one common
+denominator; the node's polynomial becomes Fractions once, at the end,
+because the public functions return rationals.
 
 Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
 ``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
 ``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
 ``node_value`` stops after the contraction: the node polynomial at
-x = sqrt(q), one rational from the Gram polynomial and a cached table that
-pulls the evaluation back through the division and the folds.
+x = sqrt(q), one rational from the reduced Gram polynomial and a cached
+table that pulls the evaluation back through the folds.
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 
-from .exact_algebra import (
-    InvariantViolation,
-    UniPoly,
-    poly_div_exact,
-    poly_substitute_square,
-)
+from .exact_algebra import InvariantViolation, UniPoly, poly_substitute_square
 from .exact_linalg import BlockSpec, CTensor, Matrix, check_grid_size, trivariate_detpoly
 from .matching_family import NodeState, Params, half_adjacency
 
@@ -60,26 +55,27 @@ def _weight_table(lhat: int) -> tuple:
     return scale, tuple(table)
 
 
-def _contract(tensor: CTensor) -> tuple[list, int]:
-    """The expected Gram polynomial of a squared-minor tensor, on integers:
-    the tensor's numerators over l^(2k') meet the cached integer weights
-    W, giving ascending integer coefficients over the one denominator
-    l^(2m) L.  At l_hat = 0, where W = ((1,),),
-    this reads off the tensor.
+def _contract(planes: tuple) -> tuple[list, int]:
+    """The expected Gram polynomial of squared-minor planes of side l, as
+    ``CTensor`` stores them, on integers: numerators over l^(2k') meet the
+    cached integer weights W, giving the r + 1 = len(planes) ascending
+    integer coefficients over the one denominator l^(2r) L.  At l_hat = 0,
+    where W = ((1,),), this reads off the planes.  A convolution in k', it
+    maps a complement's planes to the reduced Gram polynomial.
     """
-    lhat, m = tensor.lhat, tensor.m
+    lhat, r = len(planes[0]) - 1, len(planes) - 1
     scale, weights = _weight_table(lhat)
     l2 = (lhat + 1) ** 2
-    nums, flat = tensor.nums, chain.from_iterable  # a (p, q) plane read as one row
+    flat = chain.from_iterable  # a (p, q) plane read as one row
     coeffs = []
-    for k in range(m + 1):
-        # over l^(2k) L: the sum of l^(2j) W[j] . nums[k - j], j <= l_hat
+    for k in range(r + 1):
+        # over l^(2k) L: the sum of l^(2j) W[j] . planes[k - j], j <= l_hat
         total = sum(
-            l2**j * sum(map(mul, flat(weights[j]), flat(nums[k - j])))
+            l2**j * sum(map(mul, flat(weights[j]), flat(planes[k - j])))
             for j in range(min(k, lhat) + 1)
         )
-        coeffs.append((total if k % 2 == 0 else -total) * l2 ** (m - k))
-    return coeffs[::-1], tensor.denominator(m) * scale
+        coeffs.append((total if k % 2 == 0 else -total) * l2 ** (r - k))
+    return coeffs[::-1], l2**r * scale
 
 
 def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
@@ -90,7 +86,7 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     polynomial.  Nodes pass only a partial matching's open cells: the full
     block, a whole random matching, is what ``add_random_matching`` folds.
     """
-    coeffs, den = _contract(trivariate_detpoly(a, block))
+    coeffs, den = _contract(trivariate_detpoly(a, block).nums)
     return UniPoly(tuple(Fraction(c, den) for c in coeffs))
 
 
@@ -118,60 +114,57 @@ def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _value_weights(m: int, placed: int, d: int) -> tuple[tuple, int]:
-    """(chi, L^f) with p(sqrt(q)) = sum_j gram[j] chi[j] / (den L^f), p the
-    node polynomial of the Gram polynomial gram / den, q = 4(d-1) and
-    f = d - placed folds: the evaluation at y = q pulled back, as an integer
-    functional, through each fold (the transpose of ``add_random_matching``,
-    over L) and the quotient by (y - placed^2), whose coefficient i - 1 is
-    sum_(k >= i) gram[k] placed^(2(k-i)).  Nothing is divided, so
-    q = placed^2 (d = 2) needs no case of its own.
+def _value_weights(params: Params, placed: int) -> tuple[tuple, int]:
+    """(v, L^f) with p(sqrt(q)) = sum_j gram[j] v[j] / (den L^f), p the
+    node polynomial of the reduced Gram polynomial gram / den, q = params.q
+    and f = d - placed folds: the evaluation at y = q pulled back, as an
+    integer functional, through each fold (the transpose of
+    ``add_random_matching``, over L).
     """
-    r, q = m - 1, 4 * (d - 1)
+    r, q = params.m - 1, params.q
     scale, weights = _weight_table(r)
     v = [q**i for i in range(r + 1)]
-    for _ in range(placed, d):
+    for _ in range(placed, params.d):
         signed = [v[r - k] if k % 2 == 0 else -v[r - k] for k in range(r + 1)]
         v = [0] * (r + 1)
         for kp in range(r + 1):
             total = sum(weights[k - kp][kp][kp] * signed[k] for k in range(kp, r + 1))
             v[r - kp] = total if kp % 2 == 0 else -total
-    chi = [0]
-    for u in v:
-        chi.append(placed * placed * chi[-1] + u)
-    return tuple(chi), scale ** (d - placed)
+    return tuple(v), scale ** (params.d - placed)
 
 
 def _expected_gram(node: NodeState, params: Params) -> tuple[list, int, int, CTensor]:
-    """The node's expected Gram polynomial (ascending integers over den),
-    den, the matchings placed, and the block's tensor, from one grid run."""
+    """The node's reduced Gram polynomial (ascending integers over den), den,
+    the matchings placed, and the block's tensor, from one grid run; a
+    node's tensor must have split the all-ones factor off."""
     check_grid_size(params.m)
     node.validate(params)
     tensor = trivariate_detpoly(*half_adjacency(node, params))
-    gram, den = _contract(tensor)
+    if tensor.sigma_sq is None:
+        raise InvariantViolation("the node's tensor has no all-ones factor split off")
+    gram, den = _contract(tensor.planes)
     if gram[-1] != den:
-        raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2")
+        raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2 - 1")
     return gram, den, len(node.complete) + (node.partial is not None), tensor
 
 
 def node_value(node: NodeState, params: Params) -> Fraction:
     """The node polynomial at x = sqrt(q), q = 4(d-1), exactly: one
-    rational from the Gram polynomial and a cached table, with no
-    division, fold or root test (``_value_weights``).  The polynomial is
-    even, so its value at sqrt(q) is rational."""
+    rational from the reduced Gram polynomial and a cached table, with no
+    fold or root test (``_value_weights``).  The polynomial is even, so
+    its value at sqrt(q) is rational."""
     gram, den, placed, _ = _expected_gram(node, params)
-    chi, scale = _value_weights(params.m, placed, params.d)
-    return Fraction(sum(map(mul, gram, chi)), den * scale)
+    v, scale = _value_weights(params, placed)
+    return Fraction(sum(map(mul, gram, v)), den * scale)
 
 
 def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     """The node's expected characteristic polynomial after removing the
     trivial eigenvalue factor x^2 - d^2: monic, even, degree n - 2, exact.
 
-    The trivial factor is split off the Gram polynomial once, as
-    (y - placed^2) for the complete matchings and the partial one, every
-    other matching (a pending fresh one too) is folded in y, and y -> x^2
-    comes last.
+    The contraction gives the Gram polynomial without (y - placed^2),
+    placed counting the complete matchings and the partial one; every other
+    matching (a pending fresh one too) is folded in y, and y -> x^2 is last.
     """
     return evaluate_node(node, params)[0]
 
@@ -181,8 +174,7 @@ def evaluate_node(node: NodeState, params: Params) -> tuple[UniPoly, tuple, CTen
     positive denominator, and its block's squared-minor tensor, from one
     grid run.  Beyond the grid's sizes it raises ``GridTooLarge`` before
     building a node matrix; on a node outside the tree, ``ValueError``."""
-    gram, den, placed, tensor = _expected_gram(node, params)
-    reduced = poly_div_exact(gram, placed * placed)
+    reduced, den, placed, tensor = _expected_gram(node, params)
     for _ in range(placed, params.d):
         reduced, den = add_random_matching(reduced, den)
     body = poly_substitute_square(UniPoly(tuple(reduced)))

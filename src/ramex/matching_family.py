@@ -43,6 +43,11 @@ class Params:
     def m(self) -> int:
         return self.n // 2
 
+    @property
+    def q(self) -> int:
+        """The Ramanujan bound, squared: 4(d - 1)."""
+        return 4 * (self.d - 1)
+
 
 @dataclass(frozen=True)
 class NodeState:

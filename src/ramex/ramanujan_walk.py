@@ -136,7 +136,7 @@ def certify(graph: Multigraph) -> Certificate:
     rest = charpoly_mod(deflated, charpoly_modulus(gram))
     # det(yI - G) = (y - d^2) det(yI - G')
     full = [a - d * d * b for a, b in zip([0] + rest, rest + [0])]
-    q = 4 * (d - 1)
+    q = graph.params.q
     nontrivial = poly_substitute_square(UniPoly(tuple(rest)))
     shifted = tuple(sqrt_shift_pairs(nontrivial.coeffs, q))
     return Certificate(
@@ -166,7 +166,7 @@ def certify_by_elimination(graph: Multigraph) -> bool:
     cols = list(zip(*graph.multiplicity))
     s = [[d * d - m * sum(map(mul, ci, cj)) for cj in cols] for ci in cols]
     for i in range(m):
-        s[i][i] += m * 4 * (d - 1)
+        s[i][i] += m * graph.params.q
     rest = list(range(m))
     prev = 1
     while rest:
@@ -247,9 +247,8 @@ def _child_poly_task(args) -> tuple[UniPoly, bool]:
     """A child's polynomial and the rule's verdict on its value at
     sqrt(q), checked against the root test on its integer form."""
     node, params = args
-    q = 4 * (params.d - 1)
     poly, ints, _ = evaluate_node(node, params)
-    return poly, _child_passes(_value(ints, q), ints, q)
+    return poly, _child_passes(_value(ints, params.q), ints, params.q)
 
 
 def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
@@ -272,7 +271,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     on audit or the job count.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
-    q = 4 * (params.d - 1)
+    q = params.q
     current = NodeState((tuple(range(params.m)),), None)
     current_poly, ints, _ = evaluate_node(current, params)
     if not _max_root_leq_sqrt_ints(ints, q):

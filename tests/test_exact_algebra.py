@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramex.exact_algebra import (
-    NonzeroRemainder,
     UniPoly,
     clear_denominators,
-    poly_div_exact,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
@@ -179,35 +177,6 @@ def test_poly_substitute_square_round_trip():
         doubled = poly_substitute_square(p)
         assert all(doubled.coeff(i) == 0 for i in range(1, doubled.degree + 1, 2))
         assert UniPoly(doubled.coeffs[0::2]) == p
-
-
-def test_poly_div_exact_examples():
-    # in y: y^2 - 12 y + 27 = (y - 9)(y - 3)
-    assert poly_div_exact([27, -12, 1], 9) == [-3, 1]
-    assert poly_div_exact([-4, 1], 4) == [1]
-    assert poly_div_exact([Fraction(-9, 2), Fraction(-3, 2), 1], 3) == [Fraction(3, 2), 1]
-    with pytest.raises(NonzeroRemainder):
-        poly_div_exact([-1, 1], 4)
-
-
-def test_poly_div_exact_random_products():
-    """Integer quotients times y - root divide back exactly, and one more
-    in the constant term is the remainder."""
-    rng = random.Random(13)
-    for _ in range(40):
-        quot = UniPoly(tuple(rng.randint(-6, 6) for _ in range(rng.randint(0, 6))) + (1,))
-        root = rng.randint(-9, 9)
-        product = list((quot * UniPoly((-root, 1))).coeffs)
-        assert poly_div_exact(product, root) == list(quot.coeffs)
-        product[0] += 1
-        with pytest.raises(NonzeroRemainder, match="remainder 1 "):
-            poly_div_exact(product, root)
-
-
-def test_poly_div_exact_of_zero_and_of_lower_degree():
-    assert poly_div_exact([], 4) == []
-    with pytest.raises(NonzeroRemainder, match="remainder 3 dividing by y - 4"):
-        poly_div_exact([3], 4)
 
 
 def test_unipoly_ring_basics():

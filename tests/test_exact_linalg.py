@@ -455,6 +455,32 @@ def test_grid_numerators_are_integers_over_l_squared(case):
         assert sum(map(sum, plane)) == g0[k]
 
 
+@settings(max_examples=40)
+@given(_matrix_and_block())
+def test_stored_planes_sum_to_the_deflated_gram(case):
+    """With equal line sums (every node input) the tensor stores the m
+    planes of the all-ones factor's complement, nonnegative, and plane k'
+    sums to e_k' of the deflated Gram: rows and columns 1.. of
+    G0 = Ahat^T Ahat, each row less row 0, as certify builds it.  Any other
+    input stores the whole tensor's m + 1 planes."""
+    a, block = case
+    m, l, rows, cols = a.nrows, block.size, set(block.rows), set(block.cols)
+    ahat = [
+        [l * x + (i in rows and j in cols) for j, x in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
+    sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
+    tensor = trivariate_detpoly(a, block)
+    if len(sums) > 1:
+        assert tensor.sigma_sq is None and len(tensor.planes) == m + 1
+        return
+    g0 = gram(Matrix(ahat)).entries
+    deflated = Matrix([[g - t for g, t in zip(row[1:], g0[0][1:])] for row in g0[1:]])
+    assert tensor.sigma_sq == sums.pop() ** 2 and len(tensor.planes) == m
+    assert [sum(map(sum, plane)) for plane in tensor.planes] == _e_k(charpoly(deflated), m - 1)
+    assert all(num >= 0 for plane in tensor.planes for row in plane for num in row)
+
+
 @pytest.mark.parametrize("lhat", range(10))
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
     """W = V^-1 mod every table prime gets back the coefficients of integer
@@ -576,17 +602,21 @@ def test_prime_count_covers_a_nearly_tight_hadamard_bound():
 
 @pytest.mark.parametrize("m", [1, 2, 7, 16, 32])
 def test_prime_count_is_tight_for_a_scaled_identity(m):
-    # Ahat = c I_m meets the trace bound exactly: every numerator is
-    # C(m, k) c^(2k), its plane's bound, so one prime fewer than _primes_for
-    # gives folds the largest; c = 2^e + 1 runs from a few primes to the table
+    # Ahat = c I_m has equal line sums c, so the stored planes are the
+    # complement's, the coefficients C(m-1, k) c^(2k) of (lam + c^2)^(m-1).
+    # They meet the complement's bound exactly, so one prime fewer than
+    # _primes_for gives folds the largest; c = 2^e + 1 runs from a few
+    # primes to the table.  At m = 1 the complement is empty: the bound is 1.
     table = math.prod(_PRIMES)
-    for e in itertools.count(0, max(1, table.bit_length() // (40 * m))):
+    for e in range(0, table.bit_length(), max(1, table.bit_length() // (40 * m))):
         c = 2**e + 1
-        want = tuple(((math.comb(m, k) * c ** (2 * k),),) for k in range(m + 1))
+        want = tuple(((math.comb(m - 1, k) * c ** (2 * k),),) for k in range(m))
         if 2 * max(plane[0][0] for plane in want) >= table:
             break
         scaled = Matrix.from_rows([[c * (i == j) for j in range(m)] for i in range(m)])
-        assert trivariate_detpoly(scaled, BlockSpec((), ())).nums == want
+        tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
+        assert tensor.sigma_sq == c * c and tensor.planes == want
+        assert tensor.nums == tuple(((math.comb(m, k) * c ** (2 * k),),) for k in range(m + 1))
 
 
 @pytest.mark.parametrize("count", [1, 2, len(_PRIMES)])

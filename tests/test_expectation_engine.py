@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramex import exact_linalg, expectation_engine
-from ramex.exact_algebra import NonzeroRemainder, UniPoly, poly_div_exact
-from ramex.exact_linalg import BlockSpec, Matrix, charpoly, trivariate_detpoly
+from ramex.exact_algebra import InvariantViolation, UniPoly
+from ramex.exact_linalg import BlockSpec, CTensor, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
     _weight_table,
     add_random_matching,
@@ -170,6 +170,27 @@ def test_equal_line_sums_deflate_and_match_the_oracle(case):
     assert got == brute_fixed_plus_permutation(a, block)
 
 
+@settings(max_examples=120)
+@given(st.one_of(_equal_line_sums(), _matrix_and_block()))
+def test_sigma_squared_is_recorded_exactly_when_line_sums_are_equal(case):
+    """The tensor records sigma^2, the square of the common line sum of
+    l a + J_B, when every row and column sum is equal, and None otherwise;
+    the whole view then has one plane more than the m it stores."""
+    a, block = case[:2]
+    l = max(block.size, 1)
+    ahat = [
+        [l * x + (i in block.rows and j in block.cols) for j, x in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
+    sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
+    tensor = trivariate_detpoly(a, block)
+    if len(sums) == 1:
+        assert tensor.sigma_sq == sums.pop() ** 2
+        assert len(tensor.planes) == a.nrows and len(tensor.nums) == a.nrows + 1
+    else:
+        assert tensor.sigma_sq is None and tensor.nums == tensor.planes
+
+
 @st.composite
 def _valid_node(draw):
     m = draw(st.sampled_from((2, 3, 4)))
@@ -215,15 +236,14 @@ def _node_up_to_12_vertices(draw):
 
 @settings(max_examples=150)
 @given(_node_up_to_12_vertices())
-# d = 2, where q = 4 is the placed^2 that the Gram polynomial is divided by
+# d = 2, where q = 4 is placed^2, the root of the split-off all-ones factor
 @example((Params(8, 2), NodeState(((0, 1, 2, 3),), (2, 0))))
 @example((Params(8, 2), NodeState(((0, 1, 2, 3),))))
 @example((Params(6, 2), NodeState(((0, 1, 2), (1, 2, 0)))))
 @example((Params(12, 6), NodeState()))
 def test_node_value_is_the_node_polynomial_at_sqrt_q(case):
-    """node_value pulls the evaluation at q back through the folds and the
-    division by (y - placed^2); it must equal the full polynomial's value
-    at sqrt(q), exactly."""
+    """node_value pulls the evaluation at q back through the folds; it must
+    equal the full polynomial's value at sqrt(q), exactly."""
     params, node = case
     q = 4 * (params.d - 1)
     poly = node_polynomial(node, params)
@@ -256,20 +276,27 @@ def test_add_random_matching_rejects_bad_polys():
         add_random_matching([], 1)  # zero
 
 
-def test_node_polynomial_requires_the_all_ones_factor(monkeypatch):
-    """A Gram polynomial without the (y - placed^2) factor is a pipeline bug."""
-    params = Params(4, 3)
-    node = NodeState(((0, 1),), (1,))  # placed = 2
-    # y^2 + 1 over the denominator 1: monic, but y - 4 does not divide it
-    monkeypatch.setattr(expectation_engine, "_contract", lambda tensor: ([1, 0, 1], 1))
-    with pytest.raises(NonzeroRemainder):
-        node_polynomial(node, params)
+def test_node_tensor_without_the_split_off_factor_is_an_engine_fault(monkeypatch):
+    """A node's fixed matrix has equal line sums, so its tensor must record
+    the all-ones factor it split off; one that records none (the whole
+    tensor, patched in) is a pipeline bug, not a polynomial to contract."""
+    real = expectation_engine.trivariate_detpoly
+
+    def unsplit(a, block):
+        tensor = real(a, block)
+        return CTensor(tensor.m, tensor.lhat, tensor.nums)
+
+    monkeypatch.setattr(expectation_engine, "trivariate_detpoly", unsplit)
+    node = NodeState(((0, 1),), (1,))
+    for evaluate in (node_polynomial, node_value):
+        with pytest.raises(InvariantViolation, match="no all-ones factor split off"):
+            evaluate(node, Params(4, 3))
 
 
 @pytest.mark.parametrize(
     "node",
     [
-        NodeState(((0, 0),)),  # not a permutation: once a NonzeroRemainder
+        NodeState(((0, 0),)),  # not a permutation: once an engine fault
         NodeState(((0, 1),) * 4),  # four matchings at d = 3: once x^2 - 16
         NodeState((), (5,)),  # partner out of range: once an IndexError
     ],
@@ -289,6 +316,16 @@ def _adjacency_charpoly(mult, m):
             adj[i][m + j] = mult[i][j]
             adj[m + j][i] = mult[i][j]
     return UniPoly(tuple(_det_xid_minus(adj)))
+
+
+def _div_exact(coeffs, root: int) -> list:
+    """The quotient of sum_i coeffs[i] y**i by y - root, by synthetic
+    division, asserting that the remainder is zero."""
+    quot, carry = [0] * (len(coeffs) - 1), 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        quot[i - 1] = carry = coeffs[i] + root * carry
+    assert coeffs[0] + root * carry == 0
+    return quot
 
 
 def _gram_of(p_adj):
@@ -312,7 +349,7 @@ def test_add_random_matching_point_mass_average():
                 rng.shuffle(perm)
                 for i, j in enumerate(perm):
                     mult[i][j] += 1
-            reduced = poly_div_exact(_gram_of(_adjacency_charpoly(mult, m)).coeffs, c * c)
+            reduced = _div_exact(_gram_of(_adjacency_charpoly(mult, m)).coeffs, c * c)
             direct_total = UniPoly()
             count = 0
             for perm in itertools.permutations(range(m)):
@@ -321,7 +358,7 @@ def test_add_random_matching_point_mass_average():
                     bumped[i][j] += 1
                 direct_total = direct_total + _adjacency_charpoly(bumped, m)
                 count += 1
-            direct = poly_div_exact(_gram_of(direct_total).coeffs, (c + 1) ** 2)
+            direct = _div_exact(_gram_of(direct_total).coeffs, (c + 1) ** 2)
             assert _as_poly(*add_random_matching(reduced, 1)) == Fraction(1, count) * UniPoly(
                 tuple(direct)
             )
@@ -356,8 +393,8 @@ def test_full_block_average_is_the_fold(case):
     full = BlockSpec(tuple(range(m)), tuple(range(m)))
     averaged = fixed_plus_random_block_expected(a, full)
     gram_poly = charpoly(gram(a))
-    assert UniPoly(tuple(poly_div_exact(averaged.coeffs, (c + 1) ** 2))) == _as_poly(
-        *add_random_matching(poly_div_exact(gram_poly.coeffs, c * c), 1)
+    assert UniPoly(tuple(_div_exact(averaged.coeffs, (c + 1) ** 2))) == _as_poly(
+        *add_random_matching(_div_exact(gram_poly.coeffs, c * c), 1)
     )
 
 
