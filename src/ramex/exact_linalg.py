@@ -17,14 +17,17 @@ its deflated (m-1) x (m-1) block.
 The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, all on
 int64 residues of the fixed matrix modulo word-size primes in one numpy
-batch, Grams included, with Berkowitz's recurrence.  When the scaled
+batch: one matmul gives a basis of four Grams, one more with a cached
+table of coefficients gives every grid matrix, and Berkowitz's
+recurrence their characteristic polynomials.  When the scaled
 fixed matrix has all row and column sums equal, as on every walk node,
 every grid matrix has the all-ones eigenvector, and that factor is split
 off once, here: Berkowitz runs on (m-1) x (m-1) residues and the tensor
 stores the complement.  The stored integer numerators over l^(2k') for
-minor size k' are rebuilt exactly by the Chinese remainder theorem from
-enough primes for a bound taken from the trace of the fixed matrix's Gram
-alone.  Only constant tables (interpolation residues, CRT bases) are
+minor size k' are rebuilt exactly by the Chinese remainder theorem
+(Garner's, in int64, for one or two primes) from enough primes for a bound
+taken from the trace of the fixed matrix's Gram alone.  Only constant
+tables (interpolation residues, grid coefficients, CRT bases) are
 cached.  ``charpoly`` is the
 independent reference for the batched kernel, and its two halves serve
 certification, which never depends on the modular batch: numpy is
@@ -38,7 +41,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain, repeat
+from operator import lt, mul
 
 from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
 
@@ -77,9 +81,9 @@ class Matrix:
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.entries))
-        if any(len(row) != len(rows) for row in rows):
+        if set(map(len, rows)) - {len(rows)}:
             raise ValueError("a matrix must be square")
-        if any(not isinstance(x, int) for row in rows for x in row):
+        if not all(map(isinstance, chain.from_iterable(rows), repeat(int))):
             raise ValueError("a matrix must have integer entries")
         object.__setattr__(self, "entries", rows)
 
@@ -105,7 +109,7 @@ class BlockSpec:
         if len(rows) != len(cols):
             raise ValueError("block must have equally many rows and columns")
         for idx in (rows, cols):
-            if any(i < 0 for i in idx) or list(idx) != sorted(set(idx)):
+            if not all(map(lt, idx, idx[1:])) or min(idx, default=0) < 0:
                 raise ValueError("block indices must be distinct, ascending, nonnegative")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -249,14 +253,16 @@ class CTensor:
     sigma_sq: int | None = None
 
     def __post_init__(self):
-        for kprime, plane in enumerate(self.planes):
-            for p, row in enumerate(plane):
-                for q, num in enumerate(row):
-                    if num < 0:
-                        raise _violation(
-                            f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
-                            f"{Fraction(num, self.denominator(kprime))}"
-                        )
+        flat = chain.from_iterable
+        if min(flat(flat(self.planes))) < 0:  # one pass; the loop only names the cell
+            for kprime, plane in enumerate(self.planes):
+                for p, row in enumerate(plane):
+                    for q, num in enumerate(row):
+                        if num < 0:
+                            raise _violation(
+                                f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
+                                f"{Fraction(num, self.denominator(kprime))}"
+                            )
         if self.planes[0][0][0] != 1:
             raise _violation(f"C[0][0][0] = {self.planes[0][0][0]}, expected 1")
 
@@ -379,13 +385,14 @@ def _berkowitz_mod(mats, primes):
     At step k one matmul per power gives the next mat-vec of the leading
     block and the Toeplitz entry of the row below it, and the coefficients
     are multiplied by the lower-triangular Toeplitz matrix, gathered from
-    the entries.  Every product is reduced mod p before the next one, and
-    no dot product is longer than m <= MAX_GRID_M.
+    the entries.  Every product is reduced mod p (in place in the Krylov
+    loop) before the next one, and no dot product is longer than
+    m <= MAX_GRID_M.
     """
     import numpy as np
 
     r, g, m, _ = mats.shape
-    p = primes.reshape(r, 1, 1)
+    p, p4 = primes.reshape(r, 1, 1), primes.reshape(r, 1, 1, 1)
     if not m:
         return np.ones((r, g, 1), dtype=np.int64)
     coeffs = np.ones((r, g, 2), dtype=np.int64)  # the leading 1 x 1 block: x - a00
@@ -399,7 +406,8 @@ def _berkowitz_mod(mats, primes):
         u = np.zeros((r, g, k + 1), dtype=np.int64)
         u[..., 1] = mats[:, :, k - 1, k - 1]
         for i in range(2, k + 1):
-            prod = top @ vec % p[..., None]
+            prod = top @ vec
+            prod %= p4
             u[..., i] = prod[..., k - 1, 0]
             vec = prod[..., : k - 1, :]
         # new_i = c_i - sum_{j < i} u_(i-j) c_j
@@ -417,13 +425,36 @@ def _crt_basis(count: int) -> tuple:
 
 
 def _crt(residues):
-    """Signed ints, as an object array, from residues (r, N) mod the first r
-    table primes: the textbook CRT sum mod M, folded to 2|x| < M."""
+    """Signed ints from residues (r, N) mod the first r table primes, folded
+    to 2|x| < M, M their product.  Below 2^58 (one or two primes) it is
+    Garner's mixed radix in int64, x = a0 + p0 ((a1 - a0) p0^-1 mod p1),
+    every product below 2^58; past it, the textbook sum of the residues
+    times the cofactors, mod M, in object arrays."""
     import numpy as np
 
     modulus, basis = _crt_basis(len(residues))
-    value = np.array(basis, dtype=object) @ residues.astype(object) % modulus
+    if modulus < 2**58:
+        value = residues[0]
+        if len(residues) == 2:
+            p0, p1 = _PRIMES[:2]
+            value = value + p0 * ((residues[1] - value) * pow(p0, -1, p1) % p1)
+    else:
+        value = np.array(basis, dtype=object) @ residues.astype(object) % modulus
     return np.where(value > modulus // 2, value - modulus, value)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_table(l: int):
+    """The grid matrices' coefficients in the basis (G0, G1, G0 P_c, G1 P_c):
+    row l t_r + t_c is -(l^2, l (t_r-1), l (t_c-1), (t_r-1)(t_c-1)) for t_r,
+    t_c in 0..l-1, every entry at most l^2 in size.  Read-only int64, cached."""
+    import numpy as np
+
+    shift = np.arange(-1, l - 1)  # t - 1 for t in 0..l-1
+    row, col = np.repeat(shift, l), np.tile(shift, l)  # t_r - 1 and t_c - 1
+    out = -np.stack([np.full(l * l, l * l), l * row, l * col, row * col], axis=1)
+    out.flags.writeable = False
+    return out
 
 
 def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
@@ -447,26 +478,29 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
         l^2 X = Ahat^T R Ahat S = (Ahat + (t_r-1) P_r a)^T (Ahat + (t_c-1) a P_c).
 
     So C[k'][p][q] is an integer numerator over l^(2k'): the coefficient of
-    lam**(m-k') t_r**p t_c**q in det(lam I + l^2 X).  The kernel forms
-    l^2 X = (l L + (t_c-1) L P_c) / l^2 for L = l G0 + (t_r-1) G1,
-    G0 = Ahat^T Ahat and G1 = Ahat^T P_r Ahat = l Ahat_r^T Ahat_r - s^T s,
-    where Ahat_r is Ahat's block rows and s their sum; it multiplies both
-    Grams by l^-2 mod p, which is exact on residues because the result is
-    integral.  Right multiplication by P_c is l times the block columns
-    minus each row's sum over them, so the only matrix products are the two
-    Grams.
+    lam**(m-k') t_r**p t_c**q in det(lam I + l^2 X).  With G0 = Ahat^T Ahat
+    and G1 = Ahat^T P_r Ahat, the grid matrix is
+
+        M = -(l^2 X) = -(l^2 G0 + l (t_r-1) G1 + l (t_c-1) G0 P_c + (t_r-1)(t_c-1) G1 P_c) / l^2,
+
+    four terms in a basis that the kernel multiplies by l^-2 mod p, exact
+    on residues because M is integral.  P = l D - J multiplies as l times
+    the block rows (on the left) or columns (on the right) less their sum.
 
     Only Ahat and its trace are exact: Ahat is reduced once mod each
     word-size prime by Python's %, and the rest is int64 residues in one
-    numpy batch: batched Gram matmuls, then one broadcast of L over t_r and
-    of L P_c over t_c for the grid matrices M = -(l^2 X) over {0..l_hat}^2,
-    each value below 2^46 before its reduction mod p.  Batched Berkowitz
-    (``_berkowitz_mod``) and interpolation by W = V^-1 mod p
-    (``_interp_residues``) give each numerator as W V W^T mod p, V the grid
-    of a coefficient, and the CRT (``_crt``) rebuilds them exactly.  Only W
-    and the CRT basis are cached, never anything of a matrix.  An empty
-    block gives the plain Gram's sums at l_hat = 0; an out-of-range index
-    raises ValueError.
+    numpy batch.  One matmul of l^-2 Ahat^T with Ahat, P_r Ahat, Ahat P_c
+    and P_r Ahat P_c, each reduced below p, gives the basis; one more, of
+    the cached (l^2, 4) table of the coefficients above (``_grid_table``,
+    entries at most l^2) with the basis reduced below p, gives every grid
+    matrix over {0..l_hat}^2, each value below 4 l^2 (p - 1) < 2^41 before
+    its reduction mod p.  Batched Berkowitz (``_berkowitz_mod``) and
+    interpolation by W = V^-1 mod p (``_interp_residues``) give each
+    numerator as W V W^T mod p, V the grid of a coefficient, and the CRT
+    (``_crt``) rebuilds them exactly.  Only W, the table and the CRT basis
+    are cached, never anything of a matrix.  An empty block gives the
+    plain Gram's sums at l_hat = 0; an out-of-range index raises
+    ValueError.
 
     The all-ones factor.  When Ahat's row and column sums all equal sigma,
     as on every walk node, l^2 X 1 = sigma^2 1 and 1^T l^2 X = sigma^2 1^T
@@ -475,12 +509,13 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     det(lam I + l^2 X) = (lam + sigma^2) det(lam I + l^2 X on 1^perp), and
     only the second factor's m planes are stored, with sigma^2.  With
     T = I + (1 - e0) e0^T, T^-1 M T has first column -sigma^2 e0 and
-    trailing block M'[i][j] = M[i][j] - M[0][j] (i, j >= 1), from rows 1..
-    of G0 and G1 less row 0 and grid columns 1..: Berkowitz runs on the
-    (m-1) x (m-1) residues of M'.  Callers may pass any matrix, and 1 is
-    then in general not an eigenvector, so an exact O(m^2) check of Ahat's
-    sums gates the split; other inputs take the full m x m grid and record
-    no sigma^2.  The stored numerators are exact, not probabilistic:
+    trailing block M'[i][j] = M[i][j] - M[0][j] (i, j >= 1), from the
+    basis's rows 1.. less row 0 (Ahat^T's, before the matmul) and columns
+    1..: Berkowitz runs on the (m-1) x (m-1) residues of M'.  Callers may
+    pass any matrix, and 1 is then in general not an eigenvector, so an
+    exact O(m^2) check of Ahat's sums gates the split; other inputs take
+    the full m x m grid and record no sigma^2.  The stored numerators are
+    exact, not probabilistic:
     - Each is a sum of squared minors (on 1^perp when split), so >= 0, and
       dividing by the monic lam + sigma^2 keeps them integers over l^(2k').
     - At t_r = t_c = 1 (l^2 X = G0, positive semidefinite) plane k' sums to
@@ -521,25 +556,25 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     p = primes.reshape(r, 1, 1)
     res = np.array([[x % q for row in ahat for x in row] for q in primes.tolist()], dtype=np.int64)
     res = res.reshape(r, m, m)
-    res_r = res[:, rows]
-    s = res_r.sum(axis=1) % p[:, 0]
-    g0 = res.transpose(0, 2, 1) @ res % p
-    g1 = (l * (res_r.transpose(0, 2, 1) @ res_r % p) - s[:, :, None] * s[:, None, :]) % p
-    # both Grams over l^2: the grid matrices become -(l^2 X), integer matrices
-    inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
-    g0, g1 = g0 * inverse[:, None, None] % p, g1 * inverse[:, None, None] % p
+    in_r, in_c = np.bincount(rows, minlength=m)[:, None], np.bincount(cols, minlength=m)
+    # Ahat, P_r Ahat, Ahat P_c, P_r Ahat P_c: P_r Y is l times Y's block
+    # rows less their sum, Y P_c l times its block columns less each row's
+    # sum over them
+    right = np.empty((r, 4, m, m), dtype=np.int64)
+    right[:, 0] = res
+    right[:, 1] = (l * res - in_r.T @ res) * in_r % p
+    right[:, 2:] = (l * right[:, :2] - right[:, :2] @ in_c[:, None]) * in_c % p[:, None]
+    # l^-2 Ahat^T, rows 1.. less row 0 and columns 1.. when split: the basis
+    # of the trailing block of T^-1 M T
+    left = res.transpose(0, 2, 1)
     if sigma_sq is not None:
-        # rows 1.. of T^-1 G, T = I + (1 - e0) e0^T: each less row 0, in (-p, p)
-        g0, g1 = g0[:, 1:] - g0[:, :1], g1[:, 1:] - g1[:, :1]
-    t = np.arange(-1, lhat).reshape(-1, 1, 1)  # t - 1 for t in 0..l_hat
-    big_l = l * g0[:, None] + t * g1[:, None]  # L(t_r), unreduced
-    # L P_c: l L on the block columns less each row's sum over them
-    l_pc = np.zeros_like(big_l)
-    l_pc[..., cols] = l * big_l[..., cols] - big_l[..., cols].sum(axis=-1, keepdims=True)
-    # grid[prime][t_r][t_c] = -(l L + (t_c-1) L P_c); when split, columns 1..
-    # of its rows 1.. less row 0, the trailing block of T^-1 M T
-    big_l, l_pc = big_l[..., m - n :], l_pc[..., m - n :]
-    grid = -(l * big_l[:, :, None] + t * l_pc[:, :, None]) % p[:, None, None]
+        left = left[:, 1:] - left[:, :1]
+    inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
+    left = left * inverse[:, None, None] % p
+    basis = left[:, None] @ right[..., m - n :]  # G0, G1, G0 P_c, G1 P_c over l^2
+    basis %= p[:, None]
+    grid = _grid_table(l) @ basis.reshape(r, 4, n * n)
+    grid %= p
     coeffs = _berkowitz_mod(grid.reshape(r, side * side, n, n), primes)
     # l^(2k') C = W V W^T, V the grid of lam**(n-k') and W = V^-1, all mod p
     values = coeffs.reshape(r, side, side, n + 1).transpose(0, 3, 1, 2)

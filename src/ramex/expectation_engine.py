@@ -18,7 +18,9 @@ block, and folds; a pending fresh matching is folded like every later one.
 ``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
 ``node_value`` stops after the contraction: the node polynomial at
 x = sqrt(q), one rational from the reduced Gram polynomial and a cached
-table that pulls the evaluation back through the folds.
+table that pulls the evaluation back through the folds.  Both are
+``contract_node``, the grid run, then ``contraction_value`` or
+``contraction_poly``, so a caller can take both from one grid.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ def _weight_table(lhat: int) -> tuple:
     return scale, tuple(table)
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_rows(lhat: int) -> tuple:
+    """(L, rows): ``_weight_table(lhat)`` with each W[j] read as one row in
+    (p, q) order, as ``_contract`` multiplies it; cached."""
+    scale, weights = _weight_table(lhat)
+    return scale, tuple(tuple(chain.from_iterable(plane)) for plane in weights)
+
+
 def _contract(planes: tuple) -> tuple[list, int]:
     """The expected Gram polynomial of squared-minor planes of side l, as
     ``CTensor`` stores them, on integers: numerators over l^(2k') meet the
@@ -64,15 +74,14 @@ def _contract(planes: tuple) -> tuple[list, int]:
     maps a complement's planes to the reduced Gram polynomial.
     """
     lhat, r = len(planes[0]) - 1, len(planes) - 1
-    scale, weights = _weight_table(lhat)
+    scale, weights = _weight_rows(lhat)
     l2 = (lhat + 1) ** 2
-    flat = chain.from_iterable  # a (p, q) plane read as one row
+    rows = [tuple(chain.from_iterable(plane)) for plane in planes]  # (p, q) order
     coeffs = []
     for k in range(r + 1):
         # over l^(2k) L: the sum of l^(2j) W[j] . planes[k - j], j <= l_hat
         total = sum(
-            l2**j * sum(map(mul, flat(weights[j]), flat(planes[k - j])))
-            for j in range(min(k, lhat) + 1)
+            l2**j * sum(map(mul, weights[j], rows[k - j])) for j in range(min(k, lhat) + 1)
         )
         coeffs.append((total if k % 2 == 0 else -total) * l2 ** (r - k))
     return coeffs[::-1], l2**r * scale
@@ -133,10 +142,10 @@ def _value_weights(params: Params, placed: int) -> tuple[tuple, int]:
     return tuple(v), scale ** (params.d - placed)
 
 
-def _expected_gram(node: NodeState, params: Params) -> tuple[list, int, int, CTensor]:
-    """The node's reduced Gram polynomial (ascending integers over den), den,
-    the matchings placed, and the block's tensor, from one grid run; a
-    node's tensor must have split the all-ones factor off."""
+def contract_node(node: NodeState, params: Params) -> tuple[list, int, int, CTensor]:
+    """The node's contraction from one grid run: its reduced Gram polynomial
+    (ascending integers over den), den, the matchings placed, and the
+    block's tensor, which must have split the all-ones factor off."""
     check_grid_size(params.m)
     node.validate(params)
     tensor = trivariate_detpoly(*half_adjacency(node, params))
@@ -148,14 +157,31 @@ def _expected_gram(node: NodeState, params: Params) -> tuple[list, int, int, CTe
     return gram, den, len(node.complete) + (node.partial is not None), tensor
 
 
+def contraction_value(contraction: tuple, params: Params) -> Fraction:
+    """``node_value`` of a node's ``contract_node``."""
+    gram, den, placed, _ = contraction
+    v, scale = _value_weights(params, placed)
+    return Fraction(sum(map(mul, gram, v)), den * scale)
+
+
+def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple, CTensor]:
+    """``evaluate_node`` of a node's ``contract_node``."""
+    reduced, den, placed, tensor = contraction
+    for _ in range(placed, params.d):
+        reduced, den = add_random_matching(reduced, den)
+    body = poly_substitute_square(UniPoly(tuple(reduced)))
+    if body.degree != params.n - 2 or body.coeffs[-1] != den:
+        raise InvariantViolation("degree bookkeeping broken")
+    # zeros, the odd coefficients among them, stay int 0
+    return UniPoly(tuple(Fraction(c, den) if c else 0 for c in body.coeffs)), body.coeffs, tensor
+
+
 def node_value(node: NodeState, params: Params) -> Fraction:
     """The node polynomial at x = sqrt(q), q = 4(d-1), exactly: one
     rational from the reduced Gram polynomial and a cached table, with no
     fold or root test (``_value_weights``).  The polynomial is even, so
     its value at sqrt(q) is rational."""
-    gram, den, placed, _ = _expected_gram(node, params)
-    v, scale = _value_weights(params, placed)
-    return Fraction(sum(map(mul, gram, v)), den * scale)
+    return contraction_value(contract_node(node, params), params)
 
 
 def node_polynomial(node: NodeState, params: Params) -> UniPoly:
@@ -174,11 +200,4 @@ def evaluate_node(node: NodeState, params: Params) -> tuple[UniPoly, tuple, CTen
     positive denominator, and its block's squared-minor tensor, from one
     grid run.  Beyond the grid's sizes it raises ``GridTooLarge`` before
     building a node matrix; on a node outside the tree, ``ValueError``."""
-    reduced, den, placed, tensor = _expected_gram(node, params)
-    for _ in range(placed, params.d):
-        reduced, den = add_random_matching(reduced, den)
-    body = poly_substitute_square(UniPoly(tuple(reduced)))
-    if body.degree != params.n - 2 or body.coeffs[-1] != den:
-        raise InvariantViolation("degree bookkeeping broken")
-    # zeros, the odd coefficients among them, stay int 0
-    return UniPoly(tuple(Fraction(c, den) if c else 0 for c in body.coeffs)), body.coeffs, tensor
+    return contraction_poly(contract_node(node, params), params)

@@ -139,16 +139,15 @@ def half_adjacency(node: NodeState, params: Params) -> tuple[Matrix, BlockSpec]:
     node is taken as valid: the engine validates every node it is given,
     and a leaf's ``Multigraph`` checks its own degrees.
     """
-    m = params.m
+    m, partial = params.m, node.partial or ()
     counts = [[0] * m for _ in range(m)]
-    for match in node.complete:
+    for match in node.complete + (partial,):
         for i, j in enumerate(match):
             counts[i][j] += 1
-    block = BlockSpec((), ())
-    if node.partial is not None:
-        for i, j in enumerate(node.partial):
-            counts[i][j] += 1
-        block = BlockSpec(range(len(node.partial), m), sorted(set(range(m)) - set(node.partial)))
+    if node.partial is None:
+        return Matrix.from_rows(counts), BlockSpec((), ())
+    taken = set(partial)
+    block = BlockSpec(range(len(partial), m), [j for j in range(m) if j not in taken])
     return Matrix.from_rows(counts), block
 
 

@@ -46,7 +46,7 @@ from .exact_algebra import (
     sqrt_shift_pairs,
 )
 from .exact_linalg import charpoly_mod, charpoly_modulus, check_grid_size
-from .expectation_engine import evaluate_node, node_value
+from .expectation_engine import contract_node, contraction_poly, contraction_value, evaluate_node
 from .matching_family import Multigraph, NodeState, Params, children
 
 
@@ -263,12 +263,13 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     evaluated in full, in up to jobs worker processes (never more than m,
     the most children a stage has), and the last must equal that
     difference.  Without it, only the start node and the leaf are, and in
-    between values (``node_value``), one child at a time in this process
-    until one passes; the last child's value is the difference, a value of
-    0 takes the full polynomial, and the leaf's polynomial must have the
-    value carried down to it.  A stage where none passes evaluates every
-    child in full before NoPassingChild is raised.  The leaf never depends
-    on audit or the job count.
+    between values (``contraction_value``), one child at a time in this
+    process until one passes; the last child's value is the difference, a
+    value of 0 takes the full polynomial from the same grid run
+    (``contraction_poly``), and the leaf's polynomial, computed once, must
+    have the value carried down to it.  A stage where none passes
+    evaluates every child in full before NoPassingChild is raised.  The
+    leaf never depends on audit or the job count.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = params.q
@@ -301,13 +302,16 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
             else:
                 polys, values, passed = [], [], []
                 for kid in kids:
+                    contraction = None
                     if kid is kids[-1]:  # c parent - the others; a single child is the parent
                         values.append(len(kids) * current_value - sum(values))
                     else:
-                        values.append(node_value(kid, params))
+                        contraction = contract_node(kid, params)
+                        values.append(contraction_value(contraction, params))
                     poly = ints = None
-                    if not values[-1]:  # a value of 0 takes the full polynomial
-                        poly, ints, _ = evaluate_node(kid, params)
+                    if not values[-1]:  # a value of 0 takes the full polynomial, from its grid
+                        contraction = contraction or contract_node(kid, params)
+                        poly, ints, _ = contraction_poly(contraction, params)
                     polys.append(poly)
                     passed.append(_child_passes(values[-1], ints, q))
                     if passed[-1]:
@@ -334,7 +338,8 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
             )
             current, current_poly, current_value = kids[idx], polys[idx], values[idx]
     if not audit:
-        current_poly = _child_poly_task((current, params))[0]
+        if current_poly is None:  # a leaf whose value is 0 has its polynomial already
+            current_poly = _child_poly_task((current, params))[0]
         if _value(current_poly.coeffs, q) != current_value:
             raise InvariantViolation(
                 f"the walk's leaf polynomial differs from its value at sqrt({q})"

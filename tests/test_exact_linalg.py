@@ -27,6 +27,7 @@ from ramex.exact_linalg import (
     RationalityViolation,
     _berkowitz_mod,
     _crt,
+    _grid_table,
     _hessenberg_mod,
     _interp_residues,
     _primes_for,
@@ -633,12 +634,11 @@ def test_primes_are_distinct_primes_below_2_to_the_29():
     for p in _PRIMES:
         assert 2 < p < 2**29 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
         assert MAX_GRID_M * (p - 1) ** 2 < 2**63
-        # the grid's broadcasts at the largest block, unreduced in between:
-        # L = l G0 + (t_r - 1) G1 with |t_r - 1| < l, then the grid matrix
-        # -(l L + (t_c - 1) L P_c) with |t_c - 1| < l and |L P_c| <= 2 l |L|
+        # the grid at the largest block, one matmul of the (l^2, 4) table,
+        # entries at most l^2, with the basis, entries reduced below p
         l = MAX_GRID_M
-        top = l * (p - 1) + (l - 1) * (p - 1)
-        assert l * top + (l - 1) * 2 * l * top < 2**46 < 2**63
+        assert 4 * l * l * (p - 1) < 2**41 < 2**63
+    assert np.abs(_grid_table(MAX_GRID_M)).max() == MAX_GRID_M**2
 
 
 def test_grid_size_guards_raise_grid_too_large():
@@ -661,6 +661,7 @@ def test_ctensor_checks_its_numerators(monkeypatch):
     assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/4"]]]
     with pytest.raises(RationalityViolation, match="expected 1"):
         CTensor(1, 2, (((4, 0, 0),) + ((0,) * 3,) * 2, ((0,) * 3,) * 3))
-    with pytest.raises(RationalityViolation, match="negative"):
+    # the sign check runs in one pass; a failure still names the cell
+    with pytest.raises(RationalityViolation, match=r"negative squared-minor sum C\[1\]\[1\]\[0\] "):
         CTensor(1, 1, (((1, 0), (0, 0)), ((4, 0), (-1, 0))))
     assert rationality_violation_count() == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramex import ramanujan_walk
+from ramex import expectation_engine, ramanujan_walk
 from ramex.exact_algebra import InvariantViolation, UniPoly, poly_substitute_square, quad_sign
 from ramex.exact_linalg import Matrix, charpoly
 from ramex.expectation_engine import node_polynomial
@@ -335,7 +335,7 @@ def test_lazy_walk_skips_forced_stages(monkeypatch):
     reaches its last child takes its value as c parent - the others, which
     for a single child is the parent's, and decides it by that value."""
     calls = []
-    for name in ("evaluate_node", "node_value"):
+    for name in ("evaluate_node", "contract_node"):
         real = getattr(ramanujan_walk, name)
         monkeypatch.setattr(
             ramanujan_walk, name, lambda *args, real=real: calls.append(1) or real(*args)
@@ -353,6 +353,20 @@ def test_lazy_walk_skips_forced_stages(monkeypatch):
     assert all(value for s in result.stages for value in s.child_values)
     chosen = [s.chosen + 1 for s in result.stages if len(s.child_nodes) > 1]
     assert len(calls) == 2 + sum(chosen) - len(last)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_lazy_d2_walk_runs_one_grid_per_node(n, monkeypatch):
+    """At d = 2 the children the lazy walk decides read 0, so each takes
+    its full polynomial: from the grid run that gave its value, and at the
+    leaf from the stage that decided it.  No node's grid runs twice."""
+    engine, nodes, grids = expectation_engine, [], []
+    half, grid = engine.half_adjacency, engine.trivariate_detpoly
+    monkeypatch.setattr(engine, "half_adjacency", lambda *a: nodes.append(a[0]) or half(*a))
+    monkeypatch.setattr(engine, "trivariate_detpoly", lambda *a: grids.append(a) or grid(*a))
+    result = walk(Params(n, 2), audit=False)
+    assert 0 in (value for stage in result.stages for value in stage.child_values)
+    assert len(grids) == len(set(nodes))
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
