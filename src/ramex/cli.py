@@ -306,8 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for child evaluation on a --trace build; a plain "
-        "build evaluates one child at a time and starts no workers",
+        help="threads for child evaluation on a --trace build; a plain build "
+        "evaluates one child at a time and starts no threads",
     )
     p_build.set_defaults(func=cmd_build)
 

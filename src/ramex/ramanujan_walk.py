@@ -12,12 +12,13 @@ child: its polynomial's value at sqrt(q), which passes if positive and
 fails if negative; a value of 0 takes the exact root test on the integer
 pairs (a, b) of the shifted coefficients a + b sqrt(q).  A stage's c
 children average to their parent, so the last child's polynomial, and its
-value, is c times the parent's less the other c - 1.  An audited walk
-evaluates every child in full, checks the last against that identity and
-each verdict against the root test; a lazy walk computes only values, one
-child at a time until one passes, takes the last from the identity (a
-single child is the parent itself), and evaluates the leaf in full, whose
-value must match.  At a leaf the matchings combine
+value, is c times the parent's less the other c - 1.  One loop serves
+both walks: a lazy walk computes only values, one child at a time until
+one passes, taking the last from the identity (a single child is the
+parent itself); an audited walk first evaluates every child in full and
+checks their average, each value and each verdict.  On both, the leaf's
+polynomial must have the value carried down to it.  At a leaf the
+matchings combine
 into a d-regular bipartite multigraph whose nontrivial spectrum is
 certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
 symmetric about zero, so bounding the max root bounds the min root as
@@ -31,9 +32,10 @@ reaches the same verdict with no characteristic polynomial at all.
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 
 from .exact_algebra import (
@@ -239,16 +241,16 @@ class WalkResult:
     leaf: NodeState
     leaf_poly: UniPoly
     stages: tuple = field(default_factory=tuple)
-    # worker processes started, 1 when no pool ran; the walk's value never depends on it
+    # threads an audited walk ran its children in, 1 if none; the walk never depends on it
     workers: int = field(default=1, compare=False)
 
 
-def _child_poly_task(args) -> tuple[UniPoly, bool]:
-    """A child's polynomial and the rule's verdict on its value at
-    sqrt(q), checked against the root test on its integer form."""
-    node, params = args
-    poly, ints, _ = evaluate_node(node, params)
-    return poly, _child_passes(_value(ints, params.q), ints, params.q)
+def _full_poly(node: NodeState, params: Params, contraction=None) -> tuple[UniPoly, tuple]:
+    """A node's polynomial and its integer form, from its ``contract_node``
+    if given, else from a grid run of its own: the one source of every full
+    polynomial the walk computes after the start node's."""
+    poly, ints, _ = contraction_poly(contraction or contract_node(node, params), params)
+    return poly, ints
 
 
 def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
@@ -256,20 +258,19 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     invariant that the current node's polynomial passes the sqrt(q) bound,
     q = 4(d-1).
 
-    The descent takes the first passing child in ascending order, each
-    decided by ``_child_passes`` from its exact value at sqrt(q).  The
-    parent is the average of its c children, so the last child, and its
-    value, is c parent less the others.  With audit, every child is
-    evaluated in full, in up to jobs worker processes (never more than m,
-    the most children a stage has), and the last must equal that
-    difference.  Without it, only the start node and the leaf are, and in
-    between values (``contraction_value``), one child at a time in this
-    process until one passes; the last child's value is the difference, a
-    value of 0 takes the full polynomial from the same grid run
-    (``contraction_poly``), and the leaf's polynomial, computed once, must
-    have the value carried down to it.  A stage where none passes
+    One loop serves both walks.  It takes a stage's children in ascending
+    order, each child's value at sqrt(q) from its grid run
+    (``contract_node``, ``contraction_value``) and its full polynomial from
+    the same run where the value is 0 or the walk is audited; then
+    ``_child_passes`` decides it.  A lazy walk stops at the first that
+    passes and takes the last child's value as c times the parent's less
+    the others (a single child is the parent).  An audited walk decides
+    every child, evaluates each in full up front, in up to min(jobs, m)
+    threads, and checks that their polynomials average to the parent and
+    that each value is its own polynomial's.  A stage where none passes
     evaluates every child in full before NoPassingChild is raised.  The
-    leaf never depends on audit or the job count.
+    leaf's polynomial must have the value carried down to it.  The leaf
+    never depends on audit or jobs.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = params.q
@@ -284,44 +285,44 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     current_value = _value(ints, q)
 
     stages = []
-    workers = min(jobs, params.m)
-    pooled = audit and workers > 1
-    with ProcessPoolExecutor(max_workers=workers) if pooled else contextlib.nullcontext() as pool:
-        evaluate = pool.map if pooled else map
+    workers = min(jobs, params.m) if audit else 1
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        evaluate = pool.map if pool else map
         while not current.is_leaf(params):
             kids = children(current, params)
-            if audit:
-                tasks = [(k, params) for k in kids]
-                polys, passed = map(list, zip(*evaluate(_child_poly_task, tasks)))
-                values = [_value(poly.coeffs, q) for poly in polys]
-                # the children average to the parent: the last is c parent - the others
-                if polys[-1] != len(kids) * current_poly + -1 * sum(polys[:-1], UniPoly()):
+            contractions = evaluated = [None] * len(kids)
+            if audit:  # every child in full, up front: the polynomials average to the parent
+                contractions = list(evaluate(contract_node, kids, repeat(params)))
+                evaluated = list(map(_full_poly, kids, repeat(params), contractions))
+                *others, last = (poly for poly, _ in evaluated)
+                if last != len(kids) * current_poly + -1 * sum(others, UniPoly()):
                     raise InvariantViolation(
                         f"polynomial of {current} is not the average of its children"
                     )
-            else:
-                polys, values, passed = [], [], []
-                for kid in kids:
-                    contraction = None
-                    if kid is kids[-1]:  # c parent - the others; a single child is the parent
-                        values.append(len(kids) * current_value - sum(values))
-                    else:
-                        contraction = contract_node(kid, params)
-                        values.append(contraction_value(contraction, params))
-                    poly = ints = None
-                    if not values[-1]:  # a value of 0 takes the full polynomial, from its grid
-                        contraction = contraction or contract_node(kid, params)
-                        poly, ints, _ = contraction_poly(contraction, params)
-                    polys.append(poly)
-                    passed.append(_child_passes(values[-1], ints, q))
-                    if passed[-1]:
-                        break
+            polys, values, passed = [], [], []
+            for kid, contraction, full in zip(kids, contractions, evaluated):
+                if not audit and kid is kids[-1]:  # c parent - the others
+                    values.append(len(kids) * current_value - sum(values))
+                else:
+                    contraction = contraction or contract_node(kid, params)
+                    values.append(contraction_value(contraction, params))
+                if full is None and not values[-1]:  # a value of 0 takes the full polynomial
+                    full = _full_poly(kid, params, contraction)
+                poly, ints = full or (None, None)
+                if audit and _value(ints, q) != values[-1]:
+                    raise InvariantViolation(
+                        f"the polynomial of {kid} differs from its value at sqrt({q})"
+                    )
+                polys.append(poly)
+                passed.append(_child_passes(values[-1], ints, q))
+                if passed[-1] and not audit:
+                    break
             if not any(passed):
                 raise NoPassingChild(
                     f"no child of {current} passes the sqrt({q}) bound",
                     node=current,
                     child_nodes=kids,
-                    child_polys=polys if audit else [evaluate_node(k, params)[0] for k in kids],
+                    child_polys=[p or _full_poly(k, params)[0] for k, p in zip(kids, polys)],
                 )
             idx = passed.index(True)
             stages.append(
@@ -337,20 +338,17 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 )
             )
             current, current_poly, current_value = kids[idx], polys[idx], values[idx]
-    if not audit:
-        if current_poly is None:  # a leaf whose value is 0 has its polynomial already
-            current_poly = _child_poly_task((current, params))[0]
-        if _value(current_poly.coeffs, q) != current_value:
-            raise InvariantViolation(
-                f"the walk's leaf polynomial differs from its value at sqrt({q})"
-            )
+    if current_poly is None:  # a leaf that was decided by value alone
+        current_poly = _full_poly(current, params)[0]
+    if _value(current_poly.coeffs, q) != current_value:
+        raise InvariantViolation(f"the walk's leaf polynomial differs from its value at sqrt({q})")
     return WalkResult(
         params=params,
         bound_q=q,
         leaf=current,
         leaf_poly=current_poly,
         stages=tuple(stages),
-        workers=workers if pooled else 1,
+        workers=workers if pool else 1,
     )
 
 

@@ -85,6 +85,23 @@ def test_build_trace_records_the_workers_started(tmp_path, capsys):
     assert json.loads((tmp_path / "transcript.json").read_text())["jobs"] == 2
 
 
+def test_traced_transcript_is_the_same_in_threads(tmp_path, capsys):
+    """A traced build that evaluates children in two threads writes the
+    serial build's transcript; only the threads started and the elapsed
+    time differ."""
+    transcripts = []
+    for jobs in ("1", "2"):
+        out = str(tmp_path / jobs)
+        argv = ("build", "--n", "10", "--d", "3", "--out", out, "--trace", "--jobs", jobs)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        transcripts.append(json.loads((tmp_path / jobs / "transcript.json").read_text()))
+    serial, threaded = transcripts
+    assert (serial.pop("jobs"), threaded.pop("jobs")) == (1, 2)
+    del serial["elapsed_ms"], threaded["elapsed_ms"]
+    assert threaded == serial
+
+
 def test_certify_failing_graph(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 4, "d": 3, "multiplicity": [[3, 0], [0, 3]]}))
@@ -408,6 +425,29 @@ def test_node_poly_ctensor_on_root(capsys):
     }
 
 
+def test_node_poly_ctensor_pins_the_grid_orientation(capsys):
+    """A (10,3) node whose tensor is not symmetric in (p, q), unlike every
+    golden node's: the counting weights are symmetric, so no node
+    polynomial sees a transposed tensor, and this output pins t_r to the
+    block's rows and t_c to its columns.  Its polynomial times x^2 - 9 is
+    the oracle's."""
+    node = '{"complete": [[3, 2, 5, 1, 4], [1, 2, 3, 4, 5]], "partial": [2]}'
+    code, stdout, _ = run(capsys, "node-poly", node, "--n", "10", "--d", "3", "--ctensor")
+    assert code == 0
+    data = json.loads(stdout)
+    assert data["node_poly"] == ["14/3", "0", "-109/3", "0", "217/6", "0", "-11", "0", "1"]
+    assert (data["ctensor"]["m"], data["ctensor"]["lhat"]) == (5, 3)
+    zero = ["0", "0", "0", "0"]
+    assert data["ctensor"]["values"] == [
+        [["1", "0", "0", "0"], zero, zero, zero],
+        [["37/4", "5/4", "0", "0"], ["15/4", "11/4", "0", "0"], zero, zero],
+        [["9/4", "45/4", "0", "0"], ["135/4", "59/2", "5/2", "0"], ["0", "10", "3/2", "0"], zero],
+        [zero, ["0", "171/4", "45/2", "0"], ["0", "90", "22", "0"], ["0", "0", "5", "0"]],
+        [zero, zero, ["0", "0", "153/2", "0"], ["0", "0", "45", "0"]],
+        [zero, zero, zero, zero],
+    ]
+
+
 def test_node_poly_ctensor_runs_the_grid_once(capsys, monkeypatch):
     # the tensor printed is the one the node polynomial was built from
     calls = []
@@ -688,13 +728,13 @@ def _skewed_build_under_optimize(out, *extra):
         else:
             sys.exit("the engine's node check did not run")
         # skew every child so that the parent is no longer their average
-        real = ramanujan_walk._child_poly_task
+        real = ramanujan_walk._full_poly
 
-        def skewed(task):
-            poly, passed = real(task)
-            return poly + UniPoly((1,)), passed
+        def skewed(node, params, contraction=None):
+            poly, ints = real(node, params, contraction)
+            return poly + UniPoly((1,)), (ints[0] + ints[-1], *ints[1:])
 
-        ramanujan_walk._child_poly_task = skewed
+        ramanujan_walk._full_poly = skewed
         argv = ["build", "--n", "4", "--d", "3", "--out", sys.argv[1]] + sys.argv[2:]
         sys.exit(cli.main(argv))
         """
@@ -732,6 +772,34 @@ def test_only_the_grid_loads_numpy(built_6_3):
     ]
 
 
+def test_no_process_machinery_is_loaded(tmp_path):
+    """The walk runs in one process: importing the command line, a plain
+    build and a traced build in two threads load neither multiprocessing
+    nor concurrent.futures.process."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from ramex import cli
+
+        PROCESS = ("multiprocessing", "concurrent.futures.process")
+
+        def loaded():
+            return [name for name in PROCESS if name in sys.modules]
+
+        print("import", loaded(), file=sys.stderr)
+        for extra in ([], ["--trace", "--jobs", "2"]):
+            code = cli.main(["build", "--n", "8", "--d", "3", "--out", sys.argv[1], *extra])
+            print("build", *extra, code, loaded(), file=sys.stderr)
+        """
+    )
+    proc = _python("-c", script, str(tmp_path))
+    assert proc.stderr.splitlines() == [
+        "import []",
+        "build 0 []",
+        "build --trace --jobs 2 0 []",
+    ]
+
+
 def test_invariant_violation_survives_optimize(tmp_path):
     """Invariant checks are real checks: under python -O a forced violation
     still raises InvariantViolation, and build maps it to exit code 3.  The
@@ -747,7 +815,7 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
     """The audit compares a stage's evaluated last child with c parent less
     the others, so raising the first or the last child alone is caught."""
     skewed = set()
-    real_children, real_task = ramanujan_walk.children, ramanujan_walk._child_poly_task
+    real_children, real_poly = ramanujan_walk.children, ramanujan_walk._full_poly
 
     def recording(node, params):
         kids = real_children(node, params)
@@ -755,12 +823,14 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
             skewed.add(kids[which])
         return kids
 
-    def task(args):
-        poly, passed = real_task(args)
-        return (poly + UniPoly((1,)) if args[0] in skewed else poly), passed
+    def full_poly(node, params, contraction=None):
+        poly, ints = real_poly(node, params, contraction)
+        if node in skewed:  # raised by 1: the integer form by its denominator
+            return poly + UniPoly((1,)), (ints[0] + ints[-1], *ints[1:])
+        return poly, ints
 
     monkeypatch.setattr(ramanujan_walk, "children", recording)
-    monkeypatch.setattr(ramanujan_walk, "_child_poly_task", task)
+    monkeypatch.setattr(ramanujan_walk, "_full_poly", full_poly)
     out = str(tmp_path)
     code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", out, "--trace")
     assert code == 3

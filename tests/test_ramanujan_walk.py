@@ -371,21 +371,21 @@ def test_lazy_d2_walk_runs_one_grid_per_node(n, monkeypatch):
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
 def test_lazy_walk_is_jobs_agnostic(n, d, monkeypatch):
-    """The lazy walk evaluates one child at a time in this process: jobs
-    changes nothing, stages included, and no worker pool is started."""
+    """The lazy walk evaluates one child at a time in this thread: jobs
+    changes nothing, stages included, and no thread pool is started."""
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("the lazy walk started a worker pool")
+        raise AssertionError("the lazy walk started a thread pool")
 
     params = Params(n, d)
     serial = walk(params, audit=False)
-    monkeypatch.setattr(ramanujan_walk, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(ramanujan_walk, "ThreadPoolExecutor", no_pool)
     assert walk(params, jobs=2, audit=False) == serial
 
 
 def test_traced_walk_pool_is_bounded_by_stage_width(monkeypatch):
     """No stage has more than m children, so a traced walk asks for at most
-    m workers however large jobs is; a pool starts all its workers at once."""
+    m threads however large jobs is, and at jobs = 1 it starts no pool."""
     asked = []
 
     class FakePool:
@@ -402,9 +402,20 @@ def test_traced_walk_pool_is_bounded_by_stage_width(monkeypatch):
             return map(fn, *iterables)
 
     params = Params(6, 3)
-    monkeypatch.setattr(ramanujan_walk, "ProcessPoolExecutor", FakePool)
-    assert walk(params, jobs=10**6) == walk(params, jobs=1)
+    monkeypatch.setattr(ramanujan_walk, "ThreadPoolExecutor", FakePool)
+    serial = walk(params, jobs=1)
+    assert asked == []
+    assert walk(params, jobs=10**6) == serial
     assert asked == [3]
+
+
+def test_audited_walk_checks_each_value_against_its_polynomial(monkeypatch):
+    """An audited walk takes a child's value from its grid run and its
+    polynomial from the same run's folds; a value off by one is caught."""
+    real = ramanujan_walk.contraction_value
+    monkeypatch.setattr(ramanujan_walk, "contraction_value", lambda *args: real(*args) + 1)
+    with pytest.raises(InvariantViolation, match=r"differs from its value at sqrt\(8\)"):
+        walk(Params(6, 3))
 
 
 @settings(max_examples=300)
