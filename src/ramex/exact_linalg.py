@@ -15,24 +15,28 @@ Python.  Certification calls its two halves, ``charpoly_modulus`` and
 its deflated (m-1) x (m-1) block.
 
 The tensor comes from characteristic polynomials on the grid
-{0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, all on
-int64 residues of the fixed matrix modulo word-size primes in one numpy
-batch: one matmul gives a basis of four Grams, one more with a cached
-table of coefficients gives every grid matrix, and Berkowitz's
-recurrence their characteristic polynomials.  When the scaled
-fixed matrix has all row and column sums equal, as on every walk node,
-every grid matrix has the all-ones eigenvector, and that factor is split
-off once, here: Berkowitz runs on (m-1) x (m-1) residues and the tensor
-stores the complement.  The stored integer numerators over l^(2k') for
-minor size k' are rebuilt exactly by the Chinese remainder theorem
-(Garner's, in int64, for one or two primes) from enough primes for a bound
-taken from the trace of the fixed matrix's Gram alone.  Only constant
-tables (interpolation residues, grid coefficients, CRT bases) are
-cached.  ``charpoly`` is the
-independent reference for the batched kernel, and its two halves serve
-certification, which never depends on the modular batch: numpy is
-imported inside the functions that run the batch, so certification never
-loads it.
+{0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, in one
+numpy batch: one matmul gives a basis of four Grams, one more with a
+cached table of coefficients gives every grid matrix, and Berkowitz's
+division-free recurrence their characteristic polynomials.  When the
+scaled fixed matrix has all row and column sums equal, as on every walk
+node, every grid matrix has the all-ones eigenvector, and that factor is
+split off once, here: Berkowitz runs on (m-1) x (m-1) matrices and the
+tensor stores the complement.  The stored integer numerators over
+l^(2k') for minor size k' are bounded from the trace of the fixed
+matrix's Gram alone, and that bound picks one of two exact paths:
+- one word: when 2 4^v times the bound is below 2^64, v = v2(l_hat!),
+  the whole grid runs on uint64 arrays modulo 2^64, reduced by
+  wrap-around alone, with 2^v V^-1, whose denominators are odd; the
+  word holds 4^v times each numerator, and its low 2v bits must be zero;
+- primes: otherwise, on int64 residues modulo enough word-size primes,
+  rebuilt by the Chinese remainder theorem (Garner's, in int64, for one
+  or two primes).
+Only constant tables (interpolation matrices, grid coefficients, CRT
+bases) are cached.  ``charpoly`` is the independent reference for the
+batched kernel, and its two halves serve certification, which never
+depends on the modular batch: numpy is imported inside the functions that
+run the batch, so certification never loads it.
 """
 
 from __future__ import annotations
@@ -314,6 +318,8 @@ _PRIMES = (
 
 MAX_GRID_M = 32
 
+_WORD = 2**64  # the one-word grid's modulus: uint64 arithmetic wraps modulo it
+
 
 class GridTooLarge(TooLarge):
     """The batched grid cannot be exact for this matrix: m exceeds
@@ -372,48 +378,83 @@ def _interp_residues(lhat: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _interp_word(lhat: int, v: int):
+    """2^v W mod 2^64, W = V^-1 on the points 0..lhat as in
+    ``_interp_residues``, for v >= v2(lhat!): 2^v f_k = sum_t out[k][t] f(t)
+    mod 2^64 for every integer polynomial f = sum_k f_k t^k of degree
+    <= lhat.  Read-only uint64, cached.
+
+    Column t of W is P/(x - t) over (-1)^(lhat-t) t! (lhat-t)!, which
+    divides lhat!, so 2^v W has odd denominators, units mod 2^64.
+    """
+    import numpy as np
+
+    size = lhat + 1
+    poly = [1]  # ascending coefficients of P = prod_s (x - s)
+    for s in range(size):
+        poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
+    out = [[0] * size for _ in range(size)]
+    for t in range(size):
+        den = (-1) ** (lhat - t) * math.factorial(t) * math.factorial(lhat - t)
+        twos = (den & -den).bit_length() - 1
+        scale = pow(den >> twos, -1, _WORD) << (v - twos)
+        quotient = 0
+        for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
+            quotient = poly[k] + t * quotient
+            out[k - 1][t] = quotient * scale % _WORD
+    out = np.array(out, dtype=np.uint64)
+    out.flags.writeable = False
+    return out
+
+
 def _berkowitz_mod(mats, primes):
     """Descending coefficients of det(x I - M) mod p for a batch of int64
     residue matrices of shape (r, g, m, m), the prime of row i of the batch
-    being primes[i]; the result has shape (r, g, m + 1).
+    being primes[i]; the result has shape (r, g, m + 1).  Given no primes,
+    a uint64 batch is reduced modulo 2^64 by wrap-around alone.
 
     The division-free Berkowitz recurrence, batched: no pivot and no
-    inverse mod p, so one code path serves every matrix of the batch.
-    ``charpoly``, by Hessenberg reduction, is its independent reference.
+    inverse, so one code path serves every matrix of the batch and every
+    commutative ring, Z/2^64 too.  ``charpoly``, by Hessenberg reduction,
+    is its independent reference.
     It starts from the leading 1 x 1 block, x - a00 (a 0 x 0 batch gives
     1), so the grid's deflated (m-1) x (m-1) matrices take m - 2 steps.
     At step k one matmul per power gives the next mat-vec of the leading
     block and the Toeplitz entry of the row below it, and the coefficients
     are multiplied by the lower-triangular Toeplitz matrix, gathered from
-    the entries.  Every product is reduced mod p (in place in the Krylov
-    loop) before the next one, and no dot product is longer than
+    the entries.  With primes, every product is reduced mod p (in place in
+    the Krylov loop) before the next one, and no dot product is longer than
     m <= MAX_GRID_M.
     """
     import numpy as np
 
     r, g, m, _ = mats.shape
-    p, p4 = primes.reshape(r, 1, 1), primes.reshape(r, 1, 1, 1)
     if not m:
-        return np.ones((r, g, 1), dtype=np.int64)
-    coeffs = np.ones((r, g, 2), dtype=np.int64)  # the leading 1 x 1 block: x - a00
-    coeffs[..., 1] = -mats[:, :, 0, 0] % p[..., 0]
+        return np.ones((r, g, 1), dtype=mats.dtype)
+    p = p4 = None
+    if primes is not None:
+        p, p4 = primes.reshape(r, 1, 1), primes.reshape(r, 1, 1, 1)
+    coeffs = np.ones((r, g, 2), dtype=mats.dtype)  # the leading 1 x 1 block: x - a00
+    coeffs[..., 1] = -mats[:, :, 0, 0] if p is None else -mats[:, :, 0, 0] % p[..., 0]
     # toeplitz[i][j] = max(i - j, 0): index 0 reads u_0 = 0 on and above the diagonal
     toeplitz = np.maximum(np.subtract.outer(np.arange(m + 1), np.arange(m)), 0)
     for k in range(2, m + 1):
         top = mats[:, :, :k, : k - 1]  # the leading (k-1) x (k-1) block and the row below
         vec = mats[:, :, : k - 1, k - 1 : k]
         # t = (1, -u_1, ..., -u_k): u_1 = a[k-1][k-1], u_i = row . lead^(i-2) . col
-        u = np.zeros((r, g, k + 1), dtype=np.int64)
+        u = np.zeros((r, g, k + 1), dtype=mats.dtype)
         u[..., 1] = mats[:, :, k - 1, k - 1]
         for i in range(2, k + 1):
             prod = top @ vec
-            prod %= p4
+            if p4 is not None:
+                prod %= p4
             u[..., i] = prod[..., k - 1, 0]
             vec = prod[..., : k - 1, :]
         # new_i = c_i - sum_{j < i} u_(i-j) c_j
         shifted = -(u[..., toeplitz[: k + 1, :k]] @ coeffs[..., None])[..., 0]
         shifted[..., :k] += coeffs
-        coeffs = shifted % p
+        coeffs = shifted if p is None else shifted % p
     return coeffs
 
 
@@ -457,6 +498,96 @@ def _grid_table(l: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _word_table(l: int):
+    """The grid matrices' coefficients in the integer basis (B0, B1, B2, B3)
+    of ``trivariate_detpoly``: row l t_r + t_c is -(1, t_r-1, t_c-1,
+    (t_r-1)(t_c-1)) mod 2^64 for t_r, t_c in 0..l-1.  Read-only uint64,
+    cached."""
+    import numpy as np
+
+    shift = np.arange(-1, l - 1)  # t - 1 for t in 0..l-1
+    row, col = np.repeat(shift, l), np.tile(shift, l)  # t_r - 1 and t_c - 1
+    out = -np.stack([np.ones(l * l, dtype=np.int64), row, col, row * col], axis=1)
+    out = out.view(np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+def _word_grid(a: Matrix, rows: list, cols: list, n: int, v: int):
+    """``trivariate_detpoly``'s numerators, an int64 array (n + 1, l, l),
+    from one uint64 batch modulo 2^64, for a bound b with 2 4^v b < 2^64:
+    the integer basis, ``_word_table``, ``_berkowitz_mod`` with no primes
+    and ``_interp_word`` give 4^v times each numerator as a signed word,
+    whose low 2v bits must be zero."""
+    import numpy as np
+
+    m, l = a.nrows, max(len(rows), 1)
+    mask = _WORD - 1  # x & mask is x mod 2^64
+    low = np.array([[x & mask for x in row] for row in a.entries], dtype=np.uint64)
+    in_r = np.zeros(m, dtype=np.uint64)
+    in_c = np.zeros(m, dtype=np.uint64)
+    in_r[rows] = in_c[cols] = 1
+    # Ahat = l a + J_B, P_r a, a P_c twice: P_r a is l times a's block rows
+    # less their sum, a P_c l times its block columns less each row's sum
+    # over them
+    right = np.empty((4, m, m), dtype=np.uint64)
+    scaled = l * low
+    right[0] = scaled + in_r[:, None] * in_c
+    right[1] = (scaled - in_r @ low) * in_r[:, None]
+    right[2:] = (scaled - (low @ in_c)[:, None]) * in_c
+    # Ahat^T three times and (P_r a)^T, rows 1.. less row 0 when split
+    left = right[[0, 0, 0, 1]].transpose(0, 2, 1)
+    if n < m:
+        left = left[:, 1:] - left[:, :1]
+    basis = left @ right[..., m - n :]  # B0, B1, B2, B3
+    grid = _word_table(l) @ basis.reshape(4, n * n)
+    coeffs = _berkowitz_mod(grid.reshape(1, l * l, n, n), None)
+    # 4^v l^(2k') C = (2^v W) V (2^v W)^T mod 2^64, V the grid of lam**(n-k')
+    values = coeffs.reshape(l, l, n + 1).transpose(2, 0, 1)
+    weights = _interp_word(l - 1, v)
+    words = (weights @ values @ weights.T).view(np.int64)
+    if (words & ((1 << 2 * v) - 1)).any():
+        raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
+    return words >> 2 * v
+
+
+def _prime_grid(ahat: list, rows: list, cols: list, n: int, primes):
+    """``trivariate_detpoly``'s numerators, an int64 array (n + 1, l, l),
+    from int64 residues modulo each of primes, rebuilt by the CRT."""
+    import numpy as np
+
+    m, l, r = len(ahat), max(len(rows), 1), len(primes)
+    p = primes.reshape(r, 1, 1)
+    res = np.array([[x % q for row in ahat for x in row] for q in primes.tolist()], dtype=np.int64)
+    res = res.reshape(r, m, m)
+    in_r, in_c = np.bincount(rows, minlength=m)[:, None], np.bincount(cols, minlength=m)
+    # Ahat, P_r Ahat, Ahat P_c, P_r Ahat P_c: P_r Y is l times Y's block
+    # rows less their sum, Y P_c l times its block columns less each row's
+    # sum over them
+    right = np.empty((r, 4, m, m), dtype=np.int64)
+    right[:, 0] = res
+    right[:, 1] = (l * res - in_r.T @ res) * in_r % p
+    right[:, 2:] = (l * right[:, :2] - right[:, :2] @ in_c[:, None]) * in_c % p[:, None]
+    # l^-2 Ahat^T, rows 1.. less row 0 and columns 1.. when split: the basis
+    # of the trailing block of T^-1 M T
+    left = res.transpose(0, 2, 1)
+    if n < m:
+        left = left[:, 1:] - left[:, :1]
+    inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
+    left = left * inverse[:, None, None] % p
+    basis = left[:, None] @ right[..., m - n :]  # G0, G1, G0 P_c, G1 P_c over l^2
+    basis %= p[:, None]
+    grid = _grid_table(l) @ basis.reshape(r, 4, n * n)
+    grid %= p
+    coeffs = _berkowitz_mod(grid.reshape(r, l * l, n, n), primes)
+    # l^(2k') C = W V W^T, V the grid of lam**(n-k') and W = V^-1, all mod p
+    values = coeffs.reshape(r, l, l, n + 1).transpose(0, 3, 1, 2)
+    weights = _interp_residues(l - 1)[:r, None]
+    nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
+    return _crt(nums.reshape(r, -1)).reshape(n + 1, l, l)
+
+
 def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     """Squared-minor sums of a + J_B/l after the block's all-ones row and
     column directions are split off, J_B the all-ones block of size l; on
@@ -478,29 +609,41 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
         l^2 X = Ahat^T R Ahat S = (Ahat + (t_r-1) P_r a)^T (Ahat + (t_c-1) a P_c).
 
     So C[k'][p][q] is an integer numerator over l^(2k'): the coefficient of
-    lam**(m-k') t_r**p t_c**q in det(lam I + l^2 X).  With G0 = Ahat^T Ahat
-    and G1 = Ahat^T P_r Ahat, the grid matrix is
+    lam**(m-k') t_r**p t_c**q in det(lam I + l^2 X).  P_r Ahat = l P_r a and
+    Ahat P_c = l a P_c, so with the integer basis B0 = Ahat^T Ahat,
+    B1 = Ahat^T (P_r a), B2 = Ahat^T (a P_c) and B3 = (P_r a)^T (a P_c),
+    the grid matrix is
 
-        M = -(l^2 X) = -(l^2 G0 + l (t_r-1) G1 + l (t_c-1) G0 P_c + (t_r-1)(t_c-1) G1 P_c) / l^2,
+        M = -(l^2 X) = -(B0 + (t_r-1) B1 + (t_c-1) B2 + (t_r-1)(t_c-1) B3).
 
-    four terms in a basis that the kernel multiplies by l^-2 mod p, exact
-    on residues because M is integral.  P = l D - J multiplies as l times
-    the block rows (on the left) or columns (on the right) less their sum.
-
-    Only Ahat and its trace are exact: Ahat is reduced once mod each
-    word-size prime by Python's %, and the rest is int64 residues in one
-    numpy batch.  One matmul of l^-2 Ahat^T with Ahat, P_r Ahat, Ahat P_c
-    and P_r Ahat P_c, each reduced below p, gives the basis; one more, of
-    the cached (l^2, 4) table of the coefficients above (``_grid_table``,
-    entries at most l^2) with the basis reduced below p, gives every grid
-    matrix over {0..l_hat}^2, each value below 4 l^2 (p - 1) < 2^41 before
-    its reduction mod p.  Batched Berkowitz (``_berkowitz_mod``) and
-    interpolation by W = V^-1 mod p (``_interp_residues``) give each
-    numerator as W V W^T mod p, V the grid of a coefficient, and the CRT
-    (``_crt``) rebuilds them exactly.  Only W, the table and the CRT basis
-    are cached, never anything of a matrix.  An empty block gives the
-    plain Gram's sums at l_hat = 0; an out-of-range index raises
-    ValueError.
+    P = l D - J multiplies as l times the block rows (on the left) or
+    columns (on the right) less their sum.  Only Ahat, its line sums and
+    its trace are exact Python ints; the grid is one numpy batch, on one of
+    two paths that the numerators' bound b (below) picks:
+    - One word, when 2 4^v b < 2^64, v = v2(l_hat!) (``_word_grid``).  a
+      and Ahat are taken mod 2^64 into uint64 arrays, one matmul gives the
+      basis and one more, of the cached table -(1, t_r-1, t_c-1,
+      (t_r-1)(t_c-1)) mod 2^64 (``_word_table``), every grid matrix.
+      Berkowitz (``_berkowitz_mod``, given no primes) is division-free, so
+      exact over Z/2^64 with wrap-around as the reduction.  W = V^-1 has
+      denominators t! (l_hat-t)!, divisors of l_hat!, so 2^v W mod 2^64
+      (``_interp_word``) exists, and (2^v W) V (2^v W)^T, V the grid of a
+      coefficient, is 4^v times each numerator, below 2^63 in size, so
+      read as a signed word it is exact.  Its low 2v bits must be zero,
+      else ``RationalityViolation``; a shift takes them off.
+    - Primes, otherwise (``_prime_grid``).  Ahat is reduced once mod each
+      of enough word-size primes by Python's %, and the rest is int64
+      residues.  The basis is taken as l^-2 Ahat^T times Ahat, P_r Ahat,
+      Ahat P_c and P_r Ahat P_c, l^2 times B0..B3 on the right scale, each
+      reduced below p, and ``_grid_table`` holds -(l^2, l (t_r-1),
+      l (t_c-1), (t_r-1)(t_c-1)), entries at most l^2, so every grid value
+      is below 4 l^2 (p - 1) < 2^41 before its reduction mod p.  Batched
+      Berkowitz and interpolation by W = V^-1 mod p (``_interp_residues``)
+      give each numerator as W V W^T mod p, and the CRT (``_crt``)
+      rebuilds them exactly.
+    Only the interpolation matrices, the tables and the CRT basis are
+    cached, never anything of a matrix.  An empty block gives the plain
+    Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
 
     The all-ones factor.  When Ahat's row and column sums all equal sigma,
     as on every walk node, l^2 X 1 = sigma^2 1 and 1^T l^2 X = sigma^2 1^T
@@ -521,16 +664,15 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     - At t_r = t_c = 1 (l^2 X = G0, positive semidefinite) plane k' sums to
       e_k' of n eigenvalues of G0 with sum s: all m, s = tr G0 = sum Ahat^2,
       or when split the m - 1 others, s = tr G0 - sigma^2.  Maclaurin
-      bounds plane k' by C(n, k') ceil(s^k' / n^k') (1 when n = 0), and the
-      primes are taken for twice the largest bound.
+      bounds plane k' by C(n, k') ceil(s^k' / n^k') (1 when n = 0), and b
+      is the largest of these bounds: the word, or the primes' product, is
+      above 2 b, so that a faulty negative value still shows.
     - The engine's contraction is a convolution in k', so it commutes with
       multiplying by lam + sigma^2, which is y - placed^2 up to the scale
       of y (sigma = l placed): the complement contracts to the reduced Gram
       polynomial.
     ``CTensor`` checks the stored numerators for sign and C[0][0][0].
     """
-    import numpy as np
-
     m = a.nrows
     if any(i >= m for i in block.rows + block.cols):
         raise ValueError(f"block index outside the {m} x {m} matrix")
@@ -550,37 +692,11 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     n = m if sigma_sq is None else m - 1
     trace = sum(x * x for row in ahat for x in row) - (sigma_sq or 0)
     bound = max(math.comb(n, k) * -(-(trace**k) // n**k) for k in range(n + 1))
-    primes = _primes_for(bound)
-
-    r, side = len(primes), lhat + 1
-    p = primes.reshape(r, 1, 1)
-    res = np.array([[x % q for row in ahat for x in row] for q in primes.tolist()], dtype=np.int64)
-    res = res.reshape(r, m, m)
-    in_r, in_c = np.bincount(rows, minlength=m)[:, None], np.bincount(cols, minlength=m)
-    # Ahat, P_r Ahat, Ahat P_c, P_r Ahat P_c: P_r Y is l times Y's block
-    # rows less their sum, Y P_c l times its block columns less each row's
-    # sum over them
-    right = np.empty((r, 4, m, m), dtype=np.int64)
-    right[:, 0] = res
-    right[:, 1] = (l * res - in_r.T @ res) * in_r % p
-    right[:, 2:] = (l * right[:, :2] - right[:, :2] @ in_c[:, None]) * in_c % p[:, None]
-    # l^-2 Ahat^T, rows 1.. less row 0 and columns 1.. when split: the basis
-    # of the trailing block of T^-1 M T
-    left = res.transpose(0, 2, 1)
-    if sigma_sq is not None:
-        left = left[:, 1:] - left[:, :1]
-    inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
-    left = left * inverse[:, None, None] % p
-    basis = left[:, None] @ right[..., m - n :]  # G0, G1, G0 P_c, G1 P_c over l^2
-    basis %= p[:, None]
-    grid = _grid_table(l) @ basis.reshape(r, 4, n * n)
-    grid %= p
-    coeffs = _berkowitz_mod(grid.reshape(r, side * side, n, n), primes)
-    # l^(2k') C = W V W^T, V the grid of lam**(n-k') and W = V^-1, all mod p
-    values = coeffs.reshape(r, side, side, n + 1).transpose(0, 3, 1, 2)
-    weights = _interp_residues(lhat)[:r, None]
-    nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
-    exact = _crt(nums.reshape(r, -1)).reshape(n + 1, side, side)
+    v = lhat - lhat.bit_count()  # v2(lhat!), the twos that 2^v W needs
+    if bound << (2 * v + 1) < _WORD:
+        exact = _word_grid(a, rows, cols, n, v)
+    else:
+        exact = _prime_grid(ahat, rows, cols, n, _primes_for(bound))
     # tuples from lists, not generators: a generator's tuple is allocated
     # oversized and shrunk, which showed as about 0.5 MB more peak RSS
     planes = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])

@@ -7,10 +7,11 @@ import math
 import random
 from fractions import Fraction
 from operator import mul
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramex import exact_linalg
@@ -30,6 +31,7 @@ from ramex.exact_linalg import (
     _grid_table,
     _hessenberg_mod,
     _interp_residues,
+    _interp_word,
     _primes_for,
     charpoly,
     charpoly_mod,
@@ -484,14 +486,19 @@ def test_stored_planes_sum_to_the_deflated_gram(case):
     assert all(num >= 0 for plane in tensor.planes for row in plane for num in row)
 
 
-@pytest.mark.parametrize("lhat", range(10))
+@pytest.mark.parametrize("lhat", [*range(10), MAX_GRID_M - 1])
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
-    """W = V^-1 mod every table prime gets back the coefficients of integer
-    polynomials from their values on 0..l_hat, at scales from 1 to past
-    the primes; the table is cached and read-only."""
+    """W = V^-1 mod every table prime, and 2^v W mod 2^64 for v = v2(l_hat!),
+    get back the coefficients of integer polynomials (2^v times them) from
+    their values on 0..l_hat, at scales from 1 to past the moduli; the
+    tables are cached and read-only."""
     interp = _interp_residues(lhat)
     assert interp is _interp_residues(lhat) and not interp.flags.writeable
     assert interp.shape == (len(_PRIMES), lhat + 1, lhat + 1) and interp.dtype == np.int64
+    v = sum(lhat // 2**i for i in range(1, lhat.bit_length() + 1))  # Legendre's formula
+    word = _interp_word(lhat, v)
+    assert word is _interp_word(lhat, v) and not word.flags.writeable
+    assert word.shape == (lhat + 1, lhat + 1) and word.dtype == np.uint64
     moduli = np.array(_PRIMES, dtype=object)[:, None]
     rng = random.Random(lhat)
     for size in (1, 10**6, 2**100):
@@ -499,28 +506,88 @@ def test_interp_matrix_recovers_scaled_coefficients(lhat):
         values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(lhat + 1)]
         got = interp.astype(object) @ np.array(values, dtype=object) % moduli
         assert (got == np.array(coeffs, dtype=object) % moduli).all()
+        got = word.astype(object) @ np.array(values, dtype=object) % 2**64
+        assert got.tolist() == [(c << v) % 2**64 for c in coeffs]
 
 
-# (grid point to perturb, power of lam, change), applied to the batched
-# kernel's residues: the point (0, 0) in the leading coefficient, which moves
-# C[0][0][0], and the point (1, 1), flat index 4 of the 3 x 3 grid, in the
-# constant coefficient, which drives some C[m][p][p] negative
-@pytest.mark.parametrize("point, power, delta", [(0, 4, 1), (4, 0, -(10**9))])
-def test_perturbed_grid_value_is_a_rationality_violation(monkeypatch, point, power, delta):
+@st.composite
+def _sparse_matrix_and_block(draw):
+    """A mostly zero m x m matrix, m up to 9, and a block of any size: its
+    grid fits one word up to l_hat = 7 or 8 about as often as not."""
+    m = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.just(0), st.sampled_from((-1, 1, 2)))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    perm = st.permutations(range(m))
+    l = draw(st.integers(0, m))
+    return Matrix(rows), BlockSpec(sorted(draw(perm)[:l]), sorted(draw(perm)[:l]))
+
+
+@settings(max_examples=80)
+@given(st.one_of(_matrix_and_block(), _sparse_matrix_and_block()))
+# l_hat = 11, v = 8: Ahat = J splits to a zero complement
+@example((zeros(12), BlockSpec(tuple(range(12)), tuple(range(12)))))
+def test_word_grid_equals_the_prime_grid(case):
+    """A grid whose bound fits one word takes the word, with no prime, and
+    its numerators equal the prime path's, the reference, run here at
+    three primes, a modulus past 2^64; with equal line sums and without."""
+    a, block = case
+    with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
+        tensor = trivariate_detpoly(a, block)
+    assume(not primes_for.called)
+    l, rows, cols = max(block.size, 1), list(block.rows), list(block.cols)
+    ahat = [
+        [l * x + (i in rows and j in cols) for j, x in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ]
+    primes = _primes_for(2**63)
+    assert len(primes) == 3
+    want = exact_linalg._prime_grid(ahat, rows, cols, len(tensor.planes) - 1, primes)
+    assert [[list(row) for row in plane] for plane in tensor.planes] == want.tolist()
+
+
+_FULL_RANK = ((1, 0, 2, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1))
+_SINGULAR = ((1, 0, 2, 0), (1, 0, 2, 0), (1, 1, 0, 0), (0, 0, 1, 1))  # rows 0, 1 in the block
+
+
+# (matrix, grid point to perturb, power of lam, change), applied to the
+# batched kernel's output on the block (0, 1, 3) x (0, 2, 3):
+# - the point (0, 0) in the leading coefficient moves C[0][0][0];
+# - the point (1, 1), flat index 4 of the 3 x 3 grid, in the constant
+#   coefficient drives some C[4][p][q] of the singular matrix, all 0,
+#   negative;
+# - the point (0, 0) in lam^2 moves every C[2][p][q] of the full-rank
+#   matrix, all at least 9, by a quarter or a half of an odd integer or an
+#   integer of at most 2, so only a word's low-bit check or a
+#   half-integer's symmetric residue mod the primes shows it.
+# At scale 1 the grid fits one word; at 2^20 its bound needs primes.
+@pytest.mark.parametrize("scale, word", [(1, True), (2**20, False)], ids=["word", "primes"])
+@pytest.mark.parametrize(
+    "rows, point, power, delta",
+    [(_FULL_RANK, 0, 4, 1), (_SINGULAR, 4, 0, -1), (_FULL_RANK, 0, 2, 1)],
+    ids=["leading", "constant", "middle"],
+)
+def test_perturbed_grid_value_is_a_rationality_violation(
+    monkeypatch, rows, point, power, delta, scale, word
+):
     real = exact_linalg._berkowitz_mod
+    paths = []
 
     def perturbed(mats, primes):
         coeffs = real(mats, primes)
         index = mats.shape[-1] - power  # the kernel's coefficients are descending
-        coeffs[:, point, index] = (coeffs[:, point, index] + delta) % primes
+        paths.append(primes is None)
+        if primes is None:  # a word, which wraps modulo 2^64
+            coeffs[:, point, index] += delta % 2**64
+        else:
+            coeffs[:, point, index] = (coeffs[:, point, index] + delta) % primes
         return coeffs
 
     monkeypatch.setattr(exact_linalg, "_berkowitz_mod", perturbed)
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
-    a = Matrix.from_rows([[1, 0, 2, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]])
+    a = Matrix.from_rows([[scale * x for x in row] for row in rows])
     with pytest.raises(RationalityViolation):
         trivariate_detpoly(a, BlockSpec((0, 1, 3), (0, 2, 3)))
-    assert rationality_violation_count() == 1
+    assert rationality_violation_count() == 1 and paths == [word]
 
 
 def _residues(values, primes):
@@ -587,9 +654,15 @@ def _kernel_batch(draw):
 @example([[[(i * 7 + j * 3) % 11 - 5 for j in range(MAX_GRID_M)] for i in range(MAX_GRID_M)]])
 def test_batched_kernel_matches_big_int_charpoly(batch):
     """Singular, zero-led and repeated-row batches; the 2^39-sized 16 x 16
-    example needs 23 primes."""
+    example needs 23 primes.  Given no primes, the kernel wraps a uint64
+    batch modulo 2^64 to the big-integer coefficients mod 2^64."""
     want = [charpoly(Matrix.from_rows(rows)) for rows in batch]
     assert _multimodular_charpolys(batch) == want
+    m = len(batch[0])
+    words = np.array(batch, dtype=object) % 2**64
+    words = _berkowitz_mod(words.astype(np.uint64).reshape(1, len(batch), m, m), None)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [[[c % 2**64 for c in reversed(p.coeffs)] for p in want]]
 
 
 def test_prime_count_covers_a_nearly_tight_hadamard_bound():
@@ -620,6 +693,33 @@ def test_prime_count_is_tight_for_a_scaled_identity(m):
         tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
         assert tensor.sigma_sq == c * c and tensor.planes == want
         assert tensor.nums == tuple(((math.comb(m, k) * c ** (2 * k),),) for k in range(m + 1))
+
+
+@pytest.mark.parametrize("m", [2, 7, 16, 32])
+def test_word_limit_is_tight_for_a_scaled_identity(m):
+    # As above, Ahat = c I_m stores C(m-1, k) c^(2k), the largest of them
+    # exactly the bound.  At l_hat = 0 (v = 0) a word holds the grid while
+    # twice the bound is below 2^64: the last c = 2^e + 1 that fits and the
+    # last c that fits take the word, the next of each takes primes, and
+    # all four are exact.  At m = 32 no c = 2^e + 1 fits.
+    def largest(c):
+        return max(math.comb(m - 1, k) * c ** (2 * k) for k in range(m))
+
+    low, high = 1, 2**32  # largest(low) fits a word, largest(high) does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if 2 * largest(mid) < 2**64 else (low, mid)
+    cases = [(low, True), (high, False)]
+    fits = [e for e in range(64) if 2 * largest(2**e + 1) < 2**64]
+    if fits:
+        cases += [(2 ** fits[-1] + 1, True), (2 ** (fits[-1] + 1) + 1, False)]
+    for c, word in cases:
+        scaled = Matrix.from_rows([[c * (i == j) for j in range(m)] for i in range(m)])
+        with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
+            tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
+        assert primes_for.called is not word
+        assert tensor.planes == tuple(((math.comb(m - 1, k) * c ** (2 * k),),) for k in range(m))
+    assert len(cases) == (2 if m == 32 else 4)
 
 
 @pytest.mark.parametrize("count", [1, 2, len(_PRIMES)])

@@ -140,6 +140,15 @@ def _equal_line_sums(draw):
     return Matrix.from_rows(a), BlockSpec(tuple(rows), tuple(cols)), True
 
 
+def _big_diagonal(extra: int) -> tuple:
+    """2^35 I_4 plus the 0/1 matching of rows 2, 3 to columns 2, 3 outside
+    the block (0, 1) x (0, 1), and extra on the first entry."""
+    c = 2**35
+    return tuple(
+        tuple((c + (i > 1) + extra * (i == 0)) * (i == j) for j in range(4)) for i in range(4)
+    )
+
+
 @settings(max_examples=60)
 @given(_equal_line_sums())
 # row sums of l a + J_B all 4, column sums 6, 2, 4, 4: no deflation; and
@@ -158,10 +167,14 @@ def _equal_line_sums(draw):
         False,
     )
 )
+# entries near 2^35, whose bounds need primes, not one word: equal line
+# sums, and one entry more
+@example((Matrix(_big_diagonal(0)), BlockSpec((0, 1), (0, 1)), True))
+@example((Matrix(_big_diagonal(1)), BlockSpec((0, 1), (0, 1)), False))
 def test_equal_line_sums_deflate_and_match_the_oracle(case):
     """The grid splits off the all-ones eigenvector exactly when every row
     and column sum of l a + J_B is equal, and matches literal averaging
-    over the block permutations either way."""
+    over the block permutations either way, on one word or on primes."""
     a, block, deflates = case
     kernel = exact_linalg._berkowitz_mod
     with mock.patch.object(exact_linalg, "_berkowitz_mod", wraps=kernel) as spy:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramex import expectation_engine, ramanujan_walk
+from ramex import exact_linalg, expectation_engine, ramanujan_walk
 from ramex.exact_algebra import InvariantViolation, UniPoly, poly_substitute_square, quad_sign
 from ramex.exact_linalg import Matrix, charpoly
 from ramex.expectation_engine import node_polynomial
@@ -367,6 +367,21 @@ def test_lazy_d2_walk_runs_one_grid_per_node(n, monkeypatch):
     result = walk(Params(n, 2), audit=False)
     assert 0 in (value for stage in result.stages for value in stage.child_values)
     assert len(grids) == len(set(nodes))
+
+
+@pytest.mark.parametrize("n, d, word", [(14, 3, True), (10, 6, True), (24, 3, False)])
+def test_small_walks_run_every_grid_on_one_word(n, d, word, monkeypatch):
+    """Every grid of a lazy (14,3) or (10,6) walk fits one 64-bit word, so
+    none takes a prime or the CRT; a lazy (24,3) walk still needs them for
+    its larger grids."""
+    calls = []
+    for name in ("_primes_for", "_crt"):
+        real = getattr(exact_linalg, name)
+        monkeypatch.setattr(
+            exact_linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    walk(Params(n, d), audit=False)
+    assert not calls if word else {"_primes_for", "_crt"} <= set(calls)
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
