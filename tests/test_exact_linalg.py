@@ -546,7 +546,8 @@ def test_word_grid_equals_the_prime_grid(case):
 
 
 _FULL_RANK = ((1, 0, 2, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1))
-_SINGULAR = ((1, 0, 2, 0), (1, 0, 2, 0), (1, 1, 0, 0), (0, 0, 1, 1))  # rows 0, 1 in the block
+# rows 0 and 1 equal, both in the block below, so Ahat is singular
+_SINGULAR = ((1, 0, 2, 0), (1, 0, 2, 0), (1, 1, 0, 0), (0, 0, 1, 1))
 
 
 # (matrix, grid point to perturb, power of lam, change), applied to the
@@ -555,10 +556,10 @@ _SINGULAR = ((1, 0, 2, 0), (1, 0, 2, 0), (1, 1, 0, 0), (0, 0, 1, 1))  # rows 0, 
 # - the point (1, 1), flat index 4 of the 3 x 3 grid, in the constant
 #   coefficient drives some C[4][p][q] of the singular matrix, all 0,
 #   negative;
-# - the point (0, 0) in lam^2 moves every C[2][p][q] of the full-rank
-#   matrix, all at least 9, by a quarter or a half of an odd integer or an
-#   integer of at most 2, so only a word's low-bit check or a
-#   half-integer's symmetric residue mod the primes shows it.
+# - the point (0, 0) in lam^2 moves C[2][0][0] of the full-rank matrix by
+#   1 and every other C[2][p][q] by an odd multiple of 1/2 or 1/4; all are
+#   at least 9, so none turns negative, and only a word's low-bit check or
+#   a half-integer's symmetric residue mod the primes shows it.
 # At scale 1 the grid fits one word; at 2^20 its bound needs primes.
 @pytest.mark.parametrize("scale, word", [(1, True), (2**20, False)], ids=["word", "primes"])
 @pytest.mark.parametrize(
