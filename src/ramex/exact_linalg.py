@@ -24,16 +24,13 @@ node, every grid matrix has the all-ones eigenvector, and that factor is
 split off once, here: Berkowitz runs on (m-1) x (m-1) matrices and the
 tensor stores the complement.  The stored integer numerators over
 l^(2k') for minor size k' are bounded from the trace of the fixed
-matrix's Gram alone, and that bound picks one of two exact paths:
-- one word: when 2 4^v times the bound is below 2^64, v = v2(l_hat!),
-  the whole grid runs on uint64 arrays modulo 2^64, reduced by
-  wrap-around alone, with 2^v V^-1, whose denominators are odd; the
-  word holds 4^v times each numerator, and its low 2v bits must be zero;
-- primes: otherwise, on int64 residues modulo enough word-size primes,
-  rebuilt by the Chinese remainder theorem (Garner's, in int64, for one
-  or two primes).
-Only constant tables (interpolation matrices, grid coefficients, CRT
-bases) are cached.  ``charpoly`` is the independent reference for the
+matrix's Gram alone, and that bound picks the modulus of the one grid
+pipeline: 2^64 when 2 4^v times the bound is below 2^64, v = v2(l_hat!),
+on uint64 words reduced by wrap-around alone, with 2^v V^-1, whose
+denominators are odd (the word holds 4^v times each numerator, and its
+low 2v bits must be zero); otherwise enough word-size primes, on int64
+residues rebuilt by the Chinese remainder theorem.  Only constant tables
+(interpolation matrices, grid coefficients, CRT bases) are cached.  ``charpoly`` is the independent reference for the
 batched kernel, and its two halves serve certification, which never
 depends on the modular batch: numpy is imported inside the functions that
 run the batch, so certification never loads it.
@@ -350,60 +347,55 @@ def _primes_for(bound: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _interp_residues(lhat: int):
-    """W = V^-1 mod every table prime, V[t][k] = t^k on the points 0..lhat:
-    f_k = sum_t W[k][t] f(t) mod p for every polynomial f = sum_k f_k t^k
-    of degree <= lhat.  Read-only int64, cached.
-
-    Lagrange's basis: column t is prod_{s != t} (x - s), P = prod_s (x - s)
-    divided by x - t, over prod_{s != t} (t - s) = (-1)^(lhat-t) t! (lhat-t)!,
-    a unit mod p: one inverse per (prime, t), residue products below 2^58.
-    """
-    import numpy as np
-
+def _lagrange(lhat: int) -> tuple:
+    """Lagrange's basis for V^-1, V[t][k] = t^k on the points 0..lhat: W[k][t]
+    = nums[k][t] / dens[t] with nums[k][t] = [x^k] P/(x - t), P = prod_s (x - s),
+    and dens[t] = prod_{s != t} (t - s) = (-1)^(lhat-t) t! (lhat-t)!.  Tuples
+    of Python ints, cached."""
     size = lhat + 1
     poly = [1]  # ascending coefficients of P
     for s in range(size):
         poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
-    primes = np.array(_PRIMES, dtype=np.int64).reshape(-1, 1)
-    residues = np.array([[c % p for c in poly] for p in _PRIMES], dtype=np.int64)
-    out = np.empty((len(_PRIMES), size, size), dtype=np.int64)
-    quotient, t = 0, np.arange(size)
-    for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
-        out[:, k - 1] = quotient = (residues[:, k : k + 1] + t * quotient) % primes
-    dens = [(-1) ** (lhat - i) * math.factorial(i) * math.factorial(lhat - i) for i in range(size)]
+    nums = [[0] * size for _ in range(size)]
+    for t in range(size):
+        quotient = 0
+        for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
+            nums[k - 1][t] = quotient = poly[k] + t * quotient
+    dens = [(-1) ** (lhat - t) * math.factorial(t) * math.factorial(lhat - t) for t in range(size)]
+    return tuple(map(tuple, nums)), tuple(dens)
+
+
+@functools.lru_cache(maxsize=None)
+def _interp_residues(lhat: int):
+    """W = V^-1 mod every table prime, from ``_lagrange``: f_k = sum_t
+    W[k][t] f(t) mod p for every polynomial f = sum_k f_k t^k of degree
+    <= lhat.  Every dens[t] divides lhat!, a unit mod p.  Read-only int64,
+    cached."""
+    import numpy as np
+
+    nums, dens = _lagrange(lhat)
+    primes = np.array(_PRIMES, dtype=np.int64)[:, None, None]
     inverse = np.array([[pow(d, -1, p) for d in dens] for p in _PRIMES], dtype=np.int64)
-    out = out * inverse[:, None] % primes[:, None]
+    out = (np.array(nums, dtype=object) % primes.astype(object)).astype(np.int64)
+    out = out * inverse[:, None] % primes  # residue products below 2^58
     out.flags.writeable = False
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _interp_word(lhat: int, v: int):
-    """2^v W mod 2^64, W = V^-1 on the points 0..lhat as in
-    ``_interp_residues``, for v >= v2(lhat!): 2^v f_k = sum_t out[k][t] f(t)
-    mod 2^64 for every integer polynomial f = sum_k f_k t^k of degree
-    <= lhat.  Read-only uint64, cached.
-
-    Column t of W is P/(x - t) over (-1)^(lhat-t) t! (lhat-t)!, which
-    divides lhat!, so 2^v W has odd denominators, units mod 2^64.
-    """
+    """2^v W mod 2^64, W = V^-1 from ``_lagrange``, for v >= v2(lhat!):
+    2^v f_k = sum_t out[k][t] f(t) mod 2^64 for every integer polynomial
+    f = sum_k f_k t^k of degree <= lhat.  Every dens[t] divides lhat!, so
+    2^v W has odd denominators, units mod 2^64.  Read-only uint64, cached."""
     import numpy as np
 
-    size = lhat + 1
-    poly = [1]  # ascending coefficients of P = prod_s (x - s)
-    for s in range(size):
-        poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
-    out = [[0] * size for _ in range(size)]
-    for t in range(size):
-        den = (-1) ** (lhat - t) * math.factorial(t) * math.factorial(lhat - t)
+    nums, dens = _lagrange(lhat)
+    scales = []
+    for den in dens:
         twos = (den & -den).bit_length() - 1
-        scale = pow(den >> twos, -1, _WORD) << (v - twos)
-        quotient = 0
-        for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
-            quotient = poly[k] + t * quotient
-            out[k - 1][t] = quotient * scale % _WORD
-    out = np.array(out, dtype=np.uint64)
+        scales.append(pow(den >> twos, -1, _WORD) << (v - twos))
+    out = np.array([[x * s % _WORD for x, s in zip(row, scales)] for row in nums], dtype=np.uint64)
     out.flags.writeable = False
     return out
 
@@ -467,121 +459,86 @@ def _crt_basis(count: int) -> tuple:
 
 def _crt(residues):
     """Signed ints from residues (r, N) mod the first r table primes, folded
-    to 2|x| < M, M their product.  Below 2^58 (one or two primes) it is
-    Garner's mixed radix in int64, x = a0 + p0 ((a1 - a0) p0^-1 mod p1),
-    every product below 2^58; past it, the textbook sum of the residues
-    times the cofactors, mod M, in object arrays."""
+    to 2|x| < M, M their product: the sum of the residues times the
+    cofactors, mod M, in object arrays."""
     import numpy as np
 
     modulus, basis = _crt_basis(len(residues))
-    if modulus < 2**58:
-        value = residues[0]
-        if len(residues) == 2:
-            p0, p1 = _PRIMES[:2]
-            value = value + p0 * ((residues[1] - value) * pow(p0, -1, p1) % p1)
-    else:
-        value = np.array(basis, dtype=object) @ residues.astype(object) % modulus
+    value = np.array(basis, dtype=object) @ residues.astype(object) % modulus
     return np.where(value > modulus // 2, value - modulus, value)
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_table(l: int):
-    """The grid matrices' coefficients in the basis (G0, G1, G0 P_c, G1 P_c):
-    row l t_r + t_c is -(l^2, l (t_r-1), l (t_c-1), (t_r-1)(t_c-1)) for t_r,
-    t_c in 0..l-1, every entry at most l^2 in size.  Read-only int64, cached."""
-    import numpy as np
-
-    shift = np.arange(-1, l - 1)  # t - 1 for t in 0..l-1
-    row, col = np.repeat(shift, l), np.tile(shift, l)  # t_r - 1 and t_c - 1
-    out = -np.stack([np.full(l * l, l * l), l * row, l * col, row * col], axis=1)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _word_table(l: int):
+def _grid_table(l: int, dtype):
     """The grid matrices' coefficients in the integer basis (B0, B1, B2, B3)
     of ``trivariate_detpoly``: row l t_r + t_c is -(1, t_r-1, t_c-1,
-    (t_r-1)(t_c-1)) mod 2^64 for t_r, t_c in 0..l-1.  Read-only uint64,
-    cached."""
+    (t_r-1)(t_c-1)) for t_r, t_c in 0..l-1, every entry at most
+    max(1, (l-2)^2) in size.  Read-only int64, or its uint64 view (mod 2^64)
+    given dtype uint64; cached."""
     import numpy as np
 
     shift = np.arange(-1, l - 1)  # t - 1 for t in 0..l-1
     row, col = np.repeat(shift, l), np.tile(shift, l)  # t_r - 1 and t_c - 1
     out = -np.stack([np.ones(l * l, dtype=np.int64), row, col, row * col], axis=1)
-    out = out.view(np.uint64)
+    out = out.view(dtype)
     out.flags.writeable = False
     return out
 
 
-def _word_grid(a: Matrix, rows: list, cols: list, n: int, v: int):
-    """``trivariate_detpoly``'s numerators, an int64 array (n + 1, l, l),
-    from one uint64 batch modulo 2^64, for a bound b with 2 4^v b < 2^64:
-    the integer basis, ``_word_table``, ``_berkowitz_mod`` with no primes
-    and ``_interp_word`` give 4^v times each numerator as a signed word,
-    whose low 2v bits must be zero."""
+def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
+    """``trivariate_detpoly``'s numerators, an array (n + 1, l, l), from one
+    batch: modulo 2^64 on uint64 words given no primes, for a bound b with
+    2 4^v b < 2^64, else on int64 residues modulo each of primes.
+
+    Both build the integer basis B0..B3 and multiply it by ``_grid_table``,
+    and ``_berkowitz_mod`` gives every grid matrix's coefficients.  The
+    word's ``_interp_word`` then gives 4^v times each numerator as a signed
+    word, whose low 2v bits must be zero; the primes' ``_interp_residues``
+    gives each numerator mod p, and ``_crt`` rebuilds it."""
     import numpy as np
 
-    m, l = a.nrows, max(len(rows), 1)
-    mask = _WORD - 1  # x & mask is x mod 2^64
-    low = np.array([[x & mask for x in row] for row in a.entries], dtype=np.uint64)
-    in_r = np.zeros(m, dtype=np.uint64)
-    in_c = np.zeros(m, dtype=np.uint64)
+    m, l, r = a.nrows, max(len(rows), 1), 1 if primes is None else len(primes)
+    if primes is None:
+        mask = _WORD - 1  # x & mask is x mod 2^64
+        low = np.array([[x & mask for x in row] for row in a.entries], dtype=np.uint64)
+    else:
+        p = primes.reshape(-1, 1, 1)
+        low = [[x % q for row in a.entries for x in row] for q in primes.tolist()]
+        low = np.array(low, dtype=np.int64).reshape(r, m, m)  # a mod each prime
+    in_r = np.zeros(m, dtype=low.dtype)
+    in_c = np.zeros(m, dtype=low.dtype)
     in_r[rows] = in_c[cols] = 1
-    # Ahat = l a + J_B, P_r a, a P_c twice: P_r a is l times a's block rows
-    # less their sum, a P_c l times its block columns less each row's sum
-    # over them
-    right = np.empty((4, m, m), dtype=np.uint64)
+    in_r = in_r[:, None]  # a column, and in_r.T a row, for a batch of residues too
+    # Ahat = l a + J_B, P_r a, a P_c twice, each with the primes' axis (if
+    # any) second: P_r a is l times a's block rows less their sum, a P_c l
+    # times its block columns less each row's sum over them
+    right = np.empty((4,) + low.shape, dtype=low.dtype)
     scaled = l * low
-    right[0] = scaled + in_r[:, None] * in_c
-    right[1] = (scaled - in_r @ low) * in_r[:, None]
-    right[2:] = (scaled - (low @ in_c)[:, None]) * in_c
+    right[0] = scaled + in_r * in_c
+    right[1] = (scaled - in_r.T @ low) * in_r
+    right[2:] = (scaled - (low @ in_c)[..., None]) * in_c
+    if primes is not None:
+        right %= p
     # Ahat^T three times and (P_r a)^T, rows 1.. less row 0 when split
-    left = right[[0, 0, 0, 1]].transpose(0, 2, 1)
+    left = right[[0, 0, 0, 1]].swapaxes(-1, -2)
     if n < m:
-        left = left[:, 1:] - left[:, :1]
+        left = left[..., 1:, :] - left[..., :1, :]
     basis = left @ right[..., m - n :]  # B0, B1, B2, B3
-    grid = _word_table(l) @ basis.reshape(4, n * n)
-    coeffs = _berkowitz_mod(grid.reshape(1, l * l, n, n), None)
-    # 4^v l^(2k') C = (2^v W) V (2^v W)^T mod 2^64, V the grid of lam**(n-k')
-    values = coeffs.reshape(l, l, n + 1).transpose(2, 0, 1)
-    weights = _interp_word(l - 1, v)
-    words = (weights @ values @ weights.T).view(np.int64)
-    if (words & ((1 << 2 * v) - 1)).any():
-        raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
-    return words >> 2 * v
-
-
-def _prime_grid(ahat: list, rows: list, cols: list, n: int, primes):
-    """``trivariate_detpoly``'s numerators, an int64 array (n + 1, l, l),
-    from int64 residues modulo each of primes, rebuilt by the CRT."""
-    import numpy as np
-
-    m, l, r = len(ahat), max(len(rows), 1), len(primes)
-    p = primes.reshape(r, 1, 1)
-    res = np.array([[x % q for row in ahat for x in row] for q in primes.tolist()], dtype=np.int64)
-    res = res.reshape(r, m, m)
-    in_r, in_c = np.bincount(rows, minlength=m)[:, None], np.bincount(cols, minlength=m)
-    # Ahat, P_r Ahat, Ahat P_c, P_r Ahat P_c: P_r Y is l times Y's block
-    # rows less their sum, Y P_c l times its block columns less each row's
-    # sum over them
-    right = np.empty((r, 4, m, m), dtype=np.int64)
-    right[:, 0] = res
-    right[:, 1] = (l * res - in_r.T @ res) * in_r % p
-    right[:, 2:] = (l * right[:, :2] - right[:, :2] @ in_c[:, None]) * in_c % p[:, None]
-    # l^-2 Ahat^T, rows 1.. less row 0 and columns 1.. when split: the basis
-    # of the trailing block of T^-1 M T
-    left = res.transpose(0, 2, 1)
-    if n < m:
-        left = left[:, 1:] - left[:, :1]
-    inverse = np.array([pow(l * l, -1, q) for q in primes.tolist()], dtype=np.int64)
-    left = left * inverse[:, None, None] % p
-    basis = left[:, None] @ right[..., m - n :]  # G0, G1, G0 P_c, G1 P_c over l^2
-    basis %= p[:, None]
-    grid = _grid_table(l) @ basis.reshape(r, 4, n * n)
-    grid %= p
+    if primes is not None:
+        basis %= p
+    grid = _grid_table(l, low.dtype) @ basis.reshape(4, r, n * n).swapaxes(0, 1)
+    if primes is not None:
+        grid %= p
     coeffs = _berkowitz_mod(grid.reshape(r, l * l, n, n), primes)
-    # l^(2k') C = W V W^T, V the grid of lam**(n-k') and W = V^-1, all mod p
+    # 4^v l^(2k') C = (2^v W) V (2^v W)^T mod 2^64, or l^(2k') C = W V W^T
+    # mod p, V the grid of lam**(n-k')
+    if primes is None:
+        values = coeffs.reshape(l, l, n + 1).transpose(2, 0, 1)
+        weights = _interp_word(l - 1, v)
+        words = (weights @ values @ weights.T).view(np.int64)
+        if (words & ((1 << 2 * v) - 1)).any():
+            raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
+        return words >> 2 * v
     values = coeffs.reshape(r, l, l, n + 1).transpose(0, 3, 1, 2)
     weights = _interp_residues(l - 1)[:r, None]
     nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
@@ -618,29 +575,24 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
 
     P = l D - J multiplies as l times the block rows (on the left) or
     columns (on the right) less their sum.  Only Ahat, its line sums and
-    its trace are exact Python ints; the grid is one numpy batch, on one of
-    two paths that the numerators' bound b (below) picks:
-    - One word, when 2 4^v b < 2^64, v = v2(l_hat!) (``_word_grid``).  a
-      and Ahat are taken mod 2^64 into uint64 arrays, one matmul gives the
-      basis and one more, of the cached table -(1, t_r-1, t_c-1,
-      (t_r-1)(t_c-1)) mod 2^64 (``_word_table``), every grid matrix.
-      Berkowitz (``_berkowitz_mod``, given no primes) is division-free, so
-      exact over Z/2^64 with wrap-around as the reduction.  W = V^-1 has
-      denominators t! (l_hat-t)!, divisors of l_hat!, so 2^v W mod 2^64
-      (``_interp_word``) exists, and (2^v W) V (2^v W)^T, V the grid of a
-      coefficient, is 4^v times each numerator, below 2^63 in size, so
-      read as a signed word it is exact.  Its low 2v bits must be zero,
-      else ``RationalityViolation``; a shift takes them off.
-    - Primes, otherwise (``_prime_grid``).  Ahat is reduced once mod each
-      of enough word-size primes by Python's %, and the rest is int64
-      residues.  The basis is taken as l^-2 Ahat^T times Ahat, P_r Ahat,
-      Ahat P_c and P_r Ahat P_c, l^2 times B0..B3 on the right scale, each
-      reduced below p, and ``_grid_table`` holds -(l^2, l (t_r-1),
-      l (t_c-1), (t_r-1)(t_c-1)), entries at most l^2, so every grid value
-      is below 4 l^2 (p - 1) < 2^41 before its reduction mod p.  Batched
-      Berkowitz and interpolation by W = V^-1 mod p (``_interp_residues``)
-      give each numerator as W V W^T mod p, and the CRT (``_crt``)
-      rebuilds them exactly.
+    its trace are exact Python ints; the grid is one numpy batch
+    (``_grid``), and only its modulus depends on the numerators' bound b
+    (below): 2^64 when 2 4^v b < 2^64, v = v2(l_hat!), else the product of
+    enough word-size primes.  a is taken mod 2^64 into uint64 words, or
+    mod each prime by Python's % into int64 residues; one matmul gives the
+    basis and one more, of the cached table -(1, t_r-1, t_c-1,
+    (t_r-1)(t_c-1)) (``_grid_table``), every grid matrix.  Berkowitz
+    (``_berkowitz_mod``) is division-free, so exact over Z/2^64 and Z/p
+    alike.  Words are reduced by wrap-around alone; residues are reduced
+    below p after each matmul, so a dot product stays below m (p-1)^2 and
+    a grid value below (l-1)^2 (p-1), both under 2^63.  Interpolation by
+    W = V^-1 (denominators t! (l_hat-t)!, divisors of l_hat!) ends the
+    batch: on the word 2^v W mod 2^64 (``_interp_word``), with odd
+    denominators, gives (2^v W) V (2^v W)^T, V the grid of a coefficient:
+    4^v times each numerator, below 2^63 in size, so exact as a signed
+    word, whose low 2v bits must be zero (else ``RationalityViolation``)
+    and are shifted off; mod primes W mod p (``_interp_residues``) gives
+    W V W^T mod p, and the CRT (``_crt``) rebuilds each numerator.
     Only the interpolation matrices, the tables and the CRT basis are
     cached, never anything of a matrix.  An empty block gives the plain
     Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
@@ -693,10 +645,8 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     trace = sum(x * x for row in ahat for x in row) - (sigma_sq or 0)
     bound = max(math.comb(n, k) * -(-(trace**k) // n**k) for k in range(n + 1))
     v = lhat - lhat.bit_count()  # v2(lhat!), the twos that 2^v W needs
-    if bound << (2 * v + 1) < _WORD:
-        exact = _word_grid(a, rows, cols, n, v)
-    else:
-        exact = _prime_grid(ahat, rows, cols, n, _primes_for(bound))
+    primes = None if bound << (2 * v + 1) < _WORD else _primes_for(bound)
+    exact = _grid(a, rows, cols, n, v, primes)
     # tuples from lists, not generators: a generator's tuple is allocated
     # oversized and shrunk, which showed as about 0.5 MB more peak RSS
     planes = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])

@@ -534,14 +534,10 @@ def test_word_grid_equals_the_prime_grid(case):
     with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
         tensor = trivariate_detpoly(a, block)
     assume(not primes_for.called)
-    l, rows, cols = max(block.size, 1), list(block.rows), list(block.cols)
-    ahat = [
-        [l * x + (i in rows and j in cols) for j, x in enumerate(row)]
-        for i, row in enumerate(a.entries)
-    ]
     primes = _primes_for(2**63)
     assert len(primes) == 3
-    want = exact_linalg._prime_grid(ahat, rows, cols, len(tensor.planes) - 1, primes)
+    rows, cols, n = list(block.rows), list(block.cols), len(tensor.planes) - 1
+    want = exact_linalg._grid(a, rows, cols, n, 0, primes)  # v is read on the word alone
     assert [[list(row) for row in plane] for plane in tensor.planes] == want.tolist()
 
 
@@ -737,11 +733,14 @@ def test_primes_are_distinct_primes_below_2_to_the_29():
     for p in _PRIMES:
         assert 2 < p < 2**29 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
         assert MAX_GRID_M * (p - 1) ** 2 < 2**63
-        # the grid at the largest block, one matmul of the (l^2, 4) table,
-        # entries at most l^2, with the basis, entries reduced below p
+        # the grid at the largest block, one matmul of the (l^2, 4) table
+        # with the basis, entries reduced below p: a row of the table sums
+        # to (l-1)^2 in size, so every grid value is below (l-1)^2 (p-1) < 2^63
         l = MAX_GRID_M
-        assert 4 * l * l * (p - 1) < 2**41 < 2**63
-    assert np.abs(_grid_table(MAX_GRID_M)).max() == MAX_GRID_M**2
+        assert (l - 1) ** 2 * (p - 1) < 2**39 < 2**63
+    table = np.abs(_grid_table(MAX_GRID_M, np.int64))
+    assert table.max() == (MAX_GRID_M - 2) ** 2
+    assert table.sum(axis=1).max() == (MAX_GRID_M - 1) ** 2
 
 
 def test_grid_size_guards_raise_grid_too_large():
