@@ -65,9 +65,9 @@ def _poly_sha256(poly: UniPoly) -> str:
 
 
 def _write_json(path: str, data) -> None:
+    text = json.dumps(data, indent=2) + "\n"  # one write, not json.dump's one per token
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_params(args) -> Params:
@@ -119,7 +119,7 @@ def cmd_build(args) -> int:
         if args.trace:
             _write_json(
                 os.path.join(args.out, "transcript.json"),
-                _transcript_json(result, cert, elapsed),
+                _transcript_json(result, cert, elapsed, args.jobs),
             )
     except OSError as exc:
         raise _UsageError(f"cannot write output: {exc}")
@@ -141,11 +141,13 @@ def _cross_check(cert) -> None:
         )
 
 
-def _transcript_json(result, cert, elapsed: float) -> dict:
+def _transcript_json(result, cert, elapsed: float, jobs: int) -> dict:
+    """A traced build's transcript; "jobs" is the number of threads its
+    audited walk evaluated each stage's children in, min(jobs, m)."""
     return {
         "params": {"n": result.params.n, "d": result.params.d},
-        "q": result.bound_q,
-        "jobs": result.workers,
+        "q": result.params.q,
+        "jobs": min(jobs, result.params.m),
         "stages": [
             {
                 "node": node_to_json(stage.node),

@@ -30,7 +30,9 @@ on uint64 words reduced by wrap-around alone, with 2^v V^-1, whose
 denominators are odd (the word holds 4^v times each numerator, and its
 low 2v bits must be zero); otherwise enough word-size primes, on int64
 residues rebuilt by the Chinese remainder theorem.  Only constant tables
-(interpolation matrices, grid coefficients, CRT bases) are cached.  ``charpoly`` is the independent reference for the
+are cached: grid coefficients, CRT bases and interpolation matrices, the
+latter mod 2^64 or mod one prime each, built for the primes a grid reads
+and no others.  ``charpoly`` is the independent reference for the
 batched kernel, and its two halves serve certification, which never
 depends on the modular batch: numpy is imported inside the functions that
 run the batch, so certification never loads it.
@@ -366,18 +368,17 @@ def _lagrange(lhat: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _interp_residues(lhat: int):
-    """W = V^-1 mod every table prime, from ``_lagrange``: f_k = sum_t
+def _interp_residues(lhat: int, p: int):
+    """W = V^-1 mod one table prime p, from ``_lagrange``: f_k = sum_t
     W[k][t] f(t) mod p for every polynomial f = sum_k f_k t^k of degree
-    <= lhat.  Every dens[t] divides lhat!, a unit mod p.  Read-only int64,
-    cached."""
+    <= lhat.  Every dens[t] divides lhat!, a unit mod p.  A grid stacks
+    the tables of the primes it reads, so only those are ever built.
+    Read-only int64, cached per (lhat, p)."""
     import numpy as np
 
     nums, dens = _lagrange(lhat)
-    primes = np.array(_PRIMES, dtype=np.int64)[:, None, None]
-    inverse = np.array([[pow(d, -1, p) for d in dens] for p in _PRIMES], dtype=np.int64)
-    out = (np.array(nums, dtype=object) % primes.astype(object)).astype(np.int64)
-    out = out * inverse[:, None] % primes  # residue products below 2^58
+    inverses = [pow(den, -1, p) for den in dens]
+    out = np.array([[x * s % p for x, s in zip(row, inverses)] for row in nums], dtype=np.int64)
     out.flags.writeable = False
     return out
 
@@ -410,44 +411,42 @@ def _berkowitz_mod(mats, primes):
     inverse, so one code path serves every matrix of the batch and every
     commutative ring, Z/2^64 too.  ``charpoly``, by Hessenberg reduction,
     is its independent reference.
-    It starts from the leading 1 x 1 block, x - a00 (a 0 x 0 batch gives
-    1), so the grid's deflated (m-1) x (m-1) matrices take m - 2 steps.
-    At step k one matmul per power gives the next mat-vec of the leading
-    block and the Toeplitz entry of the row below it, and the coefficients
-    are multiplied by the lower-triangular Toeplitz matrix, gathered from
-    the entries.  With primes, every product is reduced mod p (in place in
-    the Krylov loop) before the next one, and no dot product is longer than
-    m <= MAX_GRID_M.
+    One loop grows the leading block from 0 x 0 (coefficients 1) to m x m.
+    Step k takes the Toeplitz vector t = (1, -u_1, ..., -u_k) of the new
+    row and column, -u_1 = -a[k-1][k-1] and -u_i = -row . lead^(i-2) . col,
+    from the last entries of the Krylov vectors of the negated column
+    -a[:k][k-1], one matmul per power with the leading (k-1) x (k-1) block
+    and the row below it.  The coefficients become T c, T[i][j] = t[i-j]
+    below and on the diagonal and 0 above it: one product with T gathered
+    from t, which lives in one buffer with the 1 in slot 0 and a 0 in its
+    last slot for every index above the diagonal.  With primes, every
+    product is reduced mod p (in place) before the next one; the negated
+    column's entries are above -p, so no dot product, of at most
+    m <= MAX_GRID_M terms, leaves int64.
     """
     import numpy as np
 
     r, g, m, _ = mats.shape
-    if not m:
-        return np.ones((r, g, 1), dtype=mats.dtype)
-    p = p4 = None
-    if primes is not None:
-        p, p4 = primes.reshape(r, 1, 1), primes.reshape(r, 1, 1, 1)
-    coeffs = np.ones((r, g, 2), dtype=mats.dtype)  # the leading 1 x 1 block: x - a00
-    coeffs[..., 1] = -mats[:, :, 0, 0] if p is None else -mats[:, :, 0, 0] % p[..., 0]
-    # toeplitz[i][j] = max(i - j, 0): index 0 reads u_0 = 0 on and above the diagonal
-    toeplitz = np.maximum(np.subtract.outer(np.arange(m + 1), np.arange(m)), 0)
-    for k in range(2, m + 1):
+    p = None if primes is None else primes.reshape(r, 1, 1, 1)
+    t = np.zeros((r, g, m + 2), dtype=mats.dtype)
+    t[..., 0] = 1
+    # toeplitz[i][j] = i - j, or -1 (the last slot of t, 0) above the diagonal
+    toeplitz = np.subtract.outer(np.arange(m + 1), np.arange(m))
+    toeplitz[toeplitz < 0] = -1
+    coeffs = np.ones((r, g, 1, 1), dtype=mats.dtype)  # the 0 x 0 block's, as a column
+    for k in range(1, m + 1):
         top = mats[:, :, :k, : k - 1]  # the leading (k-1) x (k-1) block and the row below
-        vec = mats[:, :, : k - 1, k - 1 : k]
-        # t = (1, -u_1, ..., -u_k): u_1 = a[k-1][k-1], u_i = row . lead^(i-2) . col
-        u = np.zeros((r, g, k + 1), dtype=mats.dtype)
-        u[..., 1] = mats[:, :, k - 1, k - 1]
+        vec = -mats[:, :, :k, k - 1 : k]
+        t[..., 1] = vec[..., k - 1, 0]
         for i in range(2, k + 1):
-            prod = top @ vec
-            if p4 is not None:
-                prod %= p4
-            u[..., i] = prod[..., k - 1, 0]
-            vec = prod[..., : k - 1, :]
-        # new_i = c_i - sum_{j < i} u_(i-j) c_j
-        shifted = -(u[..., toeplitz[: k + 1, :k]] @ coeffs[..., None])[..., 0]
-        shifted[..., :k] += coeffs
-        coeffs = shifted if p is None else shifted % p
-    return coeffs
+            vec = top @ vec[..., : k - 1, :]
+            if p is not None:
+                vec %= p
+            t[..., i] = vec[..., k - 1, 0]
+        coeffs = t[..., toeplitz[: k + 1, :k]] @ coeffs
+        if p is not None:
+            coeffs %= p
+    return coeffs[..., 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -493,8 +492,9 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
     Both build the integer basis B0..B3 and multiply it by ``_grid_table``,
     and ``_berkowitz_mod`` gives every grid matrix's coefficients.  The
     word's ``_interp_word`` then gives 4^v times each numerator as a signed
-    word, whose low 2v bits must be zero; the primes' ``_interp_residues``
-    gives each numerator mod p, and ``_crt`` rebuilds it."""
+    word, whose low 2v bits must be zero; the primes' ``_interp_residues``,
+    stacked for the given primes, gives each numerator mod p, and ``_crt``
+    rebuilds it."""
     import numpy as np
 
     m, l, r = a.nrows, max(len(rows), 1), 1 if primes is None else len(primes)
@@ -540,7 +540,7 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
             raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
         return words >> 2 * v
     values = coeffs.reshape(r, l, l, n + 1).transpose(0, 3, 1, 2)
-    weights = _interp_residues(l - 1)[:r, None]
+    weights = np.stack([_interp_residues(l - 1, q) for q in primes.tolist()])[:, None]
     nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
     return _crt(nums.reshape(r, -1)).reshape(n + 1, l, l)
 
@@ -591,8 +591,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     denominators, gives (2^v W) V (2^v W)^T, V the grid of a coefficient:
     4^v times each numerator, below 2^63 in size, so exact as a signed
     word, whose low 2v bits must be zero (else ``RationalityViolation``)
-    and are shifted off; mod primes W mod p (``_interp_residues``) gives
-    W V W^T mod p, and the CRT (``_crt``) rebuilds each numerator.
+    and are shifted off; mod primes W mod p (``_interp_residues``, built
+    for just the primes the grid reads) gives W V W^T mod p, and the CRT
+    (``_crt``) rebuilds each numerator.
     Only the interpolation matrices, the tables and the CRT basis are
     cached, never anything of a matrix.  An empty block gives the plain
     Gram's sums at l_hat = 0; an out-of-range index raises ValueError.

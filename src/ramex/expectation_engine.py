@@ -40,7 +40,9 @@ from .matching_family import NodeState, Params, half_adjacency
 def _weight_table(lhat: int) -> tuple:
     """(L, W) for one l_hat: L = lcm_j C(l_hat, j) and the integer counting
     weights W[j][p][q] = L C(l_hat-p, j) C(l_hat-q, j) / C(l_hat, j) for
-    j, p, q in 0..l_hat, as nested tuples.
+    j, p, q in 0..l_hat, each W[j] one tuple in (p, q) order, as
+    ``_contract`` multiplies it: W[j][p][q] sits at p (l_hat+1) + q, and
+    the diagonal W[j][k'][k'] at k' (l_hat+2).  Cached.
 
     The weight counts the completions of a minor by j = k - k' rows and
     columns inside the reduced block, which a row at overlap p has
@@ -53,16 +55,8 @@ def _weight_table(lhat: int) -> tuple:
     table = []
     for j in span:
         unit, ways = scale // math.comb(lhat, j), [math.comb(lhat - p, j) for p in span]
-        table.append(tuple(tuple(unit * a * b for b in ways) for a in ways))
+        table.append(tuple(unit * a * b for a in ways for b in ways))
     return scale, tuple(table)
-
-
-@functools.lru_cache(maxsize=None)
-def _weight_rows(lhat: int) -> tuple:
-    """(L, rows): ``_weight_table(lhat)`` with each W[j] read as one row in
-    (p, q) order, as ``_contract`` multiplies it; cached."""
-    scale, weights = _weight_table(lhat)
-    return scale, tuple(tuple(chain.from_iterable(plane)) for plane in weights)
 
 
 def _contract(planes: tuple) -> tuple[list, int]:
@@ -74,7 +68,7 @@ def _contract(planes: tuple) -> tuple[list, int]:
     maps a complement's planes to the reduced Gram polynomial.
     """
     lhat, r = len(planes[0]) - 1, len(planes) - 1
-    scale, weights = _weight_rows(lhat)
+    scale, weights = _weight_table(lhat)
     l2 = (lhat + 1) ** 2
     rows = [tuple(chain.from_iterable(plane)) for plane in planes]  # (p, q) order
     coeffs = []
@@ -116,9 +110,11 @@ def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
     r = len(coeffs) - 1
     scale, weights = _weight_table(r)
     # signed coefficients s_k = (-1)^k [y^(r-k)], mixed by the weights at
-    # full overlap p = q = k'
+    # full overlap p = q = k', index k' (r + 2) of a flattened W[j]
     s = [c if k % 2 == 0 else -c for k, c in enumerate(reversed(coeffs))]
-    mixed = [sum(weights[k - kp][kp][kp] * s[kp] for kp in range(k + 1)) for k in range(r + 1)]
+    mixed = [
+        sum(weights[k - kp][kp * (r + 2)] * s[kp] for kp in range(k + 1)) for k in range(r + 1)
+    ]
     return [c if k % 2 == 0 else -c for k, c in enumerate(mixed)][::-1], den * scale
 
 
@@ -137,7 +133,7 @@ def _value_weights(params: Params, placed: int) -> tuple[tuple, int]:
         signed = [v[r - k] if k % 2 == 0 else -v[r - k] for k in range(r + 1)]
         v = [0] * (r + 1)
         for kp in range(r + 1):
-            total = sum(weights[k - kp][kp][kp] * signed[k] for k in range(kp, r + 1))
+            total = sum(weights[k - kp][kp * (r + 2)] * signed[k] for k in range(kp, r + 1))
             v[r - kp] = total if kp % 2 == 0 else -total
     return tuple(v), scale ** (params.d - placed)
 

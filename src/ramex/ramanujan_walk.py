@@ -237,12 +237,9 @@ class WalkStage:
 @dataclass(frozen=True)
 class WalkResult:
     params: Params
-    bound_q: int
     leaf: NodeState
     leaf_poly: UniPoly
     stages: tuple = field(default_factory=tuple)
-    # threads an audited walk ran its children in, 1 if none; the walk never depends on it
-    workers: int = field(default=1, compare=False)
 
 
 def _full_poly(node: NodeState, params: Params, contraction=None) -> tuple[UniPoly, tuple]:
@@ -342,14 +339,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
         current_poly = _full_poly(current, params)[0]
     if _value(current_poly.coeffs, q) != current_value:
         raise InvariantViolation(f"the walk's leaf polynomial differs from its value at sqrt({q})")
-    return WalkResult(
-        params=params,
-        bound_q=q,
-        leaf=current,
-        leaf_poly=current_poly,
-        stages=tuple(stages),
-        workers=workers if pool else 1,
-    )
+    return WalkResult(params=params, leaf=current, leaf_poly=current_poly, stages=tuple(stages))
 
 
 def certificate_to_json(cert: Certificate) -> dict:

@@ -488,24 +488,28 @@ def test_stored_planes_sum_to_the_deflated_gram(case):
 
 @pytest.mark.parametrize("lhat", [*range(10), MAX_GRID_M - 1])
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
-    """W = V^-1 mod every table prime, and 2^v W mod 2^64 for v = v2(l_hat!),
-    get back the coefficients of integer polynomials (2^v times them) from
-    their values on 0..l_hat, at scales from 1 to past the moduli; the
-    tables are cached and read-only."""
-    interp = _interp_residues(lhat)
-    assert interp is _interp_residues(lhat) and not interp.flags.writeable
-    assert interp.shape == (len(_PRIMES), lhat + 1, lhat + 1) and interp.dtype == np.int64
+    """W = V^-1 mod each of the first r table primes, r = 1 and every
+    prime, stacked as a grid stacks them, and 2^v W mod 2^64 for
+    v = v2(l_hat!), get back the coefficients of integer polynomials (2^v
+    times them) from their values on 0..l_hat, at scales from 1 to past
+    the moduli; the tables are cached per prime and read-only."""
     v = sum(lhat // 2**i for i in range(1, lhat.bit_length() + 1))  # Legendre's formula
     word = _interp_word(lhat, v)
     assert word is _interp_word(lhat, v) and not word.flags.writeable
     assert word.shape == (lhat + 1, lhat + 1) and word.dtype == np.uint64
-    moduli = np.array(_PRIMES, dtype=object)[:, None]
     rng = random.Random(lhat)
     for size in (1, 10**6, 2**100):
         coeffs = [rng.randint(-size, size) for _ in range(lhat + 1)]
         values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(lhat + 1)]
-        got = interp.astype(object) @ np.array(values, dtype=object) % moduli
-        assert (got == np.array(coeffs, dtype=object) % moduli).all()
+        for r in (1, len(_PRIMES)):
+            tables = [_interp_residues(lhat, p) for p in _PRIMES[:r]]
+            assert all(t is _interp_residues(lhat, p) for t, p in zip(tables, _PRIMES))
+            assert not any(t.flags.writeable for t in tables)
+            interp = np.stack(tables)
+            assert interp.shape == (r, lhat + 1, lhat + 1) and interp.dtype == np.int64
+            moduli = np.array(_PRIMES[:r], dtype=object)[:, None]
+            got = interp.astype(object) @ np.array(values, dtype=object) % moduli
+            assert (got == np.array(coeffs, dtype=object) % moduli).all()
         got = word.astype(object) @ np.array(values, dtype=object) % 2**64
         assert got.tolist() == [(c << v) % 2**64 for c in coeffs]
 

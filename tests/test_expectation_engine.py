@@ -33,22 +33,27 @@ from matrices import gram, identity, zeros
 
 def test_weight_table_matches_the_closed_form():
     """W[j][p][q] = L C(l_hat-p, j) C(l_hat-q, j) / C(l_hat, j), an exact
-    integer for every j, p, q in 0..l_hat, cached as nested tuples."""
+    integer for every j, p, q in 0..l_hat, cached as one flat tuple per j
+    in (p, q) order, with the diagonal W[j][k'][k'] at k' (l_hat + 2)."""
     for lhat in range(9):
         scale, table = _weight_table(lhat)
         assert _weight_table(lhat)[1] is table
         assert scale == math.lcm(*(math.comb(lhat, j) for j in range(lhat + 1)))
         assert type(table) is tuple and len(table) == lhat + 1
-        assert all(type(plane) is tuple and all(type(r) is tuple for r in plane) for plane in table)
+        assert all(type(row) is tuple and len(row) == (lhat + 1) ** 2 for row in table)
         span = range(lhat + 1)
         for j, p, q in itertools.product(span, repeat=3):
             weight = Fraction(math.comb(lhat - p, j) * math.comb(lhat - q, j), math.comb(lhat, j))
-            assert type(table[j][p][q]) is int and table[j][p][q] == scale * weight
+            flat = table[j][p * (lhat + 1) + q]
+            assert type(flat) is int and flat == scale * weight
+        for j, kp in itertools.product(span, repeat=2):
+            diagonal = Fraction(math.comb(lhat - kp, j) ** 2, math.comb(lhat, j))
+            assert table[j][kp * (lhat + 2)] == scale * diagonal
     scale, table = _weight_table(3)
-    assert all(w == scale for row in table[0] for w in row)  # j = 0: the minor itself
-    assert table[1][1][1] == scale * Fraction(4, 3)  # C(2, 1)^2 / C(3, 1)
-    assert table[2][3][0] == 0  # a row at full overlap has no completion
-    assert _weight_table(1) == (1, (((1, 1), (1, 1)), ((1, 0), (0, 0))))
+    assert all(w == scale for w in table[0])  # j = 0: the minor itself
+    assert table[1][1 * 4 + 1] == scale * Fraction(4, 3)  # C(2, 1)^2 / C(3, 1)
+    assert table[2][3 * 4 + 0] == 0  # a row at full overlap has no completion
+    assert _weight_table(1) == (1, ((1, 1, 1, 1), (1, 0, 0, 0)))
 
 
 def test_expected_block_examples():

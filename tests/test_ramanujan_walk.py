@@ -1,5 +1,6 @@
 """Root test, greedy descent, and exact certification."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -116,9 +117,9 @@ def test_find_leaf_n6_certifies():
 def test_walk_invariant_and_transcript():
     params = Params(6, 3)
     result = walk(params)
-    assert result.bound_q == 8
+    assert result.params.q == 8
     for stage in result.stages:
-        assert max_root_leq_sqrt(stage.node_poly, result.bound_q)
+        assert max_root_leq_sqrt(stage.node_poly, result.params.q)
         assert stage.child_passed[stage.chosen]
         assert not any(stage.child_passed[: stage.chosen])  # first passing child
     assert result.stages[-1].child_nodes[result.stages[-1].chosen] == result.leaf
@@ -382,6 +383,32 @@ def test_small_walks_run_every_grid_on_one_word(n, d, word, monkeypatch):
         )
     walk(Params(n, d), audit=False)
     assert not calls if word else {"_primes_for", "_crt"} <= set(calls)
+
+
+def test_lazy_walk_builds_interpolation_rows_only_for_the_primes_it_reads(monkeypatch):
+    """A lazy (24,3) walk builds W mod p once per l_hat and prime, for the
+    leading primes its prime grids at that l_hat read and no others: as
+    many as the largest prime count there, and none at an l_hat that only
+    word grids take."""
+    built, reads = {}, {}
+    build = exact_linalg._interp_residues.__wrapped__
+
+    def counted(lhat, p):
+        built.setdefault(lhat, []).append(p)
+        return build(lhat, p)
+
+    grid = exact_linalg._grid
+
+    def recorded(a, rows, cols, n, v, primes):
+        lhat = max(len(rows), 1) - 1
+        reads[lhat] = max(reads.get(lhat, 0), 0 if primes is None else len(primes))
+        return grid(a, rows, cols, n, v, primes)
+
+    monkeypatch.setattr(exact_linalg, "_interp_residues", functools.lru_cache(None)(counted))
+    monkeypatch.setattr(exact_linalg, "_grid", recorded)
+    walk(Params(24, 3), audit=False)
+    assert 0 in reads.values() and any(reads.values())  # both moduli ran
+    assert built == {lhat: list(exact_linalg._PRIMES[:r]) for lhat, r in reads.items() if r}
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
