@@ -35,6 +35,7 @@ from .ramanujan_walk import (
     certify,
     certify_by_elimination,
     walk,
+    walk_workers,
 )
 
 EXIT_PASS = 0
@@ -143,11 +144,11 @@ def _cross_check(cert) -> None:
 
 def _transcript_json(result, cert, elapsed: float, jobs: int) -> dict:
     """A traced build's transcript; "jobs" is the number of threads its
-    audited walk evaluated each stage's children in, min(jobs, m)."""
+    audited walk evaluated each stage's children in."""
     return {
         "params": {"n": result.params.n, "d": result.params.d},
         "q": result.params.q,
-        "jobs": min(jobs, result.params.m),
+        "jobs": walk_workers(result.params, jobs, audit=True),
         "stages": [
             {
                 "node": node_to_json(stage.node),

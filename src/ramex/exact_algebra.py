@@ -33,7 +33,7 @@ class TooLarge(ValueError):
 
 def rational_to_str(value: Fraction | int) -> str:
     """Serialize an exact rational as "num/den" ("num" when den == 1)."""
-    return str(value) if type(value) is int else str(Fraction(value))
+    return str(value)
 
 
 def _sign(x) -> int:

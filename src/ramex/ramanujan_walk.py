@@ -250,6 +250,12 @@ def _full_poly(node: NodeState, params: Params, contraction=None) -> tuple[UniPo
     return poly, ints
 
 
+def walk_workers(params: Params, jobs: int, audit: bool) -> int:
+    """The threads a walk evaluates each stage's children in: min(jobs, m)
+    on an audited walk, 1 on a lazy one."""
+    return min(jobs, params.m) if audit else 1
+
+
 def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     """Descend from the identity first matching to a leaf, keeping the
     invariant that the current node's polynomial passes the sqrt(q) bound,
@@ -262,7 +268,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     ``_child_passes`` decides it.  A lazy walk stops at the first that
     passes and takes the last child's value as c times the parent's less
     the others (a single child is the parent).  An audited walk decides
-    every child, evaluates each in full up front, in up to min(jobs, m)
+    every child, evaluates each in full up front, in ``walk_workers``
     threads, and checks that their polynomials average to the parent and
     that each value is its own polynomial's.  A stage where none passes
     evaluates every child in full before NoPassingChild is raised.  The
@@ -282,7 +288,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     current_value = _value(ints, q)
 
     stages = []
-    workers = min(jobs, params.m) if audit else 1
+    workers = walk_workers(params, jobs, audit)
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         evaluate = pool.map if pool else map
         while not current.is_leaf(params):

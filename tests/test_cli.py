@@ -85,6 +85,25 @@ def test_build_trace_records_the_workers_started(tmp_path, capsys):
     assert json.loads((tmp_path / "transcript.json").read_text())["jobs"] == 2
 
 
+@pytest.mark.parametrize("jobs", [2, 50])
+def test_transcript_jobs_is_the_pool_the_walk_started(tmp_path, capsys, monkeypatch, jobs):
+    """The transcript's "jobs" is the size of the pool the traced walk
+    asked for, not a second copy of the rule that sizes it."""
+    asked = []
+    real = ramanujan_walk.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        asked.append(max_workers)
+        return real(max_workers)
+
+    monkeypatch.setattr(ramanujan_walk, "ThreadPoolExecutor", recording_pool)
+    argv = ("build", "--n", "6", "--d", "3", "--out", str(tmp_path), "--trace", "--jobs", str(jobs))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert asked == [min(jobs, 3)]
+    assert json.loads((tmp_path / "transcript.json").read_text())["jobs"] == asked[0]
+
+
 def test_traced_transcript_is_the_same_in_threads(tmp_path, capsys):
     """A traced build that evaluates children in two threads writes the
     serial build's transcript; only the threads started and the elapsed
