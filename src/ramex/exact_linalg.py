@@ -31,11 +31,12 @@ denominators are odd (the word holds 4^v times each numerator, and its
 low 2v bits must be zero); otherwise enough word-size primes, on int64
 residues rebuilt by the Chinese remainder theorem.  Only constant tables
 are cached: grid coefficients, CRT bases and interpolation matrices, the
-latter mod 2^64 or mod one prime each, built for the primes a grid reads
-and no others.  ``charpoly`` is the independent reference for the
-batched kernel, and its two halves serve certification, which never
-depends on the modular batch: numpy is imported inside the functions that
-run the batch, so certification never loads it.
+latter built by one function per (l_hat, modulus), 2^64 or one prime,
+for the moduli a grid reads and no others.  ``charpoly`` is the
+independent reference for the batched kernel, and its two halves serve
+certification, which never depends on the modular batch: numpy is
+imported inside the functions that run the batch, so certification never
+loads it.
 """
 
 from __future__ import annotations
@@ -368,35 +369,23 @@ def _lagrange(lhat: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _interp_residues(lhat: int, p: int):
-    """W = V^-1 mod one table prime p, from ``_lagrange``: f_k = sum_t
-    W[k][t] f(t) mod p for every polynomial f = sum_k f_k t^k of degree
-    <= lhat.  Every dens[t] divides lhat!, a unit mod p.  A grid stacks
-    the tables of the primes it reads, so only those are ever built.
-    Read-only int64, cached per (lhat, p)."""
-    import numpy as np
-
-    nums, dens = _lagrange(lhat)
-    inverses = [pow(den, -1, p) for den in dens]
-    out = np.array([[x * s % p for x, s in zip(row, inverses)] for row in nums], dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _interp_word(lhat: int, v: int):
-    """2^v W mod 2^64, W = V^-1 from ``_lagrange``, for v >= v2(lhat!):
-    2^v f_k = sum_t out[k][t] f(t) mod 2^64 for every integer polynomial
-    f = sum_k f_k t^k of degree <= lhat.  Every dens[t] divides lhat!, so
-    2^v W has odd denominators, units mod 2^64.  Read-only uint64, cached."""
+def _interp(lhat: int, modulus: int, v: int):
+    """2^v W mod modulus, W = V^-1 from ``_lagrange``: 2^v f_k = sum_t
+    out[k][t] f(t) mod modulus for every integer polynomial f = sum_k f_k
+    t^k of degree <= lhat.  Every dens[t] divides lhat!, so column t's
+    scale is odd(dens[t])^-1 2^(v - v2(dens[t])) mod modulus: on 2^64 that
+    needs v >= v2(lhat!), and mod a table prime any v, 0 included.
+    Read-only uint64 for 2^64 and int64 for a prime; cached, so a grid
+    builds the tables of just the moduli it reads."""
     import numpy as np
 
     nums, dens = _lagrange(lhat)
     scales = []
     for den in dens:
         twos = (den & -den).bit_length() - 1
-        scales.append(pow(den >> twos, -1, _WORD) << (v - twos))
-    out = np.array([[x * s % _WORD for x, s in zip(row, scales)] for row in nums], dtype=np.uint64)
+        scales.append(pow(den >> twos, -1, modulus) * pow(2, v - twos, modulus))
+    dtype = np.uint64 if modulus == _WORD else np.int64
+    out = np.array([[x * s % modulus for x, s in zip(row, scales)] for row in nums], dtype=dtype)
     out.flags.writeable = False
     return out
 
@@ -490,11 +479,10 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
     2 4^v b < 2^64, else on int64 residues modulo each of primes.
 
     Both build the integer basis B0..B3 and multiply it by ``_grid_table``,
-    and ``_berkowitz_mod`` gives every grid matrix's coefficients.  The
-    word's ``_interp_word`` then gives 4^v times each numerator as a signed
-    word, whose low 2v bits must be zero; the primes' ``_interp_residues``,
-    stacked for the given primes, gives each numerator mod p, and ``_crt``
-    rebuilds it."""
+    and ``_berkowitz_mod`` gives every grid matrix's coefficients.  Then
+    ``_interp``: on the word at v, 4^v times each numerator as a signed
+    word, whose low 2v bits must be zero; mod each of primes at v = 0,
+    stacked, each numerator mod p, which ``_crt`` rebuilds."""
     import numpy as np
 
     m, l, r = a.nrows, max(len(rows), 1), 1 if primes is None else len(primes)
@@ -534,13 +522,13 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
     # mod p, V the grid of lam**(n-k')
     if primes is None:
         values = coeffs.reshape(l, l, n + 1).transpose(2, 0, 1)
-        weights = _interp_word(l - 1, v)
+        weights = _interp(l - 1, _WORD, v)
         words = (weights @ values @ weights.T).view(np.int64)
         if (words & ((1 << 2 * v) - 1)).any():
             raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
         return words >> 2 * v
     values = coeffs.reshape(r, l, l, n + 1).transpose(0, 3, 1, 2)
-    weights = np.stack([_interp_residues(l - 1, q) for q in primes.tolist()])[:, None]
+    weights = np.stack([_interp(l - 1, q, 0) for q in primes.tolist()])[:, None]
     nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
     return _crt(nums.reshape(r, -1)).reshape(n + 1, l, l)
 
@@ -587,13 +575,13 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     below p after each matmul, so a dot product stays below m (p-1)^2 and
     a grid value below (l-1)^2 (p-1), both under 2^63.  Interpolation by
     W = V^-1 (denominators t! (l_hat-t)!, divisors of l_hat!) ends the
-    batch: on the word 2^v W mod 2^64 (``_interp_word``), with odd
-    denominators, gives (2^v W) V (2^v W)^T, V the grid of a coefficient:
-    4^v times each numerator, below 2^63 in size, so exact as a signed
-    word, whose low 2v bits must be zero (else ``RationalityViolation``)
-    and are shifted off; mod primes W mod p (``_interp_residues``, built
-    for just the primes the grid reads) gives W V W^T mod p, and the CRT
-    (``_crt``) rebuilds each numerator.
+    batch, from one function (``_interp``): on the word 2^v W mod 2^64,
+    with odd denominators, gives (2^v W) V (2^v W)^T, V the grid of a
+    coefficient: 4^v times each numerator, below 2^63 in size, so exact as
+    a signed word, whose low 2v bits must be zero (else
+    ``RationalityViolation``) and are shifted off; mod primes W mod p,
+    built for just the primes the grid reads, gives W V W^T mod p, and the
+    CRT (``_crt``) rebuilds each numerator.
     Only the interpolation matrices, the tables and the CRT basis are
     cached, never anything of a matrix.  An empty block gives the plain
     Gram's sums at l_hat = 0; an out-of-range index raises ValueError.

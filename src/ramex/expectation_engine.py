@@ -6,21 +6,22 @@ block by quadrature (the squared-minor sums of the trivariate determinant,
 taken from an integer similarity of the fixed matrix plus the block mean,
 weighted by counting binomials) into the Gram polynomial with the
 all-ones factor (y - placed^2) already out, as the grid stores only its
-complement; fold in each unplaced uniformly random matching with the
-linear convolution step, and substitute y -> x^2.  All of it runs on
-integers, the counting weights too, with coefficients over one common
-denominator; the node's polynomial becomes Fractions once, at the end,
-because the public functions return rationals.
+complement; fold in the f unplaced uniformly random matchings with F^f,
+F the integer fold matrix (``_folds``), and substitute y -> x^2.  All of
+it runs on integers, the counting weights too, with coefficients over one
+common denominator; the node's polynomial becomes Fractions once, at the
+end, because the public functions return rationals.
 
 Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
 ``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
 ``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
 ``node_value`` stops after the contraction: the node polynomial at
-x = sqrt(q), one rational from the reduced Gram polynomial and a cached
-table that pulls the evaluation back through the folds.  Both are
-``contract_node``, the grid run, then ``contraction_value`` or
-``contraction_poly``, so a caller can take both from one grid.
+x = sqrt(q), one rational from the reduced Gram polynomial and the
+powers of q times the same F^f, a cached table that pulls the evaluation
+back through the folds.  Both are ``contract_node``, the grid run, then
+``contraction_value`` or ``contraction_poly``, so a caller can take both
+from one grid.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ def _weight_table(lhat: int) -> tuple:
     """(L, W) for one l_hat: L = lcm_j C(l_hat, j) and the integer counting
     weights W[j][p][q] = L C(l_hat-p, j) C(l_hat-q, j) / C(l_hat, j) for
     j, p, q in 0..l_hat, each W[j] one tuple in (p, q) order, as
-    ``_contract`` multiplies it: W[j][p][q] sits at p (l_hat+1) + q, and
-    the diagonal W[j][k'][k'] at k' (l_hat+2).  Cached.
+    ``_contract`` multiplies it: W[j][p][q] sits at p (l_hat+1) + q.  Cached.
 
     The weight counts the completions of a minor by j = k - k' rows and
     columns inside the reduced block, which a row at overlap p has
@@ -93,10 +93,32 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     return UniPoly(tuple(Fraction(c, den) for c in coeffs))
 
 
+@functools.lru_cache(maxsize=None)
+def _folds(r: int, f: int) -> tuple[tuple, int]:
+    """(F^f, L^f), F the integer fold matrix on ascending coefficients of
+    degree r: F[i][j] = (-1)^(i+j) W[j-i][r-j][r-j] for j >= i and 0
+    below the diagonal, W and L from ``_weight_table(r)``, so F c / L folds
+    one random matching into c (``add_random_matching``).  The diagonal
+    W[j][k'][k'] sits at k' (r + 2) of a flat W[j], read here and nowhere
+    else.  Rows of tuples, cached per (r, f).
+    """
+    span = range(r + 1)
+    if f == 0:
+        return tuple(tuple(int(i == j) for j in span) for i in span), 1
+    scale, weights = _weight_table(r)
+    fold = [
+        [0] * i + [(-1) ** (i + j) * weights[j - i][(r - j) * (r + 2)] for j in range(i, r + 1)]
+        for i in span
+    ]
+    power, total = _folds(r, f - 1)
+    cols = list(zip(*power))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in fold), total * scale
+
+
 def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
     """Fold one uniformly random perfect matching into a reduced Gram
     polynomial, in y = x^2, on integers: the ascending coefficients over
-    den in, the folded ones over den L out.
+    den in, the folded ones F coeffs over den L out (``_folds``).
 
     ``coeffs`` / den is the expected Gram polynomial of a regular bipartite
     multigraph with its all-ones singular value factor (y - c^2) divided
@@ -107,35 +129,20 @@ def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
     """
     if not coeffs or coeffs[-1] != den:
         raise ValueError("expected a monic reduced Gram polynomial")
-    r = len(coeffs) - 1
-    scale, weights = _weight_table(r)
-    # signed coefficients s_k = (-1)^k [y^(r-k)], mixed by the weights at
-    # full overlap p = q = k', index k' (r + 2) of a flattened W[j]
-    s = [c if k % 2 == 0 else -c for k, c in enumerate(reversed(coeffs))]
-    mixed = [
-        sum(weights[k - kp][kp * (r + 2)] * s[kp] for kp in range(k + 1)) for k in range(r + 1)
-    ]
-    return [c if k % 2 == 0 else -c for k, c in enumerate(mixed)][::-1], den * scale
+    fold, scale = _folds(len(coeffs) - 1, 1)
+    return [sum(map(mul, row, coeffs)) for row in fold], den * scale
 
 
 @functools.lru_cache(maxsize=None)
 def _value_weights(params: Params, placed: int) -> tuple[tuple, int]:
     """(v, L^f) with p(sqrt(q)) = sum_j gram[j] v[j] / (den L^f), p the
     node polynomial of the reduced Gram polynomial gram / den, q = params.q
-    and f = d - placed folds: the evaluation at y = q pulled back, as an
-    integer functional, through each fold (the transpose of
-    ``add_random_matching``, over L).
+    and f = d - placed folds: the powers of q times F^f (``_folds``), the
+    evaluation at y = q pulled back through the folds.  Cached.
     """
-    r, q = params.m - 1, params.q
-    scale, weights = _weight_table(r)
-    v = [q**i for i in range(r + 1)]
-    for _ in range(placed, params.d):
-        signed = [v[r - k] if k % 2 == 0 else -v[r - k] for k in range(r + 1)]
-        v = [0] * (r + 1)
-        for kp in range(r + 1):
-            total = sum(weights[k - kp][kp * (r + 2)] * signed[k] for k in range(kp, r + 1))
-            v[r - kp] = total if kp % 2 == 0 else -total
-    return tuple(v), scale ** (params.d - placed)
+    power, scale = _folds(params.m - 1, params.d - placed)
+    powers = [params.q**i for i in range(params.m)]
+    return tuple(sum(map(mul, powers, col)) for col in zip(*power)), scale
 
 
 def contract_node(node: NodeState, params: Params) -> tuple[list, int, int, CTensor]:
@@ -161,11 +168,12 @@ def contraction_value(contraction: tuple, params: Params) -> Fraction:
 
 
 def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple, CTensor]:
-    """``evaluate_node`` of a node's ``contract_node``."""
-    reduced, den, placed, tensor = contraction
-    for _ in range(placed, params.d):
-        reduced, den = add_random_matching(reduced, den)
-    body = poly_substitute_square(UniPoly(tuple(reduced)))
+    """``evaluate_node`` of a node's ``contract_node``: F^f (``_folds``)
+    applied to its reduced Gram polynomial in one product."""
+    gram, den, placed, tensor = contraction
+    power, scale = _folds(params.m - 1, params.d - placed)
+    den *= scale
+    body = poly_substitute_square(UniPoly(tuple(sum(map(mul, row, gram)) for row in power)))
     if body.degree != params.n - 2 or body.coeffs[-1] != den:
         raise InvariantViolation("degree bookkeeping broken")
     # zeros, the odd coefficients among them, stay int 0
@@ -175,8 +183,8 @@ def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple
 def node_value(node: NodeState, params: Params) -> Fraction:
     """The node polynomial at x = sqrt(q), q = 4(d-1), exactly: one
     rational from the reduced Gram polynomial and a cached table, with no
-    fold or root test (``_value_weights``).  The polynomial is even, so
-    its value at sqrt(q) is rational."""
+    root test and no fold of the polynomial (``_value_weights``).  The
+    polynomial is even, so its value at sqrt(q) is rational."""
     return contraction_value(contract_node(node, params), params)
 
 

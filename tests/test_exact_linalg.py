@@ -30,8 +30,8 @@ from ramex.exact_linalg import (
     _crt,
     _grid_table,
     _hessenberg_mod,
-    _interp_residues,
-    _interp_word,
+    _WORD,
+    _interp,
     _primes_for,
     charpoly,
     charpoly_mod,
@@ -488,30 +488,33 @@ def test_stored_planes_sum_to_the_deflated_gram(case):
 
 @pytest.mark.parametrize("lhat", [*range(10), MAX_GRID_M - 1])
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
-    """W = V^-1 mod each of the first r table primes, r = 1 and every
-    prime, stacked as a grid stacks them, and 2^v W mod 2^64 for
-    v = v2(l_hat!), get back the coefficients of integer polynomials (2^v
-    times them) from their values on 0..l_hat, at scales from 1 to past
-    the moduli; the tables are cached per prime and read-only."""
+    """One function serves both moduli: W = V^-1 mod each of the first r
+    table primes, r = 1 and every prime, stacked as a grid stacks them, and
+    2^v W mod 2^64 for v = v2(l_hat!) and v + 1, get back the coefficients
+    of integer polynomials (2^v times them) from their values on
+    0..l_hat, at scales from 1 to past the moduli; the tables are cached
+    per (l_hat, modulus, v) and read-only."""
     v = sum(lhat // 2**i for i in range(1, lhat.bit_length() + 1))  # Legendre's formula
-    word = _interp_word(lhat, v)
-    assert word is _interp_word(lhat, v) and not word.flags.writeable
-    assert word.shape == (lhat + 1, lhat + 1) and word.dtype == np.uint64
+    words = {w: _interp(lhat, _WORD, w) for w in (v, v + 1)}
+    for w, word in words.items():
+        assert word is _interp(lhat, _WORD, w) and not word.flags.writeable
+        assert word.shape == (lhat + 1, lhat + 1) and word.dtype == np.uint64
     rng = random.Random(lhat)
     for size in (1, 10**6, 2**100):
         coeffs = [rng.randint(-size, size) for _ in range(lhat + 1)]
         values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(lhat + 1)]
         for r in (1, len(_PRIMES)):
-            tables = [_interp_residues(lhat, p) for p in _PRIMES[:r]]
-            assert all(t is _interp_residues(lhat, p) for t, p in zip(tables, _PRIMES))
+            tables = [_interp(lhat, p, 0) for p in _PRIMES[:r]]
+            assert all(t is _interp(lhat, p, 0) for t, p in zip(tables, _PRIMES))
             assert not any(t.flags.writeable for t in tables)
             interp = np.stack(tables)
             assert interp.shape == (r, lhat + 1, lhat + 1) and interp.dtype == np.int64
             moduli = np.array(_PRIMES[:r], dtype=object)[:, None]
             got = interp.astype(object) @ np.array(values, dtype=object) % moduli
             assert (got == np.array(coeffs, dtype=object) % moduli).all()
-        got = word.astype(object) @ np.array(values, dtype=object) % 2**64
-        assert got.tolist() == [(c << v) % 2**64 for c in coeffs]
+        for w, word in words.items():
+            got = word.astype(object) @ np.array(values, dtype=object) % 2**64
+            assert got.tolist() == [(c << w) % 2**64 for c in coeffs]
 
 
 @st.composite

@@ -14,6 +14,8 @@ from ramex import exact_linalg, expectation_engine
 from ramex.exact_algebra import InvariantViolation, UniPoly
 from ramex.exact_linalg import BlockSpec, CTensor, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
+    _folds,
+    _value_weights,
     _weight_table,
     add_random_matching,
     fixed_plus_random_block_expected,
@@ -292,6 +294,57 @@ def test_add_random_matching_rejects_bad_polys():
         add_random_matching([1, 1], 2)  # leading coefficient 1/2
     with pytest.raises(ValueError):
         add_random_matching([], 1)  # zero
+
+
+def _closed_form_fold(r):
+    """(F, L) from ``math.comb`` alone: L = lcm_j C(r, j) and
+    F[i][j] = (-1)^(i+j) L C(j, j-i)^2 / C(r, j-i) for j >= i, else 0."""
+    scale = math.lcm(*(math.comb(r, j) for j in range(r + 1)))
+    fold = [
+        [
+            (-1) ** (i + j) * scale * math.comb(j, j - i) ** 2 // math.comb(r, j - i) if j >= i else 0
+            for j in range(r + 1)
+        ]
+        for i in range(r + 1)
+    ]
+    return fold, scale
+
+
+def _times(a, b):
+    """The integer matrix product a b, rows of lists."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_folds_are_powers_of_the_closed_form_fold():
+    """``_folds(r, f)`` is (F^f, L^f) for the closed-form fold F at every
+    grid size r = 0..31 and f = 0..3, cached, and one fold of a monic
+    polynomial is F c over den L."""
+    rng = random.Random(31)
+    for r in range(32):
+        fold, scale = _closed_form_fold(r)
+        power = [[int(i == j) for j in range(r + 1)] for i in range(r + 1)]
+        for f in range(4):
+            got = _folds(r, f)
+            assert got is _folds(r, f)
+            assert got == (tuple(map(tuple, power)), scale**f)
+            power = _times(fold, power)
+        coeffs = [rng.randint(-(10**6), 10**6) for _ in range(r)] + [7]
+        folded = [sum(x * c for x, c in zip(row, coeffs)) for row in fold]
+        assert add_random_matching(coeffs, 7) == (folded, 7 * scale)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (8, 3), (10, 6), (16, 7), (12, 9)])
+def test_value_weights_pull_q_powers_back_through_closed_form_folds(n, d):
+    """``_value_weights(params, placed)`` is the row of q's powers times f
+    closed-form folds, f = d - placed, over L^f: it reads the columns of
+    F^f, and the d >= 7 cases take up to d folds."""
+    params = Params(n, d)
+    fold, scale = _closed_form_fold(params.m - 1)
+    for placed in range(d + 1):
+        row = [[params.q**i for i in range(params.m)]]
+        for _ in range(d - placed):
+            row = _times(row, fold)
+        assert _value_weights(params, placed) == (tuple(row[0]), scale ** (d - placed))
 
 
 def test_node_tensor_without_the_split_off_factor_is_an_engine_fault(monkeypatch):

@@ -386,29 +386,38 @@ def test_small_walks_run_every_grid_on_one_word(n, d, word, monkeypatch):
 
 
 def test_lazy_walk_builds_interpolation_rows_only_for_the_primes_it_reads(monkeypatch):
-    """A lazy (24,3) walk builds W mod p once per l_hat and prime, for the
-    leading primes its prime grids at that l_hat read and no others: as
-    many as the largest prime count there, and none at an l_hat that only
-    word grids take."""
-    built, reads = {}, {}
-    build = exact_linalg._interp_residues.__wrapped__
+    """A lazy (24,3) walk builds each interpolation table once per l_hat
+    and modulus: mod p for the leading primes its prime grids at that
+    l_hat read and no others, as many as the largest prime count there,
+    none at an l_hat that only word grids take, and mod 2^64 at just the
+    l_hats that word grids take."""
+    built, reads, words = [], {}, set()
+    build = exact_linalg._interp.__wrapped__
 
-    def counted(lhat, p):
-        built.setdefault(lhat, []).append(p)
-        return build(lhat, p)
+    def counted(lhat, modulus, v):
+        built.append((lhat, modulus))
+        return build(lhat, modulus, v)
 
     grid = exact_linalg._grid
 
     def recorded(a, rows, cols, n, v, primes):
         lhat = max(len(rows), 1) - 1
         reads[lhat] = max(reads.get(lhat, 0), 0 if primes is None else len(primes))
+        if primes is None:
+            words.add(lhat)
         return grid(a, rows, cols, n, v, primes)
 
-    monkeypatch.setattr(exact_linalg, "_interp_residues", functools.lru_cache(None)(counted))
+    monkeypatch.setattr(exact_linalg, "_interp", functools.lru_cache(None)(counted))
     monkeypatch.setattr(exact_linalg, "_grid", recorded)
     walk(Params(24, 3), audit=False)
     assert 0 in reads.values() and any(reads.values())  # both moduli ran
-    assert built == {lhat: list(exact_linalg._PRIMES[:r]) for lhat, r in reads.items() if r}
+    assert len(built) == len(set(built))  # one build per (l_hat, modulus)
+    primes = {}
+    for lhat, modulus in built:
+        if modulus != exact_linalg._WORD:
+            primes.setdefault(lhat, []).append(modulus)
+    assert primes == {lhat: list(exact_linalg._PRIMES[:r]) for lhat, r in reads.items() if r}
+    assert {lhat for lhat, modulus in built if modulus == exact_linalg._WORD} == words
 
 
 @pytest.mark.parametrize("n, d", [(8, 4), (10, 3)])
