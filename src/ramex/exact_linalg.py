@@ -30,13 +30,13 @@ on uint64 words reduced by wrap-around alone, with 2^v V^-1, whose
 denominators are odd (the word holds 4^v times each numerator, and its
 low 2v bits must be zero); otherwise enough word-size primes, on int64
 residues rebuilt by the Chinese remainder theorem.  Only constant tables
-are cached: grid coefficients, CRT bases and interpolation matrices, the
-latter built by one function per (l_hat, modulus), 2^64 or one prime,
-for the moduli a grid reads and no others.  ``charpoly`` is the
-independent reference for the batched kernel, and its two halves serve
-certification, which never depends on the modular batch: numpy is
-imported inside the functions that run the batch, so certification never
-loads it.
+are cached: grid coefficients, Berkowitz's gather indices per size, CRT
+bases and interpolation matrices, the latter built by one function per
+(l_hat, modulus), 2^64 or one prime, for the moduli a grid reads and no
+others.  ``charpoly`` is the independent reference for the batched
+kernel, and its two halves serve certification, which never depends on
+the modular batch: numpy is imported inside the functions that run the
+batch, so certification never loads it.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class RationalityViolation(InvariantViolation):
     """A squared-minor sum that must be a nonnegative rational was not.
 
     The coefficients of the trivariate determinant polynomial are sums of
-    squared minors, so each must come out nonnegative, and the constant
-    term must be exactly 1; anything else is a hard implementation error.
+    squared minors, so each must come out nonnegative, and plane 0 must be
+    the unit plane; anything else is a hard implementation error.
     """
 
 
@@ -248,7 +248,11 @@ class CTensor:
     says why that is exact): the whole tensor when sigma_sq is None, else
     the m planes of its complement of the all-ones factor lam + sigma_sq,
     which ``nums`` multiplies back.  Every stored C is an exact nonnegative
-    rational and C[0][0][0] == 1, both checked here, so ``nums`` is too.
+    rational, and plane 0, the coefficient of lam^m, is the unit plane:
+    C[0][0][0] = 1 and every other C[0][p][q] = 0.  Both are checked here,
+    so ``nums`` has them too.  The unit plane makes the contracted Gram
+    polynomial monic, so a node value, which contracts none, keeps that
+    check.
     """
 
     m: int
@@ -267,8 +271,14 @@ class CTensor:
                                 f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
                                 f"{Fraction(num, self.denominator(kprime))}"
                             )
-        if self.planes[0][0][0] != 1:
-            raise _violation(f"C[0][0][0] = {self.planes[0][0][0]}, expected 1")
+        size = self.lhat + 1
+        unit = ((1,) + (0,) * self.lhat,) + ((0,) * size,) * self.lhat
+        if self.planes[0] != unit:  # one comparison; the loop only names the cell
+            for cell, (num, want) in enumerate(zip(flat(self.planes[0]), flat(unit))):
+                if num != want:
+                    raise _violation(
+                        f"C[0][{cell // size}][{cell % size}] = {num}, expected {want}"
+                    )
 
     @functools.cached_property
     def nums(self) -> tuple:
@@ -390,6 +400,20 @@ def _interp(lhat: int, modulus: int, v: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _toeplitz(m: int):
+    """``_berkowitz_mod``'s gather indices for m x m matrices, an (m + 1, m)
+    array: i - j on and below the diagonal, and -1, the last slot of the
+    Toeplitz buffer, which holds 0, above it.  Step k reads its leading
+    (k + 1, k) block.  Read-only int64; cached."""
+    import numpy as np
+
+    out = np.subtract.outer(np.arange(m + 1), np.arange(m))
+    out[out < 0] = -1
+    out.flags.writeable = False
+    return out
+
+
 def _berkowitz_mod(mats, primes):
     """Descending coefficients of det(x I - M) mod p for a batch of int64
     residue matrices of shape (r, g, m, m), the prime of row i of the batch
@@ -400,18 +424,20 @@ def _berkowitz_mod(mats, primes):
     inverse, so one code path serves every matrix of the batch and every
     commutative ring, Z/2^64 too.  ``charpoly``, by Hessenberg reduction,
     is its independent reference.
-    One loop grows the leading block from 0 x 0 (coefficients 1) to m x m.
-    Step k takes the Toeplitz vector t = (1, -u_1, ..., -u_k) of the new
-    row and column, -u_1 = -a[k-1][k-1] and -u_i = -row . lead^(i-2) . col,
-    from the last entries of the Krylov vectors of the negated column
-    -a[:k][k-1], one matmul per power with the leading (k-1) x (k-1) block
-    and the row below it.  The coefficients become T c, T[i][j] = t[i-j]
+    One loop grows the leading block from 1 x 1, coefficients (1, -a[0][0])
+    ((1) at m = 0, where the loop does not run), to m x m.  Step k takes
+    the Toeplitz vector t = (1, -u_1, ..., -u_k) of the new row and column,
+    -u_1 = -a[k-1][k-1] and -u_i = -row . lead^(i-2) . col, from the last
+    entries of the Krylov vectors of the negated column -a[:k][k-1], one
+    matmul per power with the leading (k-1) x (k-1) block and the row
+    below it.  The coefficients become T c, T[i][j] = t[i-j]
     below and on the diagonal and 0 above it: one product with T gathered
-    from t, which lives in one buffer with the 1 in slot 0 and a 0 in its
-    last slot for every index above the diagonal.  With primes, every
-    product is reduced mod p (in place) before the next one; the negated
-    column's entries are above -p, so no dot product, of at most
-    m <= MAX_GRID_M terms, leaves int64.
+    from t by the indices ``_toeplitz`` caches per m; t lives in one buffer
+    with the 1 in slot 0 and a 0 in its last slot for every index above the
+    diagonal.  With primes, every product is reduced mod p (in place)
+    before the next one, the first block's coefficients too, so the output
+    is below p at every m; the negated column's entries are above -p, so no
+    dot product, of at most m <= MAX_GRID_M terms, leaves int64.
     """
     import numpy as np
 
@@ -419,11 +445,14 @@ def _berkowitz_mod(mats, primes):
     p = None if primes is None else primes.reshape(r, 1, 1, 1)
     t = np.zeros((r, g, m + 2), dtype=mats.dtype)
     t[..., 0] = 1
-    # toeplitz[i][j] = i - j, or -1 (the last slot of t, 0) above the diagonal
-    toeplitz = np.subtract.outer(np.arange(m + 1), np.arange(m))
-    toeplitz[toeplitz < 0] = -1
-    coeffs = np.ones((r, g, 1, 1), dtype=mats.dtype)  # the 0 x 0 block's, as a column
-    for k in range(1, m + 1):
+    toeplitz = _toeplitz(m)
+    # the leading 1 x 1 block's coefficients (1, -a[0][0]) as a column; (1) at m = 0
+    coeffs = np.ones((r, g, min(m, 1) + 1, 1), dtype=mats.dtype)
+    if m:
+        coeffs[..., 1, 0] = -mats[..., 0, 0]
+    if p is not None:
+        coeffs %= p
+    for k in range(2, m + 1):
         top = mats[:, :, :k, : k - 1]  # the leading (k-1) x (k-1) block and the row below
         vec = -mats[:, :, :k, k - 1 : k]
         t[..., 1] = vec[..., k - 1, 0]
@@ -612,7 +641,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
       multiplying by lam + sigma^2, which is y - placed^2 up to the scale
       of y (sigma = l placed): the complement contracts to the reduced Gram
       polynomial.
-    ``CTensor`` checks the stored numerators for sign and C[0][0][0].
+    ``CTensor`` checks the stored numerators for sign and the unit plane 0.
     """
     m = a.nrows
     if any(i >= m for i in block.rows + block.cols):

@@ -33,6 +33,7 @@ from ramex.exact_linalg import (
     _WORD,
     _interp,
     _primes_for,
+    _toeplitz,
     charpoly,
     charpoly_mod,
     rationality_violation_count,
@@ -669,6 +670,34 @@ def test_batched_kernel_matches_big_int_charpoly(batch):
     assert words.tolist() == [[[c % 2**64 for c in reversed(p.coeffs)] for p in want]]
 
 
+@pytest.mark.parametrize("m", [0, 1])
+def test_berkowitz_mod_at_the_smallest_sizes(m):
+    """A build at n = 2 runs 0 x 0 grid matrices.  At m = 0 the kernel
+    gives (1), at m = 1 (1, -a), both reduced: below p on primes and
+    modulo 2^64 on the word.  Its cached gather indices are read-only."""
+    entries = [0, 1, 5, _PRIMES[0] - 1]
+    want = [[1, -a] if m else [1] for a in entries]
+    primes = _primes_for(2**40)
+    mats = np.zeros((len(primes), len(entries), m, m), dtype=np.int64)
+    mats[...] = np.array(entries).reshape(-1, 1, 1)
+    coeffs = _berkowitz_mod(mats, primes)
+    assert coeffs.dtype == np.int64
+    assert coeffs.tolist() == [[[c % p for c in row] for row in want] for p in primes.tolist()]
+    coeffs = _berkowitz_mod(mats[:1].astype(np.uint64), None)
+    assert coeffs.dtype == np.uint64
+    assert coeffs.tolist() == [[[c % _WORD for c in row] for row in want]]
+    assert _toeplitz(m) is _toeplitz(m) and not _toeplitz(m).flags.writeable
+
+
+def test_toeplitz_indices_gather_the_lower_triangle():
+    """Index i - j on and below the diagonal and -1, the Toeplitz buffer's
+    zero slot, above it; step k reads the leading (k + 1, k) block."""
+    for m in range(MAX_GRID_M + 1):
+        table = _toeplitz(m)
+        want = [[i - j if j <= i else -1 for j in range(m)] for i in range(m + 1)]
+        assert table.shape == (m + 1, m) and table.tolist() == want
+
+
 def test_prime_count_covers_a_nearly_tight_hadamard_bound():
     # c H for a Sylvester Hadamard H has |det| = prod |row_i|, within a
     # factor (1 + 2/(c sqrt(m)))^m of the bound, so one prime fewer than
@@ -773,4 +802,16 @@ def test_ctensor_checks_its_numerators(monkeypatch):
     # the sign check runs in one pass; a failure still names the cell
     with pytest.raises(RationalityViolation, match=r"negative squared-minor sum C\[1\]\[1\]\[0\] "):
         CTensor(1, 1, (((1, 0), (0, 0)), ((4, 0), (-1, 0))))
+    assert rationality_violation_count() == 2
+
+
+def test_ctensor_requires_the_unit_plane_0(monkeypatch):
+    """Plane 0 is the coefficient of lam^m, 1 at every grid point: C[0][0][0]
+    = 1 and every other C[0][p][q] = 0, which also makes the contracted Gram
+    polynomial monic.  An off-diagonal 1 there is a violation."""
+    monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
+    with pytest.raises(RationalityViolation, match=r"C\[0\]\[0\]\[1\] = 1, expected 0"):
+        CTensor(1, 1, (((1, 1), (0, 0)), ((4, 0), (0, 1))))
+    with pytest.raises(RationalityViolation, match=r"C\[0\]\[2\]\[1\] = 1, expected 0"):
+        CTensor(1, 2, (((1, 0, 0), (0, 0, 0), (0, 1, 0)), ((0,) * 3,) * 3))
     assert rationality_violation_count() == 2

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -14,7 +15,9 @@ from ramex import exact_linalg, expectation_engine
 from ramex.exact_algebra import InvariantViolation, UniPoly
 from ramex.exact_linalg import BlockSpec, CTensor, Matrix, charpoly, trivariate_detpoly
 from ramex.expectation_engine import (
+    _contract,
     _folds,
+    _value_table,
     _value_weights,
     _weight_table,
     add_random_matching,
@@ -345,6 +348,56 @@ def test_value_weights_pull_q_powers_back_through_closed_form_folds(n, d):
         for _ in range(d - placed):
             row = _times(row, fold)
         assert _value_weights(params, placed) == (tuple(row[0]), scale ** (d - placed))
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (14, 3), (10, 6), (16, 8)])
+def test_value_table_is_the_contraction_dotted_with_the_value_weights(n, d):
+    """On random nonnegative integer planes, for every placed and l_hat,
+    the fused table's dot product over D is ``_contract``'s Gram polynomial
+    dotted with ``_value_weights``, numerators and denominators alike; at
+    (16,8), (d-2)^2 > q."""
+    params, rng = Params(n, d), random.Random(100 * n + d)
+    for placed, lhat in itertools.product(range(d + 1), range(params.m)):
+        side = range(lhat + 1)
+        planes = tuple(
+            tuple(tuple(rng.randrange(10**6) for _ in side) for _ in side) for _ in range(params.m)
+        )
+        table, den = _value_table(params, placed, lhat)
+        assert _value_table(params, placed, lhat)[0] is table
+        gram, gram_den = _contract(planes)
+        v, scale = _value_weights(params, placed)
+        flat = [x for plane in planes for row in plane for x in row]
+        assert len(table) == len(flat) and den == gram_den * scale
+        assert sum(map(mul, flat, table)) == sum(map(mul, gram, v))
+
+
+_FIRST_24, _FIRST_28 = tuple(range(12)), tuple(range(14))
+_SECOND_28 = (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 9, 13, 12)
+_THIRD_28 = (1, 2, 3, 0, 5, 6, 7, 8, 9, 4, 12, 10, 11, 13)
+
+
+@pytest.mark.parametrize(
+    "params, node",
+    [
+        (Params(24, 3), NodeState((_FIRST_24,), (0, 1, 2, 3, 5, 4))),
+        (Params(28, 5), NodeState((_FIRST_28,), (0, 1, 2, 3, 4, 5, 6, 7, 8))),
+        (Params(28, 5), NodeState((_FIRST_28, _SECOND_28), (1, 2, 3, 0, 5, 6, 7, 8, 9, 4))),
+        (Params(28, 5), NodeState((_FIRST_28, _SECOND_28, _THIRD_28), (4, 5, 6, 1, 7, 8, 9, 0))),
+    ],
+    ids=["n24-matching2", "n28-matching2", "n28-matching3", "n28-matching4"],
+)
+def test_node_value_on_prime_grids_with_folds_left(params, node, monkeypatch):
+    """Children that lazy (24,3) decided in its matching 2 and (28,5) in
+    its matchings 2-4: each grid takes primes, and 1 to 3 matchings are
+    still to be folded.  The value from the fused table is the node
+    polynomial at sqrt(q)."""
+    bounds = []
+    real = exact_linalg._primes_for
+    monkeypatch.setattr(exact_linalg, "_primes_for", lambda b: bounds.append(b) or real(b))
+    value = node_value(node, params)
+    assert bounds and params.d - len(node.complete) - 1 >= 1
+    poly = node_polynomial(node, params)
+    assert value == sum(c * params.q ** (i // 2) for i, c in enumerate(poly.coeffs) if i % 2 == 0)
 
 
 def test_node_tensor_without_the_split_off_factor_is_an_engine_fault(monkeypatch):

@@ -370,6 +370,17 @@ def test_lazy_d2_walk_runs_one_grid_per_node(n, monkeypatch):
     assert len(grids) == len(set(nodes))
 
 
+def test_lazy_walk_contracts_only_the_start_node_and_the_leaf(monkeypatch):
+    """A lazy (14,3) walk decides every child by its value from the fused
+    table, which needs no Gram polynomial: only the start node's and the
+    leaf's polynomials run ``_contract``."""
+    calls = []
+    real = expectation_engine._contract
+    monkeypatch.setattr(expectation_engine, "_contract", lambda p: calls.append(p) or real(p))
+    walk(Params(14, 3), audit=False)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("n, d, word", [(14, 3, True), (10, 6, True), (24, 3, False)])
 def test_small_walks_run_every_grid_on_one_word(n, d, word, monkeypatch):
     """Every grid of a lazy (14,3) or (10,6) walk fits one 64-bit word, so
