@@ -243,16 +243,18 @@ class CTensor:
     """Squared-minor sums C[k'][p][q] of the block-reduced matrix, indexed
     by minor size k' and row/column overlap (p, q) with the reduced block.
 
-    Stored as integer numerators planes[k'][p][q] over the one known
-    denominator (l_hat+1)^(2k') of minor size k' (``trivariate_detpoly``
-    says why that is exact): the whole tensor when sigma_sq is None, else
-    the m planes of its complement of the all-ones factor lam + sigma_sq,
-    which ``nums`` multiplies back.  Every stored C is an exact nonnegative
-    rational, and plane 0, the coefficient of lam^m, is the unit plane:
-    C[0][0][0] = 1 and every other C[0][p][q] = 0.  Both are checked here,
-    so ``nums`` has them too.  The unit plane makes the contracted Gram
-    polynomial monic, so a node value, which contracts none, keeps that
-    check.
+    Stored as one flat tuple of integer numerators in (k', p, q) order, the
+    order ``_grid`` produces and the engine's tables read: C[k'][p][q] sits
+    at (k' (l_hat+1) + p)(l_hat+1) + q, over the one known denominator
+    (l_hat+1)^(2k') of minor size k' (``trivariate_detpoly`` says why that
+    is exact).  ``planes`` holds the whole tensor when sigma_sq is None,
+    else the m planes of its complement of the all-ones factor
+    lam + sigma_sq, which ``nums`` multiplies back; only ``to_json`` nests
+    them.  Every stored C is an exact nonnegative rational, and plane 0,
+    the coefficient of lam^m, is the unit plane: C[0][0][0] = 1 and every
+    other C[0][p][q] = 0.  Both are checked here, so ``nums`` has them too.
+    The unit plane makes the contracted Gram polynomial monic, so a node
+    value, which contracts none, keeps that check.
     """
 
     m: int
@@ -261,49 +263,46 @@ class CTensor:
     sigma_sq: int | None = None
 
     def __post_init__(self):
-        flat = chain.from_iterable
-        if min(flat(flat(self.planes))) < 0:  # one pass; the loop only names the cell
-            for kprime, plane in enumerate(self.planes):
-                for p, row in enumerate(plane):
-                    for q, num in enumerate(row):
-                        if num < 0:
-                            raise _violation(
-                                f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
-                                f"{Fraction(num, self.denominator(kprime))}"
-                            )
         size = self.lhat + 1
-        unit = ((1,) + (0,) * self.lhat,) + ((0,) * size,) * self.lhat
-        if self.planes[0] != unit:  # one comparison; the loop only names the cell
-            for cell, (num, want) in enumerate(zip(flat(self.planes[0]), flat(unit))):
-                if num != want:
+        unit = (1,) + (0,) * (size * size - 1)
+        if min(self.planes) < 0 or self.planes[: size * size] != unit:
+            # one pass each; the loop only names the first bad cell
+            for cell, num in enumerate(self.planes):
+                kprime, p, q = cell // size**2, cell // size % size, cell % size
+                if num < 0:
                     raise _violation(
-                        f"C[0][{cell // size}][{cell % size}] = {num}, expected {want}"
+                        f"negative squared-minor sum C[{kprime}][{p}][{q}] = "
+                        f"{Fraction(num, self.denominator(kprime))}"
                     )
+                if kprime == 0 and num != unit[cell]:
+                    raise _violation(f"C[0][{p}][{q}] = {num}, expected {unit[cell]}")
 
     @functools.cached_property
     def nums(self) -> tuple:
-        """The whole tensor's numerators: plane k' + sigma_sq plane (k'-1)
-        of the stored ones, the coefficients of (lam + sigma^2) times the
-        complement's polynomial; the stored planes when nothing was split."""
+        """The whole tensor's numerators, flat: plane k' + sigma_sq plane
+        (k'-1) of the stored ones, the coefficients of (lam + sigma^2)
+        times the complement's polynomial; the stored planes when nothing
+        was split."""
         if self.sigma_sq is None:
             return self.planes
-        zero = ((0,) * (self.lhat + 1),) * (self.lhat + 1)
-        return tuple(
-            tuple(tuple(x + self.sigma_sq * y for x, y in zip(*rows)) for rows in zip(hi, lo))
-            for hi, lo in zip(self.planes + (zero,), (zero,) + self.planes)
-        )
+        zero = (0,) * (self.lhat + 1) ** 2
+        return tuple(x + self.sigma_sq * y for x, y in zip(self.planes + zero, zero + self.planes))
 
     def denominator(self, kprime: int) -> int:
         return (self.lhat + 1) ** (2 * kprime)
 
     def get(self, kprime: int, p: int, q: int) -> Fraction:
-        return Fraction(self.nums[kprime][p][q], self.denominator(kprime))
+        size = self.lhat + 1
+        return Fraction(self.nums[(kprime * size + p) * size + q], self.denominator(kprime))
 
     def to_json(self) -> dict:
-        values = []
-        for k, plane in enumerate(self.nums):
-            den = self.denominator(k)
-            values.append([[rational_to_str(Fraction(num, den)) for num in row] for row in plane])
+        size = self.lhat + 1
+        cells = [
+            rational_to_str(Fraction(num, self.denominator(cell // size**2)))
+            for cell, num in enumerate(self.nums)
+        ]
+        rows = [cells[i : i + size] for i in range(0, len(cells), size)]
+        values = [rows[k : k + size] for k in range(0, len(rows), size)]
         return {"m": self.m, "lhat": self.lhat, "values": values}
 
 
@@ -641,7 +640,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
       multiplying by lam + sigma^2, which is y - placed^2 up to the scale
       of y (sigma = l placed): the complement contracts to the reduced Gram
       polynomial.
-    ``CTensor`` checks the stored numerators for sign and the unit plane 0.
+    The tensor stores ``_grid``'s (n + 1, l, l) array raveled, one flat
+    tuple in (k', p, q) order, and ``CTensor`` checks the stored numerators
+    for sign and the unit plane 0.
     """
     m = a.nrows
     if any(i >= m for i in block.rows + block.cols):
@@ -665,7 +666,4 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     v = lhat - lhat.bit_count()  # v2(lhat!), the twos that 2^v W needs
     primes = None if bound << (2 * v + 1) < _WORD else _primes_for(bound)
     exact = _grid(a, rows, cols, n, v, primes)
-    # tuples from lists, not generators: a generator's tuple is allocated
-    # oversized and shrunk, which showed as about 0.5 MB more peak RSS
-    planes = tuple([tuple([tuple(row) for row in plane]) for plane in exact.tolist()])
-    return CTensor(m, lhat, planes, sigma_sq)
+    return CTensor(m, lhat, tuple(exact.ravel().tolist()), sigma_sq)

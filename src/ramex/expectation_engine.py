@@ -17,10 +17,12 @@ block, and folds; a pending fresh matching is folded like every later one.
 ``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
 ``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
 ``node_value`` stops at the tensor: the node polynomial at x = sqrt(q)
-is one flat dot product of the planes with a cached table
-(``_value_table``) that fuses the counting weights with the powers of q
-pulled back through the same F^f (``_value_weights``), so a value builds
-no Gram polynomial.  Both are ``contract_node``, the grid run, then
+is one dot product of the planes with a cached table (``_value_table``)
+that fuses the counting weights with the powers of q pulled back through
+the same F^f (``_value_weights``), so a value builds no Gram polynomial.
+The planes, the weight table and the value table are all flat in one
+order, (k', p, q) with q fastest, the order the grid produces them in, so
+neither reshapes the tensor.  Both are ``contract_node``, the grid run, then
 ``contraction_value`` or ``contraction_poly``; only the latter contracts
 to the Gram polynomial and checks it monic, and a caller can take both
 from one grid.
@@ -31,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 from .exact_algebra import InvariantViolation, UniPoly, poly_substitute_square
@@ -43,8 +44,10 @@ from .matching_family import NodeState, Params, half_adjacency
 def _weight_table(lhat: int) -> tuple:
     """(L, W) for one l_hat: L = lcm_j C(l_hat, j) and the integer counting
     weights W[j][p][q] = L C(l_hat-p, j) C(l_hat-q, j) / C(l_hat, j) for
-    j, p, q in 0..l_hat, each W[j] one tuple in (p, q) order, as
-    ``_contract`` multiplies it: W[j][p][q] sits at p (l_hat+1) + q.  Cached.
+    j, p, q in 0..l_hat, each W[j] one flat tuple in (p, q) order, as
+    one plane of a tensor is: W[j][p][q] sits at p (l_hat+1) + q, so
+    ``_contract`` and ``_value_table`` multiply W[j] by a plane's slice
+    as it is.  Cached.
 
     The weight counts the completions of a minor by j = k - k' rows and
     columns inside the reduced block, which a row at overlap p has
@@ -61,21 +64,23 @@ def _weight_table(lhat: int) -> tuple:
     return scale, tuple(table)
 
 
-def _contract(planes: tuple) -> tuple[list, int]:
-    """The expected Gram polynomial of squared-minor planes of side l, as
-    ``CTensor`` stores them, on integers: numerators over l^(2k') meet the
-    cached integer weights W, giving the r + 1 = len(planes) ascending
-    integer coefficients over the one denominator l^(2r) L.  At l_hat = 0,
-    where W = ((1,),), this reads off the planes.  A convolution in k', it
-    maps a complement's planes to the reduced Gram polynomial.
+def _contract(planes: tuple, lhat: int) -> tuple[list, int]:
+    """The expected Gram polynomial of squared-minor planes of side
+    l = l_hat + 1, flat in (k', p, q) order as ``CTensor`` stores them, on
+    integers: numerators over l^(2k') meet the cached integer weights W,
+    giving r + 1 ascending integer coefficients, one per plane, over the
+    one denominator l^(2r) L.  Plane k' is the slice of l^2 numerators from
+    k' l^2.  At l_hat = 0, where W = ((1,),), this reads off the planes.  A
+    convolution in k', it maps a complement's planes to the reduced Gram
+    polynomial.
     """
-    lhat, r = len(planes[0]) - 1, len(planes) - 1
     scale, weights = _weight_table(lhat)
     l2 = (lhat + 1) ** 2
-    rows = [tuple(chain.from_iterable(plane)) for plane in planes]  # (p, q) order
+    r = len(planes) // l2 - 1
+    rows = [planes[k * l2 : (k + 1) * l2] for k in range(r + 1)]
     coeffs = []
     for k in range(r + 1):
-        # over l^(2k) L: the sum of l^(2j) W[j] . planes[k - j], j <= l_hat
+        # over l^(2k) L: the sum of l^(2j) W[j] . plane k - j, j <= l_hat
         total = sum(
             l2**j * sum(map(mul, weights[j], rows[k - j])) for j in range(min(k, lhat) + 1)
         )
@@ -88,10 +93,11 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     permutation P_B on the block.
 
     Every block size takes the grid; an empty block gives the plain Gram's
-    polynomial.  Nodes pass only a partial matching's open cells: the full
-    block, a whole random matching, is what ``add_random_matching`` folds.
+    polynomial.  Nodes pass only a partial matching's open cells: a whole
+    random matching, the full block, is one fold (``_folds``).
     """
-    coeffs, den = _contract(trivariate_detpoly(a, block).nums)
+    tensor = trivariate_detpoly(a, block)
+    coeffs, den = _contract(tensor.nums, tensor.lhat)
     return UniPoly(tuple(Fraction(c, den) for c in coeffs))
 
 
@@ -100,9 +106,17 @@ def _folds(r: int, f: int) -> tuple[tuple, int]:
     """(F^f, L^f), F the integer fold matrix on ascending coefficients of
     degree r: F[i][j] = (-1)^(i+j) W[j-i][r-j][r-j] for j >= i and 0
     below the diagonal, W and L from ``_weight_table(r)``, so F c / L folds
-    one random matching into c (``add_random_matching``).  The diagonal
+    one uniformly random perfect matching into c.  The diagonal
     W[j][k'][k'] sits at k' (r + 2) of a flat W[j], read here and nowhere
     else.  Rows of tuples, cached per (r, f).
+
+    c is a reduced Gram polynomial in y = x^2: the expected Gram
+    polynomial of a regular bipartite multigraph with its all-ones
+    singular value factor (y - placed^2) divided out.  That singular vector
+    stays aligned under any added matching (placed^2 just becomes
+    (placed+1)^2), so the fold is the full-block overlap specialization of
+    the quadrature weights on the remaining m - 1 dimensions, and it does
+    not depend on placed.
     """
     span = range(r + 1)
     if f == 0:
@@ -115,24 +129,6 @@ def _folds(r: int, f: int) -> tuple[tuple, int]:
     power, total = _folds(r, f - 1)
     cols = list(zip(*power))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in fold), total * scale
-
-
-def add_random_matching(coeffs: list, den: int) -> tuple[list, int]:
-    """Fold one uniformly random perfect matching into a reduced Gram
-    polynomial, in y = x^2, on integers: the ascending coefficients over
-    den in, the folded ones F coeffs over den L out (``_folds``).
-
-    ``coeffs`` / den is the expected Gram polynomial of a regular bipartite
-    multigraph with its all-ones singular value factor (y - c^2) divided
-    out.  That singular vector stays aligned under any added matching (c^2
-    just becomes (c+1)^2), so the fold is the full-block overlap
-    specialization of the quadrature weights on the remaining (m-1)
-    dimensions, and it does not depend on c.
-    """
-    if not coeffs or coeffs[-1] != den:
-        raise ValueError("expected a monic reduced Gram polynomial")
-    fold, scale = _folds(len(coeffs) - 1, 1)
-    return [sum(map(mul, row, coeffs)) for row in fold], den * scale
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,16 +145,17 @@ def _value_weights(params: Params, placed: int) -> tuple[tuple, int]:
 
 @functools.lru_cache(maxsize=None)
 def _value_table(params: Params, placed: int, lhat: int) -> tuple[tuple, int]:
-    """(T, D): a node's value is sum_(k', p, q) planes[k'][p][q] T[k'][p][q]
-    / D for its tensor of m planes over l_hat, the counting weights of
+    """(T, D): a node's value is sum_(k', p, q) C[k'][p][q] T[k'][p][q] / D
+    for its tensor of m stored planes over l_hat, the counting weights of
     ``_contract`` fused with ``_value_weights``.  With l2 = (l_hat + 1)^2,
     r = m - 1, (L, W) = ``_weight_table(l_hat)`` and (v, L^f) =
     ``_value_weights(params, placed)``,
 
         T[k'] = l2^(r-k') sum_(j <= min(l_hat, r-k')) (-1)^(k'+j) v[r-k'-j] W[j]
 
-    and D = l2^r L L^f.  One flat tuple in (k', p, q) order, as the planes
-    flatten; cached per (params, placed, l_hat).  The factors times W are
+    and D = l2^r L L^f.  One flat tuple in the (k', p, q) order that
+    ``CTensor.planes`` has, so the value is one dot product with the planes
+    as stored; cached per (params, placed, l_hat).  The factors times W are
     one matmul of Python ints in object arrays, which builds a table in
     about half the time of a loop in Python.
     """
@@ -188,12 +185,11 @@ def contract_node(node: NodeState, params: Params) -> tuple[int, CTensor]:
 
 
 def contraction_value(contraction: tuple, params: Params) -> Fraction:
-    """``node_value`` of a node's ``contract_node``: one flat dot product of
-    the planes with the fused ``_value_table``, with no Gram polynomial."""
+    """``node_value`` of a node's ``contract_node``: one dot product of the
+    flat planes with the fused ``_value_table``, with no Gram polynomial."""
     placed, tensor = contraction
     table, den = _value_table(params, placed, tensor.lhat)
-    flat = chain.from_iterable
-    return Fraction(sum(map(mul, flat(flat(tensor.planes)), table)), den)
+    return Fraction(sum(map(mul, tensor.planes, table)), den)
 
 
 def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple, CTensor]:
@@ -201,7 +197,7 @@ def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple
     polynomial (``_contract``), which must be monic, and F^f (``_folds``)
     applied to it in one product."""
     placed, tensor = contraction
-    gram, den = _contract(tensor.planes)
+    gram, den = _contract(tensor.planes, tensor.lhat)
     if gram[-1] != den:
         raise InvariantViolation("the expected Gram polynomial is not monic of degree n/2 - 1")
     power, scale = _folds(params.m - 1, params.d - placed)

@@ -347,8 +347,8 @@ def test_build_engine_fault_exits_3(tmp_path, capsys, monkeypatch):
     # failed certificate
     real = expectation_engine._contract
 
-    def doubled(tensor):
-        coeffs, den = real(tensor)
+    def doubled(planes, lhat):
+        coeffs, den = real(planes, lhat)
         return [2 * c for c in coeffs], den
 
     monkeypatch.setattr(expectation_engine, "_contract", doubled)

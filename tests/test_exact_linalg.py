@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramex import exact_linalg
-from ramex.exact_algebra import UniPoly
+from ramex.exact_algebra import UniPoly, rational_to_str
 from ramex.exact_linalg import (
     _MERSENNE_EXPONENTS,
     _PRIMES,
@@ -43,7 +43,7 @@ from ramex.matching_family import Multigraph, NodeState, Params, half_adjacency
 from ramex.oracle import _det_xid_minus
 from ramex.ramanujan_walk import certify
 
-from matrices import gram, identity, zeros
+from matrices import gram, identity, planes, zeros
 
 
 def naive_charpoly(mat: Matrix) -> UniPoly:
@@ -327,7 +327,7 @@ def _assert_at_ones_is_full_gram(base: Matrix, rows: tuple, cols: tuple):
     want = _e_k(charpoly(gram(scaled)), m)
     assert sums == [Fraction(e, l ** (2 * k)) for k, e in enumerate(want)]
     assert tensor.m == m and tensor.lhat == l - 1
-    assert all(num >= 0 for plane in tensor.nums for row in plane for num in row)
+    assert min(tensor.nums) >= 0
 
 
 def test_trivariate_at_ones_is_full_gram():
@@ -453,10 +453,11 @@ def test_grid_numerators_are_integers_over_l_squared(case):
     tensor = trivariate_detpoly(a, block)
     assert tensor.lhat == l - 1
     g0 = _e_k(charpoly(gram(Matrix(ahat))), m)
+    nums = planes(tensor.nums, l - 1)
     for k in range(m + 1):
         by_tr = [_interpolate(row) for row in grid[k]]  # by_tr[t_r][q]
         exact = [_interpolate(col) for col in zip(*by_tr)]  # exact[q][p]
-        plane = tensor.nums[k]
+        plane = nums[k]
         assert [[l ** (2 * k) * x for x in row] for row in plane] == [list(r) for r in zip(*exact)]
         assert sum(map(sum, plane)) == g0[k]
 
@@ -478,13 +479,14 @@ def test_stored_planes_sum_to_the_deflated_gram(case):
     sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
     tensor = trivariate_detpoly(a, block)
     if len(sums) > 1:
-        assert tensor.sigma_sq is None and len(tensor.planes) == m + 1
+        assert tensor.sigma_sq is None and len(tensor.planes) == (m + 1) * (tensor.lhat + 1) ** 2
         return
     g0 = gram(Matrix(ahat)).entries
     deflated = Matrix([[g - t for g, t in zip(row[1:], g0[0][1:])] for row in g0[1:]])
-    assert tensor.sigma_sq == sums.pop() ** 2 and len(tensor.planes) == m
-    assert [sum(map(sum, plane)) for plane in tensor.planes] == _e_k(charpoly(deflated), m - 1)
-    assert all(num >= 0 for plane in tensor.planes for row in plane for num in row)
+    stored = planes(tensor.planes, tensor.lhat)
+    assert tensor.sigma_sq == sums.pop() ** 2 and len(stored) == m
+    assert [sum(map(sum, plane)) for plane in stored] == _e_k(charpoly(deflated), m - 1)
+    assert min(tensor.planes) >= 0
 
 
 @pytest.mark.parametrize("lhat", [*range(10), MAX_GRID_M - 1])
@@ -544,9 +546,10 @@ def test_word_grid_equals_the_prime_grid(case):
     assume(not primes_for.called)
     primes = _primes_for(2**63)
     assert len(primes) == 3
-    rows, cols, n = list(block.rows), list(block.cols), len(tensor.planes) - 1
+    rows, cols, l = list(block.rows), list(block.cols), tensor.lhat + 1
+    n = len(tensor.planes) // l**2 - 1
     want = exact_linalg._grid(a, rows, cols, n, 0, primes)  # v is read on the word alone
-    assert [[list(row) for row in plane] for plane in tensor.planes] == want.tolist()
+    assert want.shape == (n + 1, l, l) and tensor.planes == tuple(want.ravel().tolist())
 
 
 _FULL_RANK = ((1, 0, 2, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1))
@@ -719,13 +722,13 @@ def test_prime_count_is_tight_for_a_scaled_identity(m):
     table = math.prod(_PRIMES)
     for e in range(0, table.bit_length(), max(1, table.bit_length() // (40 * m))):
         c = 2**e + 1
-        want = tuple(((math.comb(m - 1, k) * c ** (2 * k),),) for k in range(m))
-        if 2 * max(plane[0][0] for plane in want) >= table:
+        want = tuple(math.comb(m - 1, k) * c ** (2 * k) for k in range(m))
+        if 2 * max(want) >= table:
             break
         scaled = Matrix.from_rows([[c * (i == j) for j in range(m)] for i in range(m)])
         tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
         assert tensor.sigma_sq == c * c and tensor.planes == want
-        assert tensor.nums == tuple(((math.comb(m, k) * c ** (2 * k),),) for k in range(m + 1))
+        assert tensor.nums == tuple(math.comb(m, k) * c ** (2 * k) for k in range(m + 1))
 
 
 @pytest.mark.parametrize("m", [2, 7, 16, 32])
@@ -751,7 +754,7 @@ def test_word_limit_is_tight_for_a_scaled_identity(m):
         with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
             tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
         assert primes_for.called is not word
-        assert tensor.planes == tuple(((math.comb(m - 1, k) * c ** (2 * k),),) for k in range(m))
+        assert tensor.planes == tuple(math.comb(m - 1, k) * c ** (2 * k) for k in range(m))
     assert len(cases) == (2 if m == 32 else 4)
 
 
@@ -794,14 +797,14 @@ def test_grid_size_guards_raise_grid_too_large():
 def test_ctensor_checks_its_numerators(monkeypatch):
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
     # l_hat = 1: C[k'] is over 2^(2k'), so these numerators mean C = 1, 1, 1/4
-    tensor = CTensor(1, 1, (((1, 0), (0, 0)), ((4, 0), (0, 1))))
+    tensor = CTensor(1, 1, (1, 0, 0, 0, 4, 0, 0, 1))
     assert tensor.get(1, 0, 0) == 1 and tensor.get(1, 1, 1) == Fraction(1, 4)
     assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/4"]]]
     with pytest.raises(RationalityViolation, match="expected 1"):
-        CTensor(1, 2, (((4, 0, 0),) + ((0,) * 3,) * 2, ((0,) * 3,) * 3))
+        CTensor(1, 2, (4,) + (0,) * 17)
     # the sign check runs in one pass; a failure still names the cell
     with pytest.raises(RationalityViolation, match=r"negative squared-minor sum C\[1\]\[1\]\[0\] "):
-        CTensor(1, 1, (((1, 0), (0, 0)), ((4, 0), (-1, 0))))
+        CTensor(1, 1, (1, 0, 0, 0, 4, 0, -1, 0))
     assert rationality_violation_count() == 2
 
 
@@ -811,7 +814,64 @@ def test_ctensor_requires_the_unit_plane_0(monkeypatch):
     polynomial monic.  An off-diagonal 1 there is a violation."""
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
     with pytest.raises(RationalityViolation, match=r"C\[0\]\[0\]\[1\] = 1, expected 0"):
-        CTensor(1, 1, (((1, 1), (0, 0)), ((4, 0), (0, 1))))
+        CTensor(1, 1, (1, 1, 0, 0, 4, 0, 0, 1))
     with pytest.raises(RationalityViolation, match=r"C\[0\]\[2\]\[1\] = 1, expected 0"):
-        CTensor(1, 2, (((1, 0, 0), (0, 0, 0), (0, 1, 0)), ((0,) * 3,) * 3))
+        CTensor(1, 2, (1, 0, 0, 0, 0, 0, 0, 1, 0) + (0,) * 9)
     assert rationality_violation_count() == 2
+
+
+@pytest.mark.parametrize(
+    "a, block",
+    [
+        half_adjacency(NodeState(((1, 2, 0, 3),), (2,)), Params(8, 3)),  # equal line sums
+        (
+            Matrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [0, 1, 0, 2]]),
+            BlockSpec((0, 1, 3), (0, 2, 3)),
+        ),
+    ],
+    ids=["split", "unsplit"],
+)
+def test_flat_tensor_views_agree(a, block):
+    """The flat (k', p, q) numerators read the same through every view:
+    ``to_json``'s nested planes are ``get`` at every cell, and ``nums``
+    is the stored planes plus sigma^2 times the stored planes one plane
+    down, the coefficients of (lam + sigma^2) times the complement, or the
+    stored planes themselves when nothing was split."""
+    tensor = trivariate_detpoly(a, block)
+    size, stored = tensor.lhat + 1, planes(tensor.planes, tensor.lhat)
+    whole = planes(tensor.nums, tensor.lhat)
+    assert tensor.lhat == 2 and len(whole) == a.nrows + 1
+    values = tensor.to_json()["values"]
+    span = range(size)
+    assert values == [
+        [[rational_to_str(tensor.get(k, p, q)) for q in span] for p in span]
+        for k in range(len(whole))
+    ]
+    if tensor.sigma_sq is None:
+        assert tensor.nums is tensor.planes and whole == stored
+        return
+    blank = [[0] * size for _ in span]
+    assert stored and len(stored) == a.nrows
+    for k, plane in enumerate(whole):
+        hi = stored[k] if k < len(stored) else blank
+        lo = stored[k - 1] if k else blank
+        want = [[x + tensor.sigma_sq * y for x, y in zip(*rows)] for rows in zip(hi, lo)]
+        assert plane == want
+
+
+@pytest.mark.parametrize(
+    "flat, message",
+    [
+        ((1, 3, -2, 0, 4, 0, 0, 1), r"C\[0\]\[0\]\[1\] = 3, expected 0"),
+        ((1, 0, -2, 3, 4, 0, 0, 1), r"negative squared-minor sum C\[0\]\[1\]\[0\] = -2$"),
+        ((1, 0, 0, 0, 4, -1, -1, 1), r"negative squared-minor sum C\[1\]\[0\]\[1\] = -1/4$"),
+    ],
+    ids=["stray-then-negative", "negative-then-stray", "two-negatives"],
+)
+def test_ctensor_names_its_first_bad_cell_in_flat_order(flat, message, monkeypatch):
+    """A hand-built l_hat = 1 tensor with two bad cells reports the first in
+    (k', p, q) order, q fastest, whichever of the two checks it fails."""
+    monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
+    with pytest.raises(RationalityViolation, match=message):
+        CTensor(1, 1, flat)
+    assert rationality_violation_count() == 1

@@ -20,7 +20,6 @@ from ramex.expectation_engine import (
     _value_table,
     _value_weights,
     _weight_table,
-    add_random_matching,
     fixed_plus_random_block_expected,
     node_polynomial,
     node_value,
@@ -209,7 +208,8 @@ def test_sigma_squared_is_recorded_exactly_when_line_sums_are_equal(case):
     tensor = trivariate_detpoly(a, block)
     if len(sums) == 1:
         assert tensor.sigma_sq == sums.pop() ** 2
-        assert len(tensor.planes) == a.nrows and len(tensor.nums) == a.nrows + 1
+        side = (tensor.lhat + 1) ** 2
+        assert len(tensor.planes) == a.nrows * side and len(tensor.nums) == (a.nrows + 1) * side
     else:
         assert tensor.sigma_sq is None and tensor.nums == tensor.planes
 
@@ -279,24 +279,22 @@ def _as_poly(coeffs, den):
     return UniPoly(tuple(Fraction(c, den) for c in coeffs))
 
 
+def _fold_once(coeffs, den):
+    """One uniformly random matching added to the reduced Gram polynomial
+    coeffs / den: F coeffs over den L, (F, L) = ``_folds(r, 1)``."""
+    fold, scale = _folds(len(coeffs) - 1, 1)
+    return [sum(map(mul, row, coeffs)) for row in fold], den * scale
+
+
 def test_add_random_matching_examples():
     # Reduced Gram polynomials: the all-ones factor (y - c^2) is divided out.
-    assert add_random_matching([0, 1], 1) == ([-1, 1], 1)
-    assert add_random_matching([-1, 1], 1) == ([-2, 1], 1)
-    assert add_random_matching([1], 1) == ([1], 1)
+    assert _fold_once([0, 1], 1) == ([-1, 1], 1)
+    assert _fold_once([-1, 1], 1) == ([-2, 1], 1)
+    assert _fold_once([1], 1) == ([1], 1)
     # over a denominator: y, held as 2y / 2, folds to (y - 1) as (2y - 2) / 2
-    assert add_random_matching([0, 2], 2) == ([-2, 2], 2)
+    assert _fold_once([0, 2], 2) == ([-2, 2], 2)
     # (y - 1)^2 folds to y^2 - 4y + 3, over the weights' scale L = 2
-    assert add_random_matching([1, -2, 1], 1) == ([6, -8, 2], 2)
-
-
-def test_add_random_matching_rejects_bad_polys():
-    with pytest.raises(ValueError):
-        add_random_matching([1, 2], 1)  # not monic
-    with pytest.raises(ValueError):
-        add_random_matching([1, 1], 2)  # leading coefficient 1/2
-    with pytest.raises(ValueError):
-        add_random_matching([], 1)  # zero
+    assert _fold_once([1, -2, 1], 1) == ([6, -8, 2], 2)
 
 
 def _closed_form_fold(r):
@@ -333,7 +331,7 @@ def test_folds_are_powers_of_the_closed_form_fold():
             power = _times(fold, power)
         coeffs = [rng.randint(-(10**6), 10**6) for _ in range(r)] + [7]
         folded = [sum(x * c for x, c in zip(row, coeffs)) for row in fold]
-        assert add_random_matching(coeffs, 7) == (folded, 7 * scale)
+        assert _fold_once(coeffs, 7) == (folded, 7 * scale)
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (8, 3), (10, 6), (16, 7), (12, 9)])
@@ -358,17 +356,13 @@ def test_value_table_is_the_contraction_dotted_with_the_value_weights(n, d):
     (16,8), (d-2)^2 > q."""
     params, rng = Params(n, d), random.Random(100 * n + d)
     for placed, lhat in itertools.product(range(d + 1), range(params.m)):
-        side = range(lhat + 1)
-        planes = tuple(
-            tuple(tuple(rng.randrange(10**6) for _ in side) for _ in side) for _ in range(params.m)
-        )
+        planes = tuple(rng.randrange(10**6) for _ in range(params.m * (lhat + 1) ** 2))
         table, den = _value_table(params, placed, lhat)
         assert _value_table(params, placed, lhat)[0] is table
-        gram, gram_den = _contract(planes)
+        gram, gram_den = _contract(planes, lhat)
         v, scale = _value_weights(params, placed)
-        flat = [x for plane in planes for row in plane for x in row]
-        assert len(table) == len(flat) and den == gram_den * scale
-        assert sum(map(mul, flat, table)) == sum(map(mul, gram, v))
+        assert len(table) == len(planes) and den == gram_den * scale
+        assert sum(map(mul, planes, table)) == sum(map(mul, gram, v))
 
 
 _FIRST_24, _FIRST_28 = tuple(range(12)), tuple(range(14))
@@ -483,7 +477,7 @@ def test_add_random_matching_point_mass_average():
                 direct_total = direct_total + _adjacency_charpoly(bumped, m)
                 count += 1
             direct = _div_exact(_gram_of(direct_total).coeffs, (c + 1) ** 2)
-            assert _as_poly(*add_random_matching(reduced, 1)) == Fraction(1, count) * UniPoly(
+            assert _as_poly(*_fold_once(reduced, 1)) == Fraction(1, count) * UniPoly(
                 tuple(direct)
             )
 
@@ -518,7 +512,7 @@ def test_full_block_average_is_the_fold(case):
     averaged = fixed_plus_random_block_expected(a, full)
     gram_poly = charpoly(gram(a))
     assert UniPoly(tuple(_div_exact(averaged.coeffs, (c + 1) ** 2))) == _as_poly(
-        *add_random_matching(_div_exact(gram_poly.coeffs, c * c), 1)
+        *_fold_once(_div_exact(gram_poly.coeffs, c * c), 1)
     )
 
 
@@ -564,7 +558,7 @@ def test_ctensor_debug_surface():
     tensor = trivariate_detpoly(*half_adjacency(NodeState((), (0,)), params))
     assert tensor.m == 4 and tensor.lhat == 2
     assert tensor.get(0, 0, 0) == 1
-    assert all(num >= 0 for plane in tensor.nums for row in plane for num in row)
+    assert min(tensor.nums) >= 0
     data = tensor.to_json()
     assert data["m"] == 4 and data["lhat"] == 2
     assert data["values"][0][0][0] == "1"

@@ -376,7 +376,7 @@ def test_lazy_walk_contracts_only_the_start_node_and_the_leaf(monkeypatch):
     leaf's polynomials run ``_contract``."""
     calls = []
     real = expectation_engine._contract
-    monkeypatch.setattr(expectation_engine, "_contract", lambda p: calls.append(p) or real(p))
+    monkeypatch.setattr(expectation_engine, "_contract", lambda *a: calls.append(a) or real(*a))
     walk(Params(14, 3), audit=False)
     assert len(calls) == 2
 
