@@ -296,13 +296,12 @@ class CTensor:
         return Fraction(self.nums[(kprime * size + p) * size + q], self.denominator(kprime))
 
     def to_json(self) -> dict:
-        size = self.lhat + 1
-        cells = [
-            rational_to_str(Fraction(num, self.denominator(cell // size**2)))
-            for cell, num in enumerate(self.nums)
-        ]
-        rows = [cells[i : i + size] for i in range(0, len(cells), size)]
-        values = [rows[k : k + size] for k in range(0, len(rows), size)]
+        s, size = (self.lhat + 1) ** 2, self.lhat + 1
+        values = []
+        for k, start in enumerate(range(0, len(self.nums), s)):
+            den = self.denominator(k)
+            cells = [rational_to_str(Fraction(num, den)) for num in self.nums[start : start + s]]
+            values.append([cells[i : i + size] for i in range(0, s, size)])
         return {"m": self.m, "lhat": self.lhat, "values": values}
 
 

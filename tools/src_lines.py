@@ -1,8 +1,7 @@
 """Count the code lines of ``src/ramex``: lines that hold a token of code,
 so docstrings, comments and blank lines do not count.
 
-    python tools/src_lines.py            # per file and in total
-    python tools/src_lines.py PATH ...   # other files or directories
+    python tools/src_lines.py    # per file and in total
 
 A docstring is the string expression that opens a module, class or
 function body; any other string is code.  Standard library only.
@@ -53,17 +52,15 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main(argv: list) -> int:
-    paths = [Path(arg) for arg in argv] or [ROOT / "src" / "ramex"]
-    files = sorted(f for p in paths for f in (p.glob("*.py") if p.is_dir() else [p]))
+def main() -> int:
     total = 0
-    for path in files:
+    for path in sorted((ROOT / "src" / "ramex").glob("*.py")):
         count = code_lines(path.read_text())
         total += count
-        print(f"{count:6d}  {path.relative_to(ROOT) if path.is_relative_to(ROOT) else path}")
+        print(f"{count:6d}  {path.relative_to(ROOT)}")
     print(f"{total:6d}  total")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
