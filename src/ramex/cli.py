@@ -18,7 +18,7 @@ import sys
 import time
 
 from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
-from .expectation_engine import evaluate_node
+from .expectation_engine import contract_node, contraction_poly
 from .matching_family import (
     NotRegular,
     Params,
@@ -269,9 +269,10 @@ def cmd_verify(args) -> int:
 
 def cmd_node_poly(args) -> int:
     params, node = _load_node(args)
-    poly, _, tensor = evaluate_node(node, params)
+    contraction = contract_node(node, params)
+    poly, _ = contraction_poly(contraction, params)
     if args.ctensor:
-        payload = {"node_poly": _poly_strings(poly), "ctensor": tensor.to_json()}
+        payload = {"node_poly": _poly_strings(poly), "ctensor": contraction[1].to_json()}
         print(json.dumps(payload, indent=2))
     else:
         print(json.dumps(_poly_strings(poly)))

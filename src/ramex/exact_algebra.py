@@ -113,18 +113,6 @@ class UniPoly:
     def __rmul__(self, other):
         return UniPoly(tuple(other * c for c in self.coeffs))
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if not c:
-                continue
-            term = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            parts.append(f"({c})*{term}" if i else f"({c})")
-        return " + ".join(parts)
-
 
 def clear_denominators(p: UniPoly) -> tuple[list, int]:
     """p's coefficients times their least common denominator, and that

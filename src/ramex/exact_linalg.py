@@ -358,38 +358,30 @@ def _primes_for(bound: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _lagrange(lhat: int) -> tuple:
-    """Lagrange's basis for V^-1, V[t][k] = t^k on the points 0..lhat: W[k][t]
-    = nums[k][t] / dens[t] with nums[k][t] = [x^k] P/(x - t), P = prod_s (x - s),
-    and dens[t] = prod_{s != t} (t - s) = (-1)^(lhat-t) t! (lhat-t)!.  Tuples
-    of Python ints, cached."""
+def _interp(lhat: int, modulus: int, v: int):
+    """2^v W mod modulus, W = V^-1, V[t][k] = t^k on the points 0..lhat:
+    2^v f_k = sum_t out[k][t] f(t) mod modulus for every integer polynomial
+    f = sum_k f_k t^k of degree <= lhat.  W is Lagrange's basis, W[k][t] =
+    nums[k][t] / dens[t] with nums[k][t] = [x^k] P/(x - t), P = prod_s
+    (x - s), and dens[t] = prod_(s != t) (t - s) = (-1)^(lhat-t) t!
+    (lhat-t)!, which divides lhat!; so column t's scale is
+    odd(dens[t])^-1 2^(v - v2(dens[t])) mod modulus: on 2^64 that needs
+    v >= v2(lhat!), and mod a table prime any v, 0 included.  Read-only
+    uint64 for 2^64 and int64 for a prime; cached, so a grid builds the
+    tables of just the moduli it reads."""
+    import numpy as np
+
     size = lhat + 1
     poly = [1]  # ascending coefficients of P
     for s in range(size):
         poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
     nums = [[0] * size for _ in range(size)]
+    scales = []
     for t in range(size):
         quotient = 0
         for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
             nums[k - 1][t] = quotient = poly[k] + t * quotient
-    dens = [(-1) ** (lhat - t) * math.factorial(t) * math.factorial(lhat - t) for t in range(size)]
-    return tuple(map(tuple, nums)), tuple(dens)
-
-
-@functools.lru_cache(maxsize=None)
-def _interp(lhat: int, modulus: int, v: int):
-    """2^v W mod modulus, W = V^-1 from ``_lagrange``: 2^v f_k = sum_t
-    out[k][t] f(t) mod modulus for every integer polynomial f = sum_k f_k
-    t^k of degree <= lhat.  Every dens[t] divides lhat!, so column t's
-    scale is odd(dens[t])^-1 2^(v - v2(dens[t])) mod modulus: on 2^64 that
-    needs v >= v2(lhat!), and mod a table prime any v, 0 included.
-    Read-only uint64 for 2^64 and int64 for a prime; cached, so a grid
-    builds the tables of just the moduli it reads."""
-    import numpy as np
-
-    nums, dens = _lagrange(lhat)
-    scales = []
-    for den in dens:
+        den = (-1) ** (lhat - t) * math.factorial(t) * math.factorial(lhat - t)
         twos = (den & -den).bit_length() - 1
         scales.append(pow(den >> twos, -1, modulus) * pow(2, v - twos, modulus))
     dtype = np.uint64 if modulus == _WORD else np.int64

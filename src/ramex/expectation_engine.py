@@ -14,18 +14,18 @@ end, because the public functions return rationals.
 
 Every node has one shape: a fixed matrix, an optional partial-matching
 block, and folds; a pending fresh matching is folded like every later one.
-``fixed_plus_random_block_expected`` and ``node_polynomial`` return plain
-``UniPoly`` values, and ``evaluate_node`` the integer form and ``CTensor`` too.
-``node_value`` stops at the tensor: the node polynomial at x = sqrt(q)
-is one dot product of the planes with a cached table (``_value_table``)
-that fuses the counting weights with the powers of q pulled back through
-the same F^f (``_value_weights``), so a value builds no Gram polynomial.
-The planes, the weight table and the value table are all flat in one
-order, (k', p, q) with q fastest, the order the grid produces them in, so
-neither reshapes the tensor.  Both are ``contract_node``, the grid run, then
-``contraction_value`` or ``contraction_poly``; only the latter contracts
-to the Gram polynomial and checks it monic, and a caller can take both
-from one grid.
+A node is one grid run, ``contract_node``, and two readers of it:
+``contraction_value`` and ``contraction_poly``, behind ``node_value`` and
+``node_polynomial``.  ``contraction_value`` stops at the tensor: the node
+polynomial at x = sqrt(q) is one dot product of the planes with a cached
+table (``_value_table``) that fuses the counting weights with the powers
+of q pulled back through the same F^f, so a value builds no Gram
+polynomial.  The planes, the weight table and the value table are all
+flat in one order, (k', p, q) with q fastest, the order the grid produces
+them in, so neither reshapes the tensor.  Only ``contraction_poly``
+contracts to the Gram polynomial, checks it monic and returns the
+integer form beside the ``UniPoly``; a caller can take both readers, and
+the tensor itself, from one grid.
 """
 
 from __future__ import annotations
@@ -132,37 +132,30 @@ def _folds(r: int, f: int) -> tuple[tuple, int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _value_weights(params: Params, placed: int) -> tuple[tuple, int]:
-    """(v, L^f) with p(sqrt(q)) = sum_j gram[j] v[j] / (den L^f), p the
-    node polynomial of the reduced Gram polynomial gram / den, q = params.q
-    and f = d - placed folds: the powers of q times F^f (``_folds``), the
-    evaluation at y = q pulled back through the folds.  Cached.
-    """
-    power, scale = _folds(params.m - 1, params.d - placed)
-    powers = [params.q**i for i in range(params.m)]
-    return tuple(sum(map(mul, powers, col)) for col in zip(*power)), scale
-
-
-@functools.lru_cache(maxsize=None)
 def _value_table(params: Params, placed: int, lhat: int) -> tuple[tuple, int]:
     """(T, D): a node's value is sum_(k', p, q) C[k'][p][q] T[k'][p][q] / D
     for its tensor of m stored planes over l_hat, the counting weights of
-    ``_contract`` fused with ``_value_weights``.  With l2 = (l_hat + 1)^2,
-    r = m - 1, (L, W) = ``_weight_table(l_hat)`` and (v, L^f) =
-    ``_value_weights(params, placed)``,
+    ``_contract`` fused with v, the powers of q = params.q times F^f
+    (``_folds``), f = d - placed: the evaluation at y = q pulled back
+    through the folds, so p(sqrt(q)) = sum_j gram[j] v[j] / (den L^f) for
+    the node polynomial p of a reduced Gram polynomial gram / den.  With
+    l2 = (l_hat + 1)^2, r = m - 1 and (L, W) = ``_weight_table(l_hat)``,
 
         T[k'] = l2^(r-k') sum_(j <= min(l_hat, r-k')) (-1)^(k'+j) v[r-k'-j] W[j]
 
-    and D = l2^r L L^f.  One flat tuple in the (k', p, q) order that
-    ``CTensor.planes`` has, so the value is one dot product with the planes
-    as stored; cached per (params, placed, l_hat).  The factors times W are
-    one matmul of Python ints in object arrays, which builds a table in
-    about half the time of a loop in Python.
+    and D = l2^r L L^f; at l_hat = 0, T[k'] = (-1)^k' v[r-k'] and D = L^f.
+    One flat tuple in the (k', p, q) order that ``CTensor.planes`` has, so
+    the value is one dot product with the planes as stored; cached per
+    (params, placed, l_hat).  The factors times W are one matmul of Python
+    ints in object arrays, which builds a table in about half the time of a
+    loop in Python.
     """
     import numpy as np
 
     scale, weights = _weight_table(lhat)
-    v, folds = _value_weights(params, placed)
+    power, folds = _folds(params.m - 1, params.d - placed)
+    powers = [params.q**i for i in range(params.m)]
+    v = [sum(map(mul, powers, col)) for col in zip(*power)]
     r, l2 = params.m - 1, (lhat + 1) ** 2
     factors = np.zeros((r + 1, lhat + 1), dtype=object)
     for k in range(r + 1):
@@ -192,10 +185,11 @@ def contraction_value(contraction: tuple, params: Params) -> Fraction:
     return Fraction(sum(map(mul, tensor.planes, table)), den)
 
 
-def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple, CTensor]:
-    """``evaluate_node`` of a node's ``contract_node``: its reduced Gram
-    polynomial (``_contract``), which must be monic, and F^f (``_folds``)
-    applied to it in one product."""
+def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple]:
+    """``node_polynomial`` of a node's ``contract_node`` and its ascending
+    integer coefficients, whose leading one is their positive common
+    denominator: the reduced Gram polynomial (``_contract``), which must be
+    monic, with F^f (``_folds``) applied to it in one product."""
     placed, tensor = contraction
     gram, den = _contract(tensor.planes, tensor.lhat)
     if gram[-1] != den:
@@ -206,7 +200,7 @@ def contraction_poly(contraction: tuple, params: Params) -> tuple[UniPoly, tuple
     if body.degree != params.n - 2 or body.coeffs[-1] != den:
         raise InvariantViolation("degree bookkeeping broken")
     # zeros, the odd coefficients among them, stay int 0
-    return UniPoly(tuple(Fraction(c, den) if c else 0 for c in body.coeffs)), body.coeffs, tensor
+    return UniPoly(tuple(Fraction(c, den) if c else 0 for c in body.coeffs)), body.coeffs
 
 
 def node_value(node: NodeState, params: Params) -> Fraction:
@@ -224,13 +218,7 @@ def node_polynomial(node: NodeState, params: Params) -> UniPoly:
     The contraction gives the Gram polynomial without (y - placed^2),
     placed counting the complete matchings and the partial one; every other
     matching (a pending fresh one too) is folded in y, and y -> x^2 is last.
+    Beyond the grid's sizes it raises ``GridTooLarge`` before building a
+    node matrix; on a node outside the tree, ``ValueError``.
     """
-    return evaluate_node(node, params)[0]
-
-
-def evaluate_node(node: NodeState, params: Params) -> tuple[UniPoly, tuple, CTensor]:
-    """``node_polynomial``, its ascending integer coefficients over one
-    positive denominator, and its block's squared-minor tensor, from one
-    grid run.  Beyond the grid's sizes it raises ``GridTooLarge`` before
-    building a node matrix; on a node outside the tree, ``ValueError``."""
-    return contraction_poly(contract_node(node, params), params)
+    return contraction_poly(contract_node(node, params), params)[0]

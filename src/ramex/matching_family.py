@@ -76,7 +76,7 @@ class NodeState:
             raise ValueError(f"node carries {total} matchings, more than d={d}")
         for match in self.complete:
             if sorted(match) != list(range(m)):
-                raise ValueError(f"not a permutation of 0..{m - 1}: {match}")
+                raise ValueError(f"not a permutation of 1..{m}: {[j + 1 for j in match]}")
         if self.partial is not None:
             t = len(self.partial)
             if not 1 <= t < m:

@@ -32,6 +32,7 @@ reaches the same verdict with no characteristic polynomial at all.
 from __future__ import annotations
 
 import contextlib
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,8 +49,8 @@ from .exact_algebra import (
     sqrt_shift_pairs,
 )
 from .exact_linalg import charpoly_mod, charpoly_modulus, check_grid_size
-from .expectation_engine import contract_node, contraction_poly, contraction_value, evaluate_node
-from .matching_family import Multigraph, NodeState, Params, children
+from .expectation_engine import contract_node, contraction_poly, contraction_value
+from .matching_family import Multigraph, NodeState, Params, children, node_to_json
 
 
 class NoPassingChild(InvariantViolation):
@@ -246,8 +247,12 @@ def _full_poly(node: NodeState, params: Params, contraction=None) -> tuple[UniPo
     """A node's polynomial and its integer form, from its ``contract_node``
     if given, else from a grid run of its own: the one source of every full
     polynomial the walk computes after the start node's."""
-    poly, ints, _ = contraction_poly(contraction or contract_node(node, params), params)
-    return poly, ints
+    return contraction_poly(contraction or contract_node(node, params), params)
+
+
+def _named(node: NodeState) -> str:
+    """A node in its 1-based JSON form, as files and the command line have it."""
+    return json.dumps(node_to_json(node))
 
 
 def walk_workers(params: Params, jobs: int, audit: bool) -> int:
@@ -278,11 +283,11 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = params.q
     current = NodeState((tuple(range(params.m)),), None)
-    current_poly, ints, _ = evaluate_node(current, params)
+    current_poly, ints = contraction_poly(contract_node(current, params), params)
     if not _max_root_leq_sqrt_ints(ints, q):
         raise NoPassingChild(
-            f"start node polynomial {current_poly} already violates the bound "
-            f"sqrt({q}) (expected only in the degenerate d=1 regime)",
+            f"start node polynomial {[rational_to_str(c) for c in current_poly.coeffs]} "
+            f"already violates the bound sqrt({q}) (expected only in the degenerate d=1 regime)",
             node=current,
         )
     current_value = _value(ints, q)
@@ -300,7 +305,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 *others, last = (poly for poly, _ in evaluated)
                 if last != len(kids) * current_poly + -1 * sum(others, UniPoly()):
                     raise InvariantViolation(
-                        f"polynomial of {current} is not the average of its children"
+                        f"polynomial of {_named(current)} is not the average of its children"
                     )
             polys, values, passed = [], [], []
             for kid, contraction, full in zip(kids, contractions, evaluated):
@@ -314,7 +319,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 poly, ints = full or (None, None)
                 if audit and _value(ints, q) != values[-1]:
                     raise InvariantViolation(
-                        f"the polynomial of {kid} differs from its value at sqrt({q})"
+                        f"the polynomial of {_named(kid)} differs from its value at sqrt({q})"
                     )
                 polys.append(poly)
                 passed.append(_child_passes(values[-1], ints, q))
@@ -322,7 +327,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                     break
             if not any(passed):
                 raise NoPassingChild(
-                    f"no child of {current} passes the sqrt({q}) bound",
+                    f"no child of {_named(current)} passes the sqrt({q}) bound",
                     node=current,
                     child_nodes=kids,
                     child_polys=[p or _full_poly(k, params)[0] for k, p in zip(kids, polys)],

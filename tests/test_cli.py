@@ -524,6 +524,11 @@ def test_build_failure_dump(tmp_path, capsys):
     assert set(failure) == {"error", "node", "children"}
     assert failure["node"] == {"complete": [[1, 2]], "partial": []}
     assert failure["children"] == []
+    # the start polynomial as exact coefficient strings, as "children" has them
+    assert failure["error"] == (
+        "start node polynomial ['-1', '0', '1'] already violates the bound sqrt(0) "
+        "(expected only in the degenerate d=1 regime)"
+    )
 
 
 def _assert_stuck_dumps_agree(tmp_path, capsys, monkeypatch, n, d, stage):
@@ -538,17 +543,21 @@ def _assert_stuck_dumps_agree(tmp_path, capsys, monkeypatch, n, d, stage):
         return value not in stuck and real(value, ints, q)
 
     monkeypatch.setattr(ramanujan_walk, "_child_passes", rule)
+    # the stuck node by its 1-based JSON, as failure.json's "node" has it
+    node, q = json.dumps(node_to_json(stage.node)), 4 * (d - 1)
+    message = f"no child of {node} passes the sqrt({q}) bound"
     dumps = []
     for extra in ([], ["--trace"]):
         out = tmp_path / ("traced" if extra else "plain")
         argv = ("build", "--n", str(n), "--d", str(d), "--out", str(out), *extra)
         code, _, stderr = run(capsys, *argv)
         assert code == 3
-        assert "no child of" in stderr
+        assert stderr == f"internal error: {message}\n"
         assert not (out / "graph.json").exists()
         dumps.append((out / "failure.json").read_bytes())
     assert dumps[0] == dumps[1]
     failure = json.loads(dumps[0])
+    assert failure["error"] == message
     assert failure["node"] == node_to_json(stage.node)
     assert failure["children"] == [
         {"node": node_to_json(c), "poly": [rational_to_str(x) for x in p.coeffs]}
@@ -594,12 +603,26 @@ def test_build_failure_dump_not_writable(tmp_path, capsys):
     assert "warning: cannot write failure.json:" in stderr
 
 
+def test_audited_walk_names_a_child_whose_value_differs(tmp_path, capsys, monkeypatch):
+    """A child whose value is not its own polynomial's at sqrt(q) is named
+    by its 1-based JSON, as failure.json and node-poly have nodes: here
+    the first child of the (4,3) start node, every value raised by 1."""
+    real = ramanujan_walk.contraction_value
+    monkeypatch.setattr(ramanujan_walk, "contraction_value", lambda *args: real(*args) + 1)
+    argv = ("build", "--n", "4", "--d", "3", "--out", str(tmp_path), "--trace")
+    child = '{"complete": [[1, 2]], "partial": [1]}'
+    message = f"internal error: the polynomial of {child} differs from its value at sqrt(8)\n"
+    assert run(capsys, *argv) == (3, "", message)
+
+
 def test_node_poly_malformed(capsys):
+    """A matching that is not a permutation is named 1-based, as the node
+    file has it and as ``Multigraph``'s own messages name vertices."""
     code, _, stderr = run(
         capsys, "node-poly", '{"complete": [[1, 1]]}', "--n", "4", "--d", "3"
     )
     assert code == 2
-    assert "malformed node" in stderr
+    assert stderr == "error: malformed node: not a permutation of 1..2: [1, 1]\n"
 
 
 @pytest.mark.parametrize(
@@ -854,7 +877,9 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
     code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", out, "--trace")
     assert code == 3
     assert stdout == ""
-    assert "not the average of its children" in stderr
+    # the first stage with two children is the start node's, named 1-based
+    start = '{"complete": [[1, 2]], "partial": []}'
+    assert stderr == f"internal error: polynomial of {start} is not the average of its children\n"
     assert skewed
     assert not (tmp_path / "graph.json").exists()
 

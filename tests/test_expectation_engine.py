@@ -18,7 +18,6 @@ from ramex.expectation_engine import (
     _contract,
     _folds,
     _value_table,
-    _value_weights,
     _weight_table,
     fixed_plus_random_block_expected,
     node_polynomial,
@@ -334,11 +333,20 @@ def test_folds_are_powers_of_the_closed_form_fold():
         assert _fold_once(coeffs, 7) == (folded, 7 * scale)
 
 
+def _value_weights(params, placed):
+    """(v, L^f) of ``_value_table``: the table at l_hat = 0 is v itself,
+    T[k'] = (-1)^k' v[r-k'] over D = L^f, r = m - 1."""
+    table, den = _value_table(params, placed, 0)
+    r = params.m - 1
+    return tuple((-1) ** (r - j) * table[r - j] for j in range(r + 1)), den
+
+
 @pytest.mark.parametrize("n, d", [(4, 2), (8, 3), (10, 6), (16, 7), (12, 9)])
 def test_value_weights_pull_q_powers_back_through_closed_form_folds(n, d):
-    """``_value_weights(params, placed)`` is the row of q's powers times f
-    closed-form folds, f = d - placed, over L^f: it reads the columns of
-    F^f, and the d >= 7 cases take up to d folds."""
+    """The value weights v of ``_value_table(params, placed, l_hat)`` are
+    the row of q's powers times f closed-form folds, f = d - placed, over
+    L^f: they read the columns of F^f, and the d >= 7 cases take up to d
+    folds."""
     params = Params(n, d)
     fold, scale = _closed_form_fold(params.m - 1)
     for placed in range(d + 1):

@@ -336,11 +336,10 @@ def test_lazy_walk_skips_forced_stages(monkeypatch):
     reaches its last child takes its value as c parent - the others, which
     for a single child is the parent's, and decides it by that value."""
     calls = []
-    for name in ("evaluate_node", "contract_node"):
-        real = getattr(ramanujan_walk, name)
-        monkeypatch.setattr(
-            ramanujan_walk, name, lambda *args, real=real: calls.append(1) or real(*args)
-        )
+    real = ramanujan_walk.contract_node
+    monkeypatch.setattr(
+        ramanujan_walk, "contract_node", lambda *args: calls.append(1) or real(*args)
+    )
     result = walk(Params(8, 4), audit=False)
     forced = [s for s in result.stages if len(s.child_nodes) == 1]
     assert forced
