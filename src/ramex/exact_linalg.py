@@ -8,11 +8,15 @@ squared-minor tensor of a fixed integer matrix plus a random block
 permutation, whose rational sums are integer numerators over known
 denominators.
 
-``charpoly`` reduces the matrix to Hessenberg form modulo one Mersenne
-prime above twice Hadamard's bound on its coefficients, lazily, in pure
-Python.  Certification calls its two halves, ``charpoly_modulus`` and
-``charpoly_mod``, to take the prime from the Gram but run the kernel on
-its deflated (m-1) x (m-1) block.
+Both can run on int64 residues modulo the leading primes of one literal
+table of word-size primes, as many as a bound on the result needs, and
+rebuild each integer by the Chinese remainder theorem; the tensor runs on
+the 2^64 word instead when its bound allows.  ``charpoly`` reduces the
+matrix to Hessenberg form modulo every prime at once, in one numpy batch
+(``_hessenberg_charpoly``), with as many primes as twice Hadamard's bound
+on its coefficients needs.  Certification calls its two halves,
+``charpoly_primes`` and ``charpoly_coeffs``, to take the primes from the
+Gram but run the kernel on its deflated (m-1) x (m-1) block.
 
 The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, in one
@@ -33,10 +37,10 @@ residues rebuilt by the Chinese remainder theorem.  Only constant tables
 are cached: grid coefficients, Berkowitz's gather indices per size, CRT
 bases and interpolation matrices, the latter built by one function per
 (l_hat, modulus), 2^64 or one prime, for the moduli a grid reads and no
-others.  ``charpoly`` is the independent reference for the batched
-kernel, and its two halves serve certification, which never depends on
-the modular batch: numpy is imported inside the functions that run the
-batch, so certification never loads it.
+others.  ``charpoly``, by Hessenberg reduction with per-prime pivots, is
+the independent reference for the grid's division-free Berkowitz batch;
+the two share only the prime table and the CRT.  numpy is imported inside
+the functions that run a batch, so importing the module never loads it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import lt, mul
+from operator import lt
 
 from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
 
@@ -123,119 +127,135 @@ class BlockSpec:
         return len(self.rows)
 
 
-# Exponents e of the Mersenne primes 2^e - 1 up to 2^4423 - 1, a literal
-# table so that importing computes nothing; a test proves each one prime.
-# Every d = 3 certify Gram up to m = 1024 needs at most e = 4253.
-_MERSENNE_EXPONENTS = (
-    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
-)
-
-
 class CoefficientsTooLarge(TooLarge):
-    """The charpoly's coefficient bound exceeds half the largest Mersenne
-    prime in the table, so no modulus there makes the result exact."""
+    """The charpoly's coefficient bound exceeds half the product of every
+    prime in the table, so no modulus the table gives makes it exact."""
 
 
-def charpoly_modulus(rows) -> int:
-    """The smallest table Mersenne prime p that makes det(xI - M) exact
-    from its symmetric residues mod p, for M given by its rows (square,
-    integer, unchecked).
+def charpoly_primes(rows):
+    """The fewest leading table primes whose product makes det(xI - M)
+    exact from its symmetric residues, for M given by its rows (square,
+    integer, unchecked); an int64 array.
 
     The coefficient of x^(m-k) is -+ e_k, a sum of C(m, k) principal
     minors, each at most R^k by Hadamard's inequality with R the largest
-    row norm, so p > 2 C(m, k) R^k for every k makes each coefficient its
-    symmetric residue; the bound is compared squared, on integers.  Past
-    the table, CoefficientsTooLarge is raised.
+    row norm, so every coefficient is at most b = max_k C(m, k) R^k in
+    size.  b^2 is exact on integers, and an integer coefficient is then at
+    most isqrt(b^2), so ``_primes_for`` takes primes whose product exceeds
+    twice that.  Past the table, CoefficientsTooLarge is raised.
     """
     m = len(rows)
     norm_sq = max((sum(x * x for x in row) for row in rows), default=0)
-    bound_sq = max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1))
-    for e in _MERSENNE_EXPONENTS:
-        p = (1 << e) - 1
-        if p * p > 4 * bound_sq:
-            return p
-    raise CoefficientsTooLarge(
-        f"a {bound_sq.bit_length() // 2}-bit characteristic polynomial coefficient bound "
-        f"exceeds the largest modulus, 2^{_MERSENNE_EXPONENTS[-1]} - 1"
-    )
+    bound = math.isqrt(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1)))
+    try:
+        return _primes_for(bound)
+    except GridTooLarge:
+        raise CoefficientsTooLarge(
+            f"a {bound.bit_length()}-bit characteristic polynomial coefficient bound exceeds "
+            f"the largest modulus, the product of the {len(_PRIMES)} table primes"
+        ) from None
 
 
-def _hessenberg_mod(rows, p: int) -> list:
-    """An upper Hessenberg matrix similar to M mod p, as lists of rows with
-    every entry in 0..p-1, for M given by its rows (square, integer,
-    unchecked) and p prime.
-
-    Column by column, the first entry of column j below the diagonal that
-    is nonzero mod p is swapped to the subdiagonal (rows and columns both),
-    row i -= u_i row (j+1) clears the entries below it, and column (j+1)
-    += sum_i u_i column i completes the similarity.  The reduction is
-    lazy: a row update is not reduced mod p, so entries grow by less than
-    p^2 per update.  Column j is reduced before its pivot search, since an
-    unreduced nonzero multiple of p there has no inverse; the pivot row is
-    reduced when it becomes the pivot row, the column update keeps its
-    reduction, and the whole matrix is reduced once at the end.
-    """
-    m = len(rows)
-    h = [list(row) for row in rows]
-    for j in range(m - 2):
-        for i in range(j + 1, m):
-            h[i][j] %= p
-        pivot = next((i for i in range(j + 1, m) if h[i][j]), None)
-        if pivot is None:
-            continue
-        if pivot != j + 1:
-            h[pivot], h[j + 1] = h[j + 1], h[pivot]
-            for row in h:
-                row[pivot], row[j + 1] = row[j + 1], row[pivot]
-        top = h[j + 1][j:] = [x % p for x in h[j + 1][j:]]
-        inverse = pow(top[0], -1, p)
-        factors = [h[i][j] * inverse % p for i in range(j + 2, m)]
-        for i, u in enumerate(factors, j + 2):
-            if u:
-                h[i][j:] = [x - u * y for x, y in zip(h[i][j:], top)]
-        if any(factors):
-            for row in h:
-                row[j + 1] = (row[j + 1] + sum(map(mul, factors, row[j + 2 :]))) % p
-    return [[x % p for x in row] for row in h]
+def _matmul_mod(x, y, p):
+    """x @ y mod p for int64 batches of residues below p, p broadcast
+    against the product: every dot product is summed in chunks of at most
+    MAX_GRID_M products, each chunk's sum, below MAX_GRID_M (p-1)^2 < 2^63,
+    reduced below p before it is added to the reduced sum of the chunks
+    before it, so no int64 sum overflows however long the dot product."""
+    width = MAX_GRID_M
+    out = x[..., :width] @ y[..., :width, :] % p
+    for start in range(width, x.shape[-1], width):
+        out += x[..., start : start + width] @ y[..., start : start + width, :] % p
+        out %= p
+    return out
 
 
-def charpoly_mod(rows, p: int) -> list:
-    """Ascending symmetric residues mod p of det(xI - M)'s coefficients,
-    for M given by its rows (square, integer, unchecked) and p prime.
+def _hessenberg_charpoly(mats, primes):
+    """Ascending coefficients of det(x I - M) mod p, an (r, m + 1) array,
+    for an (r, m, m) int64 batch of residues below p, the prime of row i of
+    the batch being primes[i] (each below 2^29); mats is reduced in place
+    to an upper Hessenberg matrix H similar to M mod p.
 
-    ``_hessenberg_mod`` gives H, then the Hessenberg recurrence (Cohen,
-    Alg. 2.2.9) over its leading blocks H_k:
+    Hessenberg reduction (Cohen, Alg. 2.2.9), column by column: the first
+    entry of column j below the diagonal that is nonzero mod p is swapped
+    to the subdiagonal, rows and columns both; row i -= u_i row (j+1)
+    clears the entries below it, u_i = h[i][j] / h[j+1][j], and column
+    (j+1) += sum_i u_i column i completes the similarity.  Its exactness
+    rules, on every row of the batch:
+    - The pivot is chosen per prime.  An entry can vanish modulo one prime
+      only, so different rows of the batch can swap different rows and
+      columns, or none.
+    - A prime with no pivot in column j skips that column: its factors
+      are 0.
+    - The inverse of each pivot is ``pow(t, -1, p)``, for each prime.
+    - Every product is reduced below p < 2^29 before the next one, so
+      every entry is below p at every step.
+    - Every dot product is summed in chunks of at most MAX_GRID_M products
+      (``_matmul_mod``), so no int64 sum overflows at any m.
+    Then the Hessenberg recurrence over H's leading blocks H_k:
 
         det(xI - H_(k+1)) = x det(xI - H_k) - sum_(s <= k) w_s det(xI - H_s),
 
-    w_s = h[s][k] h[s+1][s] ... h[k][k-1].  The coefficients are kept by
-    index: cols[i] holds [x^i] det(xI - H_s) for s = i..k, so each new
-    coefficient is one dot product of cols[i] with w_i.., in O(m^3)
-    multiplications overall.
+    w_s = h[s][k] h[s+1][s] ... h[k][k-1]: the suffix products of the
+    subdiagonal are kept for s < k and multiplied by the new subdiagonal
+    entry h[k][k-1] at each step, and the sum is one chunked product of
+    the weights with the coefficients of det(xI - H_s), s = 0..k, in
+    O(m^3) multiplications overall.
     """
-    h = _hessenberg_mod(rows, p)
-    cols = [[1]]
-    for k in range(len(h)):
-        weights = [0] * (k + 1)
-        product = 1
-        for s in range(k, 0, -1):
-            weights[s] = product * h[s][k] % p
-            product = product * h[s][s - 1] % p
-        weights[0] = product * h[0][k] % p
-        # descending, so that cols[i - 1] still ends with [x^(i-1)] det(xI - H_k)
-        for i in range(k, -1, -1):
-            col = cols[i]
-            col.append(((cols[i - 1][-1] if i else 0) - sum(map(mul, weights[i:], col))) % p)
-        cols.append([1])
-    return [c - p if 2 * c > p else c for c in (col[-1] for col in cols)]
+    import numpy as np
+
+    r, m = mats.shape[:2]
+    p = primes.reshape(r, 1)
+    batch = np.arange(r)[:, None]
+    for j in range(m - 2):
+        if not mats[:, j + 1, j].all():
+            pivot = j + 1 + (mats[:, j + 1 :, j] != 0).argmax(axis=1)  # j + 1 when none
+            pair = np.stack([pivot, np.full(r, j + 1)], axis=1)  # swap rows, then columns
+            mats[batch, pair] = mats[batch, pair[:, ::-1]]
+            mats[batch, :, pair] = mats[batch, :, pair[:, ::-1]]
+        top = mats[:, j + 1, j:]
+        inverse = [pow(t, -1, q) if t else 0 for t, q in zip(top[:, 0].tolist(), primes.tolist())]
+        factors = mats[:, j + 2 :, j] * np.array(inverse, dtype=np.int64)[:, None] % p
+        mats[:, j + 2 :, j:] -= factors[:, :, None] * top[:, None, :]
+        mats[:, j + 2 :, j:] %= p[..., None]
+        column = _matmul_mod(mats[:, :, j + 2 :], factors[:, :, None], p[..., None])
+        mats[:, :, j + 1] = (mats[:, :, j + 1] + column[..., 0]) % p
+    # coeffs[:, s, i] is [x^i] det(xI - H_s); suffix[:, s] is h[s+1][s] ... h[k][k-1]
+    coeffs = np.zeros((r, m + 1, m + 1), dtype=np.int64)
+    coeffs[:, 0, 0] = 1
+    suffix = np.ones((r, m), dtype=np.int64)
+    for k in range(m):
+        if k:
+            suffix[:, :k] = suffix[:, :k] * mats[:, k, k - 1, None] % p
+        weights = mats[:, : k + 1, k] * suffix[:, : k + 1] % p
+        total = _matmul_mod(weights[:, None, :], coeffs[:, : k + 1, : k + 1], p[..., None])
+        coeffs[:, k + 1, 1 : k + 2] = coeffs[:, k, : k + 1]
+        coeffs[:, k + 1, : k + 1] = (coeffs[:, k + 1, : k + 1] - total[:, 0]) % p
+    return coeffs[:, m]
+
+
+def charpoly_coeffs(rows, primes) -> list:
+    """Ascending coefficients of det(xI - M), for M given by its rows
+    (square, integer, unchecked), exact when primes are the leading table
+    primes and their product exceeds twice every coefficient's size: M is
+    reduced modulo each prime by Python's %, ``_hessenberg_charpoly`` runs
+    on the batch and ``_crt`` rebuilds each coefficient.  The primes may
+    come from another matrix's bound: certify takes them from the Gram G,
+    not from the deflated G' it passes here (its docstring says why)."""
+    import numpy as np
+
+    m, r = len(rows), len(primes)
+    mats = [[x % q for row in rows for x in row] for q in primes.tolist()]
+    mats = np.array(mats, dtype=np.int64).reshape(r, m, m)
+    return _crt(_hessenberg_charpoly(mats, primes)).tolist()
 
 
 def charpoly(matrix: Matrix) -> UniPoly:
-    """det(xI - M), exact and monic, in O(m^3) operations: ``charpoly_mod``
-    modulo the prime ``charpoly_modulus`` takes from Hadamard's bound.  The
-    prime is exact, not probabilistic."""
+    """det(xI - M), exact and monic, in O(m^3) operations per prime:
+    ``charpoly_coeffs`` modulo the primes ``charpoly_primes`` takes from
+    Hadamard's bound.  The primes are exact, not probabilistic."""
     rows = matrix.entries
-    return UniPoly(tuple(charpoly_mod(rows, charpoly_modulus(rows))))
+    return UniPoly(tuple(charpoly_coeffs(rows, charpoly_primes(rows))))
 
 
 @dataclass(frozen=True)
@@ -305,10 +325,11 @@ class CTensor:
         return {"m": self.m, "lhat": self.lhat, "values": values}
 
 
-# The largest 96 primes below 2^29, a literal table so that importing
+# The largest 153 primes below 2^29, a literal table so that importing
 # computes nothing.  Residues stay below p < 2^29, so a dot product of at
 # most MAX_GRID_M products stays below 32 (p - 1)^2 < 2^63: every int64 sum
-# in the batch is exact before it is reduced.  Their product exceeds 2^2783.
+# of the grid's batch and of each chunk of the charpoly kernel's is exact
+# before it is reduced.  Their product exceeds 2^4423.
 _PRIMES = (
     536870909, 536870879, 536870869, 536870849, 536870839, 536870837, 536870819, 536870813,
     536870791, 536870779, 536870767, 536870743, 536870729, 536870723, 536870717, 536870701,
@@ -322,6 +343,14 @@ _PRIMES = (
     536869589, 536869583, 536869573, 536869559, 536869549, 536869523, 536869483, 536869471,
     536869447, 536869423, 536869409, 536869387, 536869331, 536869283, 536869247, 536869217,
     536869189, 536869159, 536869153, 536869117, 536869097, 536869043, 536868979, 536868977,
+    536868973, 536868961, 536868953, 536868901, 536868863, 536868821, 536868811, 536868799,
+    536868797, 536868781, 536868749, 536868743, 536868707, 536868697, 536868659, 536868649,
+    536868623, 536868593, 536868589, 536868587, 536868583, 536868569, 536868547, 536868539,
+    536868511, 536868467, 536868443, 536868433, 536868419, 536868407, 536868403, 536868379,
+    536868377, 536868341, 536868289, 536868223, 536868221, 536868209, 536868197, 536868193,
+    536868191, 536868181, 536868149, 536868107, 536868103, 536868091, 536868083, 536868071,
+    536868067, 536868053, 536868019, 536867993, 536867941, 536867927, 536867917, 536867911,
+    536867897,
 )
 
 MAX_GRID_M = 32

@@ -48,7 +48,7 @@ from .exact_algebra import (
     rational_to_str,
     sqrt_shift_pairs,
 )
-from .exact_linalg import charpoly_mod, charpoly_modulus, check_grid_size
+from .exact_linalg import charpoly_coeffs, charpoly_primes, check_grid_size
 from .expectation_engine import contract_node, contraction_poly, contraction_value
 from .matching_family import Multigraph, NodeState, Params, children, node_to_json
 
@@ -113,15 +113,16 @@ def certify(graph: Multigraph) -> Certificate:
     raises InvariantViolation otherwise.  With the unimodular
     T = I + (1 - e0) e0^T, T^-1 G T has first column d^2 e0 and trailing
     block G'[i][j] = G[i][j] - G[0][j] (i, j >= 1), so
-    det(yI - G) = (y - d^2) det(yI - G'): ``charpoly_mod`` runs on the
-    (m-1) x (m-1) matrix G' and gives the nontrivial polynomial directly,
-    with nothing to divide out.  The modulus comes from G's Hadamard bound
-    (``charpoly_modulus``): G is positive semidefinite, and e_k of a
-    sub-multiset of nonnegative eigenvalues is at most e_k of them all, so
-    it bounds det(yI - G') too.  G''s own bound, from longer rows, picks
-    the larger prime more often, and at m = 1 would let an absurd d past
-    the size cap.  The sqrt-q root test runs with q = 4(d-1) on the
-    integer pairs of the shifted nontrivial polynomial.
+    det(yI - G) = (y - d^2) det(yI - G'): ``charpoly_coeffs`` runs on the
+    (m-1) x (m-1) matrix G', modulo word-size primes in one numpy batch,
+    and gives the nontrivial polynomial directly, with nothing to divide
+    out.  The primes come from G's Hadamard bound (``charpoly_primes``): G
+    is positive semidefinite, and e_k of a sub-multiset of nonnegative
+    eigenvalues is at most e_k of them all, so it bounds det(yI - G') too.
+    G''s own bound, from longer rows, takes more primes more often, and at
+    m = 1 would let an absurd d past the size cap.  The sqrt-q root test
+    runs with q = 4(d-1) on the integer pairs of the shifted nontrivial
+    polynomial.
     """
     m, d = graph.params.m, graph.params.d
     # B^T B from each row's nonzero entries, at most d of them
@@ -136,7 +137,7 @@ def certify(graph: Multigraph) -> Certificate:
     # G' = rows and columns 1.. of T^-1 G T: each row of G less row 0
     top = gram[0][1:]
     deflated = [[g - t for g, t in zip(row[1:], top)] for row in gram[1:]]
-    rest = charpoly_mod(deflated, charpoly_modulus(gram))
+    rest = charpoly_coeffs(deflated, charpoly_primes(gram))
     # det(yI - G) = (y - d^2) det(yI - G')
     full = [a - d * d * b for a, b in zip([0] + rest, rest + [0])]
     q = graph.params.q

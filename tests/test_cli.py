@@ -1,10 +1,12 @@
 """Command-line surface: subcommands, exit codes, JSON files."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 import textwrap
@@ -196,6 +198,36 @@ def test_certify_past_the_largest_modulus_exits_2(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "certify", str(path))
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: ") and "exceeds the largest modulus" in stderr
+
+
+# sha256 of `ramex certify`'s stdout on the union of 3 random matchings
+# seeded by n, as the pure-Python Hessenberg kernel modulo one Mersenne
+# prime printed it: m = n/2 is past the grid's MAX_GRID_M at every n
+_PINNED_CERTIFY = {
+    96: (0, "06b540f69cbf177d19724a0e69af5ca3b4d612b764dd0a0bb6836d87604c6551"),
+    128: (0, "1d21dff9644232287523120b2bb950e49477eedf3ada18201bd19d6bff0c3f99"),
+    256: (1, "185ec6e893920eedcd9cff6a1869200f1cba14a415d35025d776186630cff2e9"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_PINNED_CERTIFY))
+def test_certify_beyond_the_grid_is_pinned(n, tmp_path, capsys):
+    """certify reproduces its pinned output on a seeded graph, and verify
+    accepts that output as the certificate, with the same exit code."""
+    rng, m = random.Random(n), n // 2
+    mult = [[0] * m for _ in range(m)]
+    for _ in range(3):
+        perm = list(range(m))
+        rng.shuffle(perm)
+        for i, j in enumerate(perm):
+            mult[i][j] += 1
+    graph, cert = tmp_path / "graph.json", tmp_path / "certificate.json"
+    graph.write_text(json.dumps({"n": n, "d": 3, "multiplicity": mult}))
+    code, stdout, _ = run(capsys, "certify", str(graph))
+    assert (code, hashlib.sha256(stdout.encode()).hexdigest()) == _PINNED_CERTIFY[n]
+    cert.write_text(stdout)
+    code, stdout, _ = run(capsys, "verify", str(graph), str(cert))
+    assert code == _PINNED_CERTIFY[n][0] and stdout.startswith("certificate matches")
 
 
 @pytest.fixture(scope="module")
@@ -784,9 +816,10 @@ def _skewed_build_under_optimize(out, *extra):
     return _python("-O", "-c", script, str(out), *extra)
 
 
-def test_only_the_grid_loads_numpy(built_6_3):
-    """certify, verify and oracle never import numpy; node-poly runs the
-    grid and does, so the check can fail."""
+def test_the_oracle_never_loads_numpy(built_6_3):
+    """oracle, first in a fresh interpreter, never imports numpy; certify
+    and verify run the charpoly kernel and node-poly the grid, so they do,
+    and the check can fail."""
     script = textwrap.dedent(
         """
         import sys
@@ -795,9 +828,9 @@ def test_only_the_grid_loads_numpy(built_6_3):
         graph, cert = sys.argv[1:]
         node = '{"complete": [], "partial": [1]}'
         for argv in (
+            ["oracle", node, "--n", "6", "--d", "3"],
             ["certify", graph],
             ["verify", graph, cert],
-            ["oracle", node, "--n", "6", "--d", "3"],
             ["node-poly", node, "--n", "6", "--d", "3"],
         ):
             code = cli.main(argv)
@@ -807,9 +840,9 @@ def test_only_the_grid_loads_numpy(built_6_3):
     graph, cert = built_6_3 / "graph.json", built_6_3 / "certificate.json"
     proc = _python("-c", script, str(graph), str(cert))
     assert proc.stderr.splitlines() == [
-        "certify 0 False",
-        "verify 0 False",
         "oracle 0 False",
+        "certify 0 True",
+        "verify 0 True",
         "node-poly 0 True",
     ]
 

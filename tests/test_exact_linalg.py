@@ -1,6 +1,7 @@
-"""Matrices, the Hessenberg charpoly mod a Mersenne prime (the modulus, the
-lazy reduction and the recurrence, and certify's deflated Gram), the
-multimodular trivariate determinant grid."""
+"""Matrices, the batched Hessenberg charpoly modulo word-size primes (the
+primes from Hadamard's bound, the per-prime pivots, the chunked sums and
+the recurrence, and certify's deflated Gram), the multimodular trivariate
+determinant grid."""
 
 import itertools
 import math
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from ramex import exact_linalg
 from ramex.exact_algebra import UniPoly, rational_to_str
 from ramex.exact_linalg import (
-    _MERSENNE_EXPONENTS,
     _PRIMES,
     MAX_GRID_M,
     BlockSpec,
@@ -29,13 +29,13 @@ from ramex.exact_linalg import (
     _berkowitz_mod,
     _crt,
     _grid_table,
-    _hessenberg_mod,
+    _hessenberg_charpoly,
     _WORD,
     _interp,
     _primes_for,
     _toeplitz,
     charpoly,
-    charpoly_mod,
+    charpoly_primes,
     rationality_violation_count,
     trivariate_detpoly,
 )
@@ -104,6 +104,13 @@ def _kernel_matrix(draw):
     return rows
 
 
+# Column 0 below the diagonal vanishes mod _PRIMES[0] at row 1, or at
+# every row, but not mod the other primes, so the batch's pivots differ.
+_P0 = _PRIMES[0]
+_PIVOT_DIFFERS = [[0, 1, 0, 2], [_P0, 0, 1, 0], [1, 1, 0, 1], [0, 2, 1, 0]]
+_NO_PIVOT_MOD_P0 = [[1, 2, 0, 1], [_P0, 0, 1, 0], [_P0, 1, 0, 1], [2 * _P0, 0, 1, 1]]
+
+
 @settings(max_examples=120)
 @given(_kernel_matrix())
 @example([])
@@ -113,29 +120,80 @@ def _kernel_matrix(draw):
 @example([[10, 0, 6], [0, 0, 0], [-105, 30, 10]])
 @example([[(3 * i - 2 * j) % 11 - 5 for j in range(6)] for i in range(6)])
 @example([[0] * 5, [0] * 5, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]])
+@example(_PIVOT_DIFFERS)
+@example(_NO_PIVOT_MOD_P0)
 def test_charpoly_matches_cofactor_oracle(rows):
-    """Integer matrices, with a few explicit examples.  The last, modulo
-    p = 127, breaks a reduction that leaves the rows unreduced between
-    updates and searches column j for its pivot before reducing it: an
-    entry there that is a nonzero multiple of p is taken as the pivot."""
+    """Integer matrices, with a few explicit examples.  In the last two an
+    entry equal to the first table prime vanishes modulo it alone, so that
+    prime swaps another row and column to the subdiagonal, or skips the
+    column, while the other primes of the batch do not."""
     assert charpoly(Matrix.from_rows(rows)) == UniPoly(tuple(_det_xid_minus(rows)))
 
 
+_KERNEL_PRIMES = (3, 7, 127, *_PRIMES[:2], _PRIMES[-1])
+
+
 @settings(max_examples=120)
-@given(_kernel_matrix(), st.sampled_from((3, 7, 127, 2**31 - 1)))
-@example([[0] * 5, [0] * 5, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], 127)
-@example([[127 * (i != j) for j in range(4)] for i in range(4)], 127)
-def test_hessenberg_mod_is_reduced_and_similar(rows, p):
-    """Small primes, so that the lazy reduction meets multiples of p: the
-    Hessenberg matrix has every entry in 0..p-1 and zeros below its
-    subdiagonal, and both it and charpoly_mod give det(xI - M) mod p."""
-    h = _hessenberg_mod(rows, p)
-    assert all(0 <= x < p for row in h for x in row)
-    assert all(not h[i][j] for i in range(len(h)) for j in range(i - 1))
-    want = [c % p for c in _det_xid_minus(rows)]
-    assert [c % p for c in _det_xid_minus(h)] == want
-    got = charpoly_mod(rows, p)
-    assert [c % p for c in got] == want and all(abs(2 * c) < p for c in got)
+@given(_kernel_matrix(), st.lists(st.sampled_from(_KERNEL_PRIMES), min_size=1, max_size=4))
+@example([[0] * 5, [0] * 5, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], [127, 3])
+@example([[127 * (i != j) for j in range(4)] for i in range(4)], [127, 7])
+@example(_PIVOT_DIFFERS, [_P0, _PRIMES[1]])
+@example(_NO_PIVOT_MOD_P0, [_PRIMES[1], _P0, 3])
+@example([], list(_KERNEL_PRIMES))
+@example([[-(2**70)]], list(_KERNEL_PRIMES))
+@example([[_P0]], list(_KERNEL_PRIMES))
+def test_hessenberg_mod_is_reduced_and_similar(rows, primes):
+    """Small primes, so that entries meet multiples of p, and table primes,
+    one batch: after the kernel each matrix of the batch has every entry
+    in 0..p-1 and zeros below its subdiagonal, and both it and the
+    returned coefficients, in 0..p-1, give det(xI - M) mod its p; (1) at
+    m = 0 and (-a, 1) at m = 1."""
+    m, primes = len(rows), np.array(primes, dtype=np.int64)
+    mats = np.array([[x % p for row in rows for x in row] for p in primes.tolist()])
+    mats = mats.astype(np.int64).reshape(len(primes), m, m)
+    coeffs = _hessenberg_charpoly(mats, primes)
+    assert mats.dtype == coeffs.dtype == np.int64 and coeffs.shape == (len(primes), m + 1)
+    want = _det_xid_minus(rows)
+    for h, got, p in zip(mats.tolist(), coeffs.tolist(), primes.tolist()):
+        assert all(0 <= x < p for row in h for x in row)
+        assert all(not h[i][j] for i in range(m) for j in range(i - 1))
+        assert [c % p for c in _det_xid_minus(h)] == [c % p for c in want]
+        assert got == [c % p for c in want]
+
+
+def test_kernel_sums_residues_near_p_in_chunks():
+    """M = -J + 2 e_1 e_0^T at side 70 has rank 2, and on span(1, e_1) it
+    acts as [[-70, -1], [2, 0]], so det(xI - M) = x^68 (x^2 + 70 x + 2).
+    Column 0's factors are all -1, so the column update sums 68 products
+    of residues p - 1 or p - 2: about 68 p^2 > 2^63, exact only in chunks
+    of at most MAX_GRID_M products."""
+    m = 70
+    rows = [[-1] * m for _ in range(m)]
+    rows[1][0] = 1
+    assert (m - 2) * (_PRIMES[-1] - 2) ** 2 > 2**63 > MAX_GRID_M * (_P0 - 1) ** 2
+    want = (0,) * (m - 2) + (2, m, 1)
+    assert charpoly(Matrix(rows)) == UniPoly(want)
+
+
+def test_permuted_block_diagonal_charpoly_is_the_product_of_its_blocks():
+    """Side 70, blocks of 7 to 10 with entries up to 2^16, rows and columns
+    permuted alike: every dot product past MAX_GRID_M terms is summed in
+    chunks, and the polynomial is the product of the blocks' polynomials
+    by the cofactor oracle."""
+    rng = random.Random(70)
+    sizes = [9, 8, 10, 7, 9, 8, 10, 9]
+    m = sum(sizes)
+    rows, want, start = [[0] * m for _ in range(m)], UniPoly((1,)), 0
+    for size in sizes:
+        block = [[rng.randint(-(2**16), 2**16) for _ in range(size)] for _ in range(size)]
+        for i, row in enumerate(block):
+            rows[start + i][start : start + size] = row
+        want = want * UniPoly(tuple(_det_xid_minus(block)))
+        start += size
+    perm = list(range(m))
+    rng.shuffle(perm)
+    permuted = [[rows[i][j] for j in perm] for i in perm]
+    assert m == 70 and charpoly(Matrix(permuted)) == want
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 2.0])
@@ -159,15 +217,16 @@ def test_matrix_and_block_spec_check_their_shape():
 
 
 def test_charpoly_at_the_hadamard_bound_edge():
-    # 5 H for the 8 x 8 Sylvester H has (5 H)^2 = 200 I and trace 0, so its
-    # charpoly is (x^2 - 200)^4, and |det| = 200^4 meets Hadamard's bound:
-    # the modulus must exceed 2 * 200^4 > 2^31 - 1, and 200^4 exceeds
-    # (2^31 - 1) / 2, so the table entry below the right one folds it
-    mat = Matrix.from_rows([[5 * x for x in row] for row in _sylvester(8)])
+    # 4 H for the 8 x 8 Sylvester H has (4 H)^2 = 128 I and trace 0, so its
+    # charpoly is (x^2 - 128)^4, and |det| = 128^4 = 2^28 meets Hadamard's
+    # bound: the product of the primes must exceed 2^29, and 2^28 exceeds
+    # half the first table prime, so that prime alone would fold it
+    mat = Matrix.from_rows([[4 * x for x in row] for row in _sylvester(8)])
     want = [0] * 9
     for i in range(5):
-        want[2 * i] = math.comb(4, i) * (-200) ** (4 - i)
-    assert 2 * 200**4 > 2**31 - 1 > 200**4
+        want[2 * i] = math.comb(4, i) * (-128) ** (4 - i)
+    assert 2 * 128**4 > _PRIMES[0] > 128**4
+    assert charpoly_primes(mat.entries).tolist() == list(_PRIMES[:2])
     assert charpoly(mat) == UniPoly(tuple(want))
 
 
@@ -224,8 +283,8 @@ def test_charpoly_of_large_grams_matches_bareiss_determinants(m, seed):
 
 
 def test_charpoly_of_a_dense_nonsymmetric_matrix_with_huge_entries():
-    """24 x 24, every entry drawn up to 2^80 in size: the lazy row updates
-    run 22 steps deep, modulo a prime of thousands of bits."""
+    """24 x 24, every entry drawn up to 2^80 in size: the reduction runs
+    22 steps deep, modulo each of 68 table primes."""
     rng = random.Random(24)
     rows = [[rng.randint(-(2**80), 2**80) for _ in range(24)] for _ in range(24)]
     poly = charpoly(Matrix(rows))
@@ -234,33 +293,18 @@ def test_charpoly_of_a_dense_nonsymmetric_matrix_with_huge_entries():
         assert _at(poly, x) == _shifted_det(rows, x)
 
 
-def _lucas_lehmer(e: int) -> bool:
-    """Whether 2^e - 1 is prime, for a prime exponent e."""
-    if e == 2:
-        return True
-    p = (1 << e) - 1
-    s = 4
-    for _ in range(e - 2):
-        s = s * s - 2
-        s = (s & p) + (s >> e)  # s mod p, folded twice: 2^e = 1 mod p
-        s = (s & p) + (s >> e)
-    return s % p == 0
-
-
-def test_mersenne_exponents_give_primes():
-    assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
-    for e in _MERSENNE_EXPONENTS:
-        assert all(e % q for q in range(2, math.isqrt(e) + 1)) and _lucas_lehmer(e), e
-    # the test rejects composites: 2^11 - 1 = 23 * 89, 2^29 - 1 = 233 * 1103 * 2089
-    assert not _lucas_lehmer(11) and not _lucas_lehmer(29)
-
-
 def test_charpoly_past_the_largest_modulus_raises():
-    # |det| = c, so the modulus must exceed 2c
-    top = _MERSENNE_EXPONENTS[-1]
-    assert charpoly(Matrix.from_rows([[2 ** (top - 2)]])) == UniPoly((-(2 ** (top - 2)), 1))
-    with pytest.raises(CoefficientsTooLarge):
-        charpoly(Matrix.from_rows([[2 ** (top - 1)]]))
+    # |det| = c, so the product of the primes must exceed 2c: the whole
+    # table holds c = (M - 1) / 2, M the product of every table prime, and
+    # every c the largest Mersenne prime before it, 2^4423 - 1, held
+    table = math.prod(_PRIMES)
+    assert table > 2**4423 > math.prod(_PRIMES[:-1])
+    for c in ((table - 1) // 2, -((table - 1) // 2), 2**4421):
+        assert charpoly(Matrix.from_rows([[c]])) == UniPoly((-c, 1))
+    assert len(charpoly_primes([[2**4421]])) == len(_PRIMES)
+    for c in ((table + 1) // 2, -((table + 1) // 2)):
+        with pytest.raises(CoefficientsTooLarge, match="exceeds the largest modulus"):
+            charpoly(Matrix.from_rows([[c]]))
 
 
 def _e_k(poly: UniPoly, m: int) -> list:
@@ -780,6 +824,16 @@ def test_primes_are_distinct_primes_below_2_to_the_29():
     table = np.abs(_grid_table(MAX_GRID_M, np.int64))
     assert table.max() == (MAX_GRID_M - 2) ** 2
     assert table.sum(axis=1).max() == (MAX_GRID_M - 1) ** 2
+
+
+def test_prime_table_is_the_largest_primes_below_2_to_the_29():
+    """Every odd number above the table's last prime and below 2^29 that
+    the table lacks is composite, and the table descends."""
+    assert list(_PRIMES) == sorted(_PRIMES, reverse=True)
+    table = set(_PRIMES)
+    for x in range(_PRIMES[-1], 2**29, 2):
+        if x not in table:
+            assert any(x % q == 0 for q in range(3, math.isqrt(x) + 1, 2)), x
 
 
 def test_grid_size_guards_raise_grid_too_large():

@@ -4,9 +4,10 @@
 and (48,3) walks, those with at most 5 and 4 open cells, each with the
 exact value at sqrt(q) that the walk decided it by.  A last-matching node's
 polynomial is the average of its l! leaves' nontrivial polynomials, and
-``certify`` computes each leaf's modulo a Mersenne prime, independent of
-the grid, the counting weights and the folds; so the average at sqrt(q)
-must equal both ``node_value`` and the pinned value.  No walk runs.
+``certify`` computes each leaf's by Hessenberg reduction, independent of
+the grid's Berkowitz batch (the two share only the prime table and the
+CRT), the counting weights and the folds; so the average at sqrt(q) must
+equal both ``node_value`` and the pinned value.  No walk runs.
 """
 
 import itertools
