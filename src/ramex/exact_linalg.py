@@ -20,20 +20,25 @@ Gram but run the kernel on its deflated (m-1) x (m-1) block.
 
 The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, in one
-numpy batch: one matmul gives a basis of four Grams, one more with a
-cached table of coefficients gives every grid matrix, and Berkowitz's
-division-free recurrence their characteristic polynomials.  When the
+numpy batch (``_grid``): one matmul gives a basis of four Grams, one
+more with a cached table of coefficients gives every grid matrix,
+Berkowitz's division-free recurrence their characteristic polynomials,
+and two more the interpolated residues, one row per modulus.  When the
 scaled fixed matrix has all row and column sums equal, as on every walk
 node, every grid matrix has the all-ones eigenvector, and that factor is
 split off once, here: Berkowitz runs on (m-1) x (m-1) matrices and the
 tensor stores the complement.  The stored integer numerators over
 l^(2k') for minor size k' are bounded from the trace of the fixed
-matrix's Gram alone, and that bound picks the modulus of the one grid
-pipeline: 2^64 when 2 4^v times the bound is below 2^64, v = v2(l_hat!),
-on uint64 words reduced by wrap-around alone, with 2^v V^-1, whose
-denominators are odd (the word holds 4^v times each numerator, and its
-low 2v bits must be zero); otherwise enough word-size primes, on int64
-residues rebuilt by the Chinese remainder theorem.  Only constant tables
+matrix's Gram alone.  ``trivariate_detpoly`` alone reads that bound: it
+picks the modulus of the one grid pipeline and rebuilds the numerators
+from its rows.  The modulus is 2^64 when 2 4^v times the bound is below
+2^64, v = v2(l_hat!), on uint64 words reduced by wrap-around alone, with
+2^v V^-1, whose denominators are odd: the word's one row holds 4^v times
+each numerator, whose low 2v bits must be zero and are shifted off.
+Otherwise it is enough word-size primes, one int64 row each, rebuilt by
+the Chinese remainder theorem.  Both kernels take their input by
+``_residues`` and reduce every product by ``_matmul_mod``, which sums in
+chunks modulo a prime and wraps on the word.  Only constant tables
 are cached: grid coefficients, Berkowitz's gather indices per size, CRT
 bases and interpolation matrices, the latter built by one function per
 (l_hat, modulus), 2^64 or one prime, for the moduli a grid reads and no
@@ -157,17 +162,35 @@ def charpoly_primes(rows):
 
 
 def _matmul_mod(x, y, p):
-    """x @ y mod p for int64 batches of residues below p, p broadcast
-    against the product: every dot product is summed in chunks of at most
-    MAX_GRID_M products, each chunk's sum, below MAX_GRID_M (p-1)^2 < 2^63,
-    reduced below p before it is added to the reduced sum of the chunks
-    before it, so no int64 sum overflows however long the dot product."""
-    width = MAX_GRID_M
-    out = x[..., :width] @ y[..., :width, :] % p
-    for start in range(width, x.shape[-1], width):
+    """x @ y mod p for int64 batches of residues above -p and below p, p
+    broadcast against the product, which is reduced below p: every dot
+    product is summed in chunks of at most MAX_GRID_M products, each
+    chunk's sum, below MAX_GRID_M (p-1)^2 < 2^63, reduced below p before
+    it is added to the reduced sum of the chunks before it, so no int64
+    sum overflows however long the dot product.  Given p None, x @ y of
+    uint64 words, which wraps modulo 2^64 and needs no reduction."""
+    if p is None:
+        return x @ y
+    width, size = MAX_GRID_M, x.shape[-1]
+    out = x @ y if size <= width else x[..., :width] @ y[..., :width, :]
+    out %= p
+    for start in range(width, size, width):
         out += x[..., start : start + width] @ y[..., start : start + width, :] % p
         out %= p
     return out
+
+
+def _residues(rows, primes):
+    """The integer matrix given by its rows by Python's %: mod 2^64 as an
+    (m, m) uint64 array given no primes, else mod each of primes as an
+    (r, m, m) int64 array."""
+    import numpy as np
+
+    m = len(rows)
+    if primes is None:
+        return np.array([x % _WORD for row in rows for x in row], dtype=np.uint64).reshape(m, m)
+    flat = [[x % q for row in rows for x in row] for q in primes.tolist()]
+    return np.array(flat, dtype=np.int64).reshape(len(flat), m, m)
 
 
 def _hessenberg_charpoly(mats, primes):
@@ -238,16 +261,11 @@ def charpoly_coeffs(rows, primes) -> list:
     """Ascending coefficients of det(xI - M), for M given by its rows
     (square, integer, unchecked), exact when primes are the leading table
     primes and their product exceeds twice every coefficient's size: M is
-    reduced modulo each prime by Python's %, ``_hessenberg_charpoly`` runs
+    reduced modulo each prime (``_residues``), ``_hessenberg_charpoly`` runs
     on the batch and ``_crt`` rebuilds each coefficient.  The primes may
     come from another matrix's bound: certify takes them from the Gram G,
     not from the deflated G' it passes here (its docstring says why)."""
-    import numpy as np
-
-    m, r = len(rows), len(primes)
-    mats = [[x % q for row in rows for x in row] for q in primes.tolist()]
-    mats = np.array(mats, dtype=np.int64).reshape(r, m, m)
-    return _crt(_hessenberg_charpoly(mats, primes)).tolist()
+    return _crt(_hessenberg_charpoly(_residues(rows, primes), primes)).tolist()
 
 
 def charpoly(matrix: Matrix) -> UniPoly:
@@ -326,10 +344,10 @@ class CTensor:
 
 
 # The largest 153 primes below 2^29, a literal table so that importing
-# computes nothing.  Residues stay below p < 2^29, so a dot product of at
-# most MAX_GRID_M products stays below 32 (p - 1)^2 < 2^63: every int64 sum
-# of the grid's batch and of each chunk of the charpoly kernel's is exact
-# before it is reduced.  Their product exceeds 2^4423.
+# computes nothing.  Residues stay above -p and below p < 2^29, so a chunk
+# of at most MAX_GRID_M products stays below 32 (p - 1)^2 < 2^63: every
+# int64 chunk sum of ``_matmul_mod``, the one reduced product of both
+# kernels, is exact before it is reduced.  Their product exceeds 2^4423.
 _PRIMES = (
     536870909, 536870879, 536870869, 536870849, 536870839, 536870837, 536870819, 536870813,
     536870791, 536870779, 536870767, 536870743, 536870729, 536870723, 536870717, 536870701,
@@ -359,9 +377,10 @@ _WORD = 2**64  # the one-word grid's modulus: uint64 arithmetic wraps modulo it
 
 
 class GridTooLarge(TooLarge):
-    """The batched grid cannot be exact for this matrix: m exceeds
-    MAX_GRID_M, so an int64 dot product of residues could overflow, or the
-    coefficient bound exceeds half the product of every prime in the table.
+    """The batched grid will not run this matrix: m exceeds MAX_GRID_M, a
+    cap on its size (its sums are chunked, so no int64 sum overflows past
+    it), or the coefficient bound exceeds half the product of every prime
+    in the table, so no modulus makes it exact.
     """
 
 
@@ -437,7 +456,7 @@ def _berkowitz_mod(mats, primes):
     """Descending coefficients of det(x I - M) mod p for a batch of int64
     residue matrices of shape (r, g, m, m), the prime of row i of the batch
     being primes[i]; the result has shape (r, g, m + 1).  Given no primes,
-    a uint64 batch is reduced modulo 2^64 by wrap-around alone.
+    a uint64 batch, r = 1, is reduced modulo 2^64 by wrap-around alone.
 
     The division-free Berkowitz recurrence, batched: no pivot and no
     inverse, so one code path serves every matrix of the batch and every
@@ -453,10 +472,12 @@ def _berkowitz_mod(mats, primes):
     below and on the diagonal and 0 above it: one product with T gathered
     from t by the indices ``_toeplitz`` caches per m; t lives in one buffer
     with the 1 in slot 0 and a 0 in its last slot for every index above the
-    diagonal.  With primes, every product is reduced mod p (in place)
-    before the next one, the first block's coefficients too, so the output
-    is below p at every m; the negated column's entries are above -p, so no
-    dot product, of at most m <= MAX_GRID_M terms, leaves int64.
+    diagonal.  Every product is ``_matmul_mod``'s: with primes it is
+    reduced below p before the next one, and the first block's
+    coefficients are reduced too, so the output is below p at every m; the
+    negated column's entries are above -p, and every dot product is summed
+    in chunks of at most MAX_GRID_M products, so no int64 sum overflows at
+    any m.  On the word the products wrap modulo 2^64.
     """
     import numpy as np
 
@@ -476,13 +497,9 @@ def _berkowitz_mod(mats, primes):
         vec = -mats[:, :, :k, k - 1 : k]
         t[..., 1] = vec[..., k - 1, 0]
         for i in range(2, k + 1):
-            vec = top @ vec[..., : k - 1, :]
-            if p is not None:
-                vec %= p
+            vec = _matmul_mod(top, vec[..., : k - 1, :], p)
             t[..., i] = vec[..., k - 1, 0]
-        coeffs = t[..., toeplitz[: k + 1, :k]] @ coeffs
-        if p is not None:
-            coeffs %= p
+        coeffs = _matmul_mod(t[..., toeplitz[: k + 1, :k]], coeffs, p)
     return coeffs[..., 0]
 
 
@@ -522,63 +539,51 @@ def _grid_table(l: int, dtype):
 
 
 def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
-    """``trivariate_detpoly``'s numerators, an array (n + 1, l, l), from one
-    batch: modulo 2^64 on uint64 words given no primes, for a bound b with
-    2 4^v b < 2^64, else on int64 residues modulo each of primes.
+    """``trivariate_detpoly``'s interpolated residues of 4^v times each
+    numerator, one row per modulus in (k', p, q) order, from one batch: a
+    (1, N) uint64 row modulo 2^64 given no primes, else an (r, N) int64
+    array, row i modulo primes[i].  The caller rebuilds the numerators.
 
-    Both build the integer basis B0..B3 and multiply it by ``_grid_table``,
-    and ``_berkowitz_mod`` gives every grid matrix's coefficients.  Then
-    ``_interp``: on the word at v, 4^v times each numerator as a signed
-    word, whose low 2v bits must be zero; mod each of primes at v = 0,
-    stacked, each numerator mod p, which ``_crt`` rebuilds."""
+    ``_residues`` takes a to either; the integer basis B0..B3 times
+    ``_grid_table`` gives every grid matrix, ``_berkowitz_mod`` their
+    coefficients and ``_interp`` on both sides the numerators, every
+    product through ``_matmul_mod``.  The batch axes lead: (r, 4, m, m)
+    for the operands of the basis (the word has no r axis until the
+    table's product), then (r, l^2, n, n) and (r, n + 1, l, l)."""
     import numpy as np
 
-    m, l, r = a.nrows, max(len(rows), 1), 1 if primes is None else len(primes)
-    if primes is None:
-        mask = _WORD - 1  # x & mask is x mod 2^64
-        low = np.array([[x & mask for x in row] for row in a.entries], dtype=np.uint64)
-    else:
-        p = primes.reshape(-1, 1, 1)
-        low = [[x % q for row in a.entries for x in row] for q in primes.tolist()]
-        low = np.array(low, dtype=np.int64).reshape(r, m, m)  # a mod each prime
+    m, l = a.nrows, max(len(rows), 1)
+    low = _residues(a.entries, primes)
+    r, p = (1, None) if primes is None else (len(primes), primes.reshape(-1, 1, 1, 1))
     in_r = np.zeros(m, dtype=low.dtype)
     in_c = np.zeros(m, dtype=low.dtype)
     in_r[rows] = in_c[cols] = 1
     in_r = in_r[:, None]  # a column, and in_r.T a row, for a batch of residues too
-    # Ahat = l a + J_B, P_r a, a P_c twice, each with the primes' axis (if
-    # any) second: P_r a is l times a's block rows less their sum, a P_c l
-    # times its block columns less each row's sum over them
-    right = np.empty((4,) + low.shape, dtype=low.dtype)
+    # Ahat = l a + J_B, P_r a, a P_c twice: P_r a is l times a's block rows
+    # less their sum, a P_c l times its block columns less each row's sum
+    right = np.empty(low.shape[:-2] + (4, m, m), dtype=low.dtype)
     scaled = l * low
-    right[0] = scaled + in_r * in_c
-    right[1] = (scaled - in_r.T @ low) * in_r
-    right[2:] = (scaled - (low @ in_c)[..., None]) * in_c
-    if primes is not None:
+    right[..., 0, :, :] = scaled + in_r * in_c
+    right[..., 1, :, :] = (scaled - in_r.T @ low) * in_r
+    right[..., 2:, :, :] = ((scaled - (low @ in_c)[..., None]) * in_c)[..., None, :, :]
+    if p is not None:
         right %= p
     # Ahat^T three times and (P_r a)^T, rows 1.. less row 0 when split
-    left = right[[0, 0, 0, 1]].swapaxes(-1, -2)
+    left = right[..., [0, 0, 0, 1], :, :].swapaxes(-1, -2)
     if n < m:
         left = left[..., 1:, :] - left[..., :1, :]
-    basis = left @ right[..., m - n :]  # B0, B1, B2, B3
-    if primes is not None:
-        basis %= p
-    grid = _grid_table(l, low.dtype) @ basis.reshape(4, r, n * n).swapaxes(0, 1)
-    if primes is not None:
-        grid %= p
+    basis = _matmul_mod(left, right[..., m - n :], p)  # B0, B1, B2, B3
+    grid = _matmul_mod(_grid_table(l, low.dtype), basis.reshape(r, 1, 4, n * n), p)
     coeffs = _berkowitz_mod(grid.reshape(r, l * l, n, n), primes)
     # 4^v l^(2k') C = (2^v W) V (2^v W)^T mod 2^64, or l^(2k') C = W V W^T
     # mod p, V the grid of lam**(n-k')
-    if primes is None:
-        values = coeffs.reshape(l, l, n + 1).transpose(2, 0, 1)
-        weights = _interp(l - 1, _WORD, v)
-        words = (weights @ values @ weights.T).view(np.int64)
-        if (words & ((1 << 2 * v) - 1)).any():
-            raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
-        return words >> 2 * v
     values = coeffs.reshape(r, l, l, n + 1).transpose(0, 3, 1, 2)
-    weights = np.stack([_interp(l - 1, q, 0) for q in primes.tolist()])[:, None]
-    nums = (weights @ values % p[:, None]) @ weights.transpose(0, 1, 3, 2) % p[:, None]
-    return _crt(nums.reshape(r, -1)).reshape(n + 1, l, l)
+    if primes is None:
+        weights = _interp(l - 1, _WORD, v)
+    else:
+        weights = np.stack([_interp(l - 1, q, v) for q in primes.tolist()])[:, None]
+    nums = _matmul_mod(_matmul_mod(weights, values, p), weights.swapaxes(-1, -2), p)
+    return nums.reshape(r, -1)
 
 
 def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
@@ -613,23 +618,25 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     columns (on the right) less their sum.  Only Ahat, its line sums and
     its trace are exact Python ints; the grid is one numpy batch
     (``_grid``), and only its modulus depends on the numerators' bound b
-    (below): 2^64 when 2 4^v b < 2^64, v = v2(l_hat!), else the product of
-    enough word-size primes.  a is taken mod 2^64 into uint64 words, or
-    mod each prime by Python's % into int64 residues; one matmul gives the
-    basis and one more, of the cached table -(1, t_r-1, t_c-1,
-    (t_r-1)(t_c-1)) (``_grid_table``), every grid matrix.  Berkowitz
-    (``_berkowitz_mod``) is division-free, so exact over Z/2^64 and Z/p
-    alike.  Words are reduced by wrap-around alone; residues are reduced
-    below p after each matmul, so a dot product stays below m (p-1)^2 and
-    a grid value below (l-1)^2 (p-1), both under 2^63.  Interpolation by
-    W = V^-1 (denominators t! (l_hat-t)!, divisors of l_hat!) ends the
+    (below), and it is picked here: 2^64 when 2 4^v b < 2^64,
+    v = v2(l_hat!), else the product of enough word-size primes.
+    ``_residues`` takes a mod 2^64 into uint64 words, or mod each prime by
+    Python's % into int64 residues; one matmul gives the basis and one
+    more, of the cached table -(1, t_r-1, t_c-1, (t_r-1)(t_c-1))
+    (``_grid_table``), every grid matrix.  Berkowitz (``_berkowitz_mod``)
+    is division-free, so exact over Z/2^64 and Z/p alike.  Every product
+    is ``_matmul_mod``'s: words wrap, and residues are reduced below p
+    after each matmul, so a chunk of a dot product stays below 32 (p-1)^2
+    and a grid value below (l-1)^2 (p-1), both under 2^63.  Interpolation
+    by W = V^-1 (denominators t! (l_hat-t)!, divisors of l_hat!) ends the
     batch, from one function (``_interp``): on the word 2^v W mod 2^64,
     with odd denominators, gives (2^v W) V (2^v W)^T, V the grid of a
-    coefficient: 4^v times each numerator, below 2^63 in size, so exact as
-    a signed word, whose low 2v bits must be zero (else
-    ``RationalityViolation``) and are shifted off; mod primes W mod p,
-    built for just the primes the grid reads, gives W V W^T mod p, and the
-    CRT (``_crt``) rebuilds each numerator.
+    coefficient: 4^v times each numerator, below 2^63 in size; mod primes
+    W mod p at v = 0, built for just the primes the grid reads, gives
+    W V W^T mod p.  ``_grid`` returns these rows, and the one rebuild is
+    here: the word's row, read as signed words, must have its low 2v bits
+    zero (else ``RationalityViolation``), and they are shifted off; the
+    primes' rows are rebuilt by the CRT (``_crt``).
     Only the interpolation matrices, the tables and the CRT basis are
     cached, never anything of a matrix.  An empty block gives the plain
     Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
@@ -660,9 +667,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
       multiplying by lam + sigma^2, which is y - placed^2 up to the scale
       of y (sigma = l placed): the complement contracts to the reduced Gram
       polynomial.
-    The tensor stores ``_grid``'s (n + 1, l, l) array raveled, one flat
-    tuple in (k', p, q) order, and ``CTensor`` checks the stored numerators
-    for sign and the unit plane 0.
+    The tensor stores the rebuilt numerators as one flat tuple in
+    ``_grid``'s (k', p, q) order, and ``CTensor`` checks them for sign and
+    the unit plane 0.
     """
     m = a.nrows
     if any(i >= m for i in block.rows + block.cols):
@@ -684,6 +691,11 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     trace = sum(x * x for row in ahat for x in row) - (sigma_sq or 0)
     bound = max(math.comb(n, k) * -(-(trace**k) // n**k) for k in range(n + 1))
     v = lhat - lhat.bit_count()  # v2(lhat!), the twos that 2^v W needs
-    primes = None if bound << (2 * v + 1) < _WORD else _primes_for(bound)
-    exact = _grid(a, rows, cols, n, v, primes)
-    return CTensor(m, lhat, tuple(exact.ravel().tolist()), sigma_sq)
+    if bound << (2 * v + 1) < _WORD:  # one signed word, whose low 2v bits must be zero
+        words = _grid(a, rows, cols, n, v, None).view("int64")
+        if (words & ((1 << 2 * v) - 1)).any():
+            raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
+        exact = words[0] >> 2 * v
+    else:
+        exact = _crt(_grid(a, rows, cols, n, 0, _primes_for(bound)))
+    return CTensor(m, lhat, tuple(exact.tolist()), sigma_sq)

@@ -32,6 +32,7 @@ from ramex.exact_linalg import (
     _hessenberg_charpoly,
     _WORD,
     _interp,
+    _matmul_mod,
     _primes_for,
     _toeplitz,
     charpoly,
@@ -173,6 +174,21 @@ def test_kernel_sums_residues_near_p_in_chunks():
     assert (m - 2) * (_PRIMES[-1] - 2) ** 2 > 2**63 > MAX_GRID_M * (_P0 - 1) ** 2
     want = (0,) * (m - 2) + (2, m, 1)
     assert charpoly(Matrix(rows)) == UniPoly(want)
+
+
+def test_word_product_wraps_modulo_2_to_the_64():
+    """Given no modulus, ``_matmul_mod`` is numpy's uint64 product, reduced
+    by wrap-around alone: on batches whose products wrap, with dot products
+    of one chunk's length and longer, it equals the product of the Python
+    ints mod 2^64."""
+    rng = np.random.default_rng(64)
+    for inner in (3, MAX_GRID_M + 5):
+        x = rng.integers(0, 2**64, size=(2, 3, 4, inner), dtype=np.uint64)
+        y = rng.integers(0, 2**64, size=(2, 3, inner, 5), dtype=np.uint64)
+        exact = x.astype(object) @ y.astype(object)
+        got = _matmul_mod(x, y, None)
+        assert got.dtype == np.uint64 and (exact >= _WORD).all()
+        assert (got.astype(object) == exact % _WORD).all()
 
 
 def test_permuted_block_diagonal_charpoly_is_the_product_of_its_blocks():
@@ -581,19 +597,25 @@ def _sparse_matrix_and_block(draw):
 # l_hat = 11, v = 8: Ahat = J splits to a zero complement
 @example((zeros(12), BlockSpec(tuple(range(12)), tuple(range(12)))))
 def test_word_grid_equals_the_prime_grid(case):
-    """A grid whose bound fits one word takes the word, with no prime, and
-    its numerators equal the prime path's, the reference, run here at
-    three primes, a modulus past 2^64; with equal line sums and without."""
+    """A grid whose bound fits one word takes the word, with no prime.  Its
+    one uint64 row, 4^v times each numerator, shifted right by 2v as a
+    signed word, equals the CRT of the prime grid's int64 rows at v = 0,
+    the reference, run here at three primes, a modulus past 2^64, and both
+    equal the tensor's numerators; with equal line sums and without."""
     a, block = case
     with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
         tensor = trivariate_detpoly(a, block)
     assume(not primes_for.called)
     primes = _primes_for(2**63)
     assert len(primes) == 3
-    rows, cols, l = list(block.rows), list(block.cols), tensor.lhat + 1
-    n = len(tensor.planes) // l**2 - 1
-    want = exact_linalg._grid(a, rows, cols, n, 0, primes)  # v is read on the word alone
-    assert want.shape == (n + 1, l, l) and tensor.planes == tuple(want.ravel().tolist())
+    rows, cols, lhat, size = list(block.rows), list(block.cols), tensor.lhat, len(tensor.planes)
+    n, v = size // (lhat + 1) ** 2 - 1, lhat - lhat.bit_count()
+    word = exact_linalg._grid(a, rows, cols, n, v, None)
+    residues = exact_linalg._grid(a, rows, cols, n, 0, primes)
+    assert word.dtype == np.uint64 and word.shape == (1, size)
+    assert residues.dtype == np.int64 and residues.shape == (3, size)
+    want = _crt(residues).tolist()
+    assert (word.view(np.int64)[0] >> 2 * v).tolist() == want and tensor.planes == tuple(want)
 
 
 _FULL_RANK = ((1, 0, 2, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1))
