@@ -3,13 +3,17 @@
 Exit codes are fixed for scripting: 0 = certificate passed, 1 = certificate
 failed (or, for verify, does not match its graph), 2 = usage / bad input,
 3 = internal invariant violation.  Commands raise; main alone turns an
-exception into its exit code and its stderr line.  All JSON output uses
-exact "num/den" strings for any value that may be non-integral.
+exception into its exit code and its stderr line.  The argument parser is
+built once per process, on the first call to main, and each call looks its
+command up by name, so a process that calls main many times pays for the
+parser once.  All JSON output uses exact "num/den" strings for any value
+that may be non-integral.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -286,6 +290,7 @@ def cmd_oracle(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramex",
@@ -313,43 +318,41 @@ def _build_parser() -> argparse.ArgumentParser:
         help="threads for child evaluation on a --trace build; a plain build "
         "evaluates one child at a time and starts no threads",
     )
-    p_build.set_defaults(func=cmd_build)
 
     p_cert = sub.add_parser("certify", help="certify a multigraph JSON file")
     p_cert.add_argument("graph", help="path to multigraph JSON")
-    p_cert.set_defaults(func=cmd_certify)
 
     p_ver = sub.add_parser(
         "verify", help="recompute a multigraph's certificate and compare it with a file"
     )
     p_ver.add_argument("graph", help="path to multigraph JSON")
     p_ver.add_argument("certificate", help="path to certificate JSON")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_np = sub.add_parser("node-poly", help="print a node's exact polynomial")
     p_np.add_argument("node", help="node JSON (inline or a file path)")
     p_np.add_argument("--n", type=int, required=True)
     p_np.add_argument("--d", type=int, required=True)
     p_np.add_argument("--ctensor", action="store_true", help="include the squared-minor tensor")
-    p_np.set_defaults(func=cmd_node_poly)
 
     p_or = sub.add_parser("oracle", help="brute-force a node's expected adjacency polynomial")
     p_or.add_argument("node", help="node JSON (inline or a file path)")
     p_or.add_argument("--n", type=int, required=True)
     p_or.add_argument("--d", type=int, required=True)
     p_or.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
-    p_or.set_defaults(func=cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command and return its exit code.  The parser is the one
+    cached for the process, which keeps no state between calls; the
+    command is cmd_<name> looked up when main runs, not when the parser
+    was built."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,9 @@ well.  The adjacency polynomial comes from the m x m Gram of the
 multiplicity matrix, not the n x n adjacency, and its trivial factor is
 deflated out of the Gram before the characteristic polynomial is taken,
 so nothing is divided out after.  certify_by_elimination
-reaches the same verdict with no characteristic polynomial at all.
+reaches the same verdict with no characteristic polynomial at all, by
+eliminating the (m-1) x (m-1) restriction of qI - B^T B to the vectors
+orthogonal to all-ones.
 """
 
 from __future__ import annotations
@@ -157,21 +159,26 @@ def certify_by_elimination(graph: Multigraph) -> bool:
     """The Ramanujan verdict of certify, reached without a characteristic
     polynomial.
 
-    B^T B has the all-ones vector as an eigenvector with eigenvalue d^2,
-    so its other eigenvalues are at most q = 4(d-1) exactly when
-    S = m q I - m B^T B + d^2 J is positive semidefinite.  That is decided
-    by fraction-free (Bareiss) symmetric elimination on integers, pivoting
-    on the largest remaining diagonal entry: each pivot is a positive
-    principal minor, and each step leaves that minor times the Schur
-    complement.  A negative diagonal entry, or a nonzero block whose
-    diagonal is all zero, means S is not PSD.
+    G = B^T B is symmetric with the all-ones vector as an eigenvector, so
+    it maps the vectors orthogonal to all-ones, which the columns of
+    C = [e_i - e_0] (i = 1..m-1) span, to themselves, and G's other
+    eigenvalues are at most q = 4(d-1) exactly when S' = C^T (qI - G) C
+    is positive semidefinite.  With C^T C = I + J,
+    S'[i][j] = q (delta_ij + 1) - (G_ij - G_i0 - G_0j + G_00).  That is
+    decided by fraction-free (Bareiss) symmetric elimination on integers,
+    pivoting on the largest remaining diagonal entry: each pivot is a
+    positive principal minor, and each step leaves that minor times the
+    Schur complement.  A negative diagonal entry, or a nonzero block whose
+    diagonal is all zero, means S' is not PSD.
     """
-    m, d = graph.params.m, graph.params.d
+    m, q = graph.params.m, graph.params.q
     cols = list(zip(*graph.multiplicity))
-    s = [[d * d - m * sum(map(mul, ci, cj)) for cj in cols] for ci in cols]
-    for i in range(m):
-        s[i][i] += m * graph.params.q
-    rest = list(range(m))
+    g = [[sum(map(mul, ci, cj)) for cj in cols] for ci in cols]
+    s = [
+        [q * (i == j) + q - (g[i][j] - g[i][0] - g[0][j] + g[0][0]) for j in range(1, m)]
+        for i in range(1, m)
+    ]
+    rest = list(range(m - 1))
     prev = 1
     while rest:
         if min(s[i][i] for i in rest) < 0:

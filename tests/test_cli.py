@@ -817,29 +817,38 @@ def _skewed_build_under_optimize(out, *extra):
 
 
 def test_the_oracle_never_loads_numpy(built_6_3):
-    """oracle, first in a fresh interpreter, never imports numpy; certify
+    """oracle, first in a fresh interpreter, never imports numpy, nor does
+    the one parser serving a usage error, --help and oracle again; certify
     and verify run the charpoly kernel and node-poly the grid, so they do,
     and the check can fail."""
     script = textwrap.dedent(
         """
-        import sys
+        import contextlib, io, sys
         from ramex import cli
 
         graph, cert = sys.argv[1:]
         node = '{"complete": [], "partial": [1]}'
         for argv in (
             ["oracle", node, "--n", "6", "--d", "3"],
+            ["oracle", node],
+            ["--help"],
+            ["oracle", node, "--n", "6", "--d", "3"],
             ["certify", graph],
             ["verify", graph, cert],
             ["node-poly", node, "--n", "6", "--d", "3"],
         ):
-            code = cli.main(argv)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = cli.main(argv)
             print(argv[0], code, "numpy" in sys.modules, file=sys.stderr)
         """
     )
     graph, cert = built_6_3 / "graph.json", built_6_3 / "certificate.json"
     proc = _python("-c", script, str(graph), str(cert))
     assert proc.stderr.splitlines() == [
+        "oracle 0 False",
+        "oracle 2 False",
+        "--help 0 False",
         "oracle 0 False",
         "certify 0 True",
         "verify 0 True",
@@ -1008,3 +1017,24 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_the_cached_parser_carries_no_state_between_calls(capsys):
+    """Options of one parse leave the next at its defaults; a usage error or
+    --help leaves the parser ready for the next command."""
+    parser = cli._build_parser()
+    args = parser.parse_args(["build", "--n", "4", "--d", "3", "--trace", "--jobs", "2"])
+    assert (args.trace, args.jobs) == (True, 2)
+    args = parser.parse_args(["build", "--n", "4", "--d", "3"])
+    assert (args.trace, args.jobs, args.out) == (False, 1, ".")
+    oracle = ["oracle", '{"complete": [], "partial": [1]}', "--n", "4", "--d", "3"]
+    assert run(capsys, "oracle", "--n", "4")[0] == 2
+    first = run(capsys, *oracle)
+    assert first[0] == 0
+    code, stdout, _ = run(capsys, "--help")
+    assert (code, stdout.startswith("usage: ramex")) == (0, True)
+    assert run(capsys, *oracle) == first

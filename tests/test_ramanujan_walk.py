@@ -498,7 +498,7 @@ def test_elimination_agrees_with_certify(m, d, seed):
         # just over the bound, and q = 0
         (3, ((3, 0), (0, 3)), False),  # disconnected: 9 > 8
         (3, ((2, 1, 0), (1, 2, 0), (0, 0, 3)), False),
-        # elimination ends on a block with an all-zero diagonal but a nonzero entry
+        # elimination ends on a negative diagonal entry
         (
             3,
             (
@@ -514,6 +514,8 @@ def test_elimination_agrees_with_certify(m, d, seed):
         (1, ((1,),), True),
         (1, ((1, 0), (0, 1)), False),
         (4, ((4,),), True),  # m = 1: no nontrivial eigenvalue
+        # elimination ends on a block with an all-zero diagonal but a nonzero entry
+        (4, ((0, 2, 2), (4, 0, 0), (0, 2, 2)), False),
     ],
 )
 def test_elimination_hand_built_cases(d, mult, passed):
