@@ -4,9 +4,10 @@ Scalars are Python ints, and arbitrary-precision rationals
 (``fractions.Fraction``) only where a public value is rational;
 polynomials are dense and univariate over them.  The one irrational number
 the pipeline meets, sqrt(q) with q = 4(d-1), is carried as a pair (a, b)
-of integers denoting a + b*sqrt(q): the shift p(x + sqrt(q)) of an
-integer polynomial is computed as such pairs, one at a time, and their
-signs are decided by integer comparison.  Nothing here ever rounds; every
+denoting a + b*sqrt(q): the shift p(x + sqrt(q)) of a polynomial with
+integer or rational coefficients is computed as such pairs, one at a
+time, over the coefficients' own ring, and their signs are decided by
+exact comparison.  Nothing here ever rounds; every
 operation is exact, and exactness is what makes the root tests downstream
 trustworthy.
 
@@ -17,7 +18,6 @@ denominator omitted when it is 1 (this is exactly ``str(Fraction)``);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,27 +114,22 @@ class UniPoly:
         return UniPoly(tuple(other * c for c in self.coeffs))
 
 
-def clear_denominators(p: UniPoly) -> tuple[list, int]:
-    """p's coefficients times their least common denominator, and that
-    positive denominator: integers with the signs of p's coefficients."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
+def sqrt_shift_pairs(coeffs, q: int):
+    """Yield, from j = 0 on, the pairs (a_j, b_j) of
+    P(x + sqrt(q)) = sum_j (a_j + b_j sqrt(q)) x**j, P = sum_i coeffs[i] x**i.
 
-
-def sqrt_shift_pairs(ints, q: int):
-    """Yield, from j = 0 on, the integer pairs (a_j, b_j) of
-    P(x + sqrt(q)) = sum_j (a_j + b_j sqrt(q)) x**j, P = sum_i ints[i] x**i.
-
-    A Taylor shift: pass j is Horner's rule by sqrt(q) on the coefficients
-    from j up, with sqrt(q) (a + b sqrt(q)) = q b + a sqrt(q), and leaves
-    pair j final, so pair 0, P(sqrt(q)), costs one pass.  At q = 0 every
-    b_j is 0 and a_j = ints[j].
+    The coefficients are integers or rationals, and so are the pairs: the
+    shift only adds and multiplies by q.  A Taylor shift: pass j is
+    Horner's rule by sqrt(q) on the coefficients from j up, with
+    sqrt(q) (a + b sqrt(q)) = q b + a sqrt(q), and leaves pair j final, so
+    pair 0, P(sqrt(q)), costs one pass.  At q = 0 every b_j is 0 and
+    a_j = coeffs[j].
     """
     if q < 0:
         raise ValueError("q must be a nonnegative integer")
-    if not any(ints):
+    if not any(coeffs):
         raise ValueError("p must be nonzero")
-    a, b = list(ints), [0] * len(ints)
+    a, b = list(coeffs), [0] * len(coeffs)
     top = len(a) - 1
     for j in range(top):
         for i in range(top - 1, j - 1, -1):

@@ -75,7 +75,7 @@ class NodeState:
         if total > d:
             raise ValueError(f"node carries {total} matchings, more than d={d}")
         for match in self.complete:
-            if sorted(match) != list(range(m)):
+            if len(match) != m or sorted(match) != list(range(m)):
                 raise ValueError(f"not a permutation of 1..{m}: {[j + 1 for j in match]}")
         if self.partial is not None:
             t = len(self.partial)

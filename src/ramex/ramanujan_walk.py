@@ -10,16 +10,17 @@ q = 4(d-1).  The children of a passing node share a common interlacer, so
 each has at most one root above sqrt(q), and one exact number decides a
 child: its polynomial's value at sqrt(q), which passes if positive and
 fails if negative; a value of 0 takes the exact root test on the integer
-pairs (a, b) of the shifted coefficients a + b sqrt(q).  A stage's c
-children average to their parent, so the last child's polynomial, and its
-value, is c times the parent's less the other c - 1.  One loop serves
-both walks: a lazy walk computes only values, one child at a time until
-one passes, taking the last from the identity (a single child is the
-parent itself); an audited walk first evaluates every child in full and
-checks their average, each value and each verdict.  On both, the leaf's
-polynomial must have the value carried down to it.  At a leaf the
-matchings combine
-into a d-regular bipartite multigraph whose nontrivial spectrum is
+pairs (a, b) of the shifted coefficients a + b sqrt(q), the one sqrt(q)
+rule (``_pairs_pass``) that the start node and the certificate take too.
+A stage's c children average to their parent, so the last child's
+polynomial, and its value, is c times the parent's less the other c - 1.
+One loop serves both walks: a lazy walk computes only values, one child
+at a time until one passes, taking the last from the identity (a single
+child is the parent itself); an audited walk first evaluates every child
+in full and checks their average and each verdict.  On both, every
+polynomial the walk computes, the leaf's included, must have the value
+carried with it.  At a leaf the matchings combine into a d-regular
+bipartite multigraph whose nontrivial spectrum is
 certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
 symmetric about zero, so bounding the max root bounds the min root as
 well.  The adjacency polynomial comes from the m x m Gram of the
@@ -39,12 +40,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
 
 from .exact_algebra import (
     InvariantViolation,
     UniPoly,
-    clear_denominators,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
@@ -73,23 +72,24 @@ class NoPassingChild(InvariantViolation):
         self.child_polys = tuple(child_polys)
 
 
-def max_root_leq_sqrt(p: UniPoly, q: int) -> bool:
-    """Exact test whether the max root of real-rooted p is <= sqrt(q), on
-    p's coefficients over their positive common denominator."""
-    return _max_root_leq_sqrt_ints(clear_denominators(p)[0], q)
-
-
-def _max_root_leq_sqrt_ints(ints, q: int) -> bool:
-    """``max_root_leq_sqrt`` of sum_i ints[i] x**i, ints integers.
-
-    Shifts to p(x + sqrt(q)), whose coefficients are pairs a + b sqrt(q);
-    p's roots are <= sqrt(q) exactly when every pair is nonnegative, which
-    exact signs decide one pair at a time.  Pair 0, p(sqrt(q)), comes
-    first: every failing child measured so far is negative there, so it
-    costs one pair, not deg p + 1.  At q = 0 the pairs are p's own
-    coefficients.
+def _pairs_pass(pairs, q: int) -> bool:
+    """The one sqrt(q) rule: whether a real-rooted p with a positive
+    leading coefficient has every root <= sqrt(q), from the pairs
+    a + b sqrt(q) of p(x + sqrt(q)) (``sqrt_shift_pairs``, integer or
+    rational).  The roots of p(x + sqrt(q)) are p's less sqrt(q), so they
+    are all <= 0 exactly when no coefficient changes sign, that is when
+    every pair is nonnegative, which exact signs decide one pair at a
+    time.  Pair 0, p(sqrt(q)), comes first: every failing child measured
+    so far is negative there, so a lazy shift costs one pass, not
+    deg p + 1.  At q = 0 the pairs are p's own coefficients.
     """
-    return all(quad_sign(a, b, q) >= 0 for a, b in sqrt_shift_pairs(ints, q))
+    return all(quad_sign(a, b, q) >= 0 for a, b in pairs)
+
+
+def max_root_leq_sqrt(p: UniPoly, q: int) -> bool:
+    """Exact test whether the max root of real-rooted p is <= sqrt(q):
+    ``_pairs_pass`` on the shift of p's own coefficients."""
+    return _pairs_pass(sqrt_shift_pairs(p.coeffs, q), q)
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,10 @@ def certify(graph: Multigraph) -> Certificate:
     is positive semidefinite, and e_k of a sub-multiset of nonnegative
     eigenvalues is at most e_k of them all, so it bounds det(yI - G') too.
     G''s own bound, from longer rows, takes more primes more often, and at
-    m = 1 would let an absurd d past the size cap.  The sqrt-q root test
-    runs with q = 4(d-1) on the integer pairs of the shifted nontrivial
-    polynomial.
+    m = 1 would let an absurd d past the size cap.  The sqrt(q) rule,
+    ``_pairs_pass`` with q = 4(d-1), decides the verdict on the same
+    integer pairs of the shifted nontrivial polynomial that the
+    certificate reports.
     """
     m, d = graph.params.m, graph.params.d
     # B^T B from each row's nonzero entries, at most d of them
@@ -151,7 +152,7 @@ def certify(graph: Multigraph) -> Certificate:
         adjacency_charpoly=poly_substitute_square(UniPoly(tuple(full))),
         nontrivial_poly=nontrivial,
         shifted_coeffs=shifted,
-        passed=all(quad_sign(a, b, q) >= 0 for a, b in shifted),
+        passed=_pairs_pass(shifted, q),
     )
 
 
@@ -162,9 +163,11 @@ def certify_by_elimination(graph: Multigraph) -> bool:
     G = B^T B is symmetric with the all-ones vector as an eigenvector, so
     it maps the vectors orthogonal to all-ones, which the columns of
     C = [e_i - e_0] (i = 1..m-1) span, to themselves, and G's other
-    eigenvalues are at most q = 4(d-1) exactly when S' = C^T (qI - G) C
-    is positive semidefinite.  With C^T C = I + J,
-    S'[i][j] = q (delta_ij + 1) - (G_ij - G_i0 - G_0j + G_00).  That is
+    eigenvalues are at most q = 4(d-1) exactly when
+    S' = C^T (qI - G) C = q (I + J) - (BC)^T (BC) is positive
+    semidefinite.  S' is built from B's rows, with no Gram: a row b of B
+    is the row u of BC with u_i = b_i - b_0, nonzero only where
+    b_i != b_0, and S' loses u u^T for each.  That is
     decided by fraction-free (Bareiss) symmetric elimination on integers,
     pivoting on the largest remaining diagonal entry: each pivot is a
     positive principal minor, and each step leaves that minor times the
@@ -172,12 +175,12 @@ def certify_by_elimination(graph: Multigraph) -> bool:
     diagonal is all zero, means S' is not PSD.
     """
     m, q = graph.params.m, graph.params.q
-    cols = list(zip(*graph.multiplicity))
-    g = [[sum(map(mul, ci, cj)) for cj in cols] for ci in cols]
-    s = [
-        [q * (i == j) + q - (g[i][j] - g[i][0] - g[0][j] + g[0][0]) for j in range(1, m)]
-        for i in range(1, m)
-    ]
+    s = [[q * (i == j) + q for j in range(m - 1)] for i in range(m - 1)]
+    for row in graph.multiplicity:
+        u = [(i, b - row[0]) for i, b in enumerate(row[1:]) if b != row[0]]
+        for i, a in u:
+            for j, c in u:
+                s[i][j] -= a * c
     rest = list(range(m - 1))
     prev = 1
     while rest:
@@ -208,14 +211,14 @@ def _child_passes(value, ints, q: int) -> bool:
     interlacer whose largest root is at most the parent's max root, at most
     sqrt(q) (Marcus, Spielman and Srivastava, Interlacing Families I), so a
     child has at most one root above sqrt(q), and its sign there is (-1) to
-    the number of them.  A value of 0 takes the root test on ints, the
-    child's integer polynomial; given ints (an audited walk has them for
-    every child), a sign that contradicts that test raises
+    the number of them.  A value of 0 takes the sqrt(q) rule on the pairs
+    of ints, the child's integer polynomial; given ints (an audited walk
+    has them for every child), a sign that contradicts that rule raises
     InvariantViolation.
     """
     if ints is None:
         return value > 0
-    passed = _max_root_leq_sqrt_ints(ints, q)
+    passed = _pairs_pass(sqrt_shift_pairs(ints, q), q)
     if value and passed != (value > 0):
         raise InvariantViolation(f"the sign of p(sqrt({q})) = {value} contradicts the root test")
     return passed
@@ -282,17 +285,17 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     passes and takes the last child's value as c times the parent's less
     the others (a single child is the parent).  An audited walk decides
     every child, evaluates each in full up front, in ``walk_workers``
-    threads, and checks that their polynomials average to the parent and
-    that each value is its own polynomial's.  A stage where none passes
-    evaluates every child in full before NoPassingChild is raised.  The
-    leaf's polynomial must have the value carried down to it.  The leaf
-    never depends on audit or jobs.
+    threads, and checks that their polynomials average to the parent.  On
+    both walks each value must be its own polynomial's wherever that
+    polynomial was computed, the leaf's included.  A stage where none
+    passes evaluates every child in full before NoPassingChild is raised.
+    The leaf never depends on audit or jobs.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = params.q
     current = NodeState((tuple(range(params.m)),), None)
     current_poly, ints = contraction_poly(contract_node(current, params), params)
-    if not _max_root_leq_sqrt_ints(ints, q):
+    if not _pairs_pass(sqrt_shift_pairs(ints, q), q):
         raise NoPassingChild(
             f"start node polynomial {[rational_to_str(c) for c in current_poly.coeffs]} "
             f"already violates the bound sqrt({q}) (expected only in the degenerate d=1 regime)",
@@ -325,7 +328,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 if full is None and not values[-1]:  # a value of 0 takes the full polynomial
                     full = _full_poly(kid, params, contraction)
                 poly, ints = full or (None, None)
-                if audit and _value(ints, q) != values[-1]:
+                if full and _value(ints, q) != values[-1]:
                     raise InvariantViolation(
                         f"the polynomial of {_named(kid)} differs from its value at sqrt({q})"
                     )

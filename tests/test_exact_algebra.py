@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from ramex.exact_algebra import (
     UniPoly,
-    clear_denominators,
     poly_substitute_square,
     quad_sign,
     rational_to_str,
@@ -107,7 +106,7 @@ def _taylor_shift(p: UniPoly, s: int) -> UniPoly:
 
 def test_poly_shift_perfect_square_matches_rational_taylor_shift():
     """For q = s^2 the pairs fold to the rational shift: a_j + s b_j is
-    the x**j coefficient of p(x + s), over p's common denominator."""
+    the x**j coefficient of p(x + s)."""
     rng = random.Random(17)
     for _ in range(40):
         deg = rng.randint(0, 8)
@@ -116,9 +115,8 @@ def test_poly_shift_perfect_square_matches_rational_taylor_shift():
             + (Fraction(rng.randint(1, 4), rng.randint(1, 3)),)
         )
         s = rng.randint(1, 6)
-        ints, den = clear_denominators(p)
-        folded = UniPoly(tuple(a + s * b for a, b in sqrt_shift_pairs(ints, s * s)))
-        assert folded == den * _taylor_shift(p, s), (p, s)
+        folded = UniPoly(tuple(a + s * b for a, b in sqrt_shift_pairs(p.coeffs, s * s)))
+        assert folded == _taylor_shift(p, s), (p, s)
 
 
 def _binomial_shift(p: UniPoly, q: int) -> tuple:
@@ -142,13 +140,11 @@ def _binomial_shift(p: UniPoly, q: int) -> tuple:
     st.one_of(st.integers(0, 50), st.sampled_from((0, 9, 36))),
 )
 def test_poly_shift_matches_the_binomial_expansion(p, q):
-    """The Taylor shift on integers gives the binomial sums exactly, over
-    p's common denominator, one pair at a time or all at once."""
-    ints, den = clear_denominators(p)
-    assert den > 0 and UniPoly(tuple(Fraction(c, den) for c in ints)) == p
-    want = tuple((den * a, den * b) for a, b in _binomial_shift(p, q))
-    assert tuple(sqrt_shift_pairs(ints, q)) == want
-    assert next(sqrt_shift_pairs(ints, q)) == want[0]
+    """The Taylor shift on rational coefficients gives the binomial sums
+    exactly, one pair at a time or all at once."""
+    want = _binomial_shift(p, q)
+    assert tuple(sqrt_shift_pairs(p.coeffs, q)) == want
+    assert next(sqrt_shift_pairs(p.coeffs, q)) == want[0]
 
 
 def test_poly_shift_rejects_bad_input():

@@ -19,6 +19,8 @@ from ramex.expectation_engine import (
     _folds,
     _value_table,
     _weight_table,
+    contract_node,
+    contraction_poly,
     fixed_plus_random_block_expected,
     node_polynomial,
     node_value,
@@ -417,6 +419,23 @@ def test_node_tensor_without_the_split_off_factor_is_an_engine_fault(monkeypatch
     for evaluate in (node_polynomial, node_value):
         with pytest.raises(InvariantViolation, match="no all-ones factor split off"):
             evaluate(node, Params(4, 3))
+
+
+def test_a_fold_scale_off_the_folds_is_an_engine_fault(monkeypatch):
+    """The folded Gram polynomial must have degree n - 2 and the folds'
+    scale times the Gram's denominator as its leading coefficient; a
+    scale doubled apart from its fold matrix is caught there."""
+    real = expectation_engine._folds
+
+    def doubled(r, f):
+        power, scale = real(r, f)
+        return power, 2 * scale
+
+    params = Params(6, 3)
+    contraction = contract_node(NodeState(((0, 1, 2),), (1,)), params)
+    monkeypatch.setattr(expectation_engine, "_folds", doubled)
+    with pytest.raises(InvariantViolation, match="degree bookkeeping broken"):
+        contraction_poly(contraction, params)
 
 
 @pytest.mark.parametrize(

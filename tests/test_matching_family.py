@@ -1,5 +1,6 @@
 """Node enumeration, half-adjacency assembly, leaf graphs, JSON forms."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -152,6 +153,19 @@ def test_node_state_validation():
     for complete in (3, 4):  # a partial on d or more complete matchings is too many too
         with pytest.raises(ValueError, match="more than d=3"):
             NodeState(((0, 1, 2),) * complete, (0,)).validate(params)
+
+
+def test_a_short_matching_is_rejected_on_its_length():
+    """validate measures a complete matching before it compares it with
+    1..m, so a short one costs nothing in proportion to n."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.1000000: \[1\]"):
+            NodeState(((0,),)).validate(Params(2_000_000, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_node_json_round_trip():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -477,6 +478,44 @@ def test_audited_walk_checks_each_value_against_its_polynomial(monkeypatch):
     monkeypatch.setattr(ramanujan_walk, "contraction_value", lambda *args: real(*args) + 1)
     with pytest.raises(InvariantViolation, match=r"differs from its value at sqrt\(8\)"):
         walk(Params(6, 3))
+
+
+def _skewing_full_poly(monkeypatch, skew):
+    """Raise by 1 the full polynomials of the nodes skew(node) picks (the
+    integer form by its denominator); the nodes computed in full, in order."""
+    real, computed = ramanujan_walk._full_poly, []
+
+    def full_poly(node, params, contraction=None):
+        poly, ints = real(node, params, contraction)
+        computed.append(node)
+        if skew(node):
+            return poly + UniPoly((1,)), (ints[0] + ints[-1], *ints[1:])
+        return poly, ints
+
+    monkeypatch.setattr(ramanujan_walk, "_full_poly", full_poly)
+    return computed
+
+
+def test_lazy_walk_checks_a_zero_valued_child_against_its_value(monkeypatch):
+    """A lazy walk computes in full only the children whose value is 0, and
+    checks each polynomial against that value: the first such child, raised
+    by 1, is caught and named."""
+    computed = _skewing_full_poly(monkeypatch, lambda node: len(computed) == 1)
+    child = '{"complete": [[1, 2, 3, 4]], "partial": [1]}'
+    message = f"the polynomial of {child} differs from its value at sqrt(4)"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        walk(Params(8, 2), audit=False)
+    assert computed == [NodeState(((0, 1, 2, 3),), (0,))]
+
+
+def test_lazy_walk_checks_its_leaf_against_its_value(monkeypatch):
+    """A lazy walk that decides its leaf by value alone computes the leaf's
+    polynomial last; one raised by 1 fails the walk's own leaf check."""
+    computed = _skewing_full_poly(monkeypatch, lambda node: True)
+    message = "the walk's leaf polynomial differs from its value at sqrt(8)"
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        walk(Params(4, 3), audit=False)
+    assert computed == [NodeState(((0, 1), (0, 1), (1, 0)))]
 
 
 @settings(max_examples=300)
