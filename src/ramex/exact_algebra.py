@@ -83,9 +83,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __add__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented

@@ -11,12 +11,14 @@ denominators.
 Both can run on int64 residues modulo the leading primes of one literal
 table of word-size primes, as many as a bound on the result needs, and
 rebuild each integer by the Chinese remainder theorem; the tensor runs on
-the 2^64 word instead when its bound allows.  ``charpoly`` reduces the
-matrix to Hessenberg form modulo every prime at once, in one numpy batch
-(``_hessenberg_charpoly``), with as many primes as twice Hadamard's bound
-on its coefficients needs.  Certification calls its two halves,
-``charpoly_primes`` and ``charpoly_coeffs``, to take the primes from the
-Gram but run the kernel on its deflated (m-1) x (m-1) block.
+the 2^64 word instead when its bound allows.  ``charpoly_coeffs`` reduces
+the matrix to Hessenberg form modulo every prime at once, in one numpy
+batch (``_hessenberg_charpoly``); ``charpoly_primes`` takes as many primes
+as twice Hadamard's bound on its coefficients needs.  Certification calls
+the two apart, to take the primes from the Gram but run the kernel on its
+deflated (m-1) x (m-1) block.  A bound past the whole table raises
+``CoefficientsTooLarge``, for the grid as for the characteristic
+polynomial.
 
 The tensor comes from characteristic polynomials on the grid
 {0..l_hat}^2 and interpolation by the inverse Vandermonde matrix, in one
@@ -42,10 +44,11 @@ chunks modulo a prime and wraps on the word.  Only constant tables
 are cached: grid coefficients, Berkowitz's gather indices per size, CRT
 bases and interpolation matrices, the latter built by one function per
 (l_hat, modulus), 2^64 or one prime, for the moduli a grid reads and no
-others.  ``charpoly``, by Hessenberg reduction with per-prime pivots, is
-the independent reference for the grid's division-free Berkowitz batch;
-the two share only the prime table and the CRT.  numpy is imported inside
-the functions that run a batch, so importing the module never loads it.
+others.  ``charpoly_coeffs``, by Hessenberg reduction with per-prime
+pivots, is the independent reference for the grid's division-free
+Berkowitz batch; the two share only the prime table and the CRT.  numpy
+is imported inside the functions that run a batch, so importing the
+module never loads it.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import lt
 
-from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
+from .exact_algebra import InvariantViolation, TooLarge, rational_to_str
 
 
 class RationalityViolation(InvariantViolation):
@@ -133,8 +136,10 @@ class BlockSpec:
 
 
 class CoefficientsTooLarge(TooLarge):
-    """The charpoly's coefficient bound exceeds half the product of every
-    prime in the table, so no modulus the table gives makes it exact."""
+    """A bound on exact integers, a characteristic polynomial's
+    coefficients or the grid's numerators, exceeds half the product of
+    every prime in the table, so no modulus the table gives makes them
+    exact."""
 
 
 def charpoly_primes(rows):
@@ -147,18 +152,11 @@ def charpoly_primes(rows):
     row norm, so every coefficient is at most b = max_k C(m, k) R^k in
     size.  b^2 is exact on integers, and an integer coefficient is then at
     most isqrt(b^2), so ``_primes_for`` takes primes whose product exceeds
-    twice that.  Past the table, CoefficientsTooLarge is raised.
+    twice that, or raises CoefficientsTooLarge past the table.
     """
     m = len(rows)
     norm_sq = max((sum(x * x for x in row) for row in rows), default=0)
-    bound = math.isqrt(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1)))
-    try:
-        return _primes_for(bound)
-    except GridTooLarge:
-        raise CoefficientsTooLarge(
-            f"a {bound.bit_length()}-bit characteristic polynomial coefficient bound exceeds "
-            f"the largest modulus, the product of the {len(_PRIMES)} table primes"
-        ) from None
+    return _primes_for(math.isqrt(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1))))
 
 
 def _matmul_mod(x, y, p):
@@ -268,14 +266,6 @@ def charpoly_coeffs(rows, primes) -> list:
     return _crt(_hessenberg_charpoly(_residues(rows, primes), primes)).tolist()
 
 
-def charpoly(matrix: Matrix) -> UniPoly:
-    """det(xI - M), exact and monic, in O(m^3) operations per prime:
-    ``charpoly_coeffs`` modulo the primes ``charpoly_primes`` takes from
-    Hadamard's bound.  The primes are exact, not probabilistic."""
-    rows = matrix.entries
-    return UniPoly(tuple(charpoly_coeffs(rows, charpoly_primes(rows))))
-
-
 @dataclass(frozen=True)
 class CTensor:
     """Squared-minor sums C[k'][p][q] of the block-reduced matrix, indexed
@@ -329,10 +319,6 @@ class CTensor:
     def denominator(self, kprime: int) -> int:
         return (self.lhat + 1) ** (2 * kprime)
 
-    def get(self, kprime: int, p: int, q: int) -> Fraction:
-        size = self.lhat + 1
-        return Fraction(self.nums[(kprime * size + p) * size + q], self.denominator(kprime))
-
     def to_json(self) -> dict:
         s, size = (self.lhat + 1) ** 2, self.lhat + 1
         values = []
@@ -379,9 +365,7 @@ _WORD = 2**64  # the one-word grid's modulus: uint64 arithmetic wraps modulo it
 class GridTooLarge(TooLarge):
     """The batched grid will not run this matrix: m exceeds MAX_GRID_M, a
     cap on its size (its sums are chunked, so no int64 sum overflows past
-    it), or the coefficient bound exceeds half the product of every prime
-    in the table, so no modulus makes it exact.
-    """
+    it)."""
 
 
 def check_grid_size(m: int) -> None:
@@ -393,13 +377,17 @@ def check_grid_size(m: int) -> None:
 def _primes_for(bound: int):
     """The fewest leading table primes whose product exceeds 2 * bound, so
     that every integer of absolute value at most bound is its symmetric
-    residue modulo that product; an int64 array."""
+    residue modulo that product; an int64 array.  Past the whole table it
+    raises CoefficientsTooLarge."""
     import numpy as np
 
     modulus, count = 1, 0
     while modulus <= 2 * bound:
         if count == len(_PRIMES):
-            raise GridTooLarge(f"a {bound.bit_length()}-bit bound exceeds the prime table")
+            raise CoefficientsTooLarge(
+                f"a {bound.bit_length()}-bit coefficient bound exceeds the largest modulus, "
+                f"the product of the {len(_PRIMES)} table primes"
+            )
         modulus *= _PRIMES[count]
         count += 1
     return np.array(_PRIMES[:count], dtype=np.int64)
@@ -460,8 +448,8 @@ def _berkowitz_mod(mats, primes):
 
     The division-free Berkowitz recurrence, batched: no pivot and no
     inverse, so one code path serves every matrix of the batch and every
-    commutative ring, Z/2^64 too.  ``charpoly``, by Hessenberg reduction,
-    is its independent reference.
+    commutative ring, Z/2^64 too.  ``charpoly_coeffs``, by Hessenberg
+    reduction, is its independent reference.
     One loop grows the leading block from 1 x 1, coefficients (1, -a[0][0])
     ((1) at m = 0, where the loop does not run), to m x m.  Step k takes
     the Toeplitz vector t = (1, -u_1, ..., -u_k) of the new row and column,

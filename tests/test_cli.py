@@ -309,6 +309,8 @@ def test_verify_rejects_malformed_input(built_6_3, tmp_path, capsys):
 
 
 def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypatch):
+    """A certificate whose nontrivial polynomial is not the walk's leaf
+    polynomial fails build's cross-check against certify: exit 3, no graph."""
     real = cli.certify
 
     def skewed(graph):
@@ -320,7 +322,10 @@ def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "certify", skewed)
     code, _, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
     assert code == 3
-    assert "leaf polynomial" in stderr
+    assert stderr == (
+        "internal error: the walk's leaf polynomial differs from the certified "
+        "nontrivial polynomial\n"
+    )
     assert not (tmp_path / "graph.json").exists()
 
 
@@ -928,12 +933,13 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
 
 def test_skewed_lazy_build_fails_the_leaf_check(tmp_path):
     """A plain build walks lazily and runs no averaging check; the same skew
-    then reaches the leaf and fails build's cross-check against certify."""
+    then reaches the leaf, where the walk's own check of the leaf
+    polynomial against its value fails before certify runs."""
     proc = _skewed_build_under_optimize(tmp_path)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert proc.stdout == ""
-    assert "the walk's leaf polynomial differs" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    message = "internal error: the walk's leaf polynomial differs from its value at sqrt(8)\n"
+    assert proc.stderr == message
     assert not (tmp_path / "graph.json").exists()
 
 

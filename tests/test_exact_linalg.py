@@ -35,7 +35,6 @@ from ramex.exact_linalg import (
     _matmul_mod,
     _primes_for,
     _toeplitz,
-    charpoly,
     charpoly_primes,
     rationality_violation_count,
     trivariate_detpoly,
@@ -44,7 +43,7 @@ from ramex.matching_family import Multigraph, NodeState, Params, half_adjacency
 from ramex.oracle import _det_xid_minus
 from ramex.ramanujan_walk import certify
 
-from matrices import gram, identity, planes, zeros
+from matrices import cell, charpoly, gram, identity, planes, zeros
 
 
 def naive_charpoly(mat: Matrix) -> UniPoly:
@@ -291,7 +290,7 @@ def test_charpoly_of_large_grams_matches_bareiss_determinants(m, seed):
     poly = charpoly(b_gram)
     nontrivial = certify(Multigraph(Params(2 * m, 3), mult)).nontrivial_poly
     reduced = UniPoly(nontrivial.coeffs[::2])  # R(y), nontrivial = R(x^2)
-    assert poly.degree == m and poly.coeff(m) == 1 and reduced.degree == m - 1
+    assert poly.degree == m and poly.coeffs[m] == 1 and reduced.degree == m - 1
     for x in (-3, 0, 4, 9):
         det = _shifted_det(b_gram.entries, x)
         assert _at(poly, x) == det
@@ -304,7 +303,7 @@ def test_charpoly_of_a_dense_nonsymmetric_matrix_with_huge_entries():
     rng = random.Random(24)
     rows = [[rng.randint(-(2**80), 2**80) for _ in range(24)] for _ in range(24)]
     poly = charpoly(Matrix(rows))
-    assert poly.degree == 24 and poly.coeff(24) == 1
+    assert poly.degree == 24 and poly.coeffs[24] == 1
     for x in (-5, 0, 2**40):
         assert _at(poly, x) == _shifted_det(rows, x)
 
@@ -325,7 +324,7 @@ def test_charpoly_past_the_largest_modulus_raises():
 
 def _e_k(poly: UniPoly, m: int) -> list:
     """Elementary symmetric functions of the roots of monic degree-m poly."""
-    return [(-1) ** k * poly.coeff(m - k) for k in range(m + 1)]
+    return [(-1) ** k * poly.coeffs[m - k] for k in range(m + 1)]
 
 
 def test_trivariate_identity_example():
@@ -333,15 +332,15 @@ def test_trivariate_identity_example():
     # reduced block is empty and det(lam I + Abar^T Abar) = lam^2 + 5 lam + 4
     tensor = trivariate_detpoly(identity(2), BlockSpec((1,), (1,)))
     assert tensor.m == 2 and tensor.lhat == 0
-    assert [tensor.get(k, 0, 0) for k in range(3)] == [1, 5, 4]
+    assert [cell(tensor, k, 0, 0) for k in range(3)] == [1, 5, 4]
     # full block of I_2: Abar = I + J/2; the reduced block is {1} x {1}
     tensor = trivariate_detpoly(identity(2), BlockSpec((0, 1), (0, 1)))
     # the reflected matrix is diag(2, 1), so det = (lam + 4)(lam + t_r t_c)
     assert tensor.lhat == 1
-    assert tensor.get(0, 0, 0) == 1
-    assert tensor.get(1, 0, 0) == 4 and tensor.get(1, 1, 1) == 1
-    assert tensor.get(2, 1, 1) == 4
-    assert tensor.get(2, 0, 0) == 0 and tensor.get(1, 1, 0) == 0
+    assert cell(tensor, 0, 0, 0) == 1
+    assert cell(tensor, 1, 0, 0) == 4 and cell(tensor, 1, 1, 1) == 1
+    assert cell(tensor, 2, 1, 1) == 4
+    assert cell(tensor, 2, 0, 0) == 0 and cell(tensor, 1, 1, 0) == 0
 
 
 def test_trivariate_zero_matrix():
@@ -349,12 +348,12 @@ def test_trivariate_zero_matrix():
     # the reduction splits off: only C[1][0][0] = ||J_B / l||^2 = 1 survives
     for m in (2, 3):
         tensor = trivariate_detpoly(zeros(m), BlockSpec((0, 1), (0, 1)))
-        assert tensor.get(0, 0, 0) == 1
+        assert cell(tensor, 0, 0, 0) == 1
         for kp in range(1, m + 1):
             for p in range(2):
                 for q in range(2):
                     expected = 1 if (kp, p, q) == (1, 0, 0) else 0
-                    assert tensor.get(kp, p, q) == expected
+                    assert cell(tensor, kp, p, q) == expected
 
 
 def test_trivariate_empty_reduced_block():
@@ -362,12 +361,12 @@ def test_trivariate_empty_reduced_block():
     gram_poly = charpoly(gram(a))
     tensor = trivariate_detpoly(a, BlockSpec((), ()))
     assert tensor.lhat == 0
-    assert [tensor.get(k, 0, 0) for k in range(3)] == _e_k(gram_poly, 2)
+    assert [cell(tensor, k, 0, 0) for k in range(3)] == _e_k(gram_poly, 2)
     # a single-cell block leaves an empty reduced block: the bumped Gram
     tensor = trivariate_detpoly(a, BlockSpec((1,), (0,)))
     bumped = Matrix.from_rows([[1, 2], [1, 1]])
     assert tensor.lhat == 0
-    assert [tensor.get(k, 0, 0) for k in range(3)] == _e_k(charpoly(gram(bumped)), 2)
+    assert [cell(tensor, k, 0, 0) for k in range(3)] == _e_k(charpoly(gram(bumped)), 2)
 
 
 def _assert_at_ones_is_full_gram(base: Matrix, rows: tuple, cols: tuple):
@@ -383,7 +382,7 @@ def _assert_at_ones_is_full_gram(base: Matrix, rows: tuple, cols: tuple):
     # at t_r = t_c = 1 the polynomial is det(lam I + Abar^T Abar), whose
     # e_k is that of the scaled Gram over l^(2k)
     m, span = base.nrows, range(l)
-    sums = [sum(tensor.get(k, p, q) for p in span for q in span) for k in range(m + 1)]
+    sums = [sum(cell(tensor, k, p, q) for p in span for q in span) for k in range(m + 1)]
     want = _e_k(charpoly(gram(scaled)), m)
     assert sums == [Fraction(e, l ** (2 * k)) for k, e in enumerate(want)]
     assert tensor.m == m and tensor.lhat == l - 1
@@ -456,7 +455,7 @@ def _interpolate(values: list) -> list:
             if s != t:
                 basis = basis * UniPoly((Fraction(-s, t - s), Fraction(1, t - s)))
         total = total + basis
-    return [total.coeff(i) for i in range(len(values))]
+    return list(total.coeffs) + [0] * (len(values) - len(total.coeffs))
 
 
 def _product(a: list, b: list) -> list:
@@ -859,22 +858,24 @@ def test_prime_table_is_the_largest_primes_below_2_to_the_29():
 
 
 def test_grid_size_guards_raise_grid_too_large():
+    """m past MAX_GRID_M is GridTooLarge; a bound past the prime table is
+    CoefficientsTooLarge, the one class of that limit, for the grid too."""
     with pytest.raises(GridTooLarge):
         trivariate_detpoly(zeros(MAX_GRID_M + 1), BlockSpec((), ()))
-    with pytest.raises(GridTooLarge):
+    with pytest.raises(CoefficientsTooLarge, match="exceeds the largest modulus"):
         _primes_for(math.prod(_PRIMES))
     assert len(_primes_for(math.prod(_PRIMES) // 2 - 1)) == len(_PRIMES)
     assert _primes_for(1).tolist() == [_PRIMES[0]]
     # the largest matrix the grid holds, with its largest block
     tensor = trivariate_detpoly(identity(MAX_GRID_M), BlockSpec((0, 1), (0, 1)))
-    assert tensor.m == MAX_GRID_M and tensor.get(0, 0, 0) == 1
+    assert tensor.m == MAX_GRID_M and cell(tensor, 0, 0, 0) == 1
 
 
 def test_ctensor_checks_its_numerators(monkeypatch):
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
     # l_hat = 1: C[k'] is over 2^(2k'), so these numerators mean C = 1, 1, 1/4
     tensor = CTensor(1, 1, (1, 0, 0, 0, 4, 0, 0, 1))
-    assert tensor.get(1, 0, 0) == 1 and tensor.get(1, 1, 1) == Fraction(1, 4)
+    assert cell(tensor, 1, 0, 0) == 1 and cell(tensor, 1, 1, 1) == Fraction(1, 4)
     assert tensor.to_json()["values"] == [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1/4"]]]
     with pytest.raises(RationalityViolation, match="expected 1"):
         CTensor(1, 2, (4,) + (0,) * 17)
@@ -909,10 +910,11 @@ def test_ctensor_requires_the_unit_plane_0(monkeypatch):
 )
 def test_flat_tensor_views_agree(a, block):
     """The flat (k', p, q) numerators read the same through every view:
-    ``to_json``'s nested planes are ``get`` at every cell, and ``nums``
-    is the stored planes plus sigma^2 times the stored planes one plane
-    down, the coefficients of (lam + sigma^2) times the complement, or the
-    stored planes themselves when nothing was split."""
+    ``to_json``'s nested planes are each cell of ``nums`` over the
+    denominator of its minor size, and ``nums`` is the stored planes plus
+    sigma^2 times the stored planes one plane down, the coefficients of
+    (lam + sigma^2) times the complement, or the stored planes themselves
+    when nothing was split."""
     tensor = trivariate_detpoly(a, block)
     size, stored = tensor.lhat + 1, planes(tensor.planes, tensor.lhat)
     whole = planes(tensor.nums, tensor.lhat)
@@ -920,7 +922,7 @@ def test_flat_tensor_views_agree(a, block):
     values = tensor.to_json()["values"]
     span = range(size)
     assert values == [
-        [[rational_to_str(tensor.get(k, p, q)) for q in span] for p in span]
+        [[rational_to_str(cell(tensor, k, p, q)) for q in span] for p in span]
         for k in range(len(whole))
     ]
     if tensor.sigma_sq is None:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ramex import exact_linalg, expectation_engine, ramanujan_walk
 from ramex.exact_algebra import InvariantViolation, UniPoly, poly_substitute_square, quad_sign
-from ramex.exact_linalg import Matrix, charpoly
+from ramex.exact_linalg import Matrix
 from ramex.expectation_engine import node_polynomial
 from ramex.matching_family import (
     Multigraph,
@@ -33,7 +33,7 @@ from ramex.ramanujan_walk import (
     walk,
 )
 
-from matrices import gram
+from matrices import charpoly, gram
 from test_exact_algebra import _binomial_shift
 
 
