@@ -11,13 +11,16 @@ denominators.
 Both can run on int64 residues modulo the leading primes of one literal
 table of word-size primes, as many as a bound on the result needs, and
 rebuild each integer by the Chinese remainder theorem; the tensor runs on
-the 2^64 word instead when its bound allows.  ``charpoly_coeffs`` reduces
-the matrix to Hessenberg form modulo every prime at once, in one numpy
-batch (``_hessenberg_charpoly``); ``charpoly_primes`` takes as many primes
-as twice Hadamard's bound on its coefficients needs.  Certification calls
-the two apart, to take the primes from the Gram but run the kernel on its
-deflated (m-1) x (m-1) block.  A bound past the whole table raises
-``CoefficientsTooLarge``, for the grid as for the characteristic
+the 2^64 word instead when its bound allows.  ``charpoly_coeffs`` takes
+an int64 or object array, reduces it modulo every prime by one broadcast
+% (``_residues``) and to Hessenberg form in one numpy batch
+(``_hessenberg_charpoly``), with as many primes as twice a bound its
+caller gives needs.  Both bounds, certify's and the grid's, come from
+``trace_bound``: Maclaurin's bound on the characteristic polynomial of a
+positive semidefinite matrix from its trace, the whole Gram's for
+certify, which runs the kernel on the deflated (m-1) x (m-1) block, and
+the fixed matrix's Gram's for the grid.  A bound past the whole table
+raises ``CoefficientsTooLarge``, for the grid as for the characteristic
 polynomial.
 
 The tensor comes from characteristic polynomials on the grid
@@ -142,21 +145,15 @@ class CoefficientsTooLarge(TooLarge):
     exact."""
 
 
-def charpoly_primes(rows):
-    """The fewest leading table primes whose product makes det(xI - M)
-    exact from its symmetric residues, for M given by its rows (square,
-    integer, unchecked); an int64 array.
-
-    The coefficient of x^(m-k) is -+ e_k, a sum of C(m, k) principal
-    minors, each at most R^k by Hadamard's inequality with R the largest
-    row norm, so every coefficient is at most b = max_k C(m, k) R^k in
-    size.  b^2 is exact on integers, and an integer coefficient is then at
-    most isqrt(b^2), so ``_primes_for`` takes primes whose product exceeds
-    twice that, or raises CoefficientsTooLarge past the table.
-    """
-    m = len(rows)
-    norm_sq = max((sum(x * x for x in row) for row in rows), default=0)
-    return _primes_for(math.isqrt(max(math.comb(m, k) ** 2 * norm_sq**k for k in range(m + 1))))
+def trace_bound(n: int, trace: int) -> int:
+    """Maclaurin's bound on every elementary symmetric function e_k of n
+    nonnegative reals that sum to trace: e_k <= C(n, k) (trace/n)^k, so an
+    integer e_k is at most C(n, k) ceil(trace^k / n^k).  The largest of
+    these over k = 0..n (1 at n = 0) bounds every coefficient of the
+    characteristic polynomial of a positive semidefinite matrix with n rows
+    and that trace, whose coefficient of x^(n-k) is -+ e_k of its
+    eigenvalues."""
+    return max(math.comb(n, k) * -(-(trace**k) // n**k) for k in range(n + 1))
 
 
 def _matmul_mod(x, y, p):
@@ -178,17 +175,16 @@ def _matmul_mod(x, y, p):
     return out
 
 
-def _residues(rows, primes):
-    """The integer matrix given by its rows by Python's %: mod 2^64 as an
-    (m, m) uint64 array given no primes, else mod each of primes as an
+def _residues(mat, primes):
+    """An integer matrix, an (m, m) int64 or object array, by one broadcast
+    %: mod 2^64 as an (m, m) uint64 array given no primes (an object
+    array, since int64 cannot hold 2^64), else mod each of primes as an
     (r, m, m) int64 array."""
     import numpy as np
 
-    m = len(rows)
     if primes is None:
-        return np.array([x % _WORD for row in rows for x in row], dtype=np.uint64).reshape(m, m)
-    flat = [[x % q for row in rows for x in row] for q in primes.tolist()]
-    return np.array(flat, dtype=np.int64).reshape(len(flat), m, m)
+        return (mat % _WORD).astype(np.uint64)
+    return (mat % primes.reshape(-1, 1, 1)).astype(np.int64, copy=False)
 
 
 def _hessenberg_charpoly(mats, primes):
@@ -255,15 +251,16 @@ def _hessenberg_charpoly(mats, primes):
     return coeffs[:, m]
 
 
-def charpoly_coeffs(rows, primes) -> list:
-    """Ascending coefficients of det(xI - M), for M given by its rows
-    (square, integer, unchecked), exact when primes are the leading table
-    primes and their product exceeds twice every coefficient's size: M is
-    reduced modulo each prime (``_residues``), ``_hessenberg_charpoly`` runs
-    on the batch and ``_crt`` rebuilds each coefficient.  The primes may
-    come from another matrix's bound: certify takes them from the Gram G,
-    not from the deflated G' it passes here (its docstring says why)."""
-    return _crt(_hessenberg_charpoly(_residues(rows, primes), primes)).tolist()
+def charpoly_coeffs(mat, bound: int) -> list:
+    """Ascending coefficients of det(xI - M), for M an (m, m) int64 or
+    object array, exact when bound is at least every coefficient's size: M
+    is reduced modulo each of the primes ``_primes_for`` takes for bound
+    (``_residues``), ``_hessenberg_charpoly`` runs on the batch and ``_crt``
+    rebuilds each coefficient.  The bound may come from another matrix:
+    certify takes it from the Gram G, not from the deflated G' it passes
+    here (its docstring says why)."""
+    primes = _primes_for(bound)
+    return _crt(_hessenberg_charpoly(_residues(mat, primes), primes)).tolist()
 
 
 @dataclass(frozen=True)
@@ -541,7 +538,7 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
     import numpy as np
 
     m, l = a.nrows, max(len(rows), 1)
-    low = _residues(a.entries, primes)
+    low = _residues(np.array(a.entries, dtype=object), primes)
     r, p = (1, None) if primes is None else (len(primes), primes.reshape(-1, 1, 1, 1))
     in_r = np.zeros(m, dtype=low.dtype)
     in_c = np.zeros(m, dtype=low.dtype)
@@ -608,9 +605,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     (``_grid``), and only its modulus depends on the numerators' bound b
     (below), and it is picked here: 2^64 when 2 4^v b < 2^64,
     v = v2(l_hat!), else the product of enough word-size primes.
-    ``_residues`` takes a mod 2^64 into uint64 words, or mod each prime by
-    Python's % into int64 residues; one matmul gives the basis and one
-    more, of the cached table -(1, t_r-1, t_c-1, (t_r-1)(t_c-1))
+    ``_residues`` takes a, as an object array, mod 2^64 into uint64 words,
+    or mod each prime into int64 residues; one matmul gives the basis and
+    one more, of the cached table -(1, t_r-1, t_c-1, (t_r-1)(t_c-1))
     (``_grid_table``), every grid matrix.  Berkowitz (``_berkowitz_mod``)
     is division-free, so exact over Z/2^64 and Z/p alike.  Every product
     is ``_matmul_mod``'s: words wrap, and residues are reduced below p
@@ -649,8 +646,9 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
       e_k' of n eigenvalues of G0 with sum s: all m, s = tr G0 = sum Ahat^2,
       or when split the m - 1 others, s = tr G0 - sigma^2.  Maclaurin
       bounds plane k' by C(n, k') ceil(s^k' / n^k') (1 when n = 0), and b
-      is the largest of these bounds: the word, or the primes' product, is
-      above 2 b, so that a faulty negative value still shows.
+      is the largest of these bounds (``trace_bound``): the word, or the
+      primes' product, is above 2 b, so that a faulty negative value
+      still shows.
     - The engine's contraction is a convolution in k', so it commutes with
       multiplying by lam + sigma^2, which is y - placed^2 up to the scale
       of y (sigma = l placed): the complement contracts to the reduced Gram
@@ -677,7 +675,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     # sigma^2) that sum to trace: at most C(n, k) (trace / n)^k
     n = m if sigma_sq is None else m - 1
     trace = sum(x * x for row in ahat for x in row) - (sigma_sq or 0)
-    bound = max(math.comb(n, k) * -(-(trace**k) // n**k) for k in range(n + 1))
+    bound = trace_bound(n, trace)
     v = lhat - lhat.bit_count()  # v2(lhat!), the twos that 2^v W needs
     if bound << (2 * v + 1) < _WORD:  # one signed word, whose low 2v bits must be zero
         words = _grid(a, rows, cols, n, v, None).view("int64")

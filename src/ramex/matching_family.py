@@ -9,7 +9,9 @@ and 1-based in JSON.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .exact_linalg import BlockSpec, Matrix
 
@@ -94,19 +96,21 @@ class Multigraph:
     multiplicity: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "multiplicity", tuple(tuple(row) for row in self.multiplicity)
-        )
-        m = self.params.m
-        if len(self.multiplicity) != m or any(len(r) != m for r in self.multiplicity):
+        rows = tuple(map(tuple, self.multiplicity))
+        object.__setattr__(self, "multiplicity", rows)
+        m, d = self.params.m, self.params.d
+        # one C-level pass each for shape, type, sign and each side's
+        # degrees; a vertex is looked for only once its side has failed
+        if len(rows) != m or set(map(len, rows)) - {m}:
             raise ValueError("multiplicity matrix must be m x m")
-        if any(not isinstance(x, int) or x < 0 for row in self.multiplicity for x in row):
+        entries = tuple(chain.from_iterable(rows))
+        if not all(map(isinstance, entries, repeat(int))) or min(entries) < 0:
             raise ValueError("multiplicities must be nonnegative integers")
-        d = self.params.d
-        for side, lines in (("left", self.multiplicity), ("right", zip(*self.multiplicity))):
-            for i, line in enumerate(lines):
-                if sum(line) != d:
-                    raise NotRegular(f"{side} vertex {i + 1} has degree {sum(line)} != {d}")
+        for side, lines in (("left", rows), ("right", zip(*rows))):
+            degrees = list(map(sum, lines))
+            if degrees.count(d) != m:
+                i = next(i for i, degree in enumerate(degrees) if degree != d)
+                raise NotRegular(f"{side} vertex {i + 1} has degree {degrees[i]} != {d}")
 
 
 def children(node: NodeState, params: Params) -> list[NodeState]:
@@ -174,6 +178,18 @@ def _json(value, kind: type):
     return value
 
 
+def _json_int_rows(rows) -> tuple:
+    """A JSON array of arrays of integers as a tuple of tuples, strictly as
+    ``_json`` takes each: one pass over the entries' types, and on any
+    fault a second, entry by entry, which raises the first bad entry's
+    error (or the TypeError of a row that is no array)."""
+    with contextlib.suppress(TypeError):
+        out = tuple(map(tuple, rows))
+        if set(map(type, chain.from_iterable(out))) <= {int}:
+            return out
+    return tuple(tuple(_json(x, int) for x in row) for row in rows)
+
+
 def _json_object(data, keys: tuple, what: str) -> dict:
     """A JSON object with no key outside keys: a misspelt key is an error,
     not an absent one."""
@@ -209,7 +225,7 @@ def multigraph_from_json(data: dict) -> Multigraph:
     _json_object(data, ("n", "d", "multiplicity"), "multigraph")
     try:
         params = Params(_json(data["n"], int), _json(data["d"], int))
-        rows = tuple(tuple(_json(x, int) for x in row) for row in data["multiplicity"])
+        rows = _json_int_rows(data["multiplicity"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed multigraph JSON: {exc}") from exc
     return Multigraph(params, rows)

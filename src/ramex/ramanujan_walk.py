@@ -49,7 +49,7 @@ from .exact_algebra import (
     rational_to_str,
     sqrt_shift_pairs,
 )
-from .exact_linalg import charpoly_coeffs, charpoly_primes, check_grid_size
+from .exact_linalg import charpoly_coeffs, check_grid_size, trace_bound
 from .expectation_engine import contract_node, contraction_poly, contraction_value
 from .matching_family import Multigraph, NodeState, Params, children, node_to_json
 
@@ -109,38 +109,36 @@ def certify(graph: Multigraph) -> Certificate:
 
     With B the multiplicity matrix, the adjacency is [[0, B], [B^T, 0]], so
     det(xI - A) = det(x^2 I - G) with G = B^T B, the m x m Gram: the exact
-    characteristic polynomial of G, with y -> x^2.  G is summed from each
-    row's nonzero entries.  Every row and column of B sums to d, so
-    G 1 = d^2 1; an exact O(m^2) check that every row of G sums to d^2
-    raises InvariantViolation otherwise.  With the unimodular
-    T = I + (1 - e0) e0^T, T^-1 G T has first column d^2 e0 and trailing
-    block G'[i][j] = G[i][j] - G[0][j] (i, j >= 1), so
-    det(yI - G) = (y - d^2) det(yI - G'): ``charpoly_coeffs`` runs on the
-    (m-1) x (m-1) matrix G', modulo word-size primes in one numpy batch,
-    and gives the nontrivial polynomial directly, with nothing to divide
-    out.  The primes come from G's Hadamard bound (``charpoly_primes``): G
-    is positive semidefinite, and e_k of a sub-multiset of nonnegative
-    eigenvalues is at most e_k of them all, so it bounds det(yI - G') too.
-    G''s own bound, from longer rows, takes more primes more often, and at
-    m = 1 would let an absurd d past the size cap.  The sqrt(q) rule,
-    ``_pairs_pass`` with q = 4(d-1), decides the verdict on the same
-    integer pairs of the shifted nontrivial polynomial that the
-    certificate reports.
+    characteristic polynomial of G, with y -> x^2.  The Gram is one integer
+    batch of array operations.  B is one array, int64 when m d^2 < 2^63
+    and object otherwise: Multigraph's own checks make its entries
+    nonnegative and every line sum to d, so no product or partial sum
+    below exceeds m d^2, the sum of G's entries, and int64 holds each
+    exactly.  G = B^T B is one product.  Every row and column of B sums to d, so G 1 = d^2 1; an
+    exact check that every row of G sums to d^2 raises InvariantViolation
+    otherwise.  With the unimodular T = I + (1 - e0) e0^T, T^-1 G T has
+    first column d^2 e0 and trailing block G'[i][j] = G[i][j] - G[0][j]
+    (i, j >= 1), so det(yI - G) = (y - d^2) det(yI - G'):
+    ``charpoly_coeffs`` runs on the (m-1) x (m-1) array G', modulo
+    word-size primes in one numpy batch, and gives the nontrivial
+    polynomial directly, with nothing to divide out.  The primes come from
+    the Maclaurin bound of G's exact trace (``trace_bound``): G is positive
+    semidefinite, and e_k of a sub-multiset of nonnegative eigenvalues is
+    at most e_k of them all, so it bounds det(yI - G') too.  Bounding G'
+    over its m - 1 eigenvalues instead would let an absurd d past the size
+    cap at m = 1.  The sqrt(q) rule, ``_pairs_pass`` with q = 4(d-1),
+    decides the verdict on the same integer pairs of the shifted
+    nontrivial polynomial that the certificate reports.
     """
+    import numpy as np
+
     m, d = graph.params.m, graph.params.d
-    # B^T B from each row's nonzero entries, at most d of them
-    gram = [[0] * m for _ in range(m)]
-    for row in graph.multiplicity:
-        support = [(j, b) for j, b in enumerate(row) if b]
-        for j, b in support:
-            for k, c in support:
-                gram[j][k] += b * c
-    if any(sum(row) != d * d for row in gram):
+    mult = np.array(graph.multiplicity, dtype=np.int64 if m * d * d < 2**63 else object)
+    gram = mult.T @ mult
+    if (gram.sum(axis=1) != d * d).any():
         raise InvariantViolation(f"a row of the Gram B^T B does not sum to d^2 = {d * d}")
     # G' = rows and columns 1.. of T^-1 G T: each row of G less row 0
-    top = gram[0][1:]
-    deflated = [[g - t for g, t in zip(row[1:], top)] for row in gram[1:]]
-    rest = charpoly_coeffs(deflated, charpoly_primes(gram))
+    rest = charpoly_coeffs(gram[1:, 1:] - gram[:1, 1:], trace_bound(m, int(gram.trace())))
     # det(yI - G) = (y - d^2) det(yI - G')
     full = [a - d * d * b for a, b in zip([0] + rest, rest + [0])]
     q = graph.params.q

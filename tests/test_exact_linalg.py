@@ -35,7 +35,6 @@ from ramex.exact_linalg import (
     _matmul_mod,
     _primes_for,
     _toeplitz,
-    charpoly_primes,
     rationality_violation_count,
     trivariate_detpoly,
 )
@@ -43,7 +42,7 @@ from ramex.matching_family import Multigraph, NodeState, Params, half_adjacency
 from ramex.oracle import _det_xid_minus
 from ramex.ramanujan_walk import certify
 
-from matrices import cell, charpoly, gram, identity, planes, zeros
+from matrices import cell, charpoly, charpoly_primes, gram, identity, planes, zeros
 
 
 def naive_charpoly(mat: Matrix) -> UniPoly:

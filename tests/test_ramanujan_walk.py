@@ -2,17 +2,20 @@
 
 import functools
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramex import exact_linalg, expectation_engine, ramanujan_walk
 from ramex.exact_algebra import InvariantViolation, UniPoly, poly_substitute_square, quad_sign
-from ramex.exact_linalg import Matrix
+from ramex.exact_linalg import _PRIMES, Matrix, _primes_for, trace_bound
 from ramex.expectation_engine import node_polynomial
 from ramex.matching_family import (
     Multigraph,
@@ -206,22 +209,6 @@ def test_certify_charpoly_matches_adjacency_cofactor():
         assert cert.adjacency_charpoly == UniPoly(tuple(_det_xid_minus(_adjacency(mult, m)))), mult
 
 
-@settings(max_examples=120)
-@given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 2**32))
-@example(1, 3, 0)
-@example(2, 3, None)
-def test_deflated_certify_matches_the_undeflated_charpoly(m, d, seed):
-    """certify runs the kernel on the (m-1) x (m-1) deflated Gram; its
-    polynomials match charpoly of the whole Gram B^T B, y -> x^2, with the
-    trivial factor x^2 - d^2 split off exactly.  A seed of None pins the
-    disconnected ((3, 0), (0, 3)), where d^2 is a repeated eigenvalue."""
-    mult = ((3, 0), (0, 3)) if seed is None else _random_regular(random.Random(seed), m, d)
-    cert = certify(Multigraph(Params(2 * m, d), mult))
-    whole = poly_substitute_square(charpoly(gram(Matrix(mult))))
-    assert cert.adjacency_charpoly == whole
-    assert cert.nontrivial_poly * UniPoly((-d * d, 0, 1)) == whole
-
-
 def test_certify_checks_the_trivial_eigenvector():
     """A Multigraph built past its own degree check reaches certify's exact
     check that every row of B^T B sums to d^2, which raises in place of a
@@ -231,6 +218,149 @@ def test_certify_checks_the_trivial_eigenvector():
     object.__setattr__(graph, "multiplicity", ((2, 1), (2, 1)))
     with pytest.raises(InvariantViolation, match=r"sum to d\^2 = 9"):
         certify(graph)
+
+
+def _certify_recording(graph):
+    """certify's certificate, the dtype of the deflated Gram it passes to
+    ``charpoly_coeffs`` and the primes its kernel runs on."""
+    coeffs, kernel, seen = ramanujan_walk.charpoly_coeffs, exact_linalg._hessenberg_charpoly, []
+
+    def passed(mat, bound):
+        seen.append(mat.dtype)
+        return coeffs(mat, bound)
+
+    def ran(mats, primes):
+        seen.append(primes.tolist())
+        return kernel(mats, primes)
+
+    with mock.patch.object(ramanujan_walk, "charpoly_coeffs", passed):
+        with mock.patch.object(exact_linalg, "_hessenberg_charpoly", ran):
+            cert = certify(graph)
+    dtype, primes = seen
+    return cert, dtype, primes
+
+
+def _maclaurin(n: int, trace: int) -> int:
+    """max_k C(n, k) ceil((trace / n)^k), by Fractions (1 at n = 0)."""
+    return max(math.comb(n, k) * math.ceil(Fraction(trace, n or 1) ** k) for k in range(n + 1))
+
+
+def _assert_certifies_its_gram(graph, cert) -> UniPoly:
+    """cert's polynomials are det(x^2 I - G) of the whole Gram G, by the
+    Hessenberg reference with Hadamard's primes, and that over x^2 - d^2;
+    returns det(yI - G)."""
+    d = graph.params.d
+    poly = charpoly(gram(Matrix(graph.multiplicity)))
+    whole = poly_substitute_square(poly)
+    assert cert.adjacency_charpoly == whole
+    assert cert.nontrivial_poly * UniPoly((-d * d, 0, 1)) == whole
+    return poly
+
+
+@st.composite
+def _regular_multigraphs(draw):
+    """The union of d <= 6 matchings on m + m vertices, m <= 40, each
+    drawn at random or, a third of the time, a repeat of an earlier one,
+    so that multi-edges are common."""
+    m, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    perms = []
+    for _ in range(d):
+        again = perms and draw(st.integers(0, 2)) == 0
+        perms.append(draw(st.sampled_from(perms) if again else st.permutations(range(m))))
+    mult = [[0] * m for _ in range(m)]
+    for perm in perms:
+        for i, j in enumerate(perm):
+            mult[i][j] += 1
+    return Multigraph(Params(2 * m, d), mult)
+
+
+@settings(max_examples=120)
+@given(_regular_multigraphs())
+@example(Multigraph(Params(2, 3), ((3,),)))
+@example(Multigraph(Params(4, 3), ((3, 0), (0, 3))))
+def test_deflated_certify_matches_the_undeflated_charpoly(graph):
+    """certify runs the kernel on the (m-1) x (m-1) deflated Gram; on
+    regular multigraphs with multi-edges up to m = 40 its polynomials
+    match charpoly of the whole Gram B^T B, y -> x^2, with the trivial
+    factor x^2 - d^2 split off exactly, and its kernel runs on the primes
+    of Maclaurin's bound from the whole m x m Gram's trace, which bounds
+    every coefficient of det(yI - G).  The disconnected ((3, 0), (0, 3))
+    has d^2 as a repeated eigenvalue."""
+    m = graph.params.m
+    cert, dtype, primes = _certify_recording(graph)
+    poly = _assert_certifies_its_gram(graph, cert)
+    bound = _maclaurin(m, sum(b * b for row in graph.multiplicity for b in row))
+    assert dtype == np.int64 and primes == _primes_for(bound).tolist()
+    assert max(map(abs, poly.coeffs)) <= bound
+
+
+def _int64_edge(m: int) -> int:
+    """The largest d with m d^2 < 2^63, where certify's Gram is int64."""
+    return math.isqrt((2**63 - 1) // m)
+
+
+def _spread(m: int, d: int) -> tuple:
+    """A d-regular multiplicity matrix with d - m + 1 on the diagonal and
+    1 elsewhere, so that G's entries are near d^2 and 2d."""
+    return tuple(tuple(d - m + 1 if i == j else 1 for j in range(m)) for i in range(m))
+
+
+@pytest.mark.parametrize(
+    "mult, dtype",
+    [
+        (_spread(2, _int64_edge(2)), np.int64),
+        (_spread(2, _int64_edge(2) + 1), object),
+        (_spread(3, _int64_edge(3)), np.int64),
+        (_spread(3, _int64_edge(3) + 1), object),
+        (((2**40, 0), (0, 2**40)), object),
+        (((2**40, 0, 0), (0, 0, 2**40), (0, 2**40, 0)), object),
+    ],
+    ids=["m2-below", "m2-past", "m3-below", "m3-past", "m2-2^40", "m3-2^40"],
+)
+def test_certify_takes_an_object_gram_past_int64(mult, dtype):
+    """certify's Gram is int64 while m d^2 < 2^63, which bounds every
+    product and sum of it, and an object array from there on: one d below
+    and one past the edge, and B = 2^40 P, whose int64 Gram would wrap,
+    each give the reference's polynomials."""
+    graph = Multigraph(Params(2 * len(mult), sum(mult[0])), mult)
+    cert, got, _ = _certify_recording(graph)
+    assert got == np.dtype(dtype)
+    _assert_certifies_its_gram(graph, cert)
+
+
+def _root(x: int, k: int) -> int:
+    """The largest r with r^k <= x."""
+    r = round(x ** (1 / k))
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("m, count", itertools.product((2, 3), (1, 2, 3)))
+def test_certify_takes_one_more_prime_past_a_product_edge(m, count):
+    """B = d I: G = d^2 I, whose e_k = C(m, k) d^(2k) meet Maclaurin's
+    bound exactly, so certify's bound is d^(2m) at d >= 2.  At the largest
+    d with 2 d^(2m) below the product of count table primes certify takes
+    count primes, and at d + 1 one more."""
+    d = _root((math.prod(_PRIMES[:count]) - 1) // 2, 2 * m)
+    for side, want in ((d, count), (d + 1, count + 1)):
+        graph = Multigraph(Params(2 * m, side), [[side * (i == j) for j in range(m)] for i in range(m)])
+        cert, _, primes = _certify_recording(graph)
+        assert primes == list(_PRIMES[:want])
+        factor = UniPoly((-side * side, 0, 1))
+        assert cert.nontrivial_poly == math.prod([factor] * (m - 1), start=UniPoly((1,)))
+
+
+def test_trace_bound_rounds_up_at_a_product_edge():
+    """n = 30, trace 31: C(30, k) (31/30)^k lies strictly between C(30, k)
+    and 2 C(30, k) for 1 <= k <= 21, so each term rounded up makes the
+    bound 2 C(30, 15), whose double needs two primes; rounded down it
+    would be C(30, 15), whose double is below the first."""
+    assert 2 * math.comb(30, 15) < _PRIMES[0] < 4 * math.comb(30, 15)
+    assert trace_bound(30, 31) == _maclaurin(30, 31) == 2 * math.comb(30, 15)
+    assert len(_primes_for(trace_bound(30, 31))) == 2
 
 
 def test_certificate_consistency_invariant():
