@@ -2,7 +2,10 @@
 
 Exit codes are fixed for scripting: 0 = certificate passed, 1 = certificate
 failed (or, for verify, does not match its graph), 2 = usage / bad input,
-3 = internal invariant violation.  Commands raise; main alone turns an
+3 = internal invariant violation.  Exit 1 belongs to certify and verify,
+which read graphs from outside: build exits 0, 2 or 3, because the walk's
+leaf has passed the sqrt(q) rule its certificate takes, so a failing
+certificate there is an internal fault.  Commands raise; main alone turns an
 exception into its exit code and its stderr line.  The argument parser is
 built once per process, on the first call to main, and each call looks its
 command up by name, so a process that calls main many times pays for the
@@ -111,6 +114,8 @@ def cmd_build(args) -> int:
                 "the walk's leaf polynomial differs from the certified nontrivial polynomial"
             )
         _cross_check(cert)
+        if not cert.passed:
+            raise InvariantViolation("the walk's leaf fails its certificate")
     except NoPassingChild as exc:
         _dump_failed_walk(args.out, exc)
         raise
@@ -128,12 +133,11 @@ def cmd_build(args) -> int:
             )
     except OSError as exc:
         raise _UsageError(f"cannot write output: {exc}")
-    status = "passed" if cert.passed else "FAILED"
     print(
-        f"built n={params.n} d={params.d}: certificate {status} "
+        f"built n={params.n} d={params.d}: certificate passed "
         f"(q={cert.bound_q}), wrote {graph_path} and {cert_path}"
     )
-    return EXIT_PASS if cert.passed else EXIT_FAIL
+    return EXIT_PASS
 
 
 def _cross_check(cert) -> None:

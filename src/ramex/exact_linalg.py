@@ -40,6 +40,8 @@ from its rows.  The modulus is 2^64 when 2 4^v times the bound is below
 2^64, v = v2(l_hat!), on uint64 words reduced by wrap-around alone, with
 2^v V^-1, whose denominators are odd: the word's one row holds 4^v times
 each numerator, whose low 2v bits must be zero and are shifted off.
+``_interp`` reads v from the modulus: v2(l_hat!) on 2^64 and 0 on a
+prime.
 Otherwise it is enough word-size primes, one int64 row each, rebuilt by
 the Chinese remainder theorem.  Both kernels take their input by
 ``_residues`` and reduce every product by ``_matmul_mod``, which sums in
@@ -391,15 +393,16 @@ def _primes_for(bound: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _interp(lhat: int, modulus: int, v: int):
+def _interp(lhat: int, modulus: int):
     """2^v W mod modulus, W = V^-1, V[t][k] = t^k on the points 0..lhat:
     2^v f_k = sum_t out[k][t] f(t) mod modulus for every integer polynomial
-    f = sum_k f_k t^k of degree <= lhat.  W is Lagrange's basis, W[k][t] =
+    f = sum_k f_k t^k of degree <= lhat, with v = v2(lhat!) on 2^64 and
+    v = 0 modulo a table prime.  W is Lagrange's basis, W[k][t] =
     nums[k][t] / dens[t] with nums[k][t] = [x^k] P/(x - t), P = prod_s
     (x - s), and dens[t] = prod_(s != t) (t - s) = (-1)^(lhat-t) t!
-    (lhat-t)!, which divides lhat!; so column t's scale is
-    odd(dens[t])^-1 2^(v - v2(dens[t])) mod modulus: on 2^64 that needs
-    v >= v2(lhat!), and mod a table prime any v, 0 included.  Read-only
+    (lhat-t)!, so lhat! W is the integer matrix nums[k][t] (-1)^(lhat-t)
+    C(lhat, t), and 2^v W is that times one unit, (lhat!/2^v)^-1 mod
+    modulus: odd on the word, prime to every table prime.  Read-only
     uint64 for 2^64 and int64 for a prime; cached, so a grid builds the
     tables of just the moduli it reads."""
     import numpy as np
@@ -409,14 +412,13 @@ def _interp(lhat: int, modulus: int, v: int):
     for s in range(size):
         poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
     nums = [[0] * size for _ in range(size)]
-    scales = []
     for t in range(size):
         quotient = 0
         for k in range(size, 0, -1):  # [x^(k-1)] P/(x - t) = [x^k] P + t [x^k] P/(x - t)
             nums[k - 1][t] = quotient = poly[k] + t * quotient
-        den = (-1) ** (lhat - t) * math.factorial(t) * math.factorial(lhat - t)
-        twos = (den & -den).bit_length() - 1
-        scales.append(pow(den >> twos, -1, modulus) * pow(2, v - twos, modulus))
+    v = lhat - lhat.bit_count() if modulus == _WORD else 0  # v2(lhat!) on the word
+    unit = pow(math.factorial(lhat) >> v, -1, modulus)
+    scales = [(-1) ** (lhat - t) * math.comb(lhat, t) * unit for t in range(size)]
     dtype = np.uint64 if modulus == _WORD else np.int64
     out = np.array([[x * s % modulus for x, s in zip(row, scales)] for row in nums], dtype=dtype)
     out.flags.writeable = False
@@ -523,11 +525,12 @@ def _grid_table(l: int, dtype):
     return out
 
 
-def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
-    """``trivariate_detpoly``'s interpolated residues of 4^v times each
-    numerator, one row per modulus in (k', p, q) order, from one batch: a
-    (1, N) uint64 row modulo 2^64 given no primes, else an (r, N) int64
-    array, row i modulo primes[i].  The caller rebuilds the numerators.
+def _grid(a: Matrix, rows: list, cols: list, n: int, primes):
+    """``trivariate_detpoly``'s interpolated residues, one row per modulus
+    in (k', p, q) order, from one batch: given no primes a (1, N) uint64
+    row modulo 2^64 of 4^v times each numerator, v = v2(l_hat!), else an
+    (r, N) int64 array of the numerators, row i modulo primes[i].  The
+    caller rebuilds the numerators.
 
     ``_residues`` takes a to either; the integer basis B0..B3 times
     ``_grid_table`` gives every grid matrix, ``_berkowitz_mod`` their
@@ -561,12 +564,12 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, v: int, primes):
     grid = _matmul_mod(_grid_table(l, low.dtype), basis.reshape(r, 1, 4, n * n), p)
     coeffs = _berkowitz_mod(grid.reshape(r, l * l, n, n), primes)
     # 4^v l^(2k') C = (2^v W) V (2^v W)^T mod 2^64, or l^(2k') C = W V W^T
-    # mod p, V the grid of lam**(n-k')
+    # mod p, V the grid of lam**(n-k'): _interp reads v from the modulus
     values = coeffs.reshape(r, l, l, n + 1).transpose(0, 3, 1, 2)
     if primes is None:
-        weights = _interp(l - 1, _WORD, v)
+        weights = _interp(l - 1, _WORD)
     else:
-        weights = np.stack([_interp(l - 1, q, v) for q in primes.tolist()])[:, None]
+        weights = np.stack([_interp(l - 1, q) for q in primes.tolist()])[:, None]
     nums = _matmul_mod(_matmul_mod(weights, values, p), weights.swapaxes(-1, -2), p)
     return nums.reshape(r, -1)
 
@@ -614,11 +617,13 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     after each matmul, so a chunk of a dot product stays below 32 (p-1)^2
     and a grid value below (l-1)^2 (p-1), both under 2^63.  Interpolation
     by W = V^-1 (denominators t! (l_hat-t)!, divisors of l_hat!) ends the
-    batch, from one function (``_interp``): on the word 2^v W mod 2^64,
-    with odd denominators, gives (2^v W) V (2^v W)^T, V the grid of a
-    coefficient: 4^v times each numerator, below 2^63 in size; mod primes
-    W mod p at v = 0, built for just the primes the grid reads, gives
-    W V W^T mod p.  ``_grid`` returns these rows, and the one rebuild is
+    batch, from one function (``_interp``), l_hat! W, an integer matrix,
+    times the inverse of l_hat!'s odd part on the word and of l_hat! on a
+    prime: on the word 2^v W mod 2^64 gives (2^v W) V (2^v W)^T, V the
+    grid of a coefficient: 4^v times each numerator, below 2^63 in size;
+    mod primes W mod p, built for just the primes the grid reads, gives
+    W V W^T mod p.  v is read here only for the word's bound test and
+    shift.  ``_grid`` returns these rows, and the one rebuild is
     here: the word's row, read as signed words, must have its low 2v bits
     zero (else ``RationalityViolation``), and they are shifted off; the
     primes' rows are rebuilt by the CRT (``_crt``).
@@ -676,12 +681,12 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     n = m if sigma_sq is None else m - 1
     trace = sum(x * x for row in ahat for x in row) - (sigma_sq or 0)
     bound = trace_bound(n, trace)
-    v = lhat - lhat.bit_count()  # v2(lhat!), the twos that 2^v W needs
+    v = lhat - lhat.bit_count()  # v2(lhat!): a word holds 4^v times each numerator
     if bound << (2 * v + 1) < _WORD:  # one signed word, whose low 2v bits must be zero
-        words = _grid(a, rows, cols, n, v, None).view("int64")
+        words = _grid(a, rows, cols, n, None).view("int64")
         if (words & ((1 << 2 * v) - 1)).any():
             raise _violation(f"a grid word is not 4^{v} times an integer: its low {2 * v} bits are set")
         exact = words[0] >> 2 * v
     else:
-        exact = _crt(_grid(a, rows, cols, n, 0, _primes_for(bound)))
+        exact = _crt(_grid(a, rows, cols, n, _primes_for(bound)))
     return CTensor(m, lhat, tuple(exact.tolist()), sigma_sq)

@@ -14,14 +14,17 @@ pairs (a, b) of the shifted coefficients a + b sqrt(q), the one sqrt(q)
 rule (``_pairs_pass``) that the start node and the certificate take too.
 A stage's c children average to their parent, so the last child's
 polynomial, and its value, is c times the parent's less the other c - 1.
-One loop serves both walks: a lazy walk computes only values, one child
-at a time until one passes, taking the last from the identity (a single
-child is the parent itself); an audited walk first evaluates every child
-in full and checks their average and each verdict.  On both, every
-polynomial the walk computes, the leaf's included, must have the value
-carried with it.  At a leaf the matchings combine into a d-regular
-bipartite multigraph whose nontrivial spectrum is
-certified to lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
+One loop serves both walks: a lazy walk computes values, one child at a
+time until one passes, taking the last from the identity (a single child
+is the parent itself), and a full polynomial only for a child whose value
+is 0 and for the leaf, which the last stage decides like every other
+child; an audited walk first evaluates every child in full and checks
+their average and each verdict.  On both, every polynomial the walk
+computes must have the value carried with it, and a child with a
+polynomial is decided by the sqrt(q) rule on it, so the leaf has passed
+the rule its certificate takes.  At a leaf the matchings combine into a
+d-regular bipartite multigraph whose nontrivial spectrum is certified to
+lie in [-2 sqrt(d-1), 2 sqrt(d-1)]: bipartite spectra are
 symmetric about zero, so bounding the max root bounds the min root as
 well.  The adjacency polynomial comes from the m x m Gram of the
 multiplicity matrix, not the n x n adjacency, and its trivial factor is
@@ -209,10 +212,10 @@ def _child_passes(value, ints, q: int) -> bool:
     interlacer whose largest root is at most the parent's max root, at most
     sqrt(q) (Marcus, Spielman and Srivastava, Interlacing Families I), so a
     child has at most one root above sqrt(q), and its sign there is (-1) to
-    the number of them.  A value of 0 takes the sqrt(q) rule on the pairs
-    of ints, the child's integer polynomial; given ints (an audited walk
-    has them for every child), a sign that contradicts that rule raises
-    InvariantViolation.
+    the number of them.  Given ints, the child's integer polynomial (every
+    child of an audited walk, and on a lazy one a child whose value is 0
+    and the leaf), the sqrt(q) rule on its pairs decides, and a nonzero
+    value whose sign contradicts that rule raises InvariantViolation.
     """
     if ints is None:
         return value > 0
@@ -230,8 +233,8 @@ class WalkStage:
     decided prefix, which is all of them on an audited walk.  Values are
     the polynomials at sqrt(q).  node_poly and child_polys hold a
     polynomial where one was computed and None elsewhere: everywhere on an
-    audited walk, and on a lazy walk only for the start node and the
-    children whose value is 0.
+    audited walk, and on a lazy walk only for the start node, the children
+    whose value is 0 and the leaf, the last stage's one child.
     """
 
     node: NodeState
@@ -275,19 +278,21 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
     invariant that the current node's polynomial passes the sqrt(q) bound,
     q = 4(d-1).
 
-    One loop serves both walks.  It takes a stage's children in ascending
-    order, each child's value at sqrt(q) from its grid run
-    (``contract_node``, ``contraction_value``) and its full polynomial from
-    the same run where the value is 0 or the walk is audited; then
-    ``_child_passes`` decides it.  A lazy walk stops at the first that
-    passes and takes the last child's value as c times the parent's less
-    the others (a single child is the parent).  An audited walk decides
-    every child, evaluates each in full up front, in ``walk_workers``
-    threads, and checks that their polynomials average to the parent.  On
-    both walks each value must be its own polynomial's wherever that
-    polynomial was computed, the leaf's included.  A stage where none
-    passes evaluates every child in full before NoPassingChild is raised.
-    The leaf never depends on audit or jobs.
+    One loop serves both walks, and every child, the leaf included.  It
+    takes a stage's children in ascending order, each child's value at
+    sqrt(q) from its grid run (``contract_node``, ``contraction_value``)
+    and its full polynomial from the same run where the walk is audited,
+    the value is 0 or the child is a leaf; then ``_child_passes`` decides
+    it.  A lazy walk stops at the first that passes and takes the last
+    child's value as c times the parent's less the others (a single child
+    is the parent, so the leaf's one grid run is its polynomial's).  An
+    audited walk decides every child, evaluates each in full up front, in
+    ``walk_workers`` threads, and checks that their polynomials average to
+    the parent.  On both walks each value must be its own polynomial's
+    wherever that polynomial was computed, so leaf_poly is the chosen
+    leaf's polynomial, checked against its value and passed by the sqrt(q)
+    rule.  A stage where none passes evaluates every child in full before
+    NoPassingChild is raised.  The leaf never depends on audit or jobs.
     """
     check_grid_size(params.m)  # before the start node's m-tuple is built
     q = params.q
@@ -323,7 +328,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 else:
                     contraction = contraction or contract_node(kid, params)
                     values.append(contraction_value(contraction, params))
-                if full is None and not values[-1]:  # a value of 0 takes the full polynomial
+                if full is None and (not values[-1] or kid.is_leaf(params)):
                     full = _full_poly(kid, params, contraction)
                 poly, ints = full or (None, None)
                 if full and _value(ints, q) != values[-1]:
@@ -355,10 +360,6 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                 )
             )
             current, current_poly, current_value = kids[idx], polys[idx], values[idx]
-    if current_poly is None:  # a leaf that was decided by value alone
-        current_poly = _full_poly(current, params)[0]
-    if _value(current_poly.coeffs, q) != current_value:
-        raise InvariantViolation(f"the walk's leaf polynomial differs from its value at sqrt({q})")
     return WalkResult(params=params, leaf=current, leaf_poly=current_poly, stages=tuple(stages))
 
 

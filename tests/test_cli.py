@@ -18,7 +18,7 @@ import ramex
 from ramex import cli, expectation_engine, ramanujan_walk
 from ramex.cli import main
 from ramex.exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
-from ramex.matching_family import IsLeaf, NotALeaf, NotRegular, Params, node_to_json
+from ramex.matching_family import IsLeaf, NodeState, NotALeaf, NotRegular, Params, node_to_json
 
 
 def run(capsys, *argv):
@@ -933,13 +933,33 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
 
 def test_skewed_lazy_build_fails_the_leaf_check(tmp_path):
     """A plain build walks lazily and runs no averaging check; the same skew
-    then reaches the leaf, where the walk's own check of the leaf
-    polynomial against its value fails before certify runs."""
+    then reaches the leaf, whose polynomial the stage that decides it checks
+    against its value, as it does every polynomial it computes, before
+    certify runs."""
     proc = _skewed_build_under_optimize(tmp_path)
     assert proc.returncode == 3, proc.stdout + proc.stderr
     assert proc.stdout == ""
-    message = "internal error: the walk's leaf polynomial differs from its value at sqrt(8)\n"
+    leaf = '{"complete": [[1, 2], [1, 2], [2, 1]], "partial": []}'
+    message = f"internal error: the polynomial of {leaf} differs from its value at sqrt(8)\n"
     assert proc.stderr == message
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_build_with_a_failing_leaf_exits_3(tmp_path, capsys, monkeypatch):
+    """The walk's leaf has passed the sqrt(q) rule on the polynomial that
+    certify reports, so a build whose certificate fails is an internal
+    fault: exit 3 after the cross-checks, and no graph written.  The (4,3)
+    leaf [[1, 2], [1, 2], [1, 2]] has nontrivial polynomial x^2 - 9."""
+
+    def failing(params, jobs, audit):
+        leaf = NodeState(((0, 1), (0, 1), (0, 1)))
+        return ramanujan_walk.WalkResult(params, leaf, UniPoly((-9, 0, 1)))
+
+    monkeypatch.setattr(cli, "walk", failing)
+    code, stdout, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    assert code == 3
+    assert stdout == ""
+    assert stderr == "internal error: the walk's leaf fails its certificate\n"
     assert not (tmp_path / "graph.json").exists()
 
 

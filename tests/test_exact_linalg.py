@@ -551,31 +551,29 @@ def test_stored_planes_sum_to_the_deflated_gram(case):
 def test_interp_matrix_recovers_scaled_coefficients(lhat):
     """One function serves both moduli: W = V^-1 mod each of the first r
     table primes, r = 1 and every prime, stacked as a grid stacks them, and
-    2^v W mod 2^64 for v = v2(l_hat!) and v + 1, get back the coefficients
-    of integer polynomials (2^v times them) from their values on
+    2^v W mod 2^64 for v = v2(l_hat!), get back the coefficients of
+    integer polynomials (2^v times them on the word) from their values on
     0..l_hat, at scales from 1 to past the moduli; the tables are cached
-    per (l_hat, modulus, v) and read-only."""
+    per (l_hat, modulus) and read-only."""
     v = sum(lhat // 2**i for i in range(1, lhat.bit_length() + 1))  # Legendre's formula
-    words = {w: _interp(lhat, _WORD, w) for w in (v, v + 1)}
-    for w, word in words.items():
-        assert word is _interp(lhat, _WORD, w) and not word.flags.writeable
-        assert word.shape == (lhat + 1, lhat + 1) and word.dtype == np.uint64
+    word = _interp(lhat, _WORD)
+    assert word is _interp(lhat, _WORD) and not word.flags.writeable
+    assert word.shape == (lhat + 1, lhat + 1) and word.dtype == np.uint64
     rng = random.Random(lhat)
     for size in (1, 10**6, 2**100):
         coeffs = [rng.randint(-size, size) for _ in range(lhat + 1)]
         values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(lhat + 1)]
         for r in (1, len(_PRIMES)):
-            tables = [_interp(lhat, p, 0) for p in _PRIMES[:r]]
-            assert all(t is _interp(lhat, p, 0) for t, p in zip(tables, _PRIMES))
+            tables = [_interp(lhat, p) for p in _PRIMES[:r]]
+            assert all(t is _interp(lhat, p) for t, p in zip(tables, _PRIMES))
             assert not any(t.flags.writeable for t in tables)
             interp = np.stack(tables)
             assert interp.shape == (r, lhat + 1, lhat + 1) and interp.dtype == np.int64
             moduli = np.array(_PRIMES[:r], dtype=object)[:, None]
             got = interp.astype(object) @ np.array(values, dtype=object) % moduli
             assert (got == np.array(coeffs, dtype=object) % moduli).all()
-        for w, word in words.items():
-            got = word.astype(object) @ np.array(values, dtype=object) % 2**64
-            assert got.tolist() == [(c << w) % 2**64 for c in coeffs]
+        got = word.astype(object) @ np.array(values, dtype=object) % 2**64
+        assert got.tolist() == [(c << v) % 2**64 for c in coeffs]
 
 
 @st.composite
@@ -597,8 +595,8 @@ def _sparse_matrix_and_block(draw):
 def test_word_grid_equals_the_prime_grid(case):
     """A grid whose bound fits one word takes the word, with no prime.  Its
     one uint64 row, 4^v times each numerator, shifted right by 2v as a
-    signed word, equals the CRT of the prime grid's int64 rows at v = 0,
-    the reference, run here at three primes, a modulus past 2^64, and both
+    signed word, equals the CRT of the prime grid's int64 rows, the
+    reference, run here at three primes, a modulus past 2^64, and both
     equal the tensor's numerators; with equal line sums and without."""
     a, block = case
     with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
@@ -608,8 +606,8 @@ def test_word_grid_equals_the_prime_grid(case):
     assert len(primes) == 3
     rows, cols, lhat, size = list(block.rows), list(block.cols), tensor.lhat, len(tensor.planes)
     n, v = size // (lhat + 1) ** 2 - 1, lhat - lhat.bit_count()
-    word = exact_linalg._grid(a, rows, cols, n, v, None)
-    residues = exact_linalg._grid(a, rows, cols, n, 0, primes)
+    word = exact_linalg._grid(a, rows, cols, n, None)
+    residues = exact_linalg._grid(a, rows, cols, n, primes)
     assert word.dtype == np.uint64 and word.shape == (1, size)
     assert residues.dtype == np.int64 and residues.shape == (3, size)
     want = _crt(residues).tolist()

@@ -430,7 +430,8 @@ def _at_sqrt(poly: UniPoly, q: int) -> Fraction:
 def test_lazy_walk_reaches_the_full_walks_leaf(n, d):
     """The contract of first-pass descent: the lazy walk reaches the leaf of
     the audited walk through the same choices, and evaluates only a prefix
-    of each stage's children, ending at the chosen one."""
+    of each stage's children, ending at the chosen one; its last stage
+    holds the audited walk's leaf polynomial."""
     params = Params(n, d)
     full = _walk_or_stuck(params)
     lazy = _walk_or_stuck(params, audit=False)
@@ -451,14 +452,19 @@ def test_lazy_walk_reaches_the_full_walks_leaf(n, d):
         size = len(lazy_stage.child_values)
         assert size == len(lazy_stage.child_polys) == lazy_stage.chosen + 1
         # the lazy values are the audited polynomials at sqrt(q), and a lazy
-        # stage holds the polynomial of a child whose value is 0, and only there
+        # stage holds the polynomial of a child whose value is 0 or that is
+        # the leaf, and only there
         polys = full_stage.child_polys[:size]
         assert lazy_stage.child_values == tuple(_at_sqrt(poly, q) for poly in polys)
         assert full_stage.child_values == tuple(_at_sqrt(p, q) for p in full_stage.child_polys)
+        held = zip(polys, lazy_stage.child_values, lazy_stage.child_nodes)
         assert lazy_stage.child_polys == tuple(
-            poly if value == 0 else None for poly, value in zip(polys, lazy_stage.child_values)
+            poly if value == 0 or child.is_leaf(params) else None for poly, value, child in held
         )
         assert lazy_stage.child_passed == full_stage.child_passed[:size]
+    if lazy.stages:
+        last, audited = lazy.stages[-1], full.stages[-1]
+        assert last.child_polys[-1] == audited.child_polys[audited.chosen] == full.leaf_poly
 
 
 def test_lazy_walk_skips_forced_stages(monkeypatch):
@@ -535,18 +541,18 @@ def test_lazy_walk_builds_interpolation_rows_only_for_the_primes_it_reads(monkey
     built, reads, words = [], {}, set()
     build = exact_linalg._interp.__wrapped__
 
-    def counted(lhat, modulus, v):
+    def counted(lhat, modulus):
         built.append((lhat, modulus))
-        return build(lhat, modulus, v)
+        return build(lhat, modulus)
 
     grid = exact_linalg._grid
 
-    def recorded(a, rows, cols, n, v, primes):
+    def recorded(a, rows, cols, n, primes):
         lhat = max(len(rows), 1) - 1
         reads[lhat] = max(reads.get(lhat, 0), 0 if primes is None else len(primes))
         if primes is None:
             words.add(lhat)
-        return grid(a, rows, cols, n, v, primes)
+        return grid(a, rows, cols, n, primes)
 
     monkeypatch.setattr(exact_linalg, "_interp", functools.lru_cache(None)(counted))
     monkeypatch.setattr(exact_linalg, "_grid", recorded)
@@ -639,13 +645,33 @@ def test_lazy_walk_checks_a_zero_valued_child_against_its_value(monkeypatch):
 
 
 def test_lazy_walk_checks_its_leaf_against_its_value(monkeypatch):
-    """A lazy walk that decides its leaf by value alone computes the leaf's
-    polynomial last; one raised by 1 fails the walk's own leaf check."""
+    """A lazy walk computes its leaf's polynomial in the stage that decides
+    the leaf, as it does a zero-valued child's; one raised by 1 fails the
+    stage's check of each polynomial against its value, which names the
+    leaf."""
     computed = _skewing_full_poly(monkeypatch, lambda node: True)
-    message = "the walk's leaf polynomial differs from its value at sqrt(8)"
+    leaf = '{"complete": [[1, 2], [1, 2], [2, 1]], "partial": []}'
+    message = f"the polynomial of {leaf} differs from its value at sqrt(8)"
     with pytest.raises(InvariantViolation, match=re.escape(message)):
         walk(Params(4, 3), audit=False)
     assert computed == [NodeState(((0, 1), (0, 1), (1, 0)))]
+
+
+def test_lazy_walk_takes_the_root_test_on_its_leaf(monkeypatch):
+    """The leaf is decided like every other child: by the sqrt(q) rule on
+    its polynomial, whose sign must agree with its value.  x^2 - 4x - 1 has
+    the (4,3) leaf's value at sqrt(8), 7 (the walk's values read only the
+    even coefficients), but a root at 2 + sqrt(5) > sqrt(8)."""
+    real = ramanujan_walk._full_poly
+
+    def full_poly(node, params, contraction=None):
+        if node.is_leaf(params):
+            return UniPoly((-1, -4, 1)), (-1, -4, 1)
+        return real(node, params, contraction)
+
+    monkeypatch.setattr(ramanujan_walk, "_full_poly", full_poly)
+    with pytest.raises(InvariantViolation, match=re.escape("p(sqrt(8)) = 7 contradicts")):
+        walk(Params(4, 3), audit=False)
 
 
 @settings(max_examples=300)
