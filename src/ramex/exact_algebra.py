@@ -64,7 +64,10 @@ class UniPoly:
     """Dense univariate polynomial; coeffs[i] belongs to x**i.
 
     The zero polynomial is the empty tuple; otherwise the trailing
-    coefficient is nonzero.  Coefficients are ints or Fractions.
+    coefficient is nonzero.  Coefficients are ints or Fractions.  The
+    product is the package's one polynomial product (certify's trivial
+    factor, the interpolation's prod (x - s)); a zero operand needs no case
+    of its own, since its product's list is empty or trims to empty.
     """
 
     coeffs: tuple = ()
@@ -78,10 +81,6 @@ class UniPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
@@ -97,12 +96,8 @@ class UniPoly:
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return UniPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
             for j, d in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + c * d
         return UniPoly(tuple(out))
@@ -138,8 +133,6 @@ def sqrt_shift_pairs(coeffs, q: int):
 
 def poly_substitute_square(p: UniPoly) -> UniPoly:
     """Return the polynomial x -> p(x**2); degree doubles, odd coefficients zero."""
-    if p.is_zero:
-        return UniPoly()
     out = [0] * (2 * p.degree + 1)
     for i, c in enumerate(p.coeffs):
         out[2 * i] = c

@@ -65,7 +65,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from operator import lt
 
-from .exact_algebra import InvariantViolation, TooLarge, rational_to_str
+from .exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
 
 
 class RationalityViolation(InvariantViolation):
@@ -161,14 +161,14 @@ def trace_bound(n: int, trace: int) -> int:
 def _matmul_mod(x, y, p):
     """x @ y mod p for int64 batches of residues above -p and below p, p
     broadcast against the product, which is reduced below p: every dot
-    product is summed in chunks of at most MAX_GRID_M products, each
-    chunk's sum, below MAX_GRID_M (p-1)^2 < 2^63, reduced below p before
-    it is added to the reduced sum of the chunks before it, so no int64
-    sum overflows however long the dot product.  Given p None, x @ y of
+    product is summed in chunks of at most _CHUNK products, each chunk's
+    sum, below _CHUNK (p-1)^2 < 2^63, reduced below p before it is added
+    to the reduced sum of the chunks before it, so no int64 sum overflows
+    however long the dot product or large the grid.  Given p None, x @ y of
     uint64 words, which wraps modulo 2^64 and needs no reduction."""
     if p is None:
         return x @ y
-    width, size = MAX_GRID_M, x.shape[-1]
+    width, size = _CHUNK, x.shape[-1]
     out = x @ y if size <= width else x[..., :width] @ y[..., :width, :]
     out %= p
     for start in range(width, size, width):
@@ -209,7 +209,7 @@ def _hessenberg_charpoly(mats, primes):
     - The inverse of each pivot is ``pow(t, -1, p)``, for each prime.
     - Every product is reduced below p < 2^29 before the next one, so
       every entry is below p at every step.
-    - Every dot product is summed in chunks of at most MAX_GRID_M products
+    - Every dot product is summed in chunks of at most _CHUNK products
       (``_matmul_mod``), so no int64 sum overflows at any m.
     Then the Hessenberg recurrence over H's leading blocks H_k:
 
@@ -330,7 +330,7 @@ class CTensor:
 
 # The largest 153 primes below 2^29, a literal table so that importing
 # computes nothing.  Residues stay above -p and below p < 2^29, so a chunk
-# of at most MAX_GRID_M products stays below 32 (p - 1)^2 < 2^63: every
+# of at most _CHUNK = 32 products stays below 32 (p - 1)^2 < 2^63: every
 # int64 chunk sum of ``_matmul_mod``, the one reduced product of both
 # kernels, is exact before it is reduced.  Their product exceeds 2^4423.
 _PRIMES = (
@@ -356,6 +356,8 @@ _PRIMES = (
     536867897,
 )
 
+_CHUNK = 32  # products per int64 sum in ``_matmul_mod``, set by the primes alone
+
 MAX_GRID_M = 32
 
 _WORD = 2**64  # the one-word grid's modulus: uint64 arithmetic wraps modulo it
@@ -363,8 +365,8 @@ _WORD = 2**64  # the one-word grid's modulus: uint64 arithmetic wraps modulo it
 
 class GridTooLarge(TooLarge):
     """The batched grid will not run this matrix: m exceeds MAX_GRID_M, a
-    cap on its size (its sums are chunked, so no int64 sum overflows past
-    it)."""
+    cap on its size alone (its sums are chunked by _CHUNK, which the
+    primes set, so no int64 sum overflows past it)."""
 
 
 def check_grid_size(m: int) -> None:
@@ -399,18 +401,16 @@ def _interp(lhat: int, modulus: int):
     f = sum_k f_k t^k of degree <= lhat, with v = v2(lhat!) on 2^64 and
     v = 0 modulo a table prime.  W is Lagrange's basis, W[k][t] =
     nums[k][t] / dens[t] with nums[k][t] = [x^k] P/(x - t), P = prod_s
-    (x - s), and dens[t] = prod_(s != t) (t - s) = (-1)^(lhat-t) t!
-    (lhat-t)!, so lhat! W is the integer matrix nums[k][t] (-1)^(lhat-t)
-    C(lhat, t), and 2^v W is that times one unit, (lhat!/2^v)^-1 mod
-    modulus: odd on the word, prime to every table prime.  Read-only
-    uint64 for 2^64 and int64 for a prime; cached, so a grid builds the
-    tables of just the moduli it reads."""
+    (x - s), UniPoly's product of the linear factors, and dens[t] =
+    prod_(s != t) (t - s) = (-1)^(lhat-t) t! (lhat-t)!, so lhat! W is the
+    integer matrix nums[k][t] (-1)^(lhat-t) C(lhat, t), and 2^v W is that
+    times one unit, (lhat!/2^v)^-1 mod modulus: odd on the word, prime to
+    every table prime.  Read-only uint64 for 2^64 and int64 for a prime;
+    cached, so a grid builds the tables of just the moduli it reads."""
     import numpy as np
 
     size = lhat + 1
-    poly = [1]  # ascending coefficients of P
-    for s in range(size):
-        poly = [a - s * b for a, b in zip([0] + poly, poly + [0])]
+    poly = math.prod((UniPoly((-s, 1)) for s in range(size)), start=UniPoly((1,))).coeffs
     nums = [[0] * size for _ in range(size)]
     for t in range(size):
         quotient = 0
@@ -463,7 +463,7 @@ def _berkowitz_mod(mats, primes):
     reduced below p before the next one, and the first block's
     coefficients are reduced too, so the output is below p at every m; the
     negated column's entries are above -p, and every dot product is summed
-    in chunks of at most MAX_GRID_M products, so no int64 sum overflows at
+    in chunks of at most _CHUNK products, so no int64 sum overflows at
     any m.  On the word the products wrap modulo 2^64.
     """
     import numpy as np

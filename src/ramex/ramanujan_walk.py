@@ -124,10 +124,11 @@ def certify(graph: Multigraph) -> Certificate:
     (i, j >= 1), so det(yI - G) = (y - d^2) det(yI - G'):
     ``charpoly_coeffs`` runs on the (m-1) x (m-1) array G', modulo
     word-size primes in one numpy batch, and gives the nontrivial
-    polynomial directly, with nothing to divide out.  The primes come from
-    the Maclaurin bound of G's exact trace (``trace_bound``): G is positive
-    semidefinite, and e_k of a sub-multiset of nonnegative eigenvalues is
-    at most e_k of them all, so it bounds det(yI - G') too.  Bounding G'
+    polynomial directly, with nothing to divide out; the adjacency
+    polynomial is UniPoly's product of it with x^2 - d^2.  The primes
+    come from the Maclaurin bound of G's exact trace (``trace_bound``): G
+    is positive semidefinite, and e_k of a sub-multiset of nonnegative
+    eigenvalues is at most e_k of them all, so it bounds det(yI - G') too.  Bounding G'
     over its m - 1 eigenvalues instead would let an absurd d past the size
     cap at m = 1.  The sqrt(q) rule, ``_pairs_pass`` with q = 4(d-1),
     decides the verdict on the same integer pairs of the shifted
@@ -142,15 +143,14 @@ def certify(graph: Multigraph) -> Certificate:
         raise InvariantViolation(f"a row of the Gram B^T B does not sum to d^2 = {d * d}")
     # G' = rows and columns 1.. of T^-1 G T: each row of G less row 0
     rest = charpoly_coeffs(gram[1:, 1:] - gram[:1, 1:], trace_bound(m, int(gram.trace())))
-    # det(yI - G) = (y - d^2) det(yI - G')
-    full = [a - d * d * b for a, b in zip([0] + rest, rest + [0])]
     q = graph.params.q
     nontrivial = poly_substitute_square(UniPoly(tuple(rest)))
     shifted = tuple(sqrt_shift_pairs(nontrivial.coeffs, q))
     return Certificate(
         graph=graph,
         bound_q=q,
-        adjacency_charpoly=poly_substitute_square(UniPoly(tuple(full))),
+        # det(yI - G) = (y - d^2) det(yI - G'), with y = x^2
+        adjacency_charpoly=UniPoly((-d * d, 0, 1)) * nontrivial,
         nontrivial_poly=nontrivial,
         shifted_coeffs=shifted,
         passed=_pairs_pass(shifted, q),
@@ -206,7 +206,7 @@ def _value(coeffs, q: int) -> Fraction:
     return Fraction(sum(c * q**i for i, c in enumerate(coeffs[::2]))) / coeffs[-1]
 
 
-def _child_passes(value, ints, q: int) -> bool:
+def _child_passes(node: NodeState, value, ints, q: int) -> bool:
     """The walk's one rule for a child of a passing node: it passes if its
     value p(sqrt(q)) is > 0 and fails if < 0.  The children share a common
     interlacer whose largest root is at most the parent's max root, at most
@@ -215,13 +215,16 @@ def _child_passes(value, ints, q: int) -> bool:
     the number of them.  Given ints, the child's integer polynomial (every
     child of an audited walk, and on a lazy one a child whose value is 0
     and the leaf), the sqrt(q) rule on its pairs decides, and a nonzero
-    value whose sign contradicts that rule raises InvariantViolation.
+    value whose sign contradicts that rule raises InvariantViolation,
+    naming node, the child.
     """
     if ints is None:
         return value > 0
     passed = _pairs_pass(sqrt_shift_pairs(ints, q), q)
     if value and passed != (value > 0):
-        raise InvariantViolation(f"the sign of p(sqrt({q})) = {value} contradicts the root test")
+        raise InvariantViolation(
+            f"the sign of p(sqrt({q})) = {value} at {_named(node)} contradicts the root test"
+        )
     return passed
 
 
@@ -336,7 +339,7 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                         f"the polynomial of {_named(kid)} differs from its value at sqrt({q})"
                     )
                 polys.append(poly)
-                passed.append(_child_passes(values[-1], ints, q))
+                passed.append(_child_passes(kid, values[-1], ints, q))
                 if passed[-1] and not audit:
                     break
             if not any(passed):

@@ -576,8 +576,8 @@ def _assert_stuck_dumps_agree(tmp_path, capsys, monkeypatch, n, d, stage):
     stuck = stage.child_values
     real = ramanujan_walk._child_passes
 
-    def rule(value, ints, q):
-        return value not in stuck and real(value, ints, q)
+    def rule(node, value, ints, q):
+        return value not in stuck and real(node, value, ints, q)
 
     monkeypatch.setattr(ramanujan_walk, "_child_passes", rule)
     # the stuck node by its 1-based JSON, as failure.json's "node" has it

@@ -136,7 +136,7 @@ def _binomial_shift(p: UniPoly, q: int) -> tuple:
 @given(
     st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9), min_size=1, max_size=12)
     .map(lambda cs: UniPoly(tuple(cs)))
-    .filter(lambda p: not p.is_zero),
+    .filter(lambda p: p.coeffs),
     st.one_of(st.integers(0, 50), st.sampled_from((0, 9, 36))),
 )
 def test_poly_shift_matches_the_binomial_expansion(p, q):
@@ -177,9 +177,11 @@ def test_poly_substitute_square_round_trip():
 
 def test_unipoly_ring_basics():
     p = UniPoly((-1, 0, 1))  # x^2 - 1
-    assert (p + UniPoly((1, 0, -1))).is_zero
+    assert not (p + UniPoly((1, 0, -1))).coeffs
     assert p * UniPoly() == UniPoly()
-    assert UniPoly((0, 0, 0)).is_zero  # trailing zeros trim to the zero poly
+    assert UniPoly() * p == UniPoly()
+    assert UniPoly() * UniPoly() == UniPoly()
+    assert not UniPoly((0, 0, 0)).coeffs  # trailing zeros trim to the zero poly
     assert p.coeffs[-1] == 1 and p.degree == 2
     assert 2 * p == UniPoly((-2, 0, 2))
     with pytest.raises(TypeError):

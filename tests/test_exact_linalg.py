@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ramex import exact_linalg
 from ramex.exact_algebra import UniPoly, rational_to_str
 from ramex.exact_linalg import (
+    _CHUNK,
     _PRIMES,
     MAX_GRID_M,
     BlockSpec,
@@ -172,6 +173,18 @@ def test_kernel_sums_residues_near_p_in_chunks():
     assert (m - 2) * (_PRIMES[-1] - 2) ** 2 > 2**63 > MAX_GRID_M * (_P0 - 1) ** 2
     want = (0,) * (m - 2) + (2, m, 1)
     assert charpoly(Matrix(rows)) == UniPoly(want)
+
+
+def test_chunk_width_does_not_follow_the_grid_cap(monkeypatch):
+    """MAX_GRID_M is only a size policy: with the cap raised to 64, the
+    side-70 matrix above still sums in chunks of _CHUNK products, which
+    the primes alone bound, and keeps its polynomial x^68 (x^2 + 70 x + 2)."""
+    assert _CHUNK * (_PRIMES[0] - 1) ** 2 < 2**63
+    monkeypatch.setattr(exact_linalg, "MAX_GRID_M", 64)
+    m = 70
+    rows = [[-1] * m for _ in range(m)]
+    rows[1][0] = 1
+    assert charpoly(Matrix(rows)) == UniPoly((0,) * (m - 2) + (2, m, 1))
 
 
 def test_word_product_wraps_modulo_2_to_the_64():

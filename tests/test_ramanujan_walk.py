@@ -400,17 +400,17 @@ def test_child_rule_decides_by_sign_and_a_zero_by_the_root_test():
     """A child passes on a value > 0 and fails on < 0; a value of 0 takes
     the root test on the integer polynomial, and a sign that contradicts
     that test raises."""
-    rule = ramanujan_walk._child_passes
-    assert rule(Fraction(1, 3), None, 8) is True
-    assert rule(Fraction(-1, 3), None, 8) is False
+    rule, kid = ramanujan_walk._child_passes, NodeState()
+    assert rule(kid, Fraction(1, 3), None, 8) is True
+    assert rule(kid, Fraction(-1, 3), None, 8) is False
     # (x^2 - 8)(x^2 - 9) and x^2 - 8 are 0 at sqrt(8); the first has the root 3
-    assert rule(Fraction(0), [72, 0, -17, 0, 1], 8) is False
-    assert rule(Fraction(0), [-8, 0, 1], 8) is True
+    assert rule(kid, Fraction(0), [72, 0, -17, 0, 1], 8) is False
+    assert rule(kid, Fraction(0), [-8, 0, 1], 8) is True
     # x^2 - 7 is 1 at sqrt(8) and x^2 - 9 is -1
-    assert rule(Fraction(1), [-7, 0, 1], 8) is True
-    assert rule(Fraction(-1), [-9, 0, 1], 8) is False
+    assert rule(kid, Fraction(1), [-7, 0, 1], 8) is True
+    assert rule(kid, Fraction(-1), [-9, 0, 1], 8) is False
     with pytest.raises(InvariantViolation, match="contradicts the root test"):
-        rule(Fraction(1), [-9, 0, 1], 8)
+        rule(kid, Fraction(1), [-9, 0, 1], 8)
 
 
 def _walk_or_stuck(params, **kwargs):
@@ -670,7 +670,9 @@ def test_lazy_walk_takes_the_root_test_on_its_leaf(monkeypatch):
         return real(node, params, contraction)
 
     monkeypatch.setattr(ramanujan_walk, "_full_poly", full_poly)
-    with pytest.raises(InvariantViolation, match=re.escape("p(sqrt(8)) = 7 contradicts")):
+    leaf = '{"complete": [[1, 2], [1, 2], [2, 1]], "partial": []}'
+    message = f"the sign of p(sqrt(8)) = 7 at {leaf} contradicts the root test"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
         walk(Params(4, 3), audit=False)
 
 
