@@ -5,12 +5,14 @@ failed (or, for verify, does not match its graph), 2 = usage / bad input,
 3 = internal invariant violation.  Exit 1 belongs to certify and verify,
 which read graphs from outside: build exits 0, 2 or 3, because the walk's
 leaf has passed the sqrt(q) rule its certificate takes, so a failing
-certificate there is an internal fault.  Commands raise; main alone turns an
-exception into its exit code and its stderr line.  The argument parser is
-built once per process, on the first call to main, and each call looks its
-command up by name, so a process that calls main many times pays for the
-parser once.  All JSON output uses exact "num/den" strings for any value
-that may be non-integral.
+certificate there is an internal fault.  A build that a check of its walk
+or of its leaf stops (``WalkFault``) writes failure.json: the message, the
+node it names and any children the check had, with their polynomials.
+Commands raise; main alone turns an exception into its exit code and its
+stderr line.  The argument parser is built once per process, on the first
+call to main, and each call looks its command up by name, so a process
+that calls main many times pays for the parser once.  All JSON output uses
+exact "num/den" strings for any value that may be non-integral.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .matching_family import (
 )
 from .oracle import DEFAULT_CAP, brute_expected_charpoly
 from .ramanujan_walk import (
-    NoPassingChild,
+    WalkFault,
     certificate_to_json,
     certify,
     certify_by_elimination,
@@ -110,13 +112,14 @@ def cmd_build(args) -> int:
         graph = leaf_graph(result.leaf, params)
         cert = certify(graph)
         if result.leaf_poly != cert.nontrivial_poly:
-            raise InvariantViolation(
-                "the walk's leaf polynomial differs from the certified nontrivial polynomial"
+            raise WalkFault(
+                "the walk's leaf polynomial differs from the certified nontrivial polynomial",
+                result.leaf,
             )
         _cross_check(cert)
         if not cert.passed:
-            raise InvariantViolation("the walk's leaf fails its certificate")
-    except NoPassingChild as exc:
+            raise WalkFault("the walk's leaf fails its certificate", result.leaf)
+    except WalkFault as exc:
         _dump_failed_walk(args.out, exc)
         raise
     elapsed = time.monotonic() - started
@@ -181,7 +184,9 @@ def _transcript_json(result, cert, elapsed: float, jobs: int) -> dict:
     }
 
 
-def _dump_failed_walk(out_dir: str, exc: NoPassingChild) -> None:
+def _dump_failed_walk(out_dir: str, exc: WalkFault) -> None:
+    """failure.json: the fault's message, the node it names and any
+    children it carries, each with its polynomial."""
     data = {
         "error": str(exc),
         "node": node_to_json(exc.node) if exc.node is not None else None,

@@ -1,7 +1,12 @@
 """Exact dense linear algebra over the integers.
 
-``Matrix`` is a square integer matrix by construction, so the functions
-that take one never check its shape or entries.
+``Matrix`` is a square integer matrix by construction and ``BlockSpec``
+two ascending index tuples, for callers outside the walk
+(``fixed_plus_random_block_expected``, the oracle).  The grid takes an
+(m, m) int64 or object array and the block's two index lists, which
+``trivariate_detpoly`` checks once, so a walk node reaches it as the int64
+counts ``half_adjacency`` builds, with no Matrix, BlockSpec or object
+array on the way.
 
 Provides the exact characteristic polynomial of one integer matrix and the
 squared-minor tensor of a fixed integer matrix plus a random block
@@ -179,13 +184,14 @@ def _matmul_mod(x, y, p):
 
 def _residues(mat, primes):
     """An integer matrix, an (m, m) int64 or object array, by one broadcast
-    %: mod 2^64 as an (m, m) uint64 array given no primes (an object
-    array, since int64 cannot hold 2^64), else mod each of primes as an
-    (r, m, m) int64 array."""
+    %: mod 2^64 as an (m, m) uint64 array given no primes, an int64
+    array's own words read as uint64 (two's complement is the residue mod
+    2^64) and an object array by Python's % (int64 cannot hold 2^64), else
+    mod each of primes as an (r, m, m) int64 array."""
     import numpy as np
 
     if primes is None:
-        return (mat % _WORD).astype(np.uint64)
+        return mat.view(np.uint64) if mat.dtype == np.int64 else (mat % _WORD).astype(np.uint64)
     return (mat % primes.reshape(-1, 1, 1)).astype(np.int64, copy=False)
 
 
@@ -525,14 +531,15 @@ def _grid_table(l: int, dtype):
     return out
 
 
-def _grid(a: Matrix, rows: list, cols: list, n: int, primes):
+def _grid(a, rows: list, cols: list, n: int, primes):
     """``trivariate_detpoly``'s interpolated residues, one row per modulus
     in (k', p, q) order, from one batch: given no primes a (1, N) uint64
     row modulo 2^64 of 4^v times each numerator, v = v2(l_hat!), else an
     (r, N) int64 array of the numerators, row i modulo primes[i].  The
     caller rebuilds the numerators.
 
-    ``_residues`` takes a to either; the integer basis B0..B3 times
+    ``_residues`` takes a, an (m, m) int64 or object array, to either with
+    no other conversion; the integer basis B0..B3 times
     ``_grid_table`` gives every grid matrix, ``_berkowitz_mod`` their
     coefficients and ``_interp`` on both sides the numerators, every
     product through ``_matmul_mod``.  The batch axes lead: (r, 4, m, m)
@@ -540,8 +547,8 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, primes):
     table's product), then (r, l^2, n, n) and (r, n + 1, l, l)."""
     import numpy as np
 
-    m, l = a.nrows, max(len(rows), 1)
-    low = _residues(np.array(a.entries, dtype=object), primes)
+    m, l = len(a), max(len(rows), 1)
+    low = _residues(a, primes)
     r, p = (1, None) if primes is None else (len(primes), primes.reshape(-1, 1, 1, 1))
     in_r = np.zeros(m, dtype=low.dtype)
     in_c = np.zeros(m, dtype=low.dtype)
@@ -574,10 +581,16 @@ def _grid(a: Matrix, rows: list, cols: list, n: int, primes):
     return nums.reshape(r, -1)
 
 
-def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
+def trivariate_detpoly(a, rows, cols) -> CTensor:
     """Squared-minor sums of a + J_B/l after the block's all-ones row and
     column directions are split off, J_B the all-ones block of size l; on
     equal line sums, stored as the complement of the all-ones factor.
+
+    a is an (m, m) integer array, int64 (a walk node's counts, from
+    ``half_adjacency``) or object for entries past int64, and goes to the
+    grid as it is; rows and cols are the block's index lists (lists: numpy
+    reads a tuple as one index per axis), checked once here: equally long,
+    strictly ascending and within 0..m-1, else ValueError.
 
     C[k'][p][q] is the coefficient of lam**(m-k') t_r**p t_c**q in
     det(lam I + X) with X = Abar^T R Abar S, Abar = a + J_B/l,
@@ -604,12 +617,14 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
 
     P = l D - J multiplies as l times the block rows (on the left) or
     columns (on the right) less their sum.  Only Ahat, its line sums and
-    its trace are exact Python ints; the grid is one numpy batch
+    its trace are exact Python ints, from a.tolist(), so none overflows
+    whatever a holds; the grid is one numpy batch
     (``_grid``), and only its modulus depends on the numerators' bound b
     (below), and it is picked here: 2^64 when 2 4^v b < 2^64,
     v = v2(l_hat!), else the product of enough word-size primes.
-    ``_residues`` takes a, as an object array, mod 2^64 into uint64 words,
-    or mod each prime into int64 residues; one matmul gives the basis and
+    ``_residues`` takes a mod 2^64 into uint64 words, an int64 array by a
+    view of its words and an object array by %, or mod each prime into
+    int64 residues; one matmul gives the basis and
     one more, of the cached table -(1, t_r-1, t_c-1, (t_r-1)(t_c-1))
     (``_grid_table``), every grid matrix.  Berkowitz (``_berkowitz_mod``)
     is division-free, so exact over Z/2^64 and Z/p alike.  Every product
@@ -629,7 +644,7 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     primes' rows are rebuilt by the CRT (``_crt``).
     Only the interpolation matrices, the tables and the CRT basis are
     cached, never anything of a matrix.  An empty block gives the plain
-    Gram's sums at l_hat = 0; an out-of-range index raises ValueError.
+    Gram's sums at l_hat = 0.
 
     The all-ones factor.  When Ahat's row and column sums all equal sigma,
     as on every walk node, l^2 X 1 = sigma^2 1 and 1^T l^2 X = sigma^2 1^T
@@ -662,14 +677,18 @@ def trivariate_detpoly(a: Matrix, block: BlockSpec) -> CTensor:
     ``_grid``'s (k', p, q) order, and ``CTensor`` checks them for sign and
     the unit plane 0.
     """
-    m = a.nrows
-    if any(i >= m for i in block.rows + block.cols):
-        raise ValueError(f"block index outside the {m} x {m} matrix")
+    m = len(a)
+    if len(rows) != len(cols):
+        raise ValueError("block must have equally many rows and columns")
+    for idx in (rows, cols):
+        if not all(map(lt, idx, idx[1:])):
+            raise ValueError("block indices must be strictly ascending")
+        if idx and not 0 <= idx[0] <= idx[-1] < m:
+            raise ValueError(f"block index outside the {m} x {m} matrix")
     check_grid_size(m)
-    l = max(block.size, 1)
+    l = max(len(rows), 1)
     lhat = l - 1
-    rows, cols = list(block.rows), list(block.cols)
-    ahat = [[l * x for x in row] for row in a.entries]  # Ahat = l a + J_B, exact
+    ahat = [[l * x for x in row] for row in a.tolist()]  # Ahat = l a + J_B, exact
     for i in rows:
         for j in cols:
             ahat[i][j] += 1

@@ -93,10 +93,15 @@ def fixed_plus_random_block_expected(a: Matrix, block: BlockSpec) -> UniPoly:
     permutation P_B on the block.
 
     Every block size takes the grid; an empty block gives the plain Gram's
-    polynomial.  Nodes pass only a partial matching's open cells: a whole
-    random matching, the full block, is one fold (``_folds``).
+    polynomial.  a goes to the grid as an object array, which holds any
+    entry, and the block as its index lists.  Nodes do not come here:
+    ``contract_node`` passes a node's int64 counts and open cells straight
+    to the grid, and a whole random matching, the full block, is one fold
+    (``_folds``).
     """
-    tensor = trivariate_detpoly(a, block)
+    import numpy as np
+
+    tensor = trivariate_detpoly(np.array(a.entries, dtype=object), list(block.rows), list(block.cols))
     coeffs, den = _contract(tensor.nums, tensor.lhat)
     return UniPoly(tuple(Fraction(c, den) for c in coeffs))
 

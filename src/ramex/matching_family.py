@@ -13,8 +13,6 @@ import contextlib
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .exact_linalg import BlockSpec, Matrix
-
 
 class IsLeaf(ValueError):
     """Child enumeration requested on a leaf node."""
@@ -134,32 +132,34 @@ def children(node: NodeState, params: Params) -> list[NodeState]:
     return kids
 
 
-def half_adjacency(node: NodeState, params: Params) -> tuple[Matrix, BlockSpec]:
-    """The fixed m x m edge-count matrix plus the random-block index sets.
+def half_adjacency(node: NodeState, params: Params) -> tuple:
+    """The fixed m x m edge-count matrix, an int64 array, and the random
+    block's ascending row and column index lists.
 
     The block is (unmatched lefts) x (unmatched rights) while a partial
-    matching is open, and empty otherwise: a fresh matching that is still
-    pending is folded in by the engine, not averaged over a block.  The
-    node is taken as valid: the engine validates every node it is given,
-    and a leaf's ``Multigraph`` checks its own degrees.
+    matching is open, and both lists are empty otherwise: a fresh matching
+    that is still pending is folded in by the engine, not averaged over a
+    block.  A count is at most the node's number of matchings, so int64
+    holds it exactly; one ``bincount`` of the matched cells builds the
+    matrix.  The node is taken as valid: the engine validates every node
+    it is given, and a leaf's ``Multigraph`` checks its own degrees.
     """
+    import numpy as np
+
     m, partial = params.m, node.partial or ()
-    counts = [[0] * m for _ in range(m)]
-    for match in node.complete + (partial,):
-        for i, j in enumerate(match):
-            counts[i][j] += 1
+    cells = [i * m + j for match in node.complete + (partial,) for i, j in enumerate(match)]
+    counts = np.bincount(cells, minlength=m * m).reshape(m, m)
     if node.partial is None:
-        return Matrix.from_rows(counts), BlockSpec((), ())
+        return counts, [], []
     taken = set(partial)
-    block = BlockSpec(range(len(partial), m), [j for j in range(m) if j not in taken])
-    return Matrix.from_rows(counts), block
+    return counts, list(range(len(partial), m)), [j for j in range(m) if j not in taken]
 
 
 def leaf_graph(node: NodeState, params: Params) -> Multigraph:
     """Combine a leaf's d matchings into the edge-multiplicity matrix."""
     if not node.is_leaf(params):
         raise NotALeaf("node is not a leaf")
-    return Multigraph(params, half_adjacency(node, params)[0].entries)
+    return Multigraph(params, half_adjacency(node, params)[0].tolist())
 
 
 def node_to_json(node: NodeState) -> dict:

@@ -57,7 +57,23 @@ from .expectation_engine import contract_node, contraction_poly, contraction_val
 from .matching_family import Multigraph, NodeState, Params, children, node_to_json
 
 
-class NoPassingChild(InvariantViolation):
+class WalkFault(InvariantViolation):
+    """A check of the walk failed at a node: a value that is not its
+    polynomial's, a sign that contradicts the root test, children that do
+    not average to their parent, or a leaf that its certificate
+    contradicts.  Carries the node its message names (the leaf for the
+    last) and, where the check had them, that node's children with their
+    polynomials, which ``build`` writes to failure.json.
+    """
+
+    def __init__(self, message: str, node=None, child_nodes=(), child_polys=()):
+        super().__init__(message)
+        self.node = node
+        self.child_nodes = tuple(child_nodes)
+        self.child_polys = tuple(child_polys)
+
+
+class NoPassingChild(WalkFault):
     """No child passed the root bound.
 
     Impossible for a correct implementation when the current node passes
@@ -67,12 +83,6 @@ class NoPassingChild(InvariantViolation):
     its polynomial: a lazy stage with no passing child evaluates them all
     in full before it raises.
     """
-
-    def __init__(self, message: str, node=None, child_nodes=(), child_polys=()):
-        super().__init__(message)
-        self.node = node
-        self.child_nodes = tuple(child_nodes)
-        self.child_polys = tuple(child_polys)
 
 
 def _pairs_pass(pairs, q: int) -> bool:
@@ -215,15 +225,16 @@ def _child_passes(node: NodeState, value, ints, q: int) -> bool:
     the number of them.  Given ints, the child's integer polynomial (every
     child of an audited walk, and on a lazy one a child whose value is 0
     and the leaf), the sqrt(q) rule on its pairs decides, and a nonzero
-    value whose sign contradicts that rule raises InvariantViolation,
-    naming node, the child.
+    value whose sign contradicts that rule raises WalkFault, naming node,
+    the child.
     """
     if ints is None:
         return value > 0
     passed = _pairs_pass(sqrt_shift_pairs(ints, q), q)
     if value and passed != (value > 0):
-        raise InvariantViolation(
-            f"the sign of p(sqrt({q})) = {value} at {_named(node)} contradicts the root test"
+        raise WalkFault(
+            f"the sign of p(sqrt({q})) = {value} at {_named(node)} contradicts the root test",
+            node,
         )
     return passed
 
@@ -319,10 +330,13 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
             if audit:  # every child in full, up front: the polynomials average to the parent
                 contractions = list(evaluate(contract_node, kids, repeat(params)))
                 evaluated = list(map(_full_poly, kids, repeat(params), contractions))
-                *others, last = (poly for poly, _ in evaluated)
+                *others, last = full_polys = [poly for poly, _ in evaluated]
                 if last != len(kids) * current_poly + -1 * sum(others, UniPoly()):
-                    raise InvariantViolation(
-                        f"polynomial of {_named(current)} is not the average of its children"
+                    raise WalkFault(
+                        f"polynomial of {_named(current)} is not the average of its children",
+                        current,
+                        kids,
+                        full_polys,
                     )
             polys, values, passed = [], [], []
             for kid, contraction, full in zip(kids, contractions, evaluated):
@@ -335,8 +349,9 @@ def walk(params: Params, jobs: int = 1, audit: bool = True) -> WalkResult:
                     full = _full_poly(kid, params, contraction)
                 poly, ints = full or (None, None)
                 if full and _value(ints, q) != values[-1]:
-                    raise InvariantViolation(
-                        f"the polynomial of {_named(kid)} differs from its value at sqrt({q})"
+                    raise WalkFault(
+                        f"the polynomial of {_named(kid)} differs from its value at sqrt({q})",
+                        kid,
                     )
                 polys.append(poly)
                 passed.append(_child_passes(kid, values[-1], ints, q))

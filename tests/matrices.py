@@ -1,11 +1,12 @@
 """Reference matrices for the tests: the all-zero and identity matrices and
 the Gram A^T A, built from plain rows; ramex's Matrix only holds and checks
-rows.  ``charpoly`` is a Matrix's characteristic polynomial by the
-Hessenberg kernel certify runs, on the primes Hadamard's bound takes
-(``charpoly_primes``), which hold for any integer matrix, in place of
-certify's trace bound.  ``planes`` nests a tensor's flat numerators into
-its square planes, and ``cell`` reads one of them as the rational it
-stands for."""
+rows, and ``grid_args`` gives ``trivariate_detpoly``'s arguments for a
+Matrix and a BlockSpec.  ``charpoly`` is a Matrix's characteristic
+polynomial by the Hessenberg kernel certify runs, on the primes Hadamard's
+bound takes (``charpoly_primes``), which hold for any integer matrix, in
+place of certify's trace bound.  ``planes`` nests a tensor's flat
+numerators into its square planes, and ``cell`` reads one of them as the
+rational it stands for."""
 
 import math
 from fractions import Fraction
@@ -14,7 +15,7 @@ from operator import mul
 import numpy as np
 
 from ramex.exact_algebra import UniPoly
-from ramex.exact_linalg import Matrix, _primes_for, charpoly_coeffs
+from ramex.exact_linalg import BlockSpec, Matrix, _primes_for, charpoly_coeffs
 
 
 def zeros(n: int) -> Matrix:
@@ -23,6 +24,15 @@ def zeros(n: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def grid_args(a: Matrix, block: BlockSpec) -> tuple:
+    """``trivariate_detpoly``'s arguments for a Matrix and a BlockSpec: the
+    entries as an (m, m) array, int64 when every entry fits in one and
+    object otherwise, and the block's index lists."""
+    fits = all(-(2**63) <= x < 2**63 for row in a.entries for x in row)
+    mat = np.array(a.entries, dtype=np.int64 if fits else object).reshape(a.nrows, a.nrows)
+    return mat, list(block.rows), list(block.cols)
 
 
 def planes(flat: tuple, lhat: int) -> list:

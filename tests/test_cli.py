@@ -18,7 +18,15 @@ import ramex
 from ramex import cli, expectation_engine, ramanujan_walk
 from ramex.cli import main
 from ramex.exact_algebra import InvariantViolation, TooLarge, UniPoly, rational_to_str
-from ramex.matching_family import IsLeaf, NodeState, NotALeaf, NotRegular, Params, node_to_json
+from ramex.matching_family import (
+    IsLeaf,
+    NodeState,
+    NotALeaf,
+    NotRegular,
+    Params,
+    children,
+    node_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -310,7 +318,8 @@ def test_verify_rejects_malformed_input(built_6_3, tmp_path, capsys):
 
 def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypatch):
     """A certificate whose nontrivial polynomial is not the walk's leaf
-    polynomial fails build's cross-check against certify: exit 3, no graph."""
+    polynomial fails build's cross-check against certify: exit 3, no
+    graph, and failure.json names the leaf."""
     real = cli.certify
 
     def skewed(graph):
@@ -327,6 +336,11 @@ def test_build_cross_checks_walk_against_certificate(tmp_path, capsys, monkeypat
         "nontrivial polynomial\n"
     )
     assert not (tmp_path / "graph.json").exists()
+    assert json.loads((tmp_path / "failure.json").read_text()) == {
+        "error": stderr.removeprefix("internal error: ").rstrip("\n"),
+        "node": node_to_json(ramanujan_walk.walk(Params(4, 3)).leaf),
+        "children": [],
+    }
 
 
 def test_build_and_verify_cross_check_the_elimination_test(
@@ -414,6 +428,9 @@ def test_huge_sizes_exit_2_before_any_node_matrix(tmp_path, capsys, monkeypatch)
         raise AssertionError("a node matrix was built for a size beyond the grid")
 
     monkeypatch.setattr(expectation_engine, "half_adjacency", unreachable)
+    # the patch is where builds reach: a (6,3) build trips it
+    with pytest.raises(AssertionError, match="a node matrix was built"):
+        run(capsys, "build", "--n", "6", "--d", "3", "--out", str(tmp_path))
     code, _, stderr = run(capsys, "build", "--n", "100000", "--d", "3", "--out", str(tmp_path))
     assert code == 2 and "m <= 32, got m = 50000" in stderr
     assert not (tmp_path / "graph.json").exists()
@@ -643,13 +660,17 @@ def test_build_failure_dump_not_writable(tmp_path, capsys):
 def test_audited_walk_names_a_child_whose_value_differs(tmp_path, capsys, monkeypatch):
     """A child whose value is not its own polynomial's at sqrt(q) is named
     by its 1-based JSON, as failure.json and node-poly have nodes: here
-    the first child of the (4,3) start node, every value raised by 1."""
+    the first child of the (4,3) start node, every value raised by 1.
+    failure.json names it too, with no children."""
     real = ramanujan_walk.contraction_value
     monkeypatch.setattr(ramanujan_walk, "contraction_value", lambda *args: real(*args) + 1)
     argv = ("build", "--n", "4", "--d", "3", "--out", str(tmp_path), "--trace")
     child = '{"complete": [[1, 2]], "partial": [1]}'
     message = f"internal error: the polynomial of {child} differs from its value at sqrt(8)\n"
     assert run(capsys, *argv) == (3, "", message)
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    error = message.removeprefix("internal error: ").rstrip("\n")
+    assert failure == {"error": error, "node": json.loads(child), "children": []}
 
 
 def test_node_poly_malformed(capsys):
@@ -931,6 +952,36 @@ def test_traced_build_catches_one_skewed_child(tmp_path, capsys, monkeypatch, wh
     assert not (tmp_path / "graph.json").exists()
 
 
+def test_average_fault_dumps_the_stage(tmp_path, capsys, monkeypatch):
+    """The audited average check carries its stage: failure.json names the
+    parent and lists every child with the polynomial the check saw, here
+    the (4,3) start node's two children, the second raised by 1."""
+    real = ramanujan_walk._full_poly
+    start = NodeState(((0, 1),))
+    kids = children(start, Params(4, 3))
+    polys = [real(kid, Params(4, 3))[0] for kid in kids]
+    polys[-1] = polys[-1] + UniPoly((1,))
+
+    def full_poly(node, params, contraction=None):
+        poly, ints = real(node, params, contraction)
+        if node == kids[-1]:
+            return poly + UniPoly((1,)), (ints[0] + ints[-1], *ints[1:])
+        return poly, ints
+
+    monkeypatch.setattr(ramanujan_walk, "_full_poly", full_poly)
+    argv = ("build", "--n", "4", "--d", "3", "--out", str(tmp_path), "--trace")
+    assert run(capsys, *argv)[0] == 3
+    named = json.dumps(node_to_json(start))
+    assert json.loads((tmp_path / "failure.json").read_text()) == {
+        "error": f"polynomial of {named} is not the average of its children",
+        "node": node_to_json(start),
+        "children": [
+            {"node": node_to_json(kid), "poly": [rational_to_str(c) for c in poly.coeffs]}
+            for kid, poly in zip(kids, polys)
+        ],
+    }
+
+
 def test_skewed_lazy_build_fails_the_leaf_check(tmp_path):
     """A plain build walks lazily and runs no averaging check; the same skew
     then reaches the leaf, whose polynomial the stage that decides it checks
@@ -961,6 +1012,29 @@ def test_build_with_a_failing_leaf_exits_3(tmp_path, capsys, monkeypatch):
     assert stdout == ""
     assert stderr == "internal error: the walk's leaf fails its certificate\n"
     assert not (tmp_path / "graph.json").exists()
+    assert json.loads((tmp_path / "failure.json").read_text()) == {
+        "error": "the walk's leaf fails its certificate",
+        "node": {"complete": [[1, 2], [1, 2], [1, 2]], "partial": []},
+        "children": [],
+    }
+
+
+def test_lazy_walk_fault_leaves_failure_json(tmp_path, capsys, monkeypatch):
+    """A lazy walk stopped by one of its own checks leaves failure.json
+    naming the node of its message.  Every value raised by 1, a lazy (4,3)
+    walk computes the polynomial of the child whose value -1 now reads 0,
+    and the value check fails there.  It carries no children."""
+    real = ramanujan_walk.contraction_value
+    monkeypatch.setattr(ramanujan_walk, "contraction_value", lambda *args: real(*args) + 1)
+    code, _, stderr = run(capsys, "build", "--n", "4", "--d", "3", "--out", str(tmp_path))
+    named = {"complete": [[1, 2], [1, 2]], "partial": [1]}
+    message = f"the polynomial of {json.dumps(named)} differs from its value at sqrt(8)"
+    assert (code, stderr) == (3, f"internal error: {message}\n")
+    assert json.loads((tmp_path / "failure.json").read_text()) == {
+        "error": message,
+        "node": named,
+        "children": [],
+    }
 
 
 def test_oracle_root(capsys):

@@ -43,7 +43,7 @@ from ramex.matching_family import Multigraph, NodeState, Params, half_adjacency
 from ramex.oracle import _det_xid_minus
 from ramex.ramanujan_walk import certify
 
-from matrices import cell, charpoly, charpoly_primes, gram, identity, planes, zeros
+from matrices import cell, charpoly, charpoly_primes, grid_args, gram, identity, planes, zeros
 
 
 def naive_charpoly(mat: Matrix) -> UniPoly:
@@ -166,11 +166,11 @@ def test_kernel_sums_residues_near_p_in_chunks():
     acts as [[-70, -1], [2, 0]], so det(xI - M) = x^68 (x^2 + 70 x + 2).
     Column 0's factors are all -1, so the column update sums 68 products
     of residues p - 1 or p - 2: about 68 p^2 > 2^63, exact only in chunks
-    of at most MAX_GRID_M products."""
+    of at most _CHUNK products."""
     m = 70
     rows = [[-1] * m for _ in range(m)]
     rows[1][0] = 1
-    assert (m - 2) * (_PRIMES[-1] - 2) ** 2 > 2**63 > MAX_GRID_M * (_P0 - 1) ** 2
+    assert (m - 2) * (_PRIMES[-1] - 2) ** 2 > 2**63 > _CHUNK * (_P0 - 1) ** 2
     want = (0,) * (m - 2) + (2, m, 1)
     assert charpoly(Matrix(rows)) == UniPoly(want)
 
@@ -342,11 +342,11 @@ def _e_k(poly: UniPoly, m: int) -> list:
 def test_trivariate_identity_example():
     # block {1} x {1} of I_2: the block mean is 1, so Abar = diag(1, 2); the
     # reduced block is empty and det(lam I + Abar^T Abar) = lam^2 + 5 lam + 4
-    tensor = trivariate_detpoly(identity(2), BlockSpec((1,), (1,)))
+    tensor = trivariate_detpoly(*grid_args(identity(2), BlockSpec((1,), (1,))))
     assert tensor.m == 2 and tensor.lhat == 0
     assert [cell(tensor, k, 0, 0) for k in range(3)] == [1, 5, 4]
     # full block of I_2: Abar = I + J/2; the reduced block is {1} x {1}
-    tensor = trivariate_detpoly(identity(2), BlockSpec((0, 1), (0, 1)))
+    tensor = trivariate_detpoly(*grid_args(identity(2), BlockSpec((0, 1), (0, 1))))
     # the reflected matrix is diag(2, 1), so det = (lam + 4)(lam + t_r t_c)
     assert tensor.lhat == 1
     assert cell(tensor, 0, 0, 0) == 1
@@ -359,7 +359,7 @@ def test_trivariate_zero_matrix():
     # Abar = J_B / l, a rank-one matrix along the all-ones direction that
     # the reduction splits off: only C[1][0][0] = ||J_B / l||^2 = 1 survives
     for m in (2, 3):
-        tensor = trivariate_detpoly(zeros(m), BlockSpec((0, 1), (0, 1)))
+        tensor = trivariate_detpoly(*grid_args(zeros(m), BlockSpec((0, 1), (0, 1))))
         assert cell(tensor, 0, 0, 0) == 1
         for kp in range(1, m + 1):
             for p in range(2):
@@ -371,11 +371,11 @@ def test_trivariate_zero_matrix():
 def test_trivariate_empty_reduced_block():
     a = Matrix.from_rows([[1, 2], [0, 1]])
     gram_poly = charpoly(gram(a))
-    tensor = trivariate_detpoly(a, BlockSpec((), ()))
+    tensor = trivariate_detpoly(*grid_args(a, BlockSpec((), ())))
     assert tensor.lhat == 0
     assert [cell(tensor, k, 0, 0) for k in range(3)] == _e_k(gram_poly, 2)
     # a single-cell block leaves an empty reduced block: the bumped Gram
-    tensor = trivariate_detpoly(a, BlockSpec((1,), (0,)))
+    tensor = trivariate_detpoly(*grid_args(a, BlockSpec((1,), (0,))))
     bumped = Matrix.from_rows([[1, 2], [1, 1]])
     assert tensor.lhat == 0
     assert [cell(tensor, k, 0, 0) for k in range(3)] == _e_k(charpoly(gram(bumped)), 2)
@@ -390,7 +390,7 @@ def _assert_at_ones_is_full_gram(base: Matrix, rows: tuple, cols: tuple):
             for i, r in enumerate(base.entries)
         ]
     )
-    tensor = trivariate_detpoly(base, BlockSpec(rows, cols))
+    tensor = trivariate_detpoly(*grid_args(base, BlockSpec(rows, cols)))
     # at t_r = t_c = 1 the polynomial is det(lam I + Abar^T Abar), whose
     # e_k is that of the scaled Gram over l^(2k)
     m, span = base.nrows, range(l)
@@ -484,7 +484,7 @@ def _matrix_and_block(draw):
         entry = st.integers(-3, 3)
         rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
         l = draw(st.integers(2, m))
-        return Matrix(rows), BlockSpec(sorted(draw(perm)[:l]), sorted(draw(perm)[:l]))
+        return grid_args(Matrix(rows), BlockSpec(sorted(draw(perm)[:l]), sorted(draw(perm)[:l])))
     complete = tuple(draw(perm) for _ in range(draw(st.integers(1, 3))))
     node = NodeState(complete, draw(perm)[: draw(st.integers(1, m - 2))])
     return half_adjacency(node, Params(2 * m, len(complete) + 1))
@@ -500,11 +500,11 @@ def test_grid_numerators_are_integers_over_l_squared(case):
     big-integer determinant at every grid point, l^4 X = Ahat^T (l R) Ahat
     (l S) built from its definition, and exact interpolation; each plane
     sums to e_k'(G0), G0 = Ahat^T Ahat."""
-    a, block = case
-    m, l, rows, cols = a.nrows, block.size, set(block.rows), set(block.cols)
+    a, block_rows, block_cols = case
+    m, l, rows, cols = len(a), len(block_rows), set(block_rows), set(block_cols)
     ahat = [
         [l * x + (i in rows and j in cols) for j, x in enumerate(row)]
-        for i, row in enumerate(a.entries)
+        for i, row in enumerate(a.tolist())
     ]
 
     def scaled(t, index):  # l I + (t - 1)(l D - J) on the block's indices
@@ -521,7 +521,7 @@ def test_grid_numerators_are_integers_over_l_squared(case):
         minus = [[-x for x in row] for row in _product(list(zip(*ahat)), right)]
         for k, c in enumerate(reversed(_det_xid_minus(minus))):
             grid[k][tr][tc] = c
-    tensor = trivariate_detpoly(a, block)
+    tensor = trivariate_detpoly(*case)
     assert tensor.lhat == l - 1
     g0 = _e_k(charpoly(gram(Matrix(ahat))), m)
     nums = planes(tensor.nums, l - 1)
@@ -541,14 +541,14 @@ def test_stored_planes_sum_to_the_deflated_gram(case):
     sums to e_k' of the deflated Gram: rows and columns 1.. of
     G0 = Ahat^T Ahat, each row less row 0, as certify builds it.  Any other
     input stores the whole tensor's m + 1 planes."""
-    a, block = case
-    m, l, rows, cols = a.nrows, block.size, set(block.rows), set(block.cols)
+    a, block_rows, block_cols = case
+    m, l, rows, cols = len(a), len(block_rows), set(block_rows), set(block_cols)
     ahat = [
         [l * x + (i in rows and j in cols) for j, x in enumerate(row)]
-        for i, row in enumerate(a.entries)
+        for i, row in enumerate(a.tolist())
     ]
     sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
-    tensor = trivariate_detpoly(a, block)
+    tensor = trivariate_detpoly(*case)
     if len(sums) > 1:
         assert tensor.sigma_sq is None and len(tensor.planes) == (m + 1) * (tensor.lhat + 1) ** 2
         return
@@ -598,26 +598,26 @@ def _sparse_matrix_and_block(draw):
     rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
     perm = st.permutations(range(m))
     l = draw(st.integers(0, m))
-    return Matrix(rows), BlockSpec(sorted(draw(perm)[:l]), sorted(draw(perm)[:l]))
+    return grid_args(Matrix(rows), BlockSpec(sorted(draw(perm)[:l]), sorted(draw(perm)[:l])))
 
 
 @settings(max_examples=80)
 @given(st.one_of(_matrix_and_block(), _sparse_matrix_and_block()))
 # l_hat = 11, v = 8: Ahat = J splits to a zero complement
-@example((zeros(12), BlockSpec(tuple(range(12)), tuple(range(12)))))
+@example(grid_args(zeros(12), BlockSpec(tuple(range(12)), tuple(range(12)))))
 def test_word_grid_equals_the_prime_grid(case):
     """A grid whose bound fits one word takes the word, with no prime.  Its
     one uint64 row, 4^v times each numerator, shifted right by 2v as a
     signed word, equals the CRT of the prime grid's int64 rows, the
     reference, run here at three primes, a modulus past 2^64, and both
     equal the tensor's numerators; with equal line sums and without."""
-    a, block = case
+    a, rows, cols = case
     with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
-        tensor = trivariate_detpoly(a, block)
+        tensor = trivariate_detpoly(a, rows, cols)
     assume(not primes_for.called)
     primes = _primes_for(2**63)
     assert len(primes) == 3
-    rows, cols, lhat, size = list(block.rows), list(block.cols), tensor.lhat, len(tensor.planes)
+    lhat, size = tensor.lhat, len(tensor.planes)
     n, v = size // (lhat + 1) ** 2 - 1, lhat - lhat.bit_count()
     word = exact_linalg._grid(a, rows, cols, n, None)
     residues = exact_linalg._grid(a, rows, cols, n, primes)
@@ -625,6 +625,60 @@ def test_word_grid_equals_the_prime_grid(case):
     assert residues.dtype == np.int64 and residues.shape == (3, size)
     want = _crt(residues).tolist()
     assert (word.view(np.int64)[0] >> 2 * v).tolist() == want and tensor.planes == tuple(want)
+
+
+@st.composite
+def _int64_matrix_and_block(draw):
+    """An m x m int64 matrix, m up to 5, with entries of either sign up to
+    2, 20, 40 or 63 bits, and a block of any size: small entries take the
+    word and large ones the primes."""
+    m = draw(st.integers(1, 5))
+    bits = draw(st.sampled_from((2, 20, 40, 63)))
+    entry = st.integers(-(2**bits), 2**bits - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    perm = st.permutations(range(m))
+    l = draw(st.integers(0, m))
+    return np.array(rows, dtype=np.int64), sorted(draw(perm)[:l]), sorted(draw(perm)[:l])
+
+
+@settings(max_examples=60)
+@given(_int64_matrix_and_block())
+# one word with negative entries, and primes at int64's two ends
+@example((np.array([[-1, 2], [0, -3]], dtype=np.int64), [1], [0]))
+@example((np.array([[-(2**63), 2**63 - 1], [3, -(2**62)]], dtype=np.int64), [0, 1], [0, 1]))
+def test_int64_and_object_arrays_give_the_same_tensor(case):
+    """The grid takes an int64 array as it is, its words read as uint64 on
+    the word and reduced by numpy's % on primes, and an object array by
+    Python's %: the same matrix as either dtype gives the same tensor by
+    the same modulus, on both sides of the word's edge."""
+    a, rows, cols = case
+    tensors, words = [], []
+    for mat in (a, a.astype(object)):
+        with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
+            tensors.append(trivariate_detpoly(mat, rows, cols))
+        words.append(not primes_for.called)
+    assert tensors[0] == tensors[1] and words[0] == words[1]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        ([0, 1], [0], "^block must have equally many rows and columns$"),
+        ([1, 0], [0, 1], "^block indices must be strictly ascending$"),
+        ([0, 1], [1, 1], "^block indices must be strictly ascending$"),
+        ([0, 2, 1], [0, 1, 2], "^block indices must be strictly ascending$"),
+        ([-1, 0], [0, 1], "^block index outside the 3 x 3 matrix$"),
+        ([0, 1], [1, 3], "^block index outside the 3 x 3 matrix$"),
+    ],
+    ids=["unequal", "descending", "repeated", "unordered", "negative", "past-m"],
+)
+def test_grid_checks_its_index_lists(rows, cols, message):
+    """``trivariate_detpoly`` checks the block's index lists once, before
+    any array indexing: equally long, strictly ascending and within the
+    matrix, so a repeated or unordered index cannot slip past the range
+    check, which reads only the ends."""
+    with pytest.raises(ValueError, match=message):
+        trivariate_detpoly(np.eye(3, dtype=np.int64), rows, cols)
 
 
 _FULL_RANK = ((1, 0, 2, 0), (0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1))
@@ -669,7 +723,7 @@ def test_perturbed_grid_value_is_a_rationality_violation(
     monkeypatch.setattr(exact_linalg, "RATIONALITY_VIOLATIONS", 0)  # a scratch counter
     a = Matrix.from_rows([[scale * x for x in row] for row in rows])
     with pytest.raises(RationalityViolation):
-        trivariate_detpoly(a, BlockSpec((0, 1, 3), (0, 2, 3)))
+        trivariate_detpoly(*grid_args(a, BlockSpec((0, 1, 3), (0, 2, 3))))
     assert rationality_violation_count() == 1 and paths == [word]
 
 
@@ -801,7 +855,7 @@ def test_prime_count_is_tight_for_a_scaled_identity(m):
         if 2 * max(want) >= table:
             break
         scaled = Matrix.from_rows([[c * (i == j) for j in range(m)] for i in range(m)])
-        tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
+        tensor = trivariate_detpoly(*grid_args(scaled, BlockSpec((), ())))
         assert tensor.sigma_sq == c * c and tensor.planes == want
         assert tensor.nums == tuple(math.comb(m, k) * c ** (2 * k) for k in range(m + 1))
 
@@ -827,7 +881,7 @@ def test_word_limit_is_tight_for_a_scaled_identity(m):
     for c, word in cases:
         scaled = Matrix.from_rows([[c * (i == j) for j in range(m)] for i in range(m)])
         with mock.patch.object(exact_linalg, "_primes_for", wraps=_primes_for) as primes_for:
-            tensor = trivariate_detpoly(scaled, BlockSpec((), ()))
+            tensor = trivariate_detpoly(*grid_args(scaled, BlockSpec((), ())))
         assert primes_for.called is not word
         assert tensor.planes == tuple(math.comb(m - 1, k) * c ** (2 * k) for k in range(m))
     assert len(cases) == (2 if m == 32 else 4)
@@ -846,7 +900,7 @@ def test_primes_are_distinct_primes_below_2_to_the_29():
     assert len(set(_PRIMES)) == len(_PRIMES) >= 64
     for p in _PRIMES:
         assert 2 < p < 2**29 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
-        assert MAX_GRID_M * (p - 1) ** 2 < 2**63
+        assert _CHUNK * (p - 1) ** 2 < 2**63
         # the grid at the largest block, one matmul of the (l^2, 4) table
         # with the basis, entries reduced below p: a row of the table sums
         # to (l-1)^2 in size, so every grid value is below (l-1)^2 (p-1) < 2^63
@@ -871,13 +925,13 @@ def test_grid_size_guards_raise_grid_too_large():
     """m past MAX_GRID_M is GridTooLarge; a bound past the prime table is
     CoefficientsTooLarge, the one class of that limit, for the grid too."""
     with pytest.raises(GridTooLarge):
-        trivariate_detpoly(zeros(MAX_GRID_M + 1), BlockSpec((), ()))
+        trivariate_detpoly(*grid_args(zeros(MAX_GRID_M + 1), BlockSpec((), ())))
     with pytest.raises(CoefficientsTooLarge, match="exceeds the largest modulus"):
         _primes_for(math.prod(_PRIMES))
     assert len(_primes_for(math.prod(_PRIMES) // 2 - 1)) == len(_PRIMES)
     assert _primes_for(1).tolist() == [_PRIMES[0]]
     # the largest matrix the grid holds, with its largest block
-    tensor = trivariate_detpoly(identity(MAX_GRID_M), BlockSpec((0, 1), (0, 1)))
+    tensor = trivariate_detpoly(*grid_args(identity(MAX_GRID_M), BlockSpec((0, 1), (0, 1))))
     assert tensor.m == MAX_GRID_M and cell(tensor, 0, 0, 0) == 1
 
 
@@ -908,27 +962,27 @@ def test_ctensor_requires_the_unit_plane_0(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "a, block",
+    "a, rows, cols",
     [
         half_adjacency(NodeState(((1, 2, 0, 3),), (2,)), Params(8, 3)),  # equal line sums
-        (
+        grid_args(
             Matrix.from_rows([[1, 2, 0, 1], [0, 1, 3, 0], [2, 0, 1, 1], [0, 1, 0, 2]]),
             BlockSpec((0, 1, 3), (0, 2, 3)),
         ),
     ],
     ids=["split", "unsplit"],
 )
-def test_flat_tensor_views_agree(a, block):
+def test_flat_tensor_views_agree(a, rows, cols):
     """The flat (k', p, q) numerators read the same through every view:
     ``to_json``'s nested planes are each cell of ``nums`` over the
     denominator of its minor size, and ``nums`` is the stored planes plus
     sigma^2 times the stored planes one plane down, the coefficients of
     (lam + sigma^2) times the complement, or the stored planes themselves
     when nothing was split."""
-    tensor = trivariate_detpoly(a, block)
+    tensor = trivariate_detpoly(a, rows, cols)
     size, stored = tensor.lhat + 1, planes(tensor.planes, tensor.lhat)
     whole = planes(tensor.nums, tensor.lhat)
-    assert tensor.lhat == 2 and len(whole) == a.nrows + 1
+    assert tensor.lhat == 2 and len(whole) == len(a) + 1
     values = tensor.to_json()["values"]
     span = range(size)
     assert values == [
@@ -939,11 +993,11 @@ def test_flat_tensor_views_agree(a, block):
         assert tensor.nums is tensor.planes and whole == stored
         return
     blank = [[0] * size for _ in span]
-    assert stored and len(stored) == a.nrows
+    assert stored and len(stored) == len(a)
     for k, plane in enumerate(whole):
         hi = stored[k] if k < len(stored) else blank
         lo = stored[k - 1] if k else blank
-        want = [[x + tensor.sigma_sq * y for x, y in zip(*rows)] for rows in zip(hi, lo)]
+        want = [[x + tensor.sigma_sq * y for x, y in zip(*pair)] for pair in zip(hi, lo)]
         assert plane == want
 
 

@@ -33,7 +33,7 @@ from ramex.oracle import (
     brute_fixed_plus_permutation,
 )
 
-from matrices import cell, charpoly, gram, identity, zeros
+from matrices import cell, charpoly, grid_args, gram, identity, zeros
 
 
 def test_weight_table_matches_the_closed_form():
@@ -80,11 +80,13 @@ def test_expected_block_empty_block_is_plain_gram():
 @pytest.mark.parametrize("block", [BlockSpec((0, 5), (0, 1)), BlockSpec((1,), (3,))])
 def test_block_outside_the_matrix_is_a_value_error(block):
     """An index past the 3 x 3 matrix, in a row or a column, is rejected
-    before any array indexing could raise IndexError."""
+    before any array indexing could raise IndexError: by the grid's index
+    lists, and by the Matrix path that converts to them."""
     a = identity(3)
-    for expected in (trivariate_detpoly, fixed_plus_random_block_expected):
-        with pytest.raises(ValueError, match="^block index outside the 3 x 3 matrix$"):
-            expected(a, block)
+    with pytest.raises(ValueError, match="^block index outside the 3 x 3 matrix$"):
+        trivariate_detpoly(*grid_args(a, block))
+    with pytest.raises(ValueError, match="^block index outside the 3 x 3 matrix$"):
+        fixed_plus_random_block_expected(a, block)
 
 
 def test_expected_block_matches_permutation_average():
@@ -206,7 +208,7 @@ def test_sigma_squared_is_recorded_exactly_when_line_sums_are_equal(case):
         for i, row in enumerate(a.entries)
     ]
     sums = {sum(row) for row in ahat} | {sum(col) for col in zip(*ahat)}
-    tensor = trivariate_detpoly(a, block)
+    tensor = trivariate_detpoly(*grid_args(a, block))
     if len(sums) == 1:
         assert tensor.sigma_sq == sums.pop() ** 2
         side = (tensor.lhat + 1) ** 2
@@ -410,8 +412,8 @@ def test_node_tensor_without_the_split_off_factor_is_an_engine_fault(monkeypatch
     tensor, patched in) is a pipeline bug, not a polynomial to contract."""
     real = expectation_engine.trivariate_detpoly
 
-    def unsplit(a, block):
-        tensor = real(a, block)
+    def unsplit(a, rows, cols):
+        tensor = real(a, rows, cols)
         return CTensor(tensor.m, tensor.lhat, tensor.nums)
 
     monkeypatch.setattr(expectation_engine, "trivariate_detpoly", unsplit)
@@ -601,8 +603,8 @@ def test_ctensor_debug_surface():
         (NodeState(((0, 1), (0, 1), (1, 0))), 0),
         (NodeState(((0, 1), (0, 1)), (1,)), 1),
     ]:
-        a, block = half_adjacency(node, params)
-        assert block.size == l
-        tensor = trivariate_detpoly(a, block)
+        a, rows, cols = half_adjacency(node, params)
+        assert len(rows) == l
+        tensor = trivariate_detpoly(a, rows, cols)
         assert tensor.m == 2 and tensor.lhat == 0
         assert [cell(tensor, k, 0, 0) for k in range(3)] == e_k

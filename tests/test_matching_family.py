@@ -3,9 +3,9 @@
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from ramex.exact_linalg import BlockSpec
 from ramex.matching_family import (
     IsLeaf,
     Multigraph,
@@ -66,18 +66,23 @@ def test_children_m1_promotes_immediately():
 
 
 def test_half_adjacency_examples():
+    """The counts are an int64 array and the block two ascending index
+    lists, both empty when no matching is open."""
     params = Params(4, 3)
-    mat, block = half_adjacency(NodeState(((0, 1),), (1,)), params)
-    assert mat.entries == ((1, 1), (0, 1))
-    assert block == BlockSpec((1,), (0,))
+    mat, rows, cols = half_adjacency(NodeState(((0, 1),), (1,)), params)
+    assert mat.dtype == np.int64 and mat.tolist() == [[1, 1], [0, 1]]
+    assert (rows, cols) == ([1], [0])
 
-    mat, block = half_adjacency(NodeState(), params)
-    assert mat.entries == ((0, 0), (0, 0))
-    assert block == BlockSpec((), ())  # the pending fresh matching is folded
+    mat, rows, cols = half_adjacency(NodeState(), params)
+    assert mat.dtype == np.int64 and mat.tolist() == [[0, 0], [0, 0]]
+    assert (rows, cols) == ([], [])  # the pending fresh matching is folded
 
-    mat, block = half_adjacency(NodeState(((0, 1), (0, 1), (1, 0))), params)
-    assert mat.entries == ((2, 1), (1, 2))
-    assert block == BlockSpec((), ())
+    mat, rows, cols = half_adjacency(NodeState(((0, 1), (0, 1), (1, 0))), params)
+    assert mat.tolist() == [[2, 1], [1, 2]]
+    assert (rows, cols) == ([], [])
+
+    _, rows, cols = half_adjacency(NodeState(((0, 1, 2, 3),), (3, 0)), Params(8, 3))
+    assert (rows, cols) == ([2, 3], [1, 2])
 
 
 def test_leaf_graph_examples():
@@ -131,10 +136,10 @@ def test_row_sum_invariant_random_nodes():
         NodeState((), (2, 0)),
     ]
     for node in nodes:
-        mat, _ = half_adjacency(node, params)
-        assert [len(row) for row in mat.entries] == [3, 3, 3]
+        mat = half_adjacency(node, params)[0].tolist()
+        assert [len(row) for row in mat] == [3, 3, 3]
         t = len(node.partial or ())
-        assert [sum(row) for row in mat.entries] == [
+        assert [sum(row) for row in mat] == [
             len(node.complete) + (i < t) for i in range(3)
         ]
 

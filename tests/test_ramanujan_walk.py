@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from ramex import exact_linalg, expectation_engine, ramanujan_walk
 from ramex.exact_algebra import InvariantViolation, UniPoly, poly_substitute_square, quad_sign
-from ramex.exact_linalg import _PRIMES, Matrix, _primes_for, trace_bound
-from ramex.expectation_engine import node_polynomial
+from ramex.exact_linalg import _PRIMES, BlockSpec, Matrix, _primes_for, trace_bound
+from ramex.expectation_engine import fixed_plus_random_block_expected, node_polynomial
 from ramex.matching_family import (
     Multigraph,
     NodeState,
@@ -503,7 +503,31 @@ def test_lazy_d2_walk_runs_one_grid_per_node(n, monkeypatch):
     monkeypatch.setattr(engine, "trivariate_detpoly", lambda *a: grids.append(a) or grid(*a))
     result = walk(Params(n, 2), audit=False)
     assert 0 in (value for stage in result.stages for value in stage.child_values)
-    assert len(grids) == len(set(nodes))
+    assert nodes and len(grids) == len(set(nodes))
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (8, 4)])
+def test_walk_node_tensors_equal_the_matrix_path(n, d, monkeypatch):
+    """Every node of an audited walk reaches the grid as an int64 count
+    array and two index lists, and its tensor equals the one that
+    ``fixed_plus_random_block_expected`` gets for the same counts and
+    block from a Matrix and a BlockSpec, which reach the grid as an object
+    array."""
+    real, calls = expectation_engine.trivariate_detpoly, []
+
+    def recording(a, rows, cols):
+        calls.append((a, rows, cols, real(a, rows, cols)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(expectation_engine, "trivariate_detpoly", recording)
+    walk(Params(n, d), audit=True)
+    nodes = list(calls)
+    assert nodes and all(a.dtype == np.int64 for a, *_ in nodes)
+    for a, rows, cols, tensor in nodes:
+        calls.clear()
+        fixed_plus_random_block_expected(Matrix(a.tolist()), BlockSpec(rows, cols))
+        [(entries, _, _, via_matrix)] = calls
+        assert entries.dtype == object and via_matrix == tensor
 
 
 def test_lazy_walk_contracts_only_the_start_node_and_the_leaf(monkeypatch):
